@@ -6,15 +6,15 @@
    bucket of keys.(i)), and the concatenated bucket ids.  Lookup is a
    binary search — no hashing, no boxing, no cons cells, and the whole
    structure is three contiguous allocations however many buckets
-   exist.
+   exist.  [of_keys] builds it straight from one key per object; each
+   bucket lists its ids newest (highest position) first.
 
-   Inserts after the freeze go to [delta], newest first, exactly like
-   the old cons-onto-bucket tables.  A bucket's query-iteration order is
-   delta first (newest first), then the frozen segment in frozen order —
-   for tables frozen from cons-built buckets that is precisely the old
-   all-list iteration order, which the bit-identity tests rely on.
-   [compact] folds the delta into a fresh frozen base and drops dead
-   ids.
+   Inserts after the freeze go to [delta], newest first.  A bucket's
+   query-iteration order is delta first (newest first), then the frozen
+   segment in frozen order — so a table built over ids 0..n-1 iterates
+   exactly like one built over a prefix with the rest inserted, which
+   the bit-identity tests rely on.  [compact] folds the delta into a
+   fresh frozen base and drops dead ids.
 
    Concurrent reads: the frozen base lives behind a single [base]
    record and the delta is a persistent map in a mutable field, so a
@@ -59,36 +59,87 @@ let base_segment base key =
   | -1 -> (0, 0)
   | i -> (base.offsets.(i), base.offsets.(i + 1))
 
-let freeze tbl =
-  let keys = Array.of_seq (Hashtbl.to_seq_keys tbl) in
-  Array.sort Int.compare keys;
-  let nk = Array.length keys in
-  let offsets = Array.make (nk + 1) 0 in
+let largest_of base =
   let largest = ref 0 in
-  for i = 0 to nk - 1 do
-    let len = List.length (Hashtbl.find tbl keys.(i)) in
-    if len > !largest then largest := len;
-    offsets.(i + 1) <- offsets.(i) + len
+  for i = 0 to Array.length base.keys - 1 do
+    let len = base.offsets.(i + 1) - base.offsets.(i) in
+    if len > !largest then largest := len
   done;
-  let ids = Array.make offsets.(nk) 0 in
-  for i = 0 to nk - 1 do
-    (* Frozen segment keeps the bucket's list order (newest first). *)
-    let pos = ref offsets.(i) in
-    List.iter
-      (fun id ->
-        ids.(!pos) <- id;
-        incr pos)
-      (Hashtbl.find tbl keys.(i))
-  done;
-  {
-    base = { keys; offsets; ids };
-    delta = Intmap.empty;
-    delta_size = 0;
-    extra_keys = 0;
-    largest = !largest;
-  }
+  !largest
 
-let empty () = freeze (Hashtbl.create 1)
+let of_base base =
+  { base; delta = Intmap.empty; delta_size = 0; extra_keys = 0; largest = largest_of base }
+
+(* Positions 0..m-1 ordered by key ascending, ties by position
+   descending: an LSD radix sort over [radix_bits]-bit digits, seeded
+   with the positions in descending order (each pass is stable, so ties
+   keep that order).  Keys are non-negative, and a pass runs only while
+   [max_key] has digits left below [Sys.int_size] ([lsr] by more is
+   unspecified and wraps on common hardware).  [Array.stable_sort] over
+   the positions gives the same order, but its indirect comparisons make
+   it several times slower on table-sized inputs, enough to show in
+   whole-index build time. *)
+let radix_bits = 8
+
+let order_by_key keys =
+  let m = Array.length keys in
+  let max_key = ref 0 in
+  Array.iter
+    (fun key ->
+      if key < 0 then invalid_arg "Csr.of_keys: negative key";
+      if key > !max_key then max_key := key)
+    keys;
+  let src = ref (Array.init m (fun i -> m - 1 - i)) in
+  let dst = ref (Array.make m 0) in
+  let mask = (1 lsl radix_bits) - 1 in
+  let start = Array.make (mask + 2) 0 in
+  let shift = ref 0 in
+  while !shift < Sys.int_size && !max_key lsr !shift > 0 do
+    let s = !src and d = !dst and sh = !shift in
+    Array.fill start 0 (mask + 2) 0;
+    for i = 0 to m - 1 do
+      let digit = (keys.(s.(i)) lsr sh) land mask in
+      start.(digit + 1) <- start.(digit + 1) + 1
+    done;
+    for digit = 1 to mask + 1 do
+      start.(digit) <- start.(digit) + start.(digit - 1)
+    done;
+    for i = 0 to m - 1 do
+      let p = s.(i) in
+      let digit = (keys.(p) lsr sh) land mask in
+      d.(start.(digit)) <- p;
+      start.(digit) <- start.(digit) + 1
+    done;
+    src := d;
+    dst := s;
+    shift := sh + radix_bits
+  done;
+  !src
+
+let of_keys ~ids ~keys =
+  let m = Array.length ids in
+  if Array.length keys <> m then invalid_arg "Csr.of_keys: ids and keys differ in length";
+  let order = order_by_key keys in
+  let nk = ref 0 in
+  for i = 0 to m - 1 do
+    if i = 0 || keys.(order.(i)) <> keys.(order.(i - 1)) then incr nk
+  done;
+  let dir = Array.make !nk 0 in
+  let offsets = Array.make (!nk + 1) 0 in
+  let out = Array.make m 0 in
+  let b = ref (-1) in
+  for i = 0 to m - 1 do
+    let p = order.(i) in
+    let key = keys.(p) in
+    if !b < 0 || key <> dir.(!b) then begin
+      incr b;
+      dir.(!b) <- key;
+      offsets.(!b) <- i
+    end;
+    out.(i) <- ids.(p)
+  done;
+  offsets.(!nk) <- m;
+  of_base { keys = dir; offsets; ids = out }
 
 let add t key id =
   let old = try Intmap.find key t.delta with Not_found -> [] in
@@ -217,88 +268,94 @@ let largest_bucket t = t.largest
 let entry_count t = Array.length t.base.ids + t.delta_size
 let delta_size t = t.delta_size
 
+(* Walk the union of the directory and the delta's keys in ascending
+   order, calling [f key delta_ids lo hi] with the key's delta bucket
+   (newest first, [] when absent) and its frozen segment [lo, hi)
+   (empty when absent). *)
+let merge_buckets base delta f =
+  let keys = base.keys and offsets = base.offsets in
+  let nk = Array.length keys in
+  let i = ref 0 in
+  let emit_base () =
+    f keys.(!i) [] offsets.(!i) offsets.(!i + 1);
+    incr i
+  in
+  Intmap.iter
+    (fun key dids ->
+      while !i < nk && keys.(!i) < key do
+        emit_base ()
+      done;
+      if !i < nk && keys.(!i) = key then begin
+        f key dids offsets.(!i) offsets.(!i + 1);
+        incr i
+      end
+      else f key dids 0 0)
+    delta;
+  while !i < nk do
+    emit_base ()
+  done
+
 (* Every combined bucket in ascending key order (allocates the lists;
    cold paths only: persistence, diagnostics, rebuilds). *)
 let iter_buckets t f =
   let base = t.base in
-  let delta = t.delta in
-  let extra =
-    Intmap.fold
-      (fun key _ acc -> if find_key base key = -1 then key :: acc else acc)
-      delta []
-    |> List.rev (* fold ascends, so reversing the consed list re-sorts *)
-  in
-  let bucket_of key =
-    let d = match Intmap.find_opt key delta with Some l -> l | None -> [] in
-    let lo, hi = base_segment base key in
-    let b = ref [] in
-    for i = hi - 1 downto lo do
-      b := base.ids.(i) :: !b
-    done;
-    d @ !b
-  in
-  (* Merge the sorted directory with the sorted extra delta keys. *)
-  let rec go i extra =
-    match extra with
-    | e :: rest when i >= Array.length base.keys || e < base.keys.(i) ->
-        f e (bucket_of e);
-        go i rest
-    | _ ->
-        if i < Array.length base.keys then begin
-          f base.keys.(i) (bucket_of base.keys.(i));
-          go (i + 1) extra
-        end
-  in
-  go 0 extra
+  merge_buckets base t.delta (fun key dids lo hi ->
+      let b = ref [] in
+      for i = hi - 1 downto lo do
+        b := base.ids.(i) :: !b
+      done;
+      f key (dids @ !b))
 
 (* The live frozen view: delta folded in, dead ids dropped, empty
    buckets removed.  Bucket-internal order is the combined iteration
    order, so compaction never changes what a query sees (dead ids were
-   already skipped before any cost was charged). *)
+   already skipped before any cost was charged).  One counting pass
+   sizes the arrays and a second fills them; a table with no delta and
+   no dead id is its own live view.  Writers are serialized, so
+   [is_alive] holds still between the passes. *)
 let live_view ~is_alive t =
-  let rev_buckets = ref [] and nk = ref 0 and total = ref 0 in
-  iter_buckets t (fun key bucket ->
-      let live = List.filter is_alive bucket in
-      if live <> [] then begin
-        rev_buckets := (key, live) :: !rev_buckets;
+  let base = t.base and delta = t.delta in
+  let bids = base.ids in
+  let nk = ref 0 and total = ref 0 in
+  merge_buckets base delta (fun _ dids lo hi ->
+      let live = ref 0 in
+      List.iter (fun id -> if is_alive id then incr live) dids;
+      for i = lo to hi - 1 do
+        if is_alive bids.(i) then incr live
+      done;
+      if !live > 0 then begin
         incr nk;
-        total := !total + List.length live
+        total := !total + !live
       end);
-  let keys = Array.make !nk 0 in
-  let offsets = Array.make (!nk + 1) 0 in
-  let ids = Array.make !total 0 in
-  List.iteri
-    (fun i (key, seg) ->
-      keys.(i) <- key;
-      let pos = ref offsets.(i) in
-      List.iter
-        (fun id ->
-          ids.(!pos) <- id;
-          incr pos)
-        seg;
-      offsets.(i + 1) <- !pos)
-    (List.rev !rev_buckets);
-  { keys; offsets; ids }
-
-let largest_of base =
-  let largest = ref 0 in
-  for i = 0 to Array.length base.keys - 1 do
-    let len = base.offsets.(i + 1) - base.offsets.(i) in
-    if len > !largest then largest := len
-  done;
-  !largest
+  if Intmap.is_empty delta && !total = Array.length bids then base
+  else begin
+    let keys = Array.make !nk 0 in
+    let offsets = Array.make (!nk + 1) 0 in
+    let ids = Array.make !total 0 in
+    let b = ref 0 and pos = ref 0 in
+    let push id =
+      if is_alive id then begin
+        ids.(!pos) <- id;
+        incr pos
+      end
+    in
+    merge_buckets base delta (fun key dids lo hi ->
+        let first = !pos in
+        List.iter push dids;
+        for i = lo to hi - 1 do
+          push bids.(i)
+        done;
+        if !pos > first then begin
+          keys.(!b) <- key;
+          incr b;
+          offsets.(!b) <- !pos
+        end);
+    { keys; offsets; ids }
+  end
 
 (* Pure compaction: a fresh table the caller can publish atomically
    while readers keep using [t]. *)
-let compacted ~is_alive t =
-  let base = live_view ~is_alive t in
-  {
-    base;
-    delta = Intmap.empty;
-    delta_size = 0;
-    extra_keys = 0;
-    largest = largest_of base;
-  }
+let compacted ~is_alive t = of_base (live_view ~is_alive t)
 
 let compact ~is_alive t =
   let c = compacted ~is_alive t in
@@ -352,11 +409,4 @@ let read r ~validate_key ~max_id ~seen =
       if Bytes.get seen id <> '\000' then raise (Binio.Corrupt "csr: duplicate id in table");
       Bytes.set seen id '\001')
     ids;
-  let base = { keys; offsets; ids } in
-  {
-    base;
-    delta = Intmap.empty;
-    delta_size = 0;
-    extra_keys = 0;
-    largest = largest_of base;
-  }
+  of_base { keys; offsets; ids }

@@ -3,13 +3,16 @@
     The frozen base is three flat int arrays — sorted key directory,
     bucket offsets, concatenated bucket ids — giving cache-friendly
     binary-search lookup with zero per-bucket boxing.  Post-freeze
-    inserts accumulate in a small delta hashtable; {!compact} folds them
-    (and drops dead ids) back into a fresh base.
+    inserts accumulate in a small delta (a persistent map from key to
+    an id list); {!compact} folds them (and drops dead ids) back into a
+    fresh base.
 
     A bucket iterates delta first (newest first), then the frozen
-    segment in frozen order.  Tables frozen from cons-built bucket lists
-    therefore iterate in exactly the historical list order — the
-    bit-identity guarantee the query layer depends on.
+    segment, which {!of_keys} lays out newest first too.  A table built
+    over ids [0..n-1] therefore iterates exactly like one built over a
+    prefix with the remaining ids {!add}ed in order — the historical
+    cons-list order, and the bit-identity guarantee the query layer
+    depends on.
 
     {b Single-writer concurrent reads.}  The frozen base is one
     immutable record behind a mutable field and the delta is a
@@ -23,10 +26,14 @@
 
 type t
 
-val freeze : (int, int list) Hashtbl.t -> t
-(** Freeze build-time buckets.  Each list is laid out in list order. *)
-
-val empty : unit -> t
+val of_keys : ids:int array -> keys:int array -> t
+(** [of_keys ~ids ~keys] freezes the table in which [ids.(p)] sits under
+    the non-negative key [keys.(p)]: the directory ascends and each
+    bucket lists its ids by descending position — newest first when
+    [ids] ascend, exactly what consing the ids onto list buckets in
+    position order and freezing those gave.  An LSD radix sort orders
+    the positions, so no per-bucket structure is allocated.  Raises
+    [Invalid_argument] when the lengths differ or a key is negative. *)
 
 val add : t -> int -> int -> unit
 (** [add t key id] prepends [id] to [key]'s delta bucket. *)

@@ -638,25 +638,28 @@ let pivot_table ?pool t objs =
 let cache_cost c = c.misses
 let cache_hits c = c.hits
 
-let pivot_distance t c i =
-  let d = c.dists.(i) in
-  if Float.is_nan d then begin
+(* Make pivot [i]'s distance present in the cache, paying for it on a
+   miss (budget charge first) and counting/tracing the lookup either
+   way.  Returns unit so callers read [c.dists.(i)] unboxed. *)
+let touch t c i =
+  if Float.is_nan c.dists.(i) then begin
     (match c.budget with Some b -> Budget.charge b | None -> ());
-    let d = t.space.Space.distance c.obj t.pivots.(i) in
-    c.dists.(i) <- d;
+    c.dists.(i) <- t.space.Space.distance c.obj t.pivots.(i);
     c.misses <- c.misses + 1;
-    (match c.trace with
+    match c.trace with
     | Some tr -> Dbh_obs.Trace.record tr (Dbh_obs.Trace.Pivot_miss { pivot = i })
-    | None -> ());
-    d
+    | None -> ()
   end
   else begin
     c.hits <- c.hits + 1;
-    (match c.trace with
+    match c.trace with
     | Some tr -> Dbh_obs.Trace.record tr (Dbh_obs.Trace.Pivot_hit { pivot = i })
-    | None -> ());
-    d
+    | None -> ()
   end
+
+let pivot_distance t c i =
+  touch t c i;
+  c.dists.(i)
 
 let project t c i =
   let f = t.fns.(i) in
@@ -668,6 +671,25 @@ let eval t c i =
   let f = t.fns.(i) in
   let v = project t c i in
   v >= f.t1 && v <= f.t2
+
+(* [eval] of each function of a row, byte [j] of [bits] for
+   [fn_ids.(j)], with every float kept unboxed: the pivot lookups run in
+   the order [eval] makes them, so hits, misses, budget charges and
+   trace events are exactly those of calling it function by function. *)
+let eval_row t c fn_ids bits =
+  if Bytes.length bits < Array.length fn_ids then
+    invalid_arg "Hash_family.eval_row: bit row shorter than the function row";
+  let dists = c.dists and fns = t.fns in
+  for j = 0 to Array.length fn_ids - 1 do
+    let f = fns.(fn_ids.(j)) in
+    touch t c f.p1;
+    touch t c f.p2;
+    let d1 = dists.(f.p1) and d2 = dists.(f.p2) and d12 = f.d12 in
+    (* [Projection.project_with], spelled out: a call across the module
+       boundary would box both distances and the result. *)
+    let v = ((d1 *. d1) +. (d12 *. d12) -. (d2 *. d2)) /. (2. *. d12) in
+    Bytes.unsafe_set bits j (if v >= f.t1 && v <= f.t2 then '\001' else '\000')
+  done
 
 let margin t c i =
   let f = t.fns.(i) in

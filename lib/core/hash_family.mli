@@ -177,6 +177,14 @@ val eval : 'a t -> 'a cache -> int -> bool
 (** [eval family cache i] applies binary function [i]; costs at most two
     uncached distance computations. *)
 
+val eval_row : 'a t -> 'a cache -> int array -> Bytes.t -> unit
+(** [eval_row family cache fn_ids bits] sets byte [j] of [bits] to
+    ['\001'] or ['\000'] as [eval family cache fn_ids.(j)] would return
+    [true] or [false], allocating nothing.  Pivot distances are looked up
+    in the same order as successive {!eval} calls make them, so cache
+    hits, misses, budget charges and trace events are identical.  Raises
+    [Invalid_argument] when [bits] is shorter than [fn_ids]. *)
+
 val cache_with_distances : 'a t -> 'a -> float array -> 'a cache
 (** A cache whose pivot distances are already known (one float per pivot,
     in pivot order).  Evaluations through it cost no distance

@@ -243,9 +243,12 @@ let search_batch ?(opts = Query_opts.default) t qs =
           query_probed ?budget ?metrics ~probes ~radius t q)
         qs
 
+(* Every level hashes with the cascade's one family, so one pivot cache
+   serves them all: an insert pays each pivot distance once. *)
 let insert t obj =
   let id = Store.add t.store obj in
-  Array.iter (fun lev -> Index.index_existing lev.index id) t.levels;
+  let cache = Hash_family.cache t.family obj in
+  Array.iter (fun lev -> Index.index_cached lev.index cache id) t.levels;
   id
 
 let delete t id = Store.delete t.store id

@@ -83,7 +83,9 @@ val search_batch : ?opts:Query_opts.t -> 'a t -> 'a array -> 'a Index.result arr
 
 val insert : 'a t -> 'a -> int
 (** Append an object to the shared store and index it in every level;
-    returns its id. *)
+    returns its id.  The levels share one pivot cache, so an insert costs
+    at most one distance computation per pivot, whatever the level
+    count. *)
 
 val delete : 'a t -> int -> unit
 (** Tombstone an id; it disappears from every level at once. *)

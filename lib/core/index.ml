@@ -68,44 +68,24 @@ let store t = t.store
 let family t = t.family
 let size t = Store.alive_count t.store
 
-(* Pack the k bits of table [row] into a key, evaluating each distinct
-   function at most once via [bit_of]. *)
-let key_of_row fn_ids bit_of row : Key.t =
-  Array.fold_left
-    (fun key fn_id -> Key.push_bit key (bit_of fn_id))
-    Key.zero fn_ids.(row)
-
 let distinct_of fn_ids =
   let seen = Hashtbl.create 64 in
   Array.iter (Array.iter (fun id -> Hashtbl.replace seen id ())) fn_ids;
   Array.of_seq (Hashtbl.to_seq_keys seen)
-
-(* Evaluate all distinct functions once and return a memoized bit lookup. *)
-let bits_of_cache t cache =
-  let bits = Hashtbl.create (Array.length t.distinct_fns) in
-  Array.iter
-    (fun fn_id -> Hashtbl.replace bits fn_id (Hash_family.eval t.family cache fn_id))
-    t.distinct_fns;
-  fun fn_id -> Hashtbl.find bits fn_id
 
 let slots_of fn_ids distinct_fns =
   let slot = Hashtbl.create (Array.length distinct_fns) in
   Array.iteri (fun i fn_id -> Hashtbl.replace slot fn_id i) distinct_fns;
   Array.map (Array.map (Hashtbl.find slot)) fn_ids
 
-(* The allocation-free counterpart of [bits_of_cache] for the query hot
-   path: evaluate every distinct function once — same order, so cache
-   misses and hash_cost are identical — into a scratch-owned byte row
-   indexed by slot. *)
-let eval_bits t cache bits =
-  Array.iteri
-    (fun i fn_id ->
-      Bytes.unsafe_set bits i
-        (if Hash_family.eval t.family cache fn_id then '\001' else '\000'))
-    t.distinct_fns
+(* The one key path — build, insert and every query: evaluate every
+   distinct function once, in [distinct_fns] order (which fixes the
+   pivot-miss order and so hash_cost and budget truncation), into a byte
+   row indexed by slot; then fold each table row's slots into its key.
+   Neither step allocates. *)
+let eval_bits t cache bits = Hash_family.eval_row t.family cache t.distinct_fns bits
 
-let key_of_slots t bits row : Key.t =
-  let slots = t.fn_slots.(row) in
+let key_of_slots slots bits : Key.t =
   let key = ref Key.zero in
   for j = 0 to Array.length slots - 1 do
     key := Key.push_bit !key (Bytes.unsafe_get bits (Array.unsafe_get slots j) <> '\000')
@@ -120,27 +100,12 @@ let eval_margins t cache margins =
     (fun i fn_id -> margins.(i) <- Hash_family.margin t.family cache fn_id)
     t.distinct_fns
 
-let insert_id t cache id =
-  let bit_of = bits_of_cache t cache in
+let index_cached t cache id =
+  let bits = Bytes.create (Array.length t.distinct_fns) in
+  eval_bits t cache bits;
   for row = 0 to t.l - 1 do
-    let key = key_of_row t.fn_ids bit_of row in
-    Csr.add t.tables.(row) (key :> int) id
+    Csr.add t.tables.(row) (key_of_slots t.fn_slots.(row) bits :> int) id
   done
-
-(* All l bucket keys of one object, through a private distance cache —
-   pure given the store and pivot table, so it can run on any domain. *)
-let keys_of_id ~family ~store ~fn_ids ~distinct_fns pivot_table id =
-  let cache =
-    match pivot_table with
-    | Some table -> Hash_family.cache_with_distances family (Store.get store id) table.(id)
-    | None -> Hash_family.cache family (Store.get store id)
-  in
-  let bits = Hashtbl.create (Array.length distinct_fns) in
-  Array.iter
-    (fun fn_id -> Hashtbl.replace bits fn_id (Hash_family.eval family cache fn_id))
-    distinct_fns;
-  let bit_of fn_id = Hashtbl.find bits fn_id in
-  Array.init (Array.length fn_ids) (key_of_row fn_ids bit_of)
 
 let build_on ?pool ~rng ~family ~store ?pivot_table ~k ~l () =
   (try Key.check_width k
@@ -154,50 +119,56 @@ let build_on ?pool ~rng ~family ~store ?pivot_table ~k ~l () =
   | _ -> ());
   let fn_ids = Array.init l (fun _ -> Hash_family.sample_fn_indices ~rng family k) in
   let distinct_fns = distinct_of fn_ids in
-  let n = Store.length store in
-  (* Build cons-list buckets first (ascending id order, so each list ends
-     up newest-first exactly as the incremental tables always were), then
-     freeze every row into CSR form. *)
-  let buckets = Array.init l (fun _ -> Hashtbl.create n) in
-  let push row key id =
-    let bucket = try Hashtbl.find buckets.(row) key with Not_found -> [] in
-    Hashtbl.replace buckets.(row) key (id :: bucket)
+  let fn_slots = slots_of fn_ids distinct_fns in
+  let ids =
+    Array.of_seq (Seq.filter (Store.is_alive store) (Seq.init (Store.length store) Fun.id))
   in
-  let keys_of = keys_of_id ~family ~store ~fn_ids ~distinct_fns pivot_table in
-  (match pool with
-  | None ->
-      for id = 0 to n - 1 do
-        if Store.is_alive store id then
-          Array.iteri (fun row (key : Key.t) -> push row (key :> int) id) (keys_of id)
-      done
-  | Some pool ->
-      (* Hashing dominates the build cost and is pure per object, so it
-         fans out; insertion then replays sequentially in ascending id
-         order, reproducing the sequential bucket lists exactly. *)
-      let keys = Array.make n [||] in
-      let space = Hash_family.space family in
-      let cost =
-        if Space.has_item_cost space then
-          Some
-            (fun id ->
-              if Store.is_alive store id then Space.item_cost space (Store.get store id) else 1)
-        else None
-      in
-      Dbh_util.Pool.parallel_for ?cost pool n (fun id ->
-          if Store.is_alive store id then keys.(id) <- keys_of id);
-      for id = 0 to n - 1 do
-        Array.iteri (fun row (key : Key.t) -> push row (key :> int) id) keys.(id)
-      done);
-  {
-    family;
-    store;
-    k;
-    l;
-    fn_ids;
-    distinct_fns;
-    fn_slots = slots_of fn_ids distinct_fns;
-    tables = Array.map Csr.freeze buckets;
-  }
+  let m = Array.length ids in
+  (* keys.(row).(p): table [row]'s key for object ids.(p).  Each object
+     is keyed through a private cache and bit row — pure given the store
+     and pivot table, so objects fan out over the pool and write
+     disjoint cells. *)
+  let keys = Array.init l (fun _ -> Array.make m 0) in
+  let key_object p =
+    let id = ids.(p) in
+    let obj = Store.get store id in
+    let cache =
+      match pivot_table with
+      | Some table -> Hash_family.cache_with_distances family obj table.(id)
+      | None -> Hash_family.cache family obj
+    in
+    let bits = Bytes.create (Array.length distinct_fns) in
+    Hash_family.eval_row family cache distinct_fns bits;
+    for row = 0 to l - 1 do
+      keys.(row).(p) <- (key_of_slots fn_slots.(row) bits :> int)
+    done
+  in
+  let table_of row =
+    let table = Csr.of_keys ~ids ~keys:keys.(row) in
+    keys.(row) <- [||];
+    table
+  in
+  let tables =
+    match pool with
+    | None ->
+        for p = 0 to m - 1 do
+          key_object p
+        done;
+        Array.init l table_of
+    | Some pool ->
+        (* Without a pivot table, keying pays the object's pivot
+           distances, so chunks balance on the space's item cost. *)
+        let space = Hash_family.space family in
+        let cost =
+          match pivot_table with
+          | None when Space.has_item_cost space ->
+              Some (fun p -> Space.item_cost space (Store.get store ids.(p)))
+          | _ -> None
+        in
+        Dbh_util.Pool.parallel_for ?cost pool m key_object;
+        Dbh_util.Pool.parallel_map_array pool table_of (Array.init l Fun.id)
+  in
+  { family; store; k; l; fn_ids; distinct_fns; fn_slots; tables }
 
 let build ?pool ~rng ~family ~db ?pivot_table ~k ~l () =
   build_on ?pool ~rng ~family ~store:(Store.of_array db) ?pivot_table ~k ~l ()
@@ -265,7 +236,7 @@ let probe_extras ?trace ~level t cache scratch bits ~probes ~radius ~counter vis
   let ball = Key.ball_size ~width:t.k ~radius in
   let ps = Scratch.probe_seq scratch in
   for row = 0 to t.l - 1 do
-    let base = key_of_slots t bits row in
+    let base = key_of_slots t.fn_slots.(row) bits in
     let table = t.tables.(row) in
     if extra >= ball then begin
       counter := !counter + ball;
@@ -330,7 +301,7 @@ let candidates_into ?trace ?(level = 0) ?(limit = max_int) ?(probes = 1) ?(radiu
     if id < cap && Store.is_alive t.store id then ignore (Scratch.mark scratch id)
   in
   for row = 0 to t.l - 1 do
-    let key = key_of_slots t bits row in
+    let key = key_of_slots t.fn_slots.(row) bits in
     (match trace with
     | Some tr ->
         Dbh_obs.Trace.record tr
@@ -451,7 +422,7 @@ let query_probed ?budget ?metrics ?trace ?scratch ~probes ~radius t q =
         in
         for row = 0 to t.l - 1 do
           incr probed;
-          let key = key_of_slots t bits row in
+          let key = key_of_slots t.fn_slots.(row) bits in
           (match trace with
           | Some tr ->
               Dbh_obs.Trace.record tr
@@ -613,9 +584,10 @@ let query_multiprobe ?(opts = Query_opts.default) t ~probes q =
     Fun.protect
       ~finally:(fun () -> Scratch.reset scratch)
       (fun () ->
-        let bit_of = bits_of_cache t cache in
+        let bits = Scratch.bit_row scratch (Array.length t.distinct_fns) in
+        eval_bits t cache bits;
         for row = 0 to t.l - 1 do
-          let base_key = key_of_row t.fn_ids bit_of row in
+          let base_key = key_of_slots t.fn_slots.(row) bits in
           let keys =
             (base_key :> int)
             :: List.map
@@ -664,11 +636,12 @@ let query_budgeted ?(opts = Query_opts.default) t ~max_candidates q =
     Fun.protect
       ~finally:(fun () -> Scratch.reset scratch)
       (fun () ->
-        let bit_of = bits_of_cache t cache in
+        let bits = Scratch.bit_row scratch (Array.length t.distinct_fns) in
+        eval_bits t cache bits;
         (* Count, per candidate, the number of tables it collides in. *)
         let counts = Hashtbl.create 64 in
         for row = 0 to t.l - 1 do
-          let key = key_of_row t.fn_ids bit_of row in
+          let key = key_of_slots t.fn_slots.(row) bits in
           Csr.iter_bucket t.tables.(row) (key :> int) (fun id ->
               if Store.is_alive t.store id then
                 Hashtbl.replace counts id
@@ -696,8 +669,7 @@ let query_budgeted ?(opts = Query_opts.default) t ~max_candidates q =
 
 let index_existing t id =
   if not (Store.is_alive t.store id) then invalid_arg "Index.index_existing: dead or unknown id";
-  let cache = Hash_family.cache t.family (Store.get t.store id) in
-  insert_id t cache id
+  index_cached t (Hash_family.cache t.family (Store.get t.store id)) id
 
 let insert t obj =
   let id = Store.add t.store obj in
@@ -752,24 +724,21 @@ let unpack_keys r ~k =
 (* Ids this index holds, alive only, ascending; every indexed object
    appears in every table, so membership of the first table suffices. *)
 let present_ids t =
-  let members = Hashtbl.create 256 in
-  Csr.iter_buckets t.tables.(0) (fun key bucket ->
-      List.iter
-        (fun id -> if Store.is_alive t.store id then Hashtbl.replace members id key)
-        bucket);
-  let ids = Array.of_seq (Hashtbl.to_seq_keys members) in
-  Array.sort compare ids;
-  ids
+  let member = Bytes.make (Store.length t.store) '\000' in
+  Csr.iter_buckets t.tables.(0) (fun _ bucket ->
+      List.iter (fun id -> if Store.is_alive t.store id then Bytes.set member id '\001') bucket);
+  Array.of_seq
+    (Seq.filter (fun id -> Bytes.get member id <> '\000') (Seq.init (Bytes.length member) Fun.id))
 
-let keys_of_table table ids =
-  let key_of = Hashtbl.create (Array.length ids) in
-  Csr.iter_buckets table (fun key bucket ->
-      List.iter (fun id -> Hashtbl.replace key_of id key) bucket);
+(* Each of [ids]' key in [table], through [key_of], a store-length row
+   reused across tables. *)
+let keys_of_table key_of table ids =
+  Array.fill key_of 0 (Array.length key_of) (-1);
+  Csr.iter_buckets table (fun key bucket -> List.iter (fun id -> key_of.(id) <- key) bucket);
   Array.map
     (fun id ->
-      match Hashtbl.find_opt key_of id with
-      | Some key -> key
-      | None -> raise (Invalid_argument "Index.write: object missing from a table"))
+      let key = key_of.(id) in
+      if key < 0 then invalid_arg "Index.write: object missing from a table" else key)
     ids
 
 let write_fn_ids buf t =
@@ -799,7 +768,8 @@ let write_body buf t =
   write_fn_ids buf t;
   let ids = present_ids t in
   Binio.write_int_array buf ids;
-  Array.iter (fun table -> pack_keys buf ~k:t.k (keys_of_table table ids)) t.tables
+  let key_of = Array.make (Store.length t.store) (-1) in
+  Array.iter (fun table -> pack_keys buf ~k:t.k (keys_of_table key_of table ids)) t.tables
 
 let read_body ~family ~store r =
   let n = Store.length store in
@@ -813,14 +783,7 @@ let read_body ~family ~store r =
         let keys = unpack_keys r ~k in
         if Array.length keys <> Array.length ids then
           raise (Binio.Corrupt "key block does not match id list");
-        let table = Hashtbl.create (max 16 (Array.length ids)) in
-        Array.iteri
-          (fun pos id ->
-            let key = keys.(pos) in
-            let bucket = try Hashtbl.find table key with Not_found -> [] in
-            Hashtbl.replace table key (id :: bucket))
-          ids;
-        Csr.freeze table)
+        Csr.of_keys ~ids ~keys)
   in
   let distinct_fns = distinct_of fn_ids in
   { family; store; k; l; fn_ids; distinct_fns; fn_slots = slots_of fn_ids distinct_fns; tables }

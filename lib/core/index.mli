@@ -60,9 +60,10 @@ val build :
     distance-free; without it each database object pays up to one
     distance computation per pivot.
 
-    [pool] fans the per-object hashing across domains; bucket insertion
-    stays sequential in id order, so the resulting index is bit-identical
-    to the sequential build for the same seed. *)
+    [pool] fans the per-object hashing, then the per-table construction,
+    across domains; each table's layout depends only on the keys, so the
+    resulting index is bit-identical to the sequential build for the
+    same seed. *)
 
 val build_on :
   ?pool:Dbh_util.Pool.t ->
@@ -195,6 +196,12 @@ val insert : 'a t -> 'a -> int
 val index_existing : 'a t -> int -> unit
 (** Index an object already present in the (shared) store.  Idempotence
     is not checked — indexing twice duplicates the bucket entry. *)
+
+val index_cached : 'a t -> 'a Hash_family.cache -> int -> unit
+(** {!index_existing} through the caller's pivot cache over the object:
+    indexes sharing one family (the levels of a cascade) share the
+    cache, so each pivot distance is paid once per object, not once per
+    index.  The id must be alive; this is not checked. *)
 
 val delete : 'a t -> int -> unit
 (** Tombstone an id in the store: it stops being returned by {e any}

@@ -1,13 +1,10 @@
 exception Corrupt of string
 
-let write_int64 buf v =
-  for i = 0 to 7 do
-    Buffer.add_char buf
-      (Char.chr (Int64.to_int (Int64.logand (Int64.shift_right_logical v (8 * i)) 0xFFL)))
-  done
-
-let write_int buf v = write_int64 buf (Int64.of_int v)
-let write_float buf f = write_int64 buf (Int64.bits_of_float f)
+(* Every fixed-width value is one little-endian 64-bit word, moved
+   whole through the Buffer/String word accessors. *)
+let write_int64 buf v = Buffer.add_int64_le buf v
+let write_int buf v = Buffer.add_int64_le buf (Int64.of_int v)
+let write_float buf f = Buffer.add_int64_le buf (Int64.bits_of_float f)
 
 let write_string buf s =
   write_int buf (String.length s);
@@ -35,18 +32,19 @@ let need r n =
   if r.offset + n > String.length r.data then
     raise (Corrupt (Printf.sprintf "truncated input at offset %d (need %d bytes)" r.offset n))
 
-let read_raw64 r =
+let read_int64 r =
   need r 8;
-  let v = ref 0L in
-  for i = 7 downto 0 do
-    v := Int64.logor (Int64.shift_left !v 8) (Int64.of_int (Char.code r.data.[r.offset + i]))
-  done;
+  let v = String.get_int64_le r.data r.offset in
   r.offset <- r.offset + 8;
-  !v
+  v
 
-let read_int64 r = read_raw64 r
-let read_int r = Int64.to_int (read_raw64 r)
-let read_float r = Int64.float_of_bits (read_raw64 r)
+let read_int r =
+  need r 8;
+  let v = Int64.to_int (String.get_int64_le r.data r.offset) in
+  r.offset <- r.offset + 8;
+  v
+
+let read_float r = Int64.float_of_bits (read_int64 r)
 
 let read_string r =
   let len = read_int r in

@@ -188,26 +188,41 @@ let iter_within_equals_per_key_probing =
   QCheck.Test.make ~name:"csr iter_within = union of per-key bucket probes" ~count:300
     arb_csr_case (fun (w, center, radius, n_frozen, n_delta, seed) ->
       let rng = Rng.create seed in
-      let buckets = Hashtbl.create 32 in
-      for id = 0 to n_frozen - 1 do
-        let key = Rng.int rng (1 lsl w) in
-        Hashtbl.replace buckets key (id :: Option.value ~default:[] (Hashtbl.find_opt buckets key))
-      done;
-      let table = Csr.freeze buckets in
+      (* Reference model: every id consed onto its key's list bucket in
+         id order, frozen and delta alike (newest first). *)
+      let model = Hashtbl.create 32 in
+      let model_add key id =
+        Hashtbl.replace model key (id :: Option.value ~default:[] (Hashtbl.find_opt model key))
+      in
+      let keys = Array.init n_frozen (fun _ -> Rng.int rng (1 lsl w)) in
+      Array.iteri (fun id key -> model_add key id) keys;
+      let table = Csr.of_keys ~ids:(Array.init n_frozen Fun.id) ~keys in
       for id = 0 to n_delta - 1 do
-        Csr.add table (Rng.int rng (1 lsl w)) (n_frozen + id)
+        let key = Rng.int rng (1 lsl w) in
+        Csr.add table key (n_frozen + id);
+        model_add key (n_frozen + id)
       done;
       let got = ref [] in
       Csr.iter_within table ~width:w ~radius center (fun key id -> got := (key, id) :: !got);
-      let expected =
-        Key.enumerate_within ~width:w ~radius (Key.of_int ~width:w center)
-        |> Array.to_list
-        |> List.concat_map (fun (k : Key.t) ->
-               let ids = ref [] in
-               Csr.iter_bucket table (k :> int) (fun id -> ids := id :: !ids);
-               List.rev_map (fun id -> ((k :> int), id)) !ids)
+      let ball =
+        Key.enumerate_within ~width:w ~radius (Key.of_int ~width:w center) |> Array.to_list
       in
-      List.rev !got = expected)
+      let expected =
+        List.concat_map
+          (fun (k : Key.t) ->
+            let ids = ref [] in
+            Csr.iter_bucket table (k :> int) (fun id -> ids := id :: !ids);
+            List.rev_map (fun id -> ((k :> int), id)) !ids)
+          ball
+      in
+      let modelled =
+        List.concat_map
+          (fun (k : Key.t) ->
+            Option.value ~default:[] (Hashtbl.find_opt model (k :> int))
+            |> List.map (fun id -> ((k :> int), id)))
+          ball
+      in
+      List.rev !got = expected && expected = modelled)
 
 (* ------------------------------------------------- engine properties *)
 

@@ -45,14 +45,7 @@ let l2 = Minkowski.l2_space
    test/fixtures/golden_storage.txt on the pre-refactor engine.  Do not
    edit without regenerating the fixture. *)
 
-let golden_workload () =
-  let db = Pen.generate_set ~rng:(Rng.create 7) 300 in
-  let queries = Pen.generate_set ~rng:(Rng.create 8) 25 in
-  let family =
-    Hash_family.make ~rng:(Rng.create 9) ~space:Pen.space ~num_pivots:40
-      ~threshold_sample:150 db
-  in
-  let index = Index.build ~rng:(Rng.create 10) ~family ~db ~k:8 ~l:6 () in
+let golden_hier ?pool db =
   let config =
     {
       Builder.default_config with
@@ -64,12 +57,21 @@ let golden_workload () =
       levels = 3;
     }
   in
-  let prepared = Builder.prepare ~rng:(Rng.create 11) ~space:Pen.space ~config db in
-  let hier =
-    Builder.hierarchical ~rng:(Rng.create 12) ~prepared ~db ~target_accuracy:0.9
-      ~config ()
+  let prepared = Builder.prepare ?pool ~rng:(Rng.create 11) ~space:Pen.space ~config db in
+  Builder.hierarchical ?pool ~rng:(Rng.create 12) ~prepared ~db ~target_accuracy:0.9
+    ~config ()
+
+let golden_db () = Pen.generate_set ~rng:(Rng.create 7) 300
+
+let golden_workload () =
+  let db = golden_db () in
+  let queries = Pen.generate_set ~rng:(Rng.create 8) 25 in
+  let family =
+    Hash_family.make ~rng:(Rng.create 9) ~space:Pen.space ~num_pivots:40
+      ~threshold_sample:150 db
   in
-  (queries, index, hier)
+  let index = Index.build ~rng:(Rng.create 10) ~family ~db ~k:8 ~l:6 () in
+  (queries, index, golden_hier db)
 
 let golden_result_line tag qi (r : _ Index.result) =
   let nn =
@@ -201,6 +203,213 @@ let test_golden_batches_match_pool () =
       check (Printf.sprintf "%d-domain batch" domains) "single" s_par;
       check (Printf.sprintf "%d-domain batch" domains) "hier" h_par)
 
+(* ------------------------------------------------ pinned snapshot bytes
+   MD5s of the golden hierarchical index serialized, recorded on the
+   engine that keyed objects through per-object hashtables, built
+   tables from cons-list buckets, and inserted level by level with a
+   fresh pivot cache per level.  How the tables are built and written
+   may change; the bytes may not. *)
+
+let golden_packed_md5 = "a57734f296b2515f422d0e117bebc44c"
+let golden_v1_md5 = "37c469c6d716c88f12729c2bd239d793"
+let golden_after_writes_md5 = "1a77ea246cde6cd23f7368c1db0a86a7"
+
+let encode_pen (p : Pen.instance) =
+  let b = Buffer.create 600 in
+  Binio.write_int b p.Pen.label;
+  Binio.write_float_array b
+    (Array.concat
+       (Array.to_list
+          (Array.map (fun (q : Dbh_metrics.Geom.point) -> [| q.x; q.y |]) p.Pen.points)));
+  Buffer.contents b
+
+let snapshot_md5 write hier =
+  let buf = Buffer.create 4096 in
+  write ~encode:encode_pen buf hier;
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
+(* Twenty inserts, every third followed by a delete five ids back. *)
+let golden_writes insert hier =
+  Array.iteri
+    (fun i x ->
+      let id = insert hier x in
+      if i mod 3 = 0 then Hierarchical.delete hier (id - 5))
+    (Pen.generate_set ~rng:(Rng.create 13) 20)
+
+let test_golden_snapshot_digest () =
+  let hier = golden_hier (golden_db ()) in
+  Alcotest.(check string) "packed (v2) snapshot" golden_packed_md5
+    (snapshot_md5 Hierarchical.write_packed hier);
+  Alcotest.(check string) "v1 snapshot" golden_v1_md5 (snapshot_md5 Hierarchical.write hier);
+  golden_writes Hierarchical.insert hier;
+  Alcotest.(check string) "packed snapshot after writes" golden_after_writes_md5
+    (snapshot_md5 Hierarchical.write_packed hier)
+
+let test_golden_snapshot_pooled () =
+  Pool.with_pool ~domains:4 (fun pool ->
+      let hier = golden_hier ~pool (golden_db ()) in
+      Alcotest.(check string) "4-domain packed snapshot" golden_packed_md5
+        (snapshot_md5 Hierarchical.write_packed hier))
+
+(* The cascade shares one pivot cache across its levels on insert: at
+   most one distance per pivot, and tables byte-identical to indexing
+   the id level by level through fresh caches. *)
+let decode_pen s =
+  let r = Binio.reader s in
+  let label = Binio.read_int r in
+  let xy = Binio.read_float_array r in
+  {
+    Pen.label;
+    points =
+      Array.init (Array.length xy / 2) (fun i ->
+          Dbh_metrics.Geom.point xy.(2 * i) xy.((2 * i) + 1));
+  }
+
+let test_insert_shares_pivot_cache () =
+  let buf = Buffer.create 4096 in
+  Hierarchical.write_packed ~encode:encode_pen buf (golden_hier (golden_db ()));
+  let copy space =
+    Hierarchical.read_any ~decode:decode_pen ~space (Binio.reader (Buffer.contents buf))
+  in
+  let counted_space, counter = Dbh_space.Space.with_counter Pen.space in
+  let counted = copy counted_space in
+  let levels = Array.length (Hierarchical.levels counted) in
+  let pivots = Hash_family.num_pivots (Hierarchical.family counted) in
+  Alcotest.(check bool) "cascade has several levels" true (levels > 1);
+  Array.iter
+    (fun x ->
+      Dbh_space.Space.reset counter;
+      ignore (Hierarchical.insert counted x);
+      let calls = Dbh_space.Space.count counter in
+      if calls > pivots then
+        Alcotest.failf "insert paid %d distances for %d pivots (%d levels)" calls pivots levels)
+    (Pen.generate_set ~rng:(Rng.create 14) 10);
+  let shared = copy Pen.space and per_level = copy Pen.space in
+  golden_writes Hierarchical.insert shared;
+  golden_writes
+    (fun h x ->
+      let id = Dbh.Store.add (Hierarchical.store h) x in
+      Array.iter (fun idx -> Index.index_existing idx id) (Hierarchical.indexes h);
+      id)
+    per_level;
+  Alcotest.(check string) "shared cache = per-level caches, byte for byte"
+    (snapshot_md5 Hierarchical.write_packed per_level)
+    (snapshot_md5 Hierarchical.write_packed shared)
+
+(* [eval_row] is [eval] function by function: same bits, hits and
+   misses, the same pivot events in the same order, and under a budget
+   the same point of exhaustion. *)
+let test_eval_row_matches_eval () =
+  let rng = Rng.create 31 in
+  let objs = Array.init 80 (fun _ -> Array.init 4 (fun _ -> Rng.float_in rng (-1.) 1.)) in
+  let family =
+    Hash_family.make ~rng ~space:l2 ~num_pivots:12 ~threshold_sample:60 objs
+  in
+  let fn_ids = Array.init 60 (fun _ -> Rng.int rng (Hash_family.size family)) in
+  let run budget_limit evaluate =
+    let trace = Dbh_obs.Trace.create () in
+    let budget = Option.map Dbh.Budget.create budget_limit in
+    let cache = Hash_family.cache ?budget ~trace family objs.(0) in
+    let bits = Bytes.make (Array.length fn_ids) '-' in
+    let exhausted = try evaluate cache bits; false with Dbh.Budget.Exhausted -> true in
+    let pivots =
+      Array.to_list (Dbh_obs.Trace.events trace)
+      |> List.filter_map (fun (_, e) ->
+             match e with
+             | Dbh_obs.Trace.Pivot_hit { pivot } -> Some (`Hit pivot)
+             | Dbh_obs.Trace.Pivot_miss { pivot } -> Some (`Miss pivot)
+             | _ -> None)
+    in
+    ( (if exhausted then None else Some (Bytes.to_string bits)),
+      Hash_family.cache_cost cache,
+      Hash_family.cache_hits cache,
+      pivots )
+  in
+  let by_eval cache bits =
+    Array.iteri
+      (fun j fn ->
+        Bytes.set bits j (if Hash_family.eval family cache fn then '\001' else '\000'))
+      fn_ids
+  in
+  let by_row cache bits = Hash_family.eval_row family cache fn_ids bits in
+  List.iter
+    (fun limit ->
+      if run limit by_eval <> run limit by_row then
+        Alcotest.failf "eval_row diverges from eval (budget %s)"
+          (match limit with None -> "none" | Some b -> string_of_int b))
+    (None :: List.init 13 Option.some)
+
+(* [build_on] over n objects lays out every table (keys, offsets, ids)
+   exactly as building over a prefix, indexing the rest one by one and
+   compacting does — compared through the packed body, which writes
+   each table's arrays verbatim, and bucket by bucket.  [full_and_grown]
+   returns both indexes; [k] overrides the drawn key width. *)
+let full_and_grown ?k seed n =
+  let rng = Rng.create (7000 + seed) in
+  let objs = Array.init n (fun _ -> Array.init 3 (fun _ -> Rng.float_in rng (-1.) 1.)) in
+  let prefix = 1 + Rng.int rng n in
+  let dead = Array.init n (fun _ -> Rng.int rng 5 = 0) in
+  let drawn_k = 1 + Rng.int rng 20 and l = 1 + Rng.int rng 6 in
+  let k = Option.value k ~default:drawn_k in
+  let family =
+    Hash_family.make ~rng:(Rng.create seed) ~space:l2 ~num_pivots:8 ~threshold_sample:40 objs
+  in
+  let build store = Index.build_on ~rng:(Rng.create (seed + 1)) ~family ~store ~k ~l () in
+  let full_store = Dbh.Store.of_array objs in
+  Array.iteri (fun id d -> if d then Dbh.Store.delete full_store id) dead;
+  let full = build full_store in
+  let store = Dbh.Store.of_array (Array.sub objs 0 prefix) in
+  for id = 0 to prefix - 1 do
+    if dead.(id) then Dbh.Store.delete store id
+  done;
+  let grown = build store in
+  for id = prefix to n - 1 do
+    ignore (Dbh.Store.add store objs.(id));
+    if dead.(id) then Dbh.Store.delete store id else Index.index_existing grown id
+  done;
+  Index.compact grown;
+  (full, grown)
+
+let packed_body t =
+  let buf = Buffer.create 1024 in
+  Index.write_body_packed buf t;
+  Buffer.contents buf
+
+let index_buckets t =
+  let out = ref [] in
+  Index.iter_buckets t (fun row key ids -> out := (row, key, ids) :: !out);
+  List.rev !out
+
+let same_layout a b = packed_body a = packed_body b && index_buckets a = index_buckets b
+
+let build_matches_prefix_then_inserts =
+  QCheck.Test.make ~name:"build = prefix build + index_existing + compact" ~count:30
+    QCheck.(pair small_int (int_range 2 150))
+    (fun (seed, n) ->
+      let full, grown = full_and_grown seed n in
+      same_layout full grown)
+
+(* At the widest key width (k = 62) keys reach the top bits, so the
+   table sort must cover every digit and then stop.  The build must lay
+   out tables as the incremental path does, and a v1 body (keys packed
+   per object, re-bucketed on load) must read back to the same tables. *)
+let test_widest_keys () =
+  List.iter
+    (fun seed ->
+      let full, grown = full_and_grown ~k:Key.max_bits seed 150 in
+      let top_digit = List.exists (fun (_, key, _) -> key lsr 56 > 0) (index_buckets full) in
+      Alcotest.(check bool) "some key sets a bit above 2^56" true top_digit;
+      Alcotest.(check bool) "build = prefix build + index_existing + compact" true
+        (same_layout full grown);
+      let buf = Buffer.create 4096 in
+      Index.write_body buf full;
+      let reread =
+        Index.read_body ~family:(Index.family full) ~store:(Index.store full)
+          (Binio.reader (Buffer.contents buf))
+      in
+      Alcotest.(check bool) "v1 body reads back the same tables" true (same_layout full reread))
+    [ 0; 1; 2 ]
+
 (* ------------------------------------------------------- Key properties *)
 
 let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
@@ -286,16 +495,11 @@ let csr_fuzz =
         let b = try Hashtbl.find model key with Not_found -> [] in
         Hashtbl.replace model key (id :: b)
       in
-      (* Seed the frozen base. *)
-      let base = Hashtbl.create 16 in
-      for _ = 1 to n_initial do
-        let key = Rng.int rng key_space and id = !next_id in
-        incr next_id;
-        let b = try Hashtbl.find base key with Not_found -> [] in
-        Hashtbl.replace base key (id :: b);
-        model_add key id
-      done;
-      let csr = Csr.freeze base in
+      (* Seed the frozen base from one key per initial id. *)
+      let ids = Array.init n_initial Fun.id in
+      let keys = Array.map (fun id -> let key = Rng.int rng key_space in model_add key id; key) ids in
+      next_id := n_initial;
+      let csr = Csr.of_keys ~ids ~keys in
       let is_alive id = not (Hashtbl.mem dead id) in
       (* Random deltas, deletions and occasional compactions. *)
       for _ = 1 to n_ops do
@@ -318,6 +522,41 @@ let csr_fuzz =
           List.rev !got = expect)
         keys
       && Csr.bucket_size csr (key_space + 1) = 0)
+
+(* [of_keys] against the list-bucket build it replaced: cons every id
+   onto its key's list in position order, then lay the lists out by
+   ascending key.  Keys are drawn from a small pool of [width]-bit
+   values (so buckets collide) that holds the all-ones key, [max_int] at
+   the widest width; ids need not ascend. *)
+let of_keys_matches_list_buckets =
+  QCheck.Test.make ~name:"csr of_keys = consed list buckets, frozen" ~count:200
+    QCheck.(pair small_int (int_bound 300)) (fun (seed, m) ->
+      let rng = Rng.create (5000 + seed) in
+      let width = 1 + Rng.int rng Key.max_bits in
+      let top = if width = Key.max_bits then max_int else (1 lsl width) - 1 in
+      let pool =
+        Array.init (1 + Rng.int rng 40) (fun i ->
+            if i = 0 then top else Rng.int rng max_int land top)
+      in
+      let ids = Array.init m (fun _ -> Rng.int rng 100_000) in
+      let keys = Array.init m (fun _ -> pool.(Rng.int rng (Array.length pool))) in
+      let lists : (int, int list) Hashtbl.t = Hashtbl.create 16 in
+      Array.iteri
+        (fun p id ->
+          let b = try Hashtbl.find lists keys.(p) with Not_found -> [] in
+          Hashtbl.replace lists keys.(p) (id :: b))
+        ids;
+      let expect =
+        Hashtbl.fold (fun key b acc -> (key, b) :: acc) lists [] |> List.sort compare
+      in
+      let csr = Csr.of_keys ~ids ~keys in
+      let got = ref [] in
+      Csr.iter_buckets csr (fun key b -> got := (key, b) :: !got);
+      List.rev !got = expect
+      && Csr.bucket_count csr = List.length expect
+      && Csr.entry_count csr = m
+      && Csr.largest_bucket csr
+         = List.fold_left (fun acc (_, b) -> max acc (List.length b)) 0 expect)
 
 let test_online_compaction_vs_rebuild () =
   (* An online index after insert/delete churn + compact answers every
@@ -530,7 +769,14 @@ let () =
             test_golden_with_shared_scratch;
           Alcotest.test_case "batches (sequential + pool) match" `Slow
             test_golden_batches_match_pool;
+          Alcotest.test_case "snapshot bytes pinned" `Slow test_golden_snapshot_digest;
+          Alcotest.test_case "4-domain build, same bytes" `Slow test_golden_snapshot_pooled;
         ] );
+      ( "key path",
+        Alcotest.test_case "insert shares one pivot cache" `Slow test_insert_shares_pivot_cache
+        :: Alcotest.test_case "eval_row = eval per function" `Quick test_eval_row_matches_eval
+        :: Alcotest.test_case "widest keys (k = 62)" `Quick test_widest_keys
+        :: qsuite [ build_matches_prefix_then_inserts ] );
       ( "key",
         Alcotest.test_case "width limits" `Quick test_key_width_limits
         :: Alcotest.test_case "index rejects wide k" `Quick test_index_rejects_wide_k
@@ -538,7 +784,7 @@ let () =
       ( "csr",
         Alcotest.test_case "online compaction vs uncompacted twin" `Quick
           test_online_compaction_vs_rebuild
-        :: qsuite [ csr_fuzz ] );
+        :: qsuite [ csr_fuzz; of_keys_matches_list_buckets ] );
       ( "scratch",
         [
           Alcotest.test_case "reuse stays clean" `Quick test_scratch_reuse_is_clean;

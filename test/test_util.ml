@@ -363,6 +363,37 @@ let test_binio_truncation () =
        false
      with Dbh_util.Binio.Corrupt _ -> true)
 
+(* The byte format, pinned: every fixed-width value is one 64-bit
+   little-endian word (ints two's complement, floats IEEE-754 bits), so
+   snapshots written before the word-at-a-time codec keep loading. *)
+let test_binio_known_answers () =
+  let module B = Dbh_util.Binio in
+  let hex s = String.concat " " (List.map (fun c -> Printf.sprintf "%02x" (Char.code c)) (List.of_seq (String.to_seq s))) in
+  let bytes_of write v =
+    let buf = Buffer.create 8 in
+    write buf v;
+    Buffer.contents buf
+  in
+  let check_int label v expected =
+    let s = bytes_of B.write_int v in
+    Alcotest.(check string) label expected (hex s);
+    Alcotest.(check int) (label ^ " reads back") v (B.read_int (B.reader s))
+  in
+  check_int "0" 0 "00 00 00 00 00 00 00 00";
+  check_int "-1" (-1) "ff ff ff ff ff ff ff ff";
+  check_int "min_int" min_int "00 00 00 00 00 00 00 c0";
+  check_int "max_int" max_int "ff ff ff ff ff ff ff 3f";
+  check_int "0x0102030405060708" 0x0102030405060708 "08 07 06 05 04 03 02 01";
+  let f = bytes_of B.write_float (-1.5) in
+  Alcotest.(check string) "-1.5" "00 00 00 00 00 00 f8 bf" (hex f);
+  Alcotest.(check bool) "-1.5 reads back" true (B.read_float (B.reader f) = -1.5);
+  let w = bytes_of B.write_int64 Int64.min_int in
+  Alcotest.(check string) "int64 min" "00 00 00 00 00 00 00 80" (hex w);
+  Alcotest.(check bool) "int64 min reads back" true
+    (Int64.equal (B.read_int64 (B.reader w)) Int64.min_int);
+  Alcotest.(check string) "int array" "02 00 00 00 00 00 00 00 ff ff ff ff ff ff ff ff 08 07 06 05 04 03 02 01"
+    (hex (bytes_of B.write_int_array [| -1; 0x0102030405060708 |]))
+
 let prop_binio_floats =
   QCheck.Test.make ~name:"binio float roundtrip" ~count:300
     QCheck.(float_range (-1e300) 1e300)
@@ -479,6 +510,7 @@ let () =
       ( "binio",
         Alcotest.test_case "roundtrip" `Quick test_binio_roundtrip
         :: Alcotest.test_case "truncation" `Quick test_binio_truncation
+        :: Alcotest.test_case "known answers" `Quick test_binio_known_answers
         :: qsuite [ prop_binio_floats ] );
       ( "vec",
         [
