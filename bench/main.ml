@@ -14,7 +14,6 @@
      ablation/levels      (A2)  hierarchical s sweep
      ablation/vs-lsh      (A3)  DBH vs classical LSH on L2
      ablation/baselines   (B1)  DBH vs LAESA, M-tree, FastMap filter+refine
-     ablation/multiprobe  (A4)  multi-probe / budgeted query extensions
      robust/faults        (R1)  hardened pipeline under injected faults
      parallel             (P1)  domain-pool scaling, writes BENCH_parallel.json
      persist              (D1)  snapshot/WAL durability cost, writes BENCH_persist.json
@@ -1072,12 +1071,12 @@ let robust_faults () =
   List.iter
     (fun budget ->
       let cost = ref 0 and truncated = ref 0 in
+      let opts = Dbh.Query_opts.budgeted budget in
       let nns =
         Array.map
           (fun q ->
-            let b = Dbh.Budget.create budget in
-            let r = Dbh.Online.query_with ~budget:b online q in
-            cost := !cost + Dbh.Budget.spent b;
+            let r = Dbh.Online.search ~opts online q in
+            cost := !cost + Dbh.Index.total_cost r.Dbh.Online.stats;
             if r.Dbh.Online.truncated then incr truncated;
             r.Dbh.Online.nn)
           queries
@@ -1220,7 +1219,8 @@ let parallel_scaling () =
   in
   let min_busy fr = Array.fold_left Float.min infinity fr in
   let per_query =
-    Array.map (fun q -> Dbh.Index.query_with ~budget:(Dbh.Budget.create 400) base_index q) queries
+    let opts = Dbh.Query_opts.budgeted 400 in
+    Array.map (fun q -> Dbh.Index.search ~opts base_index q) queries
   in
   let batch_matches = base_results = per_query in
   Printf.printf "  hardware cores: %d (effective after cpu quota: %d)\n" cores

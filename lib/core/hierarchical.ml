@@ -1,5 +1,4 @@
 module Rng = Dbh_util.Rng
-module Space = Dbh_space.Space
 module Binio = Dbh_util.Binio
 
 type level_info = {
@@ -91,157 +90,29 @@ let build ?pool ~rng ~family ~db ~analysis ~target_accuracy ?pivot_table ?(level
   in
   { store; family; levels = level_array }
 
-(* The cascade query core.  The budget is charged before every distance
-   evaluation — pivot distances through the shared cache and candidate
-   comparisons here — so exhaustion mid-cascade stops cleanly with the
-   best answer the paid-for computations found.  Trace events and the
-   end-of-query metrics recording follow the same conventions as
-   [Index.query_with]; this entry point records the query (not the
-   per-level indexes), so cascaded queries count once. *)
-(* As in [Index], the probe knobs are required labels on the core so the
-   single-probe path never boxes a [Some] per query; [query_with] below
-   is the optional-argument wrapper. *)
-let query_probed ?budget ?metrics ?trace ?scratch ?limit ~probes ~radius t q =
-  let metrics = Dbh_obs.Metrics.resolve metrics in
-  let t0 = match metrics with Some _ -> Dbh_obs.Metrics.now () | None -> 0. in
-  (match trace with
-  | Some tr ->
-      Dbh_obs.Trace.record tr
-        (Dbh_obs.Trace.Query_start
-           { kind = Printf.sprintf "hierarchical(%d levels)" (Array.length t.levels) })
-  | None -> ());
-  let space = Hash_family.space t.family in
-  let scratch = match scratch with Some s -> s | None -> Scratch.create () in
-  Scratch.ensure scratch (Store.length t.store);
-  let cache =
-    Hash_family.cache_in ?budget ?trace t.family
-      ~dists:(Scratch.pivot_dists scratch (Hash_family.num_pivots t.family))
-      q
-  in
-  let best_id = ref (-1) in
-  let best_d = ref infinity in
-  let lookup = ref 0 in
-  let probed = ref 0 in
-  let levels_probed = ref 0 in
-  Fun.protect
-    ~finally:(fun () -> Scratch.reset scratch)
-    (fun () ->
-      try
-        Array.iteri
-          (fun li lev ->
-            incr levels_probed;
-            (match trace with
-            | Some tr ->
-                Dbh_obs.Trace.record tr
-                  (Dbh_obs.Trace.Level_enter { level = li; threshold = lev.info.d_threshold })
-            | None -> ());
-            (* The scratch dedups across levels: only this level's fresh
-               marks (from [start]) are ranked here, newest first — the
-               order the consed per-level lists were visited in.
-               [candidates_into] claims the level's l base probes into
-               [probes] before evaluating any hash, preserving the
-               historical accounting under mid-hash budget death. *)
-            let start = Scratch.count scratch in
-            Index.candidates_into ?trace ~level:li ?limit ~probes ~radius
-              ~probe_counter:probed lev.index cache ~scratch;
-            for i = Scratch.count scratch - 1 downto start do
-              let id = Scratch.get scratch i in
-              (match budget with Some b -> Budget.charge b | None -> ());
-              incr lookup;
-              let d = space.Space.distance q (Store.get t.store id) in
-              let improved = d < !best_d in
-              (match trace with
-              | Some tr ->
-                  Dbh_obs.Trace.record tr
-                    (Dbh_obs.Trace.Candidate { id; distance = d; improved })
-              | None -> ());
-              if improved then begin
-                best_id := id;
-                best_d := d
-              end
-            done;
-            if !best_id >= 0 && !best_d <= lev.info.d_threshold then begin
-              (match trace with
-              | Some tr ->
-                  Dbh_obs.Trace.record tr
-                    (Dbh_obs.Trace.Level_settled { level = li; best = !best_d })
-              | None -> ());
-              raise Exit
-            end)
-          t.levels
-      with
-      | Exit -> ()
-      | Budget.Exhausted ->
-          (match trace with
-          | Some tr ->
-              Dbh_obs.Trace.record tr
-                (Dbh_obs.Trace.Budget_exhausted
-                   { spent = (match budget with Some b -> Budget.spent b | None -> 0) })
-          | None -> ()));
-  let stats =
-    {
-      Index.hash_cost = Hash_family.cache_cost cache;
-      lookup_cost = !lookup;
-      probes = !probed;
-    }
-  in
-  let truncated = match budget with Some b -> Budget.exhausted b | None -> false in
-  (match trace with
-  | Some tr ->
-      Dbh_obs.Trace.record tr
-        (Dbh_obs.Trace.Query_done
-           {
-             hash_cost = stats.Index.hash_cost;
-             lookup_cost = stats.Index.lookup_cost;
-             probes = stats.Index.probes;
-             levels_probed = !levels_probed;
-             truncated;
-           })
-  | None -> ());
-  let seconds =
-    match metrics with Some _ -> Some (Dbh_obs.Metrics.now () -. t0) | None -> None
-  in
-  Index.observe_query ?metrics ?seconds ~cache_hits:(Hash_family.cache_hits cache)
-    ?nn_distance:(if !best_id < 0 then None else Some !best_d)
-    ~stats ~truncated ~levels_probed:!levels_probed ();
-  {
-    Index.nn = (if !best_id < 0 then None else Some (!best_id, !best_d));
-    stats;
-    truncated;
-    levels_probed = !levels_probed;
-  }
+(* The cascade query (Sec. V-A): levels in order, each marking its
+   buckets and scoring its fresh candidates, until one settles within
+   its threshold.  One pivot cache and one scratch span the levels, so
+   hash cost counts distinct pivots overall and lookup cost distinct
+   candidates overall; the query records its metrics once, not per
+   level.  [limit] is the visibility bound Online pins before probing. *)
+let describe t = Printf.sprintf "hierarchical(%d levels)" (Array.length t.levels)
 
-let query_with ?budget ?metrics ?trace ?scratch ?limit ?(probes = 1) ?(radius = 0) t q =
-  query_probed ?budget ?metrics ?trace ?scratch ?limit ~probes ~radius t q
+let cascade ~limit opts t q =
+  Index.run ~describe t ~opts ~family:t.family ~store:t.store ~limit q (fun r ->
+      let rec from li =
+        if li < Array.length t.levels then begin
+          let lev = t.levels.(li) in
+          if not (Index.cascade_level r lev.index ~level:li ~threshold:lev.info.d_threshold)
+          then from (li + 1)
+        end
+      in
+      from 0)
 
-let search ?(opts = Query_opts.default) t q =
-  let budget = Option.map Budget.create opts.Query_opts.budget in
-  query_probed ?budget ?metrics:opts.Query_opts.metrics ?trace:opts.Query_opts.trace
-    ?scratch:opts.Query_opts.scratch ~probes:opts.Query_opts.probes_per_table
-    ~radius:opts.Query_opts.hamming_radius t q
+let search ?(opts = Query_opts.default) t q = cascade ~limit:max_int opts t q
 
 let search_batch ?(opts = Query_opts.default) t qs =
-  let metrics = Dbh_obs.Metrics.resolve opts.Query_opts.metrics in
-  let probes = opts.Query_opts.probes_per_table in
-  let radius = opts.Query_opts.hamming_radius in
-  match opts.Query_opts.pool with
-  | None ->
-      let scratch =
-        match opts.Query_opts.scratch with Some s -> s | None -> Scratch.create ()
-      in
-      Array.map
-        (fun q ->
-          let budget = Option.map Budget.create opts.Query_opts.budget in
-          query_probed ?budget ?metrics ~scratch ~probes ~radius t q)
-        qs
-  | Some pool ->
-      Dbh_util.Pool.parallel_map_array
-        ?cost:(Space.cost_estimator (Hash_family.space t.family) qs)
-        pool
-        (fun q ->
-          let budget = Option.map Budget.create opts.Query_opts.budget in
-          query_probed ?budget ?metrics ~probes ~radius t q)
-        qs
+  Index.batch ~opts ~space:(Hash_family.space t.family) (fun opts q -> search ~opts t q) qs
 
 (* Every level hashes with the cascade's one family, so one pivot cache
    serves them all: an insert pays each pivot distance once. *)

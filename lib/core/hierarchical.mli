@@ -141,34 +141,7 @@ val load : decode:(string -> 'a) -> space:'a Dbh_space.Space.t -> path:string ->
 
 (**/**)
 
-(* Cascade query core taking a caller-managed Budget.t plus explicit
-   observability hooks — what Online and the robust layer build on. *)
-val query_with :
-  ?budget:Budget.t ->
-  ?metrics:Dbh_obs.Metrics.t ->
-  ?trace:Dbh_obs.Trace.t ->
-  ?scratch:Scratch.t ->
-  ?limit:int ->
-  ?probes:int ->
-  ?radius:int ->
-  'a t ->
-  'a ->
-  'a Index.result
-
-(* Same core with the probe knobs as required labels: hot callers that
-   already hold plain ints (Online, the robust layer) use this to avoid
-   boxing a [Some] per knob per query. *)
-val query_probed :
-  ?budget:Budget.t ->
-  ?metrics:Dbh_obs.Metrics.t ->
-  ?trace:Dbh_obs.Trace.t ->
-  ?scratch:Scratch.t ->
-  ?limit:int ->
-  probes:int ->
-  radius:int ->
-  'a t ->
-  'a ->
-  'a Index.result
-(* [limit] bounds candidate admission to ids below it — the visibility
-   bound a concurrent reader pins before probing (see
-   [Index.candidates_into]).  Sequential callers omit it. *)
+(* The cascade behind [search], with the visibility bound a concurrent
+   reader pins before probing: ids at or past [limit] are never admitted
+   (Online passes its published count; [search] passes [max_int]). *)
+val cascade : limit:int -> Query_opts.t -> 'a t -> 'a -> 'a Index.result

@@ -199,60 +199,168 @@ let iter_buckets t f =
 
 (* --------------------------------------------------------------- queries *)
 
-(* Queries own their scratch for the duration of the call: taken from
-   opts when provided (so steady-state queries allocate no seen mask, no
-   candidate cells, no pivot row), private otherwise; always reset on
-   the way out — including exceptional exits — so a shared scratch is
-   clean for the next query. *)
-let scratch_of = function Some s -> s | None -> Scratch.create ()
-
-let cache_for ?budget ?trace t scratch q =
-  Hash_family.cache_in ?budget ?trace t.family
-    ~dists:(Scratch.pivot_dists scratch (Hash_family.num_pivots t.family))
-    q
-
 let check_probe_knobs ~probes ~radius =
   if probes < 1 then invalid_arg "Index: probes_per_table must be >= 1";
   if radius < 0 || radius > Key.max_radius then
     invalid_arg
       (Printf.sprintf "Index: hamming_radius must be in [0, %d]" Key.max_radius)
 
-(* The extra-probe engine, shared by every query path.  After the base
-   buckets, each table probes up to [probes - 1] Hamming-adjacent keys
-   within [radius] bit flips of its base key.  When the probe budget
-   covers the whole radius ball the keys are served by code-only range
-   scans over the sorted directory (one scan per consecutive-key run);
-   otherwise the probe heap emits keys one by one in increasing
+(* One query in flight.  Every query shape — the eager single-level
+   [search], the cascade, k-NN, range and collision-ranked — is set up
+   and torn down by [run], walks buckets with [walk] and pays for each
+   candidate through [score]; the shapes differ only in when they score
+   and what they keep.  Mutable fields rather than refs: the closures
+   that visit buckets capture this one record. *)
+type 'a query = {
+  obj : 'a;
+  objects : 'a Store.t;
+  space : 'a Space.t;
+  budget : Budget.t option;
+  trace : Dbh_obs.Trace.t option;
+  scratch : Scratch.t;
+  cache : 'a Hash_family.cache;
+  probes_per_table : int;
+  hamming_radius : int;
+  (* Ids at or past [admit] — past the scratch capacity, or past the
+     visibility bound a concurrent reader pinned — were inserted by a
+     writer after this query started; skipping them linearizes the query
+     before those inserts.  Sequentially the bound never bites. *)
+  admit : int;
+  mutable best_id : int;
+  mutable best_d : float;
+  mutable lookup : int;
+  mutable probes : int;
+  mutable levels : int;  (* cascade levels entered; 1 for single-level shapes *)
+}
+
+let start ~opts ~family ~store ~limit scratch obj =
+  let budget = Option.map Budget.create opts.Query_opts.budget in
+  let trace = opts.Query_opts.trace in
+  {
+    obj;
+    objects = store;
+    space = Hash_family.space family;
+    budget;
+    trace;
+    scratch;
+    cache =
+      Hash_family.cache_in ?budget ?trace family
+        ~dists:(Scratch.pivot_dists scratch (Hash_family.num_pivots family))
+        obj;
+    probes_per_table = opts.Query_opts.probes_per_table;
+    hamming_radius = opts.Query_opts.hamming_radius;
+    admit = min limit (Scratch.capacity scratch);
+    best_id = -1;
+    best_d = infinity;
+    lookup = 0;
+    probes = 0;
+    levels = 1;
+  }
+
+(* Setup and teardown shared by every shape.  The query owns its scratch
+   for the call — the caller's (so steady-state queries allocate no seen
+   mask, candidate cells or pivot row) or a private one — and resets it
+   on the way out, exceptional exits included, so a shared scratch is
+   clean for the next query.  A budget running out inside [body] ends
+   the query with the best answer the paid-for computations found.
+   Trace events are recorded only behind a [match] on the trace option,
+   so the untraced path allocates nothing for them; metrics are recorded
+   once at the end from the final stats, never from raw distance calls.
+   [describe subject] names the query in its [Query_start] event, and
+   is only called when tracing. *)
+let run ~describe subject ~opts ~family ~store ~limit obj body =
+  check_probe_knobs ~probes:opts.Query_opts.probes_per_table
+    ~radius:opts.Query_opts.hamming_radius;
+  let metrics = Dbh_obs.Metrics.resolve opts.Query_opts.metrics in
+  let t0 = match metrics with Some _ -> Dbh_obs.Metrics.now () | None -> 0. in
+  (match opts.Query_opts.trace with
+  | Some tr ->
+      Dbh_obs.Trace.record tr (Dbh_obs.Trace.Query_start { kind = describe subject })
+  | None -> ());
+  let scratch = match opts.Query_opts.scratch with Some s -> s | None -> Scratch.create () in
+  Scratch.ensure scratch (Store.length store);
+  let r = start ~opts ~family ~store ~limit scratch obj in
+  Fun.protect
+    ~finally:(fun () -> Scratch.reset scratch)
+    (fun () ->
+      try body r
+      with Budget.Exhausted -> (
+        match (r.trace, r.budget) with
+        | Some tr, Some b ->
+            Dbh_obs.Trace.record tr (Dbh_obs.Trace.Budget_exhausted { spent = Budget.spent b })
+        | _ -> ()));
+  let truncated = match r.budget with Some b -> Budget.exhausted b | None -> false in
+  let stats =
+    { hash_cost = Hash_family.cache_cost r.cache; lookup_cost = r.lookup; probes = r.probes }
+  in
+  (match r.trace with
+  | Some tr ->
+      Dbh_obs.Trace.record tr
+        (Dbh_obs.Trace.Query_done
+           {
+             hash_cost = stats.hash_cost;
+             lookup_cost = stats.lookup_cost;
+             probes = stats.probes;
+             levels_probed = r.levels;
+             truncated;
+           })
+  | None -> ());
+  let nn = if r.best_id < 0 then None else Some (r.best_id, r.best_d) in
+  let seconds =
+    match metrics with Some _ -> Some (Dbh_obs.Metrics.now () -. t0) | None -> None
+  in
+  observe_query ?metrics ?seconds ~cache_hits:(Hash_family.cache_hits r.cache)
+    ?nn_distance:(Option.map snd nn) ~stats ~truncated ~levels_probed:r.levels ();
+  { nn; stats; truncated; levels_probed = r.levels }
+
+let hash r t =
+  let bits = Scratch.bit_row r.scratch (Array.length t.distinct_fns) in
+  eval_bits t r.cache bits;
+  bits
+
+let admitted r id = id < r.admit && Store.is_alive r.objects id
+
+let record_probe r ~level ~row table key =
+  match r.trace with
+  | Some tr ->
+      Dbh_obs.Trace.record tr
+        (Dbh_obs.Trace.Bucket_probe
+           { level; table = row; key; found = Csr.bucket_size table key })
+  | None -> ()
+
+(* The extra probes of the multi-probe path.  After the base buckets,
+   each table probes up to [probes_per_table - 1] Hamming-adjacent keys
+   within [hamming_radius] bit flips of its base key.  When the probe
+   budget covers the whole radius ball the keys are served by code-only
+   range scans over the sorted directory (one scan per consecutive-key
+   run); otherwise the probe heap emits keys one by one in increasing
    flip-penalty order, cheapest bits — the projections that landed
    nearest their thresholds — first.  Margins reuse the pivot distances
-   [eval_bits] already cached, so extra probes cost zero additional
-   hash distance computations.  [counter] counts probed buckets: one
-   per emitted key on the heap path, the full ball (claimed upfront) on
-   the range path. *)
-let probe_extras ?trace ~level t cache scratch bits ~probes ~radius ~counter visit =
-  let extra = probes - 1 in
-  let margins = Scratch.margin_row scratch (Array.length t.distinct_fns) in
-  eval_margins t cache margins;
+   [hash] already cached, so extra probes cost zero additional hash
+   distance computations.  Each emitted key counts one probe on the heap
+   path; the range path claims the full ball upfront. *)
+let probe_extras r t ~level bits visit =
+  let extra = r.probes_per_table - 1 in
+  let margins = Scratch.margin_row r.scratch (Array.length t.distinct_fns) in
+  eval_margins t r.cache margins;
+  let radius = r.hamming_radius in
   let ball = Key.ball_size ~width:t.k ~radius in
-  let ps = Scratch.probe_seq scratch in
+  let ps = Scratch.probe_seq r.scratch in
   for row = 0 to t.l - 1 do
     let base = key_of_slots t.fn_slots.(row) bits in
     let table = t.tables.(row) in
     if extra >= ball then begin
-      counter := !counter + ball;
-      match trace with
-      | None ->
-          Csr.iter_within table ~width:t.k ~radius (base :> int) (fun _ id -> visit id)
-      | Some tr ->
+      r.probes <- r.probes + ball;
+      match r.trace with
+      | None -> Csr.iter_within table ~width:t.k ~radius (base :> int) (fun _ id -> visit id)
+      | Some _ ->
           (* The range scan only surfaces non-empty keys; record one
              probe event per distinct key it visits. *)
           let last = ref min_int in
           Csr.iter_within table ~width:t.k ~radius (base :> int) (fun key id ->
               if key <> !last then begin
                 last := key;
-                Dbh_obs.Trace.record tr
-                  (Dbh_obs.Trace.Bucket_probe
-                     { level; table = row; key; found = Csr.bucket_size table key })
+                record_probe r ~level ~row table key
               end;
               visit id)
     end
@@ -261,409 +369,179 @@ let probe_extras ?trace ~level t cache scratch bits ~probes ~radius ~counter vis
       let penalty j = margins.(Array.unsafe_get slots j) in
       Probe_seq.generate ps ~base ~width:t.k ~radius ~max_probes:extra ~penalty
         ~emit:(fun pk ->
-          incr counter;
-          (match trace with
-          | Some tr ->
-              Dbh_obs.Trace.record tr
-                (Dbh_obs.Trace.Bucket_probe
-                   {
-                     level;
-                     table = row;
-                     key = (pk :> int);
-                     found = Csr.bucket_size table (pk :> int);
-                   })
-          | None -> ());
+          r.probes <- r.probes + 1;
+          record_probe r ~level ~row table (pk :> int);
           Csr.iter_bucket table (pk :> int) visit)
     end
   done
 
-let candidates_into ?trace ?(level = 0) ?(limit = max_int) ?(probes = 1) ?(radius = 0)
-    ?probe_counter t cache ~scratch =
-  check_probe_knobs ~probes ~radius;
-  (* The live store length can exceed the capacity the caller ensured
-     when a writer inserts mid-query; admission is bounded by [limit]
-     then, so only the visible prefix must fit the mask. *)
-  if Scratch.capacity scratch < min limit (Store.length t.store) then
-    invalid_arg "Index.candidates_into: scratch smaller than the store";
-  (* Base probes are claimed before any hash evaluation — the historical
-     accounting: a budget that dies inside [eval_bits] still counts this
-     index's l probes. *)
-  let counter = match probe_counter with Some c -> c | None -> ref 0 in
-  counter := !counter + t.l;
-  let bits = Scratch.bit_row scratch (Array.length t.distinct_fns) in
-  eval_bits t cache bits;
-  (* Ids at or past the mask capacity — or past the caller's published
-     visibility bound — were inserted by a concurrent writer after this
-     query started; skipping them linearizes the query before those
-     inserts.  Sequentially neither guard ever fires. *)
-  let cap = min (Scratch.capacity scratch) limit in
-  let visit id =
-    if id < cap && Store.is_alive t.store id then ignore (Scratch.mark scratch id)
-  in
+(* The row walk shared by every shape: per table, record the probe and
+   visit the base bucket's ids, then the multi-probe extras.  Each base
+   row counts one probe as it is reached unless the caller [claimed] the
+   l base probes before hashing (see [mark_level]). *)
+let walk r t ~level ~claimed bits visit =
   for row = 0 to t.l - 1 do
-    let key = key_of_slots t.fn_slots.(row) bits in
-    (match trace with
-    | Some tr ->
-        Dbh_obs.Trace.record tr
-          (Dbh_obs.Trace.Bucket_probe
-             {
-               level;
-               table = row;
-               key = (key :> int);
-               found = Csr.bucket_size t.tables.(row) (key :> int);
-             })
-    | None -> ());
-    Csr.iter_bucket t.tables.(row) (key :> int) visit
+    if not claimed then r.probes <- r.probes + 1;
+    let key = (key_of_slots t.fn_slots.(row) bits :> int) in
+    record_probe r ~level ~row t.tables.(row) key;
+    Csr.iter_bucket t.tables.(row) key visit
   done;
-  if probes > 1 && radius > 0 then
-    probe_extras ?trace ~level t cache scratch bits ~probes ~radius ~counter visit
+  if r.probes_per_table > 1 && r.hamming_radius > 0 then probe_extras r t ~level bits visit
 
-let with_candidates ?metrics ?trace ?scratch ~probes ~radius t q f =
-  check_probe_knobs ~probes ~radius;
-  let metrics = Dbh_obs.Metrics.resolve metrics in
-  let t0 = match metrics with Some _ -> Dbh_obs.Metrics.now () | None -> 0. in
-  let scratch = scratch_of scratch in
-  Scratch.ensure scratch (Store.length t.store);
-  let cache = cache_for ?trace t scratch q in
-  let probed = ref 0 in
-  let value, lookup_cost =
-    Fun.protect
-      ~finally:(fun () -> Scratch.reset scratch)
-      (fun () ->
-        candidates_into ~probes ~radius ~probe_counter:probed t cache ~scratch;
-        f scratch)
-  in
-  let stats =
-    { hash_cost = Hash_family.cache_cost cache; lookup_cost; probes = !probed }
-  in
-  let seconds =
-    match metrics with Some _ -> Some (Dbh_obs.Metrics.now () -. t0) | None -> None
-  in
-  observe_query ?metrics ?seconds ~cache_hits:(Hash_family.cache_hits cache) ~stats
-    ~truncated:false ~levels_probed:1 ();
-  (value, stats)
+(* Mark this index's fresh admitted candidates into the scratch, in
+   bucket-iteration order; ids an earlier level already marked are
+   skipped, which is how the cascade dedups across levels.  The l base
+   probes are claimed before hashing: a budget that dies mid-hash still
+   counts them. *)
+let mark_level r t ~level =
+  r.probes <- r.probes + t.l;
+  let bits = hash r t in
+  walk r t ~level ~claimed:true bits (fun id ->
+      if admitted r id then ignore (Scratch.mark r.scratch id))
 
-let best_of_candidates t q candidates =
-  let space = Hash_family.space t.family in
-  let best = ref None in
-  let count = ref 0 in
-  List.iter
-    (fun id ->
-      incr count;
-      let d = space.Space.distance q (Store.get t.store id) in
-      match !best with
-      | Some (_, bd) when bd <= d -> ()
-      | _ -> best := Some (id, d))
-    candidates;
-  (!best, !count)
-
-(* NN query, optionally under a distance-computation budget.  Buckets are
-   probed row by row and candidates ranked as they surface (equivalent to
-   collecting the union first: the candidate set, lookup cost and best
-   answer are identical), so that when a budget runs out mid-query the
-   best-so-far over everything already paid for is returned.  The budget
-   is charged before every distance evaluation — both pivot distances
-   inside the hash cache and candidate comparisons here — so the spend
-   never exceeds the limit. *)
-(* The single-level query core.  Trace events are recorded only behind a
-   [match] on the trace option, so the untraced path allocates nothing
-   for them; metrics are recorded once at the end from the final stats. *)
-(* The body of [query_with] with the probe knobs as required labels:
-   passing an int through an optional argument boxes a [Some] per call,
-   and on the plain single-probe path (the storage bench's alloc gate)
-   those two words per query are measurable.  [query_with] below is the
-   optional-argument wrapper for external callers. *)
-let query_probed ?budget ?metrics ?trace ?scratch ~probes ~radius t q =
-  check_probe_knobs ~probes ~radius;
-  let metrics = Dbh_obs.Metrics.resolve metrics in
-  let t0 = match metrics with Some _ -> Dbh_obs.Metrics.now () | None -> 0. in
-  (match trace with
+(* The candidate scorer shared by every shape: charge the budget before
+   the distance (so the spend never exceeds it), count, measure, trace,
+   keep the best.  On a tie the earlier candidate stays best. *)
+let score r id =
+  (match r.budget with Some b -> Budget.charge b | None -> ());
+  r.lookup <- r.lookup + 1;
+  let d = r.space.Space.distance r.obj (Store.get r.objects id) in
+  let improved = d < r.best_d in
+  (match r.trace with
   | Some tr ->
-      Dbh_obs.Trace.record tr
-        (Dbh_obs.Trace.Query_start { kind = Printf.sprintf "index(k=%d,l=%d)" t.k t.l })
+      Dbh_obs.Trace.record tr (Dbh_obs.Trace.Candidate { id; distance = d; improved })
   | None -> ());
-  let scratch = scratch_of scratch in
-  Scratch.ensure scratch (Store.length t.store);
-  let cache = cache_for ?budget ?trace t scratch q in
-  let space = Hash_family.space t.family in
-  (* Unboxed best tracking: ids and float refs are flat, so improving
-     the best allocates nothing until the final [Some]. *)
-  let best_id = ref (-1) in
-  let best_d = ref infinity in
-  let lookup = ref 0 in
-  let probed = ref 0 in
-  Fun.protect
-    ~finally:(fun () -> Scratch.reset scratch)
-    (fun () ->
-      try
-        let bits = Scratch.bit_row scratch (Array.length t.distinct_fns) in
-        eval_bits t cache bits;
-        (* One visitor closure for the whole query: allocating it inside
-           the row loop would cost a closure per probe.  The capacity
-           guard skips ids a concurrent writer inserted after the seen
-           mask was sized — never taken sequentially. *)
-        let cap = Scratch.capacity scratch in
-        let visit id =
-          if id < cap && Store.is_alive t.store id && Scratch.mark scratch id then begin
-            (match budget with Some b -> Budget.charge b | None -> ());
-            incr lookup;
-            let d = space.Space.distance q (Store.get t.store id) in
-            let improved = d < !best_d in
-            (match trace with
-            | Some tr ->
-                Dbh_obs.Trace.record tr
-                  (Dbh_obs.Trace.Candidate { id; distance = d; improved })
-            | None -> ());
-            if improved then begin
-              best_id := id;
-              best_d := d
-            end
-          end
-        in
-        for row = 0 to t.l - 1 do
-          incr probed;
-          let key = key_of_slots t.fn_slots.(row) bits in
-          (match trace with
-          | Some tr ->
-              Dbh_obs.Trace.record tr
-                (Dbh_obs.Trace.Bucket_probe
-                   {
-                     level = 0;
-                     table = row;
-                     key = (key :> int);
-                     found = Csr.bucket_size t.tables.(row) (key :> int);
-                   })
-          | None -> ());
-          Csr.iter_bucket t.tables.(row) (key :> int) visit
-        done;
-        if probes > 1 && radius > 0 then
-          probe_extras ?trace ~level:0 t cache scratch bits ~probes ~radius
-            ~counter:probed visit
-      with Budget.Exhausted -> (
-        match trace with
-        | Some tr ->
-            Dbh_obs.Trace.record tr
-              (Dbh_obs.Trace.Budget_exhausted
-                 { spent = (match budget with Some b -> Budget.spent b | None -> 0) })
-        | None -> ()));
-  let truncated = match budget with Some b -> Budget.exhausted b | None -> false in
-  let stats =
-    { hash_cost = Hash_family.cache_cost cache; lookup_cost = !lookup; probes = !probed }
-  in
-  (match trace with
-  | Some tr ->
-      Dbh_obs.Trace.record tr
-        (Dbh_obs.Trace.Query_done
-           {
-             hash_cost = stats.hash_cost;
-             lookup_cost = stats.lookup_cost;
-             probes = stats.probes;
-             levels_probed = 1;
-             truncated;
-           })
+  if improved then begin
+    r.best_id <- id;
+    r.best_d <- d
+  end;
+  d
+
+(* Score the candidates marked since [from], newest mark first: the order
+   the consed candidate lists were visited in before the scratch existed,
+   which tie-breaking (equal distances) depends on. *)
+let score_marked r ~from f =
+  for i = Scratch.count r.scratch - 1 downto from do
+    let id = Scratch.get r.scratch i in
+    f id (score r id)
+  done
+
+(* One level of the cascade (Sec. V-A): mark the whole level's buckets,
+   then score its fresh candidates newest-first.  [true] when the best
+   so far lies within [threshold] — the cascade stops there. *)
+let cascade_level r t ~level ~threshold =
+  r.levels <- level + 1;
+  (match r.trace with
+  | Some tr -> Dbh_obs.Trace.record tr (Dbh_obs.Trace.Level_enter { level; threshold })
   | None -> ());
-  let seconds =
-    match metrics with Some _ -> Some (Dbh_obs.Metrics.now () -. t0) | None -> None
-  in
-  observe_query ?metrics ?seconds ~cache_hits:(Hash_family.cache_hits cache)
-    ?nn_distance:(if !best_id < 0 then None else Some !best_d)
-    ~stats ~truncated ~levels_probed:1 ();
-  {
-    nn = (if !best_id < 0 then None else Some (!best_id, !best_d));
-    stats;
-    truncated;
-    levels_probed = 1;
-  }
+  let from = Scratch.count r.scratch in
+  mark_level r t ~level;
+  score_marked r ~from (fun _ _ -> ());
+  let settled = r.best_id >= 0 && r.best_d <= threshold in
+  (match r.trace with
+  | Some tr when settled ->
+      Dbh_obs.Trace.record tr (Dbh_obs.Trace.Level_settled { level; best = r.best_d })
+  | _ -> ());
+  settled
 
-let query_with ?budget ?metrics ?trace ?scratch ?(probes = 1) ?(radius = 0) t q =
-  query_probed ?budget ?metrics ?trace ?scratch ~probes ~radius t q
+let describe t = Printf.sprintf "index(k=%d,l=%d)" t.k t.l
 
+let run_on t ~opts q body =
+  run ~describe t ~opts ~family:t.family ~store:t.store ~limit:max_int q body
+
+(* The single-level query.  Buckets are probed row by row and candidates
+   scored as they surface (equivalent to collecting the union first: the
+   candidate set, lookup cost and best answer are identical), so that
+   when a budget runs out mid-query the best-so-far over everything
+   already paid for is returned, and each row counts its probe only
+   once reached. *)
 let search ?(opts = Query_opts.default) t q =
-  let budget = Option.map Budget.create opts.Query_opts.budget in
-  query_probed ?budget ?metrics:opts.Query_opts.metrics ?trace:opts.Query_opts.trace
-    ?scratch:opts.Query_opts.scratch ~probes:opts.Query_opts.probes_per_table
-    ~radius:opts.Query_opts.hamming_radius t q
+  run_on t ~opts q (fun r ->
+      let bits = hash r t in
+      walk r t ~level:0 ~claimed:false bits (fun id ->
+          if admitted r id && Scratch.mark r.scratch id then ignore (score r id)))
 
-(* Queries only read the index (tables, store, family), so a batch fans
-   out with no shared mutable state beyond the atomic counters.  The
-   metric set is resolved once up front and shared — its counters are
-   atomic — while opts.trace is ignored: traces are single-domain by
-   design.  Sequentially one scratch (the caller's, else a private one)
-   serves the whole batch; under a pool each query allocates its own
-   (a scratch is single-domain state). *)
-let search_batch ?(opts = Query_opts.default) t qs =
-  let metrics = Dbh_obs.Metrics.resolve opts.Query_opts.metrics in
-  let probes = opts.Query_opts.probes_per_table in
-  let radius = opts.Query_opts.hamming_radius in
+let candidates_into t q ~scratch =
+  if Scratch.capacity scratch < Store.length t.store then
+    invalid_arg "Index.candidates_into: scratch smaller than the store";
+  mark_level
+    (start ~opts:Query_opts.default ~family:t.family ~store:t.store ~limit:max_int scratch q)
+    t ~level:0
+
+(* The one batch loop behind every [search_batch].  Queries only read
+   the index, so a batch fans out with no shared mutable state beyond
+   the atomic counters.  The metric set is resolved once up front and
+   shared — its counters are atomic — while the trace is dropped: traces
+   are single-domain by design.  Sequentially one scratch (the caller's,
+   else a private one) serves the whole batch; under a pool each query
+   allocates its own (a scratch is single-domain state).  Budgets stay
+   per query: [run] creates a fresh one from [opts.budget] each time. *)
+let batch ~opts ~space search qs =
+  let opts =
+    {
+      opts with
+      Query_opts.metrics = Dbh_obs.Metrics.resolve opts.Query_opts.metrics;
+      trace = None;
+    }
+  in
   match opts.Query_opts.pool with
   | None ->
-      let scratch = scratch_of opts.Query_opts.scratch in
-      Array.map
-        (fun q ->
-          let budget = Option.map Budget.create opts.Query_opts.budget in
-          query_probed ?budget ?metrics ~scratch ~probes ~radius t q)
-        qs
+      let scratch = match opts.Query_opts.scratch with Some s -> s | None -> Scratch.create () in
+      Array.map (search { opts with Query_opts.scratch = Some scratch }) qs
   | Some pool ->
       Dbh_util.Pool.parallel_map_array
-        ?cost:(Space.cost_estimator (Hash_family.space t.family) qs)
+        ?cost:(Space.cost_estimator space qs)
         pool
-        (fun q ->
-          let budget = Option.map Budget.create opts.Query_opts.budget in
-          query_probed ?budget ?metrics ~probes ~radius t q)
+        (search { opts with Query_opts.scratch = None })
         qs
 
-(* Candidate consumers iterate the scratch newest-mark-first: that is the
-   order the old code visited its consed candidate lists in, and
-   tie-breaking (equal distances) depends on it. *)
+let search_batch ?(opts = Query_opts.default) t qs =
+  batch ~opts ~space:(Hash_family.space t.family) (fun opts q -> search ~opts t q) qs
+
+(* The k-NN, range and collision-ranked queries have no truncation
+   semantics (a partial k-NN list is not a best-so-far answer), so they
+   refuse a budget rather than silently ignore it. *)
+let reject_budget name opts =
+  if opts.Query_opts.budget <> None then
+    invalid_arg (name ^ ": opts.budget is not supported (use search)")
+
 let query_knn ?(opts = Query_opts.default) t m q =
   if m < 1 then invalid_arg "Index.query_knn: m must be >= 1";
-  let space = Hash_family.space t.family in
-  with_candidates ?metrics:opts.Query_opts.metrics ?trace:opts.Query_opts.trace
-    ?scratch:opts.Query_opts.scratch ~probes:opts.Query_opts.probes_per_table
-    ~radius:opts.Query_opts.hamming_radius t q (fun scratch ->
-      let heap = Dbh_util.Bounded_heap.create m in
-      let count = ref 0 in
-      for i = Scratch.count scratch - 1 downto 0 do
-        let id = Scratch.get scratch i in
-        incr count;
-        let d = space.Space.distance q (Store.get t.store id) in
-        ignore (Dbh_util.Bounded_heap.push heap d id)
-      done;
-      let sorted =
-        Dbh_util.Bounded_heap.to_sorted_list heap |> List.map (fun (d, i) -> (i, d))
-      in
-      (Array.of_list sorted, !count))
+  reject_budget "Index.query_knn" opts;
+  let heap = Dbh_util.Bounded_heap.create m in
+  let result =
+    run_on t ~opts q (fun r ->
+        mark_level r t ~level:0;
+        score_marked r ~from:0 (fun id d -> ignore (Dbh_util.Bounded_heap.push heap d id)))
+  in
+  ( Dbh_util.Bounded_heap.to_sorted_list heap |> List.map (fun (d, id) -> (id, d)) |> Array.of_list,
+    result.stats )
 
 let query_range ?(opts = Query_opts.default) t radius q =
   if radius < 0. then invalid_arg "Index.query_range: negative radius";
-  let space = Hash_family.space t.family in
-  with_candidates ?metrics:opts.Query_opts.metrics ?trace:opts.Query_opts.trace
-    ?scratch:opts.Query_opts.scratch ~probes:opts.Query_opts.probes_per_table
-    ~radius:opts.Query_opts.hamming_radius t q (fun scratch ->
-      let hits = ref [] in
-      let count = ref 0 in
-      for i = Scratch.count scratch - 1 downto 0 do
-        let id = Scratch.get scratch i in
-        incr count;
-        let d = space.Space.distance q (Store.get t.store id) in
-        if d <= radius then hits := (id, d) :: !hits
-      done;
-      (List.sort (fun (_, a) (_, b) -> compare a b) !hits, !count))
-
-(* Multi-probe: per table, after the base bucket, probe the buckets whose
-   keys flip the bit subsets with the smallest total margin — the bits
-   whose projection values sit closest to a threshold.  Subsets of size 1
-   and 2 suffice for practical probe counts. *)
-let probe_masks t cache row probes =
-  let fns = t.fn_ids.(row) in
-  let k = Array.length fns in
-  let margins = Array.map (fun fn_id -> Hash_family.margin t.family cache fn_id) fns in
-  let flips = ref [] in
-  for j = 0 to k - 1 do
-    (* Bit j of the key corresponds to fns.(j); keys pack bit 0 first at
-       the high end, so position j maps to mask bit (k-1-j). *)
-    let mask = 1 lsl (k - 1 - j) in
-    flips := (margins.(j), mask) :: !flips;
-    for j2 = j + 1 to k - 1 do
-      let mask2 = mask lor (1 lsl (k - 1 - j2)) in
-      flips := (margins.(j) +. margins.(j2), mask2) :: !flips
-    done
-  done;
-  let sorted = List.sort (fun (a, _) (b, _) -> compare a b) !flips in
-  List.filteri (fun i _ -> i < probes) sorted |> List.map snd
-
-let query_multiprobe ?(opts = Query_opts.default) t ~probes q =
-  if probes < 0 then invalid_arg "Index.query_multiprobe: negative probes";
-  let metrics = Dbh_obs.Metrics.resolve opts.Query_opts.metrics in
-  let t0 = match metrics with Some _ -> Dbh_obs.Metrics.now () | None -> 0. in
-  let scratch = scratch_of opts.Query_opts.scratch in
-  Scratch.ensure scratch (Store.length t.store);
-  let cache = cache_for ?trace:opts.Query_opts.trace t scratch q in
-  let probe_count = ref 0 in
-  let nn, lookup =
-    Fun.protect
-      ~finally:(fun () -> Scratch.reset scratch)
-      (fun () ->
-        let bits = Scratch.bit_row scratch (Array.length t.distinct_fns) in
-        eval_bits t cache bits;
-        for row = 0 to t.l - 1 do
-          let base_key = key_of_slots t.fn_slots.(row) bits in
-          let keys =
-            (base_key :> int)
-            :: List.map
-                 (fun mask -> (base_key :> int) lxor mask)
-                 (probe_masks t cache row probes)
-          in
-          List.iter
-            (fun key ->
-              incr probe_count;
-              Csr.iter_bucket t.tables.(row) key (fun id ->
-                  if id < Scratch.capacity scratch && Store.is_alive t.store id then
-                    ignore (Scratch.mark scratch id)))
-            keys
-        done;
-        let space = Hash_family.space t.family in
-        let best = ref None in
-        let count = ref 0 in
-        for i = Scratch.count scratch - 1 downto 0 do
-          let id = Scratch.get scratch i in
-          incr count;
-          let d = space.Space.distance q (Store.get t.store id) in
-          match !best with
-          | Some (_, bd) when bd <= d -> ()
-          | _ -> best := Some (id, d)
-        done;
-        (!best, !count))
+  reject_budget "Index.query_range" opts;
+  let hits = ref [] in
+  let result =
+    run_on t ~opts q (fun r ->
+        mark_level r t ~level:0;
+        score_marked r ~from:0 (fun id d -> if d <= radius then hits := (id, d) :: !hits))
   in
-  let stats =
-    { hash_cost = Hash_family.cache_cost cache; lookup_cost = lookup; probes = !probe_count }
-  in
-  let seconds =
-    match metrics with Some _ -> Some (Dbh_obs.Metrics.now () -. t0) | None -> None
-  in
-  observe_query ?metrics ?seconds ~cache_hits:(Hash_family.cache_hits cache)
-    ?nn_distance:(Option.map snd nn) ~stats ~truncated:false ~levels_probed:1 ();
-  { nn; stats; truncated = false; levels_probed = 1 }
+  (List.sort (fun (_, a) (_, b) -> compare a b) !hits, result.stats)
 
+(* Score at most [max_candidates] candidates, those colliding with the
+   query in the most tables first (ties by ascending id). *)
 let query_budgeted ?(opts = Query_opts.default) t ~max_candidates q =
   if max_candidates < 1 then invalid_arg "Index.query_budgeted: budget must be >= 1";
-  let metrics = Dbh_obs.Metrics.resolve opts.Query_opts.metrics in
-  let t0 = match metrics with Some _ -> Dbh_obs.Metrics.now () | None -> 0. in
-  let scratch = scratch_of opts.Query_opts.scratch in
-  Scratch.ensure scratch (Store.length t.store);
-  let cache = cache_for ?trace:opts.Query_opts.trace t scratch q in
-  let chosen =
-    Fun.protect
-      ~finally:(fun () -> Scratch.reset scratch)
-      (fun () ->
-        let bits = Scratch.bit_row scratch (Array.length t.distinct_fns) in
-        eval_bits t cache bits;
-        (* Count, per candidate, the number of tables it collides in. *)
-        let counts = Hashtbl.create 64 in
-        for row = 0 to t.l - 1 do
-          let key = key_of_slots t.fn_slots.(row) bits in
-          Csr.iter_bucket t.tables.(row) (key :> int) (fun id ->
-              if Store.is_alive t.store id then
-                Hashtbl.replace counts id
-                  (1 + Option.value ~default:0 (Hashtbl.find_opt counts id)))
-        done;
-        let ranked =
-          Hashtbl.fold (fun id c acc -> (c, id) :: acc) counts []
-          |> List.sort (fun (c1, id1) (c2, id2) ->
-                 if c1 <> c2 then compare c2 c1 else compare id1 id2)
-        in
-        List.filteri (fun i _ -> i < max_candidates) ranked |> List.map snd)
-  in
-  let nn, lookup = best_of_candidates t q chosen in
-  let stats =
-    { hash_cost = Hash_family.cache_cost cache; lookup_cost = lookup; probes = t.l }
-  in
-  let seconds =
-    match metrics with Some _ -> Some (Dbh_obs.Metrics.now () -. t0) | None -> None
-  in
-  observe_query ?metrics ?seconds ~cache_hits:(Hash_family.cache_hits cache)
-    ?nn_distance:(Option.map snd nn) ~stats ~truncated:false ~levels_probed:1 ();
-  { nn; stats; truncated = false; levels_probed = 1 }
+  reject_budget "Index.query_budgeted" opts;
+  run_on t ~opts q (fun r ->
+      let counts = Hashtbl.create 64 in
+      walk r t ~level:0 ~claimed:false (hash r t) (fun id ->
+          if admitted r id then
+            Hashtbl.replace counts id (1 + Option.value ~default:0 (Hashtbl.find_opt counts id)));
+      Hashtbl.fold (fun id c acc -> (c, id) :: acc) counts []
+      |> List.sort (fun (c1, id1) (c2, id2) ->
+             if c1 <> c2 then compare c2 c1 else compare id1 id2)
+      |> List.iteri (fun i (_, id) -> if i < max_candidates then ignore (score r id)))
 
 (* -------------------------------------------------------------- updates *)
 

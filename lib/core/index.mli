@@ -124,13 +124,13 @@ val iter_buckets : 'a t -> (int -> int -> int list -> unit) -> unit
 (** {1 Queries}
 
     The canonical entry points are {!search} and {!search_batch},
-    driven by one {!Query_opts.t} record (budget, pool, metrics,
-    trace).
+    driven by one {!Query_opts.t} record (budget, pool, metrics, trace,
+    scratch, multi-probe knobs).
 
     When a metric set is reachable (explicit [opts.metrics] or an
     installed ambient set), every completed query records its logical
     cost — see {!Dbh_obs.Metrics}; with [opts.trace] the query also
-    records its full event timeline. *)
+    records its full event timeline (every query shape below). *)
 
 val search : ?opts:Query_opts.t -> 'a t -> 'a -> 'a result
 (** Approximate nearest neighbor of a query object.
@@ -142,11 +142,13 @@ val search : ?opts:Query_opts.t -> 'a t -> 'a -> 'a result
     [truncated = true].  [opts.pool] is ignored (single query).
 
     [opts.probes_per_table] with [opts.hamming_radius] turns on the
-    multi-probe path ({!Query_opts.multiprobe}): each table also probes
-    its lowest-flip-penalty Hamming-adjacent buckets, trading a few
+    multi-probe path ({!Query_opts.multiprobe}; in the spirit of Lv et
+    al., cited as [11] in the paper): each table also probes its
+    lowest-flip-penalty Hamming-adjacent buckets — the bits whose
+    projections landed closest to a threshold flip first — trading a few
     extra bucket reads for recall that would otherwise require more
-    tables.  At the defaults the query is bit-identical to the
-    single-probe engine. *)
+    tables, at no extra hashing cost.  At the defaults the query is
+    bit-identical to the single-probe engine. *)
 
 val search_batch : ?opts:Query_opts.t -> 'a t -> 'a array -> 'a result array
 (** One {!search} per element, in input order.  [opts.budget] caps the
@@ -161,29 +163,32 @@ val search_batch : ?opts:Query_opts.t -> 'a t -> 'a array -> 'a result array
 val query_knn : ?opts:Query_opts.t -> 'a t -> int -> 'a -> (int * float) array * stats
 (** [query_knn t m q]: the [m] best candidates (sorted by distance) from
     the colliding buckets; may return fewer when buckets are sparse.
-    Only [opts.metrics]/[opts.trace] apply (this path has no budget or
-    batch machinery). *)
+    Honours every option of {!search} except [opts.budget]: a partial
+    k-NN list has no best-so-far meaning, so a budget raises
+    [Invalid_argument] instead of being silently dropped. *)
 
 val query_range : ?opts:Query_opts.t -> 'a t -> float -> 'a -> (int * float) list * stats
 (** Candidates within the given distance of the query (the near-neighbor
     flavour of Section III), sorted by distance.  Options as in
-    {!query_knn}. *)
-
-val query_multiprobe : ?opts:Query_opts.t -> 'a t -> probes:int -> 'a -> 'a result
-(** Multi-probe retrieval (in the spirit of Lv et al., cited as [11] in
-    the paper): besides the query's own bucket, each table also probes
-    the [probes] buckets obtained by flipping the lowest-margin bits —
-    the binary functions whose projection value falls closest to a
-    threshold.  Recovers recall comparable to a larger [l] without
-    building more tables; hashing cost is unchanged.  Options as in
-    {!query_knn}. *)
+    {!query_knn} (a budget raises [Invalid_argument]). *)
 
 val query_budgeted : ?opts:Query_opts.t -> 'a t -> max_candidates:int -> 'a -> 'a result
 (** Like {!search}, but evaluates exact distances for at most
     [max_candidates] candidates, preferring those that collide in the
     most tables (higher empirical collision rate ⇒ higher model
     probability of being the nearest neighbor).  Caps the lookup cost at
-    a known constant per query.  Options as in {!query_knn}. *)
+    a known constant per query.  Options as in {!query_knn} (a budget
+    raises [Invalid_argument]; [max_candidates] is this query's cap). *)
+
+val candidates_into : 'a t -> 'a -> scratch:Scratch.t -> unit
+(** [candidates_into t q ~scratch] marks the query's alive candidates —
+    the union of its colliding buckets — into [scratch], in
+    bucket-iteration order, readable from the scratch's candidate
+    buffer; ids already marked are skipped, so successive calls (over
+    indexes sharing a store) dedup across indexes.  Hashes [q] through
+    the scratch's pivot row at no budget; the scratch capacity must
+    cover the store ([Scratch.ensure]).  For tests and diagnostics: the
+    query entry points mark and reset their scratch themselves. *)
 
 (** {1 Dynamic updates} *)
 
@@ -206,43 +211,6 @@ val index_cached : 'a t -> 'a Hash_family.cache -> int -> unit
 val delete : 'a t -> int -> unit
 (** Tombstone an id in the store: it stops being returned by {e any}
     index over that store.  O(1); table entries are skipped lazily. *)
-
-(** {1 Plumbing shared with the hierarchical index} *)
-
-val candidates_into :
-  ?trace:Dbh_obs.Trace.t ->
-  ?level:int ->
-  ?limit:int ->
-  ?probes:int ->
-  ?radius:int ->
-  ?probe_counter:int ref ->
-  'a t ->
-  'a Hash_family.cache ->
-  scratch:Scratch.t ->
-  unit
-(** Mark this index's fresh alive candidates into [scratch]: ids not yet
-    marked are marked (in bucket-iteration order) and readable from the
-    scratch's candidate buffer; already-marked ids are skipped.  The
-    scratch capacity must cover the store ([Scratch.ensure]).  Exposed so
-    multi-index schemes can share the candidate dedup across indexes —
-    record [Scratch.count] before the call to delimit the fresh range.
-    [trace] records one [Bucket_probe] per table, tagged with [level]
-    (default 0).  [limit] (default unbounded) drops ids at or past it —
-    the visibility bound concurrent readers pin before probing, so ids a
-    racing writer published mid-query never enter the candidate set.
-
-    [probes] (default [1]) and [radius] (default [0]) enable the
-    multi-probe path when [probes > 1] and [radius > 0]: after the base
-    buckets, each table probes up to [probes - 1] extra keys within
-    [radius] bit flips of its base key, cheapest flips first (the bits
-    whose projections landed nearest their thresholds); when the probe
-    budget covers the whole Hamming ball the ball is served by sorted
-    range scans over the table directory instead.  At the defaults the
-    marked set is bit-identical to the historical single-probe walk.
-    [probe_counter] accumulates probed buckets: the base [l] claimed
-    upfront (before any hash evaluation, so a budget that dies mid-hash
-    still counts them — the historical accounting), plus one per extra
-    probed key (the full ball when range scans serve it). *)
 
 (** {1 Persistence}
 
@@ -274,20 +242,42 @@ val load : decode:(string -> 'a) -> space:'a Dbh_space.Space.t -> path:string ->
 
 (**/**)
 
-(* Query plumbing shared with Hierarchical, Online and the robust layer:
-   the core query taking a caller-managed Budget.t plus explicit
-   observability hooks (what the layered search functions are built
-   from), and the one-stop metrics recording for a completed query. *)
-val query_with :
-  ?budget:Budget.t ->
-  ?metrics:Dbh_obs.Metrics.t ->
-  ?trace:Dbh_obs.Trace.t ->
-  ?scratch:Scratch.t ->
-  ?probes:int ->
-  ?radius:int ->
-  'a t ->
+(* The query engine's pieces shared with the cascade (Hierarchical) and
+   the other query surfaces: the setup/teardown every query runs inside,
+   one cascade level, the one batch loop, and the one-stop metrics
+   recording for a completed query (the robust layer's linear-scan
+   fallback reports through it too). *)
+type 'a query
+
+val run :
+  describe:('s -> string) ->
+  's ->
+  opts:Query_opts.t ->
+  family:'a Hash_family.t ->
+  store:'a Store.t ->
+  limit:int ->
   'a ->
+  ('a query -> unit) ->
   'a result
+(* [run ~describe subject ~opts ~family ~store ~limit q body]: set up
+   the query (budget, scratch, pivot cache), run [body], and tear down
+   (scratch reset, [Query_done], metrics).  [limit] bounds candidate
+   admission to ids below it — the visibility bound a concurrent reader
+   pins before probing; sequential callers pass [max_int]. *)
+
+val cascade_level : 'a query -> 'a t -> level:int -> threshold:float -> bool
+(* Mark one level's candidates (deduped against earlier levels), score
+   them newest-first, and report whether the best so far is within
+   [threshold]. *)
+
+val batch :
+  opts:Query_opts.t ->
+  space:'a Dbh_space.Space.t ->
+  (Query_opts.t -> 'a -> 'b) ->
+  'a array ->
+  'b array
+(* [batch ~opts ~space search qs]: [search opts' q] per query, in order,
+   sequentially through one scratch or fanned over [opts.pool]. *)
 
 val observe_query :
   ?metrics:Dbh_obs.Metrics.t ->

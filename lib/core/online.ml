@@ -37,7 +37,7 @@ module Deadmap = struct
   let iter f t = Bytes.iteri (fun h c -> if c = '\001' then f h) t.map
 end
 
-type 'a result = {
+type 'a result = 'a Index.result = {
   nn : (int * float) option;
   stats : Index.stats;
   truncated : bool;
@@ -242,70 +242,33 @@ let delete t handle =
     maybe_rebuild t
   end
 
-let translate s (r : 'a Index.result) =
-  let nn =
-    Option.map
-      (fun (internal, d) -> (Vec.get s.external_of_internal internal, d))
-      r.Index.nn
-  in
-  {
-    nn;
-    stats = r.Index.stats;
-    truncated = r.Index.truncated;
-    levels_probed = r.Index.levels_probed;
-  }
+(* Answers carry internal ids; callers see handles. *)
+let translate s (r : 'a result) =
+  match r.nn with
+  | None -> r
+  | Some (internal, d) -> { r with nn = Some (Vec.get s.external_of_internal internal, d) }
 
-let query_probed ?budget ?metrics ?trace ?scratch ~probes ~radius t q =
-  (* One pointer load pins the whole generation — the cascade queried
-     and the handle map translated against can never mix generations,
-     whatever the writer does concurrently.  The acquire load of the
-     visibility bound then makes every admitted id's state readable. *)
-  let s = current t in
-  let limit = Atomic.get s.visible in
-  translate s
-    (Hierarchical.query_probed ?budget ?metrics ?trace ?scratch ~limit ~probes ~radius
-       s.index q)
-
-let query_with ?budget ?metrics ?trace ?scratch ?(probes = 1) ?(radius = 0) t q =
-  query_probed ?budget ?metrics ?trace ?scratch ~probes ~radius t q
-
+(* One pointer load pins the whole generation — the cascade queried and
+   the handle map translated against can never mix generations, whatever
+   the writer does concurrently.  The acquire load of the visibility
+   bound then makes every admitted id's state readable. *)
 let search ?(opts = Query_opts.default) t q =
-  let budget = Option.map Budget.create opts.Query_opts.budget in
-  query_probed ?budget ?metrics:opts.Query_opts.metrics ?trace:opts.Query_opts.trace
-    ?scratch:opts.Query_opts.scratch ~probes:opts.Query_opts.probes_per_table
-    ~radius:opts.Query_opts.hamming_radius t q
+  let s = current t in
+  translate s (Hierarchical.cascade ~limit:(Atomic.get s.visible) opts s.index q)
 
+(* The generation is pinned once for the whole batch, which runs on the
+   index's own pool unless [opts] names one. *)
 let search_batch ?(opts = Query_opts.default) t qs =
-  let pool = match opts.Query_opts.pool with Some _ as p -> p | None -> t.pool in
-  let metrics = Dbh_obs.Metrics.resolve opts.Query_opts.metrics in
-  let probes = opts.Query_opts.probes_per_table in
-  let radius = opts.Query_opts.hamming_radius in
-  (* The generation is pinned once for the whole batch; handle
-     translation then reads the same state the queries ran against. *)
+  let opts =
+    match opts.Query_opts.pool with
+    | Some _ -> opts
+    | None -> { opts with Query_opts.pool = t.pool }
+  in
   let s = current t in
   let limit = Atomic.get s.visible in
-  let results =
-    match pool with
-    | None ->
-        let scratch =
-          match opts.Query_opts.scratch with Some s -> s | None -> Scratch.create ()
-        in
-        Array.map
-          (fun q ->
-            let budget = Option.map Budget.create opts.Query_opts.budget in
-            Hierarchical.query_probed ?budget ?metrics ~scratch ~limit ~probes ~radius
-              s.index q)
-          qs
-    | Some pool ->
-        Dbh_util.Pool.parallel_map_array
-          ?cost:(Dbh_space.Space.cost_estimator t.space qs)
-          pool
-          (fun q ->
-            let budget = Option.map Budget.create opts.Query_opts.budget in
-            Hierarchical.query_probed ?budget ?metrics ~limit ~probes ~radius s.index q)
-          qs
-  in
-  Array.map (translate s) results
+  Index.batch ~opts ~space:t.space
+    (fun opts q -> translate s (Hierarchical.cascade ~limit opts s.index q))
+    qs
 
 (* ------------------------------------------------------------ durability *)
 

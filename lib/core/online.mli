@@ -13,7 +13,7 @@
 
 type 'a t
 
-type 'a result = {
+type 'a result = 'a Index.result = {
   nn : (int * float) option;
       (** stable handle and exact distance of the best neighbor *)
   stats : Index.stats;
@@ -22,6 +22,8 @@ type 'a result = {
       (** cascade levels probed (0 when a degraded path bypassed the
           index entirely, e.g. a circuit breaker's linear scan) *)
 }
+(** {!Index.result}, with [nn] naming a stable handle rather than an
+    internal id. *)
 
 val create :
   ?pool:Dbh_util.Pool.t ->
@@ -307,33 +309,3 @@ module Durable : sig
 
   (**/**)
 end
-
-(**/**)
-
-(* Query core taking a caller-managed Budget.t plus explicit
-   observability hooks — what the robust layer (circuit breaker) builds
-   on without paying Query_opts construction per query. *)
-val query_with :
-  ?budget:Budget.t ->
-  ?metrics:Dbh_obs.Metrics.t ->
-  ?trace:Dbh_obs.Trace.t ->
-  ?scratch:Scratch.t ->
-  ?probes:int ->
-  ?radius:int ->
-  'a t ->
-  'a ->
-  'a result
-
-(* Same core with the probe knobs as required labels — hot callers
-   holding plain ints (the robust layer's breaker) avoid boxing a
-   [Some] per knob per query. *)
-val query_probed :
-  ?budget:Budget.t ->
-  ?metrics:Dbh_obs.Metrics.t ->
-  ?trace:Dbh_obs.Trace.t ->
-  ?scratch:Scratch.t ->
-  probes:int ->
-  radius:int ->
-  'a t ->
-  'a ->
-  'a result

@@ -2,21 +2,28 @@
 
     One record carries everything a query may be threaded with — a
     per-query distance budget, a domain pool for batches, the
-    observability hooks and a reusable scratch — instead of each entry
-    point growing its own spelling of the same optional arguments.
-    [Index.search], [Hierarchical.search], [Online.search] (and their
-    [_batch] variants, plus [Dbh_robust.Breaker.search]) all take
-    [?opts].
+    observability hooks, a reusable scratch and the multi-probe knobs —
+    instead of each entry point growing its own spelling of the same
+    optional arguments.  [search ?opts] is the one query entry of
+    [Index], [Hierarchical], [Online] (and [Online.Durable]) and
+    [Dbh_robust.Breaker]; their [search_batch] variants and
+    [Index.query_knn]/[query_range]/[query_budgeted] take the same
+    record.
 
     Fields an entry point cannot use are ignored: single-query [search]
     ignores [pool]; batch entry points ignore [trace] (a trace is
-    single-domain by design — attach it to one query at a time). *)
+    single-domain by design — attach it to one query at a time).  The
+    one exception is [budget]: the k-NN, range and collision-ranked
+    queries have no best-so-far answer to truncate to, so they raise
+    [Invalid_argument] when it is set rather than drop it silently. *)
 
 type t = {
   budget : int option;
       (** Cap on distance computations {e per query} — each query gets a
           fresh [Budget.t] of this many computations, in batches too.
-          Results whose budget ran out carry [truncated = true]. *)
+          Results whose budget ran out carry [truncated = true].
+          Rejected ([Invalid_argument]) by [Index.query_knn],
+          [Index.query_range] and [Index.query_budgeted]. *)
   pool : Dbh_util.Pool.t option;
       (** Fan a [_batch] call's queries across these domains.  Answers
           and logical stats are identical to the sequential run. *)

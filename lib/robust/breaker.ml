@@ -154,10 +154,12 @@ let create ?(config = default_config) ?guard online =
    a Skip guard anomalous pairs simply rank last.  The scan still counts
    as a served query in the metrics (levels_probed 0 marks that the
    index was bypassed), so cost accounting covers degraded traffic. *)
-let serve_linear ?budget ?metrics ?trace t q =
+let serve_linear ~opts t q =
   t.fallbacks <- t.fallbacks + 1;
   record_counter (fun m -> m.Dbh_obs.Metrics.breaker_fallback_queries_total);
-  let metrics = Dbh_obs.Metrics.resolve metrics in
+  let budget = Option.map Budget.create opts.Dbh.Query_opts.budget in
+  let trace = opts.Dbh.Query_opts.trace in
+  let metrics = Dbh_obs.Metrics.resolve opts.Dbh.Query_opts.metrics in
   let t0 = match metrics with Some _ -> Dbh_obs.Metrics.now () | None -> 0. in
   let space = Online.space t.online in
   let best = ref None in
@@ -192,59 +194,48 @@ let serve_linear ?budget ?metrics ?trace t q =
 
 let breached t snapshot = rate_since t snapshot > t.config.anomaly_threshold
 
-let rec query_probed ?budget ?metrics ?trace ?scratch ~probes ~radius t q =
+let rec search ?(opts = Dbh.Query_opts.default) t q =
   match t.state with
   | Closed ->
-      let result =
-        Online.query_probed ?budget ?metrics ?trace ?scratch ~probes ~radius t.online q
-      in
+      let result = Online.search ~opts t.online q in
       t.window_queries <- t.window_queries + 1;
       if t.window_queries >= t.config.window then
         if breached t (t.window_calls0, t.window_anoms0) || structurally_unhealthy t then
-          trip ?trace t
+          trip ?trace:opts.Dbh.Query_opts.trace t
         else begin_window t;
       { result; served_by = `Index; state_after = t.state }
   | Open ->
       if t.cooldown_left > 0 then begin
         t.cooldown_left <- t.cooldown_left - 1;
-        serve_linear ?budget ?metrics ?trace t q
+        serve_linear ~opts t q
       end
       else begin
         (* Cooldown over: refresh the index (its tables may be polluted
            by the anomalies that tripped us) and probe it. *)
         Online.rebuild_now t.online;
         t.state <- Half_open;
-        record_state ?trace t;
+        record_state ?trace:opts.Dbh.Query_opts.trace t;
         t.probes_left <- t.config.half_open_probes;
         let calls, anoms = guard_snapshot t in
         t.probe_calls0 <- calls;
         t.probe_anoms0 <- anoms;
-        query_probed ?budget ?metrics ?trace ?scratch ~probes ~radius t q
+        search ~opts t q
       end
   | Half_open ->
-      let result =
-        Online.query_probed ?budget ?metrics ?trace ?scratch ~probes ~radius t.online q
-      in
+      let result = Online.search ~opts t.online q in
       t.probes_left <- t.probes_left - 1;
       if t.probes_left <= 0 then
         if breached t (t.probe_calls0, t.probe_anoms0) || structurally_unhealthy t then
-          trip ?trace t
+          trip ?trace:opts.Dbh.Query_opts.trace t
         else begin
           t.state <- Closed;
           t.recoveries <- t.recoveries + 1;
           t.consecutive_trips <- 0;
           record_counter (fun m -> m.Dbh_obs.Metrics.breaker_recoveries_total);
-          record_state ?trace t;
+          record_state ?trace:opts.Dbh.Query_opts.trace t;
           begin_window t
         end;
       { result; served_by = `Index; state_after = t.state }
-
-let search ?(opts = Dbh.Query_opts.default) t q =
-  let budget = Option.map Budget.create opts.Dbh.Query_opts.budget in
-  query_probed ?budget ?metrics:opts.Dbh.Query_opts.metrics
-    ?trace:opts.Dbh.Query_opts.trace ?scratch:opts.Dbh.Query_opts.scratch
-    ~probes:opts.Dbh.Query_opts.probes_per_table
-    ~radius:opts.Dbh.Query_opts.hamming_radius t q
 
 let search_batch ?opts t qs =
   (* Sequential on purpose: every query may advance the breaker's state

@@ -518,10 +518,9 @@ let test_index_query_is_min_of_candidates () =
   let index = Index.build ~rng ~family ~db ~k:4 ~l:6 () in
   for t = 0 to 20 do
     let q = Dbh_datasets.Vectors.perturb ~rng ~sigma:0.1 db.(t * 7) in
-    let cache = Hash_family.cache family q in
     let scratch = Scratch.create () in
     Scratch.ensure scratch 300;
-    Index.candidates_into index cache ~scratch;
+    Index.candidates_into index q ~scratch;
     let cands = Scratch.to_list scratch in
     let r = Index.search index q in
     match (r.Index.nn, cands) with
@@ -557,15 +556,14 @@ let test_index_candidates_into_dedupes () =
   let family = Hash_family.make ~rng ~space:l2 ~num_pivots:15 ~threshold_sample:100 db in
   let index = Index.build ~rng ~family ~db ~k:3 ~l:10 () in
   let q = db.(5) in
-  let cache = Hash_family.cache family q in
   let scratch = Scratch.create () in
   Scratch.ensure scratch 200;
-  Index.candidates_into index cache ~scratch;
+  Index.candidates_into index q ~scratch;
   let first = Scratch.to_list scratch in
   let sorted = List.sort_uniq compare first in
   Alcotest.(check int) "no duplicates" (List.length sorted) (List.length first);
   (* Second pass with the same seen mask yields nothing new. *)
-  Index.candidates_into index cache ~scratch;
+  Index.candidates_into index q ~scratch;
   Alcotest.(check int) "already seen" (List.length first) (Scratch.count scratch)
 
 let test_index_knn () =

@@ -7,6 +7,7 @@ module Minkowski = Dbh_metrics.Minkowski
 module Hash_family = Dbh.Hash_family
 module Store = Dbh.Store
 module Index = Dbh.Index
+module Query_opts = Dbh.Query_opts
 module Hierarchical = Dbh.Hierarchical
 module Builder = Dbh.Builder
 
@@ -211,7 +212,7 @@ let test_multiprobe_zero_equals_query () =
   for _ = 1 to 20 do
     let q = Dbh_datasets.Vectors.perturb ~rng ~sigma:0.1 db.(Rng.int rng 300) in
     let base = Index.search index q in
-    let mp = Index.query_multiprobe index ~probes:0 q in
+    let mp = Index.search ~opts:(Query_opts.multiprobe 1) index q in
     Alcotest.(check bool) "same answer" true (base.Index.nn = mp.Index.nn);
     Alcotest.(check int) "same lookup" base.Index.stats.Index.lookup_cost
       mp.Index.stats.Index.lookup_cost
@@ -222,7 +223,7 @@ let test_multiprobe_superset_candidates () =
   for _ = 1 to 20 do
     let q = Dbh_datasets.Vectors.perturb ~rng ~sigma:0.15 db.(Rng.int rng 300) in
     let base = Index.search index q in
-    let mp = Index.query_multiprobe index ~probes:4 q in
+    let mp = Index.search ~opts:(Query_opts.multiprobe 5) index q in
     (* More probes can only add candidates, so the answer can't worsen. *)
     Alcotest.(check bool) "lookup grows" true
       (mp.Index.stats.Index.lookup_cost >= base.Index.stats.Index.lookup_cost);
@@ -245,7 +246,8 @@ let test_multiprobe_improves_recall_vs_small_l () =
     Dbh_eval.Ground_truth.accuracy truth (Array.map (fun q -> (f q).Index.nn) queries)
   in
   let base = accuracy (fun q -> Index.search index q) in
-  let probed = accuracy (fun q -> Index.query_multiprobe index ~probes:8 q) in
+  let opts = Query_opts.multiprobe 9 in
+  let probed = accuracy (fun q -> Index.search ~opts index q) in
   Alcotest.(check bool)
     (Printf.sprintf "probed %.3f > base %.3f" probed base)
     true
@@ -253,7 +255,7 @@ let test_multiprobe_improves_recall_vs_small_l () =
 
 let test_multiprobe_probe_count () =
   let index, db, _ = make_index ~l:5 () in
-  let r = Index.query_multiprobe index ~probes:3 db.(0) in
+  let r = Index.search ~opts:(Query_opts.multiprobe 4) index db.(0) in
   Alcotest.(check int) "l*(1+probes) buckets" (5 * 4) r.Index.stats.Index.probes
 
 (* ---------------------------------------------------------------- budgeted *)

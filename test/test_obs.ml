@@ -9,8 +9,7 @@
    - trace event ordering for a cascaded query,
    - logical counters identical between a sequential run and a 4-domain
      pool run of the same workload,
-   - Query_opts carrying budgets/metrics/traces, and the deprecated
-     pre-Query_opts wrappers staying source-compatible. *)
+   - Query_opts carrying budgets/metrics/traces into every query shape. *)
 
 module Rng = Dbh_util.Rng
 module Pool = Dbh_util.Pool
@@ -199,14 +198,67 @@ let test_budget_via_opts () =
   Alcotest.(check bool) "tight budget truncates" true tight.Index.truncated;
   Alcotest.(check int) "truncation counted" 1
     (Registry.counter_value m.Metrics.queries_truncated_total);
-  (* Query_opts.budgeted behaves exactly like the low-level budget. *)
-  let direct = Index.query_with ~budget:(Dbh.Budget.create 5) index q in
-  Alcotest.(check bool) "same nn" true (tight.Index.nn = direct.Index.nn);
-  Alcotest.(check bool) "same stats" true (tight.Index.stats = direct.Index.stats);
+  Alcotest.(check int) "truncation spent the whole budget" 5
+    (Index.total_cost tight.Index.stats);
   let loose = Index.search ~opts:(Query_opts.budgeted 100_000) index q in
   Alcotest.(check bool) "loose budget completes" false loose.Index.truncated
 
+(* k-NN, range and collision-ranked queries have no best-so-far answer
+   to truncate to, so they refuse a budget instead of ignoring it. *)
+let test_budget_rejected_without_truncation () =
+  let index, db, _ = make_index ~seed:74 () in
+  let q = db.(3) in
+  let opts = Query_opts.budgeted 3 in
+  let rejects name f =
+    Alcotest.check_raises name
+      (Invalid_argument (name ^ ": opts.budget is not supported (use search)"))
+      (fun () -> ignore (f ()))
+  in
+  rejects "Index.query_knn" (fun () -> Index.query_knn ~opts index 5 q);
+  rejects "Index.query_range" (fun () -> Index.query_range ~opts index 1. q);
+  rejects "Index.query_budgeted" (fun () ->
+      Index.query_budgeted ~opts index ~max_candidates:4 q)
+
 (* ------------------------------------------------------------- tracing *)
+
+let test_trace_knn_timeline () =
+  let index, db, _ = make_index ~seed:76 () in
+  let rng = Rng.create 77 in
+  let q = Dbh_datasets.Vectors.perturb ~rng ~sigma:0.05 db.(9) in
+  let trace = Trace.create () in
+  let hits, stats = Index.query_knn ~opts:(Query_opts.make ~trace ()) index 5 q in
+  let events = Array.map snd (Trace.events trace) in
+  Alcotest.(check int) "nothing dropped" 0 (Trace.dropped trace);
+  Alcotest.(check bool) "found neighbours" true (Array.length hits > 0);
+  (match events.(0) with
+  | Trace.Query_start _ -> ()
+  | _ -> Alcotest.fail "first event must be Query_start");
+  let count p = Array.fold_left (fun n e -> if p e then n + 1 else n) 0 events in
+  Alcotest.(check int) "one Candidate per lookup" stats.Index.lookup_cost
+    (count (function Trace.Candidate _ -> true | _ -> false));
+  Alcotest.(check int) "one Bucket_probe per probe" stats.Index.probes
+    (count (function Trace.Bucket_probe _ -> true | _ -> false));
+  Alcotest.(check int) "one Pivot_miss per hash distance" stats.Index.hash_cost
+    (count (function Trace.Pivot_miss _ -> true | _ -> false));
+  (match events.(Array.length events - 1) with
+  | Trace.Query_done { hash_cost; lookup_cost; probes; levels_probed; truncated } ->
+      Alcotest.(check int) "done hash_cost" stats.Index.hash_cost hash_cost;
+      Alcotest.(check int) "done lookup_cost" stats.Index.lookup_cost lookup_cost;
+      Alcotest.(check int) "done probes" stats.Index.probes probes;
+      Alcotest.(check int) "done levels" 1 levels_probed;
+      Alcotest.(check bool) "done truncated" false truncated
+  | _ -> Alcotest.fail "last event must be Query_done");
+  (* Every returned neighbour was scored, at the distance it carries. *)
+  Array.iter
+    (fun (id, d) ->
+      Alcotest.(check bool) "neighbour has its Candidate event" true
+        (Array.exists
+           (function
+             | Trace.Candidate { id = c; distance; _ } -> c = id && distance = d
+             | _ -> false)
+           events))
+    hits
+
 
 let test_trace_cascade_ordering () =
   let h, db, rng = make_hier () in
@@ -334,22 +386,12 @@ let test_parallel_logical_counters_identical () =
 
 (* ------------------------------------------------ Query_opts equivalences *)
 
-(* The Query_opts spellings that replaced the old wrapper surface must
-   agree with the explicit query_with plumbing they are built from. *)
+(* The batch spelling must agree with the per-query one it stands for. *)
 let test_query_opts_equivalences () =
   let index, db, _ = make_index ~seed:75 () in
-  let q = db.(42) in
-  let old_b = Index.query_with ~budget:(Dbh.Budget.create 9) index q in
-  let new_b = Index.search ~opts:(Query_opts.budgeted 9) index q in
-  Alcotest.(check bool) "budgeted agree" true (old_b = new_b);
   let qs = Array.sub db 0 10 in
   Alcotest.(check bool) "batch agrees with per-query" true
-    (Index.search_batch index qs = Array.map (Index.search index) qs);
-  let h, hdb, _ = make_hier ~seed:82 () in
-  let hq = hdb.(3) in
-  let r = Hierarchical.query_with h hq in
-  let s = Hierarchical.search h hq in
-  Alcotest.(check bool) "query_with = search" true (r = s)
+    (Index.search_batch index qs = Array.map (Index.search index) qs)
 
 let () =
   Alcotest.run "dbh_obs"
@@ -368,10 +410,13 @@ let () =
           Alcotest.test_case "ambient install + override" `Quick
             test_ambient_install_and_explicit_override;
           Alcotest.test_case "budget via opts" `Quick test_budget_via_opts;
+          Alcotest.test_case "budget rejected without truncation" `Quick
+            test_budget_rejected_without_truncation;
         ] );
       ( "trace",
         [
           Alcotest.test_case "cascade event ordering" `Quick test_trace_cascade_ordering;
+          Alcotest.test_case "k-NN timeline" `Quick test_trace_knn_timeline;
           Alcotest.test_case "capacity bounded" `Quick test_trace_capacity_bounded;
         ] );
       ( "multicore",

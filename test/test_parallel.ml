@@ -183,7 +183,10 @@ let test_query_batch_matches_per_query () =
       Alcotest.(check bool)
         "parallel batch equal" true
         (Index.search_batch ~opts:(Dbh.Query_opts.make ~pool ()) index queries = per_query);
-      let budgeted = Array.map (fun q -> Index.query_with ~budget:(Dbh.Budget.create 60) index q) queries in
+      let budgeted =
+        let opts = Dbh.Query_opts.budgeted 60 in
+        Array.map (fun q -> Index.search ~opts index q) queries
+      in
       Alcotest.(check bool)
         "parallel budgeted batch equal" true
         (Index.search_batch ~opts:(Dbh.Query_opts.make ~pool ~budget:60 ()) index queries = budgeted))
@@ -232,6 +235,105 @@ let test_online_parallel_generation_matches () =
          sequential per-query run. *)
       let par_answers = Array.map (fun (r : _ Online.result) -> r.Online.nn) (Online.search_batch par queries) in
       Alcotest.(check bool) "online answers equal" true (seq_answers = par_answers))
+
+(* Every query surface answers a batch exactly as it answers the same
+   queries one by one — sequentially and fanned over the pool, under
+   every budget, single-probe and multi-probe — and never spends more
+   than the budget. *)
+type surface = {
+  name : string;
+  search : Dbh.Query_opts.t -> float array -> float array Index.result;
+  batch : Dbh.Query_opts.t -> float array array -> float array Index.result array;
+}
+
+let decode s = Dbh_util.Binio.read_float_array (Dbh_util.Binio.reader s)
+
+let rec remove_tree path =
+  if Sys.is_directory path then begin
+    Array.iter (fun f -> remove_tree (Filename.concat path f)) (Sys.readdir path);
+    Unix.rmdir path
+  end
+  else Sys.remove path
+
+let test_every_surface_batch_matches_per_query () =
+  let module Breaker = Dbh_robust.Breaker in
+  let module Durable = Online.Durable in
+  let module Query_opts = Dbh.Query_opts in
+  let db = test_db 29 300 in
+  let rng = Rng.create 30 in
+  let queries =
+    Array.init 24 (fun i -> Dbh_datasets.Vectors.perturb ~rng ~sigma:0.05 db.(i * 12))
+  in
+  let config =
+    { Builder.default_config with num_pivots = 20; num_sample_queries = 30; db_sample = 60; levels = 3 }
+  in
+  let online () = Online.create ~rng:(Rng.create 32) ~space:l2 ~config ~target_accuracy:0.9 db in
+  let family = Hash_family.make ~rng ~space:l2 ~num_pivots:20 ~threshold_sample:100 db in
+  let index = Index.build ~rng ~family ~db ~k:6 ~l:8 () in
+  let h = Builder.auto ~rng:(Rng.create 31) ~space:l2 ~config ~target_accuracy:0.9 db in
+  let o = online () in
+  let dir =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "dbh-parallel-%d" (Unix.getpid ()))
+  in
+  let d, _ =
+    Durable.open_or_create ~fsync:false ~rng:(Rng.create 33) ~space:l2 ~config
+      ~target_accuracy:0.9 ~encode ~decode ~dir ~data:db ()
+  in
+  let breaker = Breaker.create (online ()) in
+  let served (out : _ Breaker.outcome) =
+    if out.Breaker.served_by <> `Index then Alcotest.fail "closed breaker bypassed the index";
+    out.Breaker.result
+  in
+  let surfaces =
+    [
+      { name = "index"; search = (fun opts q -> Index.search ~opts index q);
+        batch = (fun opts qs -> Index.search_batch ~opts index qs) };
+      { name = "hierarchical"; search = (fun opts q -> Hierarchical.search ~opts h q);
+        batch = (fun opts qs -> Hierarchical.search_batch ~opts h qs) };
+      { name = "online"; search = (fun opts q -> Online.search ~opts o q);
+        batch = (fun opts qs -> Online.search_batch ~opts o qs) };
+      { name = "durable"; search = (fun opts q -> Durable.search ~opts d q);
+        batch = (fun opts qs -> Durable.search_batch ~opts d qs) };
+      { name = "breaker"; search = (fun opts q -> served (Breaker.search ~opts breaker q));
+        batch = (fun opts qs -> Array.map served (Breaker.search_batch ~opts breaker qs)) };
+    ]
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Durable.close d;
+      remove_tree dir)
+    (fun () ->
+      Pool.with_pool ~domains (fun pool ->
+          List.iter
+            (fun s ->
+              List.iter
+                (fun budget ->
+                  List.iter
+                    (fun (probing, base) ->
+                      let opts = { base with Query_opts.budget } in
+                      let label =
+                        Printf.sprintf "%s, %s, budget %s" s.name probing
+                          (match budget with None -> "none" | Some b -> string_of_int b)
+                      in
+                      let per_query = Array.map (s.search opts) queries in
+                      Alcotest.(check bool) (label ^ ": sequential batch") true
+                        (s.batch opts queries = per_query);
+                      Alcotest.(check bool) (label ^ ": pooled batch") true
+                        (s.batch { opts with Query_opts.pool = Some pool } queries = per_query);
+                      Option.iter
+                        (fun b ->
+                          Array.iter
+                            (fun (r : _ Index.result) ->
+                              let spent = Index.total_cost r.Index.stats in
+                              if spent > b then
+                                Alcotest.failf "%s: a query spent %d" label spent)
+                            per_query)
+                        budget)
+                    [ ("single-probe", Query_opts.default); ("multiprobe 3", Query_opts.multiprobe 3) ])
+                [ None; Some 1; Some 5; Some 40 ])
+            surfaces);
+      Alcotest.(check bool) "breaker stayed closed" true (Breaker.state breaker = Breaker.Closed))
 
 let test_ground_truth_parallel_identical () =
   let db = test_db 27 200 in
@@ -390,6 +492,8 @@ let () =
             test_hierarchical_batch_matches_per_query;
           Alcotest.test_case "online parallel generation" `Quick
             test_online_parallel_generation_matches;
+          Alcotest.test_case "every surface batch equals per-query" `Quick
+            test_every_surface_batch_matches_per_query;
         ] );
       ( "skew",
         QCheck_alcotest.to_alcotest prop_skew_bit_identical

@@ -209,21 +209,22 @@ let test_index_query_budget () =
   for _ = 1 to 100 do
     let q = Dbh_datasets.Vectors.perturb ~rng:qrng ~sigma:0.1 db.(Rng.int qrng 400) in
     let limit = 1 + Rng.int qrng 40 in
-    let b = Budget.create limit in
     Space.reset counter;
-    let r = Dbh.Index.query_with ~budget:b index q in
+    let r = Dbh.Index.search ~opts:(Dbh.Query_opts.budgeted limit) index q in
+    let cost = Dbh.Index.total_cost r.Dbh.Index.stats in
     Alcotest.(check bool)
       (Printf.sprintf "spend %d within limit %d" (Space.count counter) limit)
       true
       (Space.count counter <= limit);
-    Alcotest.(check int) "every charge backed a real evaluation" (Budget.spent b)
-      (Space.count counter);
-    Alcotest.(check bool) "truncated iff a charge was refused" (Budget.exhausted b)
-      r.Dbh.Index.truncated;
+    Alcotest.(check int) "every charge backed a real evaluation" cost (Space.count counter);
+    if r.Dbh.Index.truncated then
+      Alcotest.(check int) "truncated only once the limit is spent" limit cost;
     if not r.Dbh.Index.truncated then begin
       let full = Dbh.Index.search index q in
       Alcotest.(check bool) "untruncated answer equals unbudgeted" true
-        (full.Dbh.Index.nn = r.Dbh.Index.nn)
+        (full.Dbh.Index.nn = r.Dbh.Index.nn);
+      Alcotest.(check bool) "untruncated stats equal unbudgeted" true
+        (full.Dbh.Index.stats = r.Dbh.Index.stats)
     end
   done
 
@@ -237,14 +238,18 @@ let test_hierarchical_query_budget () =
   for _ = 1 to 60 do
     let q = Dbh_datasets.Vectors.perturb ~rng:qrng ~sigma:0.1 db.(Rng.int qrng 400) in
     let limit = 1 + Rng.int qrng 60 in
-    let b = Budget.create limit in
     Space.reset counter;
-    let r = Dbh.Hierarchical.query_with ~budget:b h q in
+    let r = Dbh.Hierarchical.search ~opts:(Dbh.Query_opts.budgeted limit) h q in
+    let cost = Dbh.Index.total_cost r.Dbh.Index.stats in
     Alcotest.(check bool) "spend within limit" true (Space.count counter <= limit);
-    Alcotest.(check bool) "truncated iff refused" (Budget.exhausted b) r.Dbh.Index.truncated;
+    Alcotest.(check int) "every charge backed a real evaluation" cost (Space.count counter);
+    if r.Dbh.Index.truncated then
+      Alcotest.(check int) "truncated only once the limit is spent" limit cost;
     if not r.Dbh.Index.truncated then begin
       let full = Dbh.Hierarchical.search h q in
-      Alcotest.(check bool) "untruncated = unbudgeted" true (full.Dbh.Index.nn = r.Dbh.Index.nn)
+      Alcotest.(check bool) "untruncated = unbudgeted" true (full.Dbh.Index.nn = r.Dbh.Index.nn);
+      Alcotest.(check bool) "untruncated stats = unbudgeted" true
+        (full.Dbh.Index.stats = r.Dbh.Index.stats)
     end
   done
 
@@ -258,16 +263,21 @@ let test_online_query_budget () =
   let tight_truncated = ref 0 in
   for _ = 1 to 30 do
     let q = Dbh_datasets.Vectors.perturb ~rng:qrng ~sigma:0.1 db.(Rng.int qrng 300) in
-    let b = Budget.create 5 in
     Space.reset counter;
-    let r = Online.query_with ~budget:b t q in
+    let r = Online.search ~opts:(Dbh.Query_opts.budgeted 5) t q in
+    let cost = Dbh.Index.total_cost r.Online.stats in
     Alcotest.(check bool) "spend within tight limit" true (Space.count counter <= 5);
-    if r.Online.truncated then incr tight_truncated;
-    let big = Budget.create 1_000_000 in
-    let r' = Online.query_with ~budget:big t q in
+    Alcotest.(check int) "every charge backed a real evaluation" cost (Space.count counter);
+    if r.Online.truncated then begin
+      Alcotest.(check int) "truncated only once the limit is spent" 5 cost;
+      incr tight_truncated
+    end;
+    let r' = Online.search ~opts:(Dbh.Query_opts.budgeted 1_000_000) t q in
     Alcotest.(check bool) "huge budget never truncates" false r'.Online.truncated;
     let full = Online.search t q in
-    Alcotest.(check bool) "huge budget = unbudgeted" true (full.Online.nn = r'.Online.nn)
+    Alcotest.(check bool) "huge budget = unbudgeted" true (full.Online.nn = r'.Online.nn);
+    Alcotest.(check bool) "huge budget stats = unbudgeted" true
+      (full.Online.stats = r'.Online.stats)
   done;
   Alcotest.(check bool) "tight budget truncates sometimes" true (!tight_truncated > 0)
 

@@ -108,13 +108,18 @@ let golden_lines ?opts () =
     | None -> Query_opts.budgeted 40
     | Some o -> { o with Query_opts.budget = Some 40 }
   in
+  let multi2 =
+    match opts with
+    | None -> Query_opts.multiprobe 3
+    | Some o -> { o with Query_opts.probes_per_table = 3; hamming_radius = 2 }
+  in
   let lines = ref [] in
   let emit l = lines := l :: !lines in
   Array.iteri
     (fun qi q ->
       emit (golden_result_line "single" qi (Index.search ?opts index q));
       emit (golden_result_line "single-b40" qi (Index.search ~opts:budgeted index q));
-      emit (golden_result_line "multi2" qi (Index.query_multiprobe index ~probes:2 q));
+      emit (golden_result_line "multi2" qi (Index.search ~opts:multi2 index q));
       emit (golden_result_line "budg10" qi (Index.query_budgeted index ~max_candidates:10 q));
       (let hits, stats = Index.query_knn index 5 q in
        emit (golden_knn_line qi hits stats));
