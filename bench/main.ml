@@ -2245,9 +2245,12 @@ let micro_benchmarks () =
 (* ------------------------------------------------------------------ main *)
 
 (* DBH_BENCH_SECTIONS=kl-landscape,parallel runs only the named sections
-   (comma-separated keys below); unset runs everything. *)
+   (comma-separated keys below); unset runs everything.  [serve] runs
+   first: it forks its load generator, and OCaml 5 refuses [Unix.fork]
+   once any domain has been spawned, which the pooled sections do. *)
 let sections =
   [
+    ("serve", serve_section);
     ("family-stats", table_family_stats);
     ("non-lsh", table_non_lsh);
     ("kl-landscape", table_kl_landscape);
@@ -2268,7 +2271,6 @@ let sections =
     ("obs", obs_section);
     ("storage", storage_section);
     ("replication", replication_section);
-    ("serve", serve_section);
     ("micro", micro_benchmarks);
   ]
 

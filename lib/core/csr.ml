@@ -3,11 +3,19 @@
 
    The frozen part is three flat int arrays: a sorted key directory,
    offsets into the id array (offsets.(i) .. offsets.(i+1) is the
-   bucket of keys.(i)), and the concatenated bucket ids.  Lookup is a
-   binary search — no hashing, no boxing, no cons cells, and the whole
-   structure is three contiguous allocations however many buckets
-   exist.  [of_keys] builds it straight from one key per object; each
-   bucket lists its ids newest (highest position) first.
+   bucket of keys.(i)), and the concatenated bucket ids.  No hashing, no
+   boxing, no cons cells, and the whole structure is a few contiguous
+   allocations however many buckets exist.  [of_keys] builds it straight
+   from one key per object; each bucket lists its ids newest (highest
+   position) first.
+
+   Lookup goes through a derived prefix table: the directory is cut into
+   cells by each key's top bits ([key lsr shift]), about one cell per
+   eight keys, and [prefix.(c)] is the first directory index in cell
+   [c].  A lookup reads one cell and binary-searches only that cell's
+   short run of keys instead of the whole directory.  The table is
+   rebuilt from the keys in one pass by [make_base], the one constructor
+   every frozen base goes through, and is never persisted.
 
    Inserts after the freeze go to [delta], newest first.  A bucket's
    query-iteration order is delta first (newest first), then the frozen
@@ -33,6 +41,10 @@ type base = {
   keys : int array;  (* sorted ascending, distinct *)
   offsets : int array;  (* |keys| + 1, offsets.(0) = 0 *)
   ids : int array;  (* concatenated bucket segments *)
+  shift : int;  (* a key's prefix cell is [key lsr shift] *)
+  prefix : int array;
+      (* cells + 1: prefix.(c) is the first directory index whose cell
+         is >= c, so cell c spans prefix.(c) .. prefix.(c+1) - 1 *)
 }
 
 type t = {
@@ -43,21 +55,56 @@ type t = {
   mutable largest : int;  (* max combined bucket size (incl. dead) *)
 }
 
-(* Index of [key] in the directory, or -1. *)
-let find_key base key =
-  let keys = base.keys in
-  let lo = ref 0 and hi = ref (Array.length keys - 1) and found = ref (-1) in
-  while !found < 0 && !lo <= !hi do
-    let mid = (!lo + !hi) / 2 in
-    let k = Array.unsafe_get keys mid in
-    if k = key then found := mid else if k < key then lo := mid + 1 else hi := mid - 1
-  done;
-  !found
+(* Bits needed to write [x >= 0]: 0 for 0, else floor(log2 x) + 1. *)
+let bit_length x =
+  let rec go x n = if x = 0 then n else go (x lsr 1) (n + 1) in
+  go x 0
 
-let base_segment base key =
+(* The one constructor of a frozen base: derive the prefix table from
+   the sorted directory in one pass.  The cell count is the largest
+   power of two at most |keys| / 8 (one cell below 16 keys), and
+   [shift] keeps the top bits of the largest key that address it, so
+   the last key lands in the last cell and nothing maps past it. *)
+let make_base ~keys ~offsets ~ids =
+  let nk = Array.length keys in
+  let bits = max 0 (bit_length (nk / 8) - 1) in
+  let shift = if nk = 0 then 0 else max 0 (bit_length keys.(nk - 1) - bits) in
+  let cells = if nk = 0 then 0 else (keys.(nk - 1) lsr shift) + 1 in
+  let prefix = Array.make (cells + 1) nk in
+  let c = ref 0 in
+  for i = 0 to nk - 1 do
+    let cell = keys.(i) lsr shift in
+    while !c <= cell do
+      prefix.(!c) <- i;
+      incr c
+    done
+  done;
+  { keys; offsets; ids; shift; prefix }
+
+(* Index of [key] in the directory, or -1: one prefix cell read, then a
+   binary search of that cell's run of keys. *)
+let find_key base key =
+  let prefix = base.prefix in
+  let cell = key lsr base.shift in
+  if key < 0 || cell >= Array.length prefix - 1 then -1
+  else begin
+    let keys = base.keys in
+    let lo = ref (Array.unsafe_get prefix cell)
+    and hi = ref (Array.unsafe_get prefix (cell + 1) - 1)
+    and found = ref (-1) in
+    while !found < 0 && !lo <= !hi do
+      let mid = (!lo + !hi) / 2 in
+      let k = Array.unsafe_get keys mid in
+      if k = key then found := mid else if k < key then lo := mid + 1 else hi := mid - 1
+    done;
+    !found
+  end
+
+(* Entries under [key] in the frozen base (0 when absent). *)
+let frozen_size base key =
   match find_key base key with
-  | -1 -> (0, 0)
-  | i -> (base.offsets.(i), base.offsets.(i + 1))
+  | -1 -> 0
+  | i -> base.offsets.(i + 1) - base.offsets.(i)
 
 let largest_of base =
   let largest = ref 0 in
@@ -139,7 +186,7 @@ let of_keys ~ids ~keys =
     out.(i) <- ids.(p)
   done;
   offsets.(!nk) <- m;
-  of_base { keys = dir; offsets; ids = out }
+  of_base (make_base ~keys:dir ~offsets ~ids:out)
 
 let add t key id =
   let old = try Intmap.find key t.delta with Not_found -> [] in
@@ -147,9 +194,9 @@ let add t key id =
      valid (pre-insert) bucket; the pointer swap is the publication. *)
   t.delta <- Intmap.add key (id :: old) t.delta;
   t.delta_size <- t.delta_size + 1;
-  let lo, hi = base_segment t.base key in
-  let combined = hi - lo + 1 + List.length old in
-  if old = [] && hi = lo then t.extra_keys <- t.extra_keys + 1;
+  let frozen = frozen_size t.base key in
+  let combined = frozen + 1 + List.length old in
+  if old = [] && frozen = 0 then t.extra_keys <- t.extra_keys + 1;
   if combined > t.largest then t.largest <- combined
 
 (* Combined bucket iteration: delta (newest first), then frozen.  Each
@@ -159,25 +206,36 @@ let iter_bucket t key f =
   if not (Intmap.is_empty delta) then
     (match Intmap.find_opt key delta with Some l -> List.iter f l | None -> ());
   let base = t.base in
-  let lo, hi = base_segment base key in
-  let ids = base.ids in
-  for i = lo to hi - 1 do
-    f (Array.unsafe_get ids i)
-  done
+  match find_key base key with
+  | -1 -> ()
+  | i ->
+      let ids = base.ids in
+      for p = Array.unsafe_get base.offsets i to Array.unsafe_get base.offsets (i + 1) - 1 do
+        f (Array.unsafe_get ids p)
+      done
 
-(* First directory index with keys.(i) >= key (= length when none). *)
-let lower_bound keys key =
-  let lo = ref 0 and hi = ref (Array.length keys) in
-  while !lo < !hi do
-    let mid = (!lo + !hi) / 2 in
-    if Array.unsafe_get keys mid < key then lo := mid + 1 else hi := mid
-  done;
-  !lo
+(* First directory index with keys.(i) >= key (= length when none):
+   the cells before [key]'s hold only smaller keys and the cells after
+   only larger ones, so the search stays inside [key]'s cell. *)
+let lower_bound base key =
+  let prefix = base.prefix in
+  let cell = key lsr base.shift in
+  if key < 0 then 0
+  else if cell >= Array.length prefix - 1 then Array.length base.keys
+  else begin
+    let keys = base.keys in
+    let lo = ref (Array.unsafe_get prefix cell) and hi = ref (Array.unsafe_get prefix (cell + 1)) in
+    while !lo < !hi do
+      let mid = (!lo + !hi) / 2 in
+      if Array.unsafe_get keys mid < key then lo := mid + 1 else hi := mid
+    done;
+    !lo
+  end
 
 (* Range scan over the sorted directory: every combined bucket with key
    in [lo, hi], keys ascending, each bucket in query order (delta
-   newest-first, then the frozen segment).  One binary search plus a
-   contiguous directory walk — the point of keeping keys sorted: a
+   newest-first, then the frozen segment).  One lower-bound lookup plus
+   a contiguous directory walk — the point of keeping keys sorted: a
    Hamming ball's consecutive key runs cost one search each, not one
    per key.  Same single-load concurrency discipline as [iter_bucket]. *)
 let iter_range t ~lo ~hi f =
@@ -191,7 +249,7 @@ let iter_range t ~lo ~hi f =
       f key (Array.unsafe_get ids p)
     done
   in
-  let i = ref (lower_bound keys lo) in
+  let i = ref (lower_bound base lo) in
   if Intmap.is_empty delta then
     while !i < nk && Array.unsafe_get keys !i <= hi do
       emit_base !i;
@@ -257,11 +315,10 @@ let iter_within t ~width ~radius key f =
 let bucket_size t key =
   let delta = t.delta in
   let base = t.base in
-  let lo, hi = base_segment base key in
   let d =
     match Intmap.find_opt key delta with Some l -> List.length l | None -> 0
   in
-  hi - lo + d
+  frozen_size base key + d
 
 let bucket_count t = Array.length t.base.keys + t.extra_keys
 let largest_bucket t = t.largest
@@ -350,7 +407,7 @@ let live_view ~is_alive t =
           incr b;
           offsets.(!b) <- !pos
         end);
-    { keys; offsets; ids }
+    make_base ~keys ~offsets ~ids
   end
 
 (* Pure compaction: a fresh table the caller can publish atomically
@@ -365,11 +422,13 @@ let compact ~is_alive t =
   t.extra_keys <- 0;
   t.largest <- c.largest
 
-(* Rough resident size in words: the three arrays plus ~5 words per
+(* Rough resident size in words: the four arrays (prefix cells
+   included) with their headers and the two records, plus ~5 words per
    delta entry (cons cell + amortised map node share). *)
 let approx_words t =
   let base = t.base in
-  Array.length base.keys + Array.length base.offsets + Array.length base.ids + 9
+  Array.length base.keys + Array.length base.offsets + Array.length base.ids
+  + Array.length base.prefix + 16
   + (5 * t.delta_size)
 
 (* ------------------------------------------------------------- binary io *)
@@ -409,4 +468,4 @@ let read r ~validate_key ~max_id ~seen =
       if Bytes.get seen id <> '\000' then raise (Binio.Corrupt "csr: duplicate id in table");
       Bytes.set seen id '\001')
     ids;
-  of_base { keys; offsets; ids }
+  of_base (make_base ~keys ~offsets ~ids)

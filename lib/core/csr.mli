@@ -1,8 +1,12 @@
 (** A hash table frozen into CSR form + a mutable insert delta.
 
     The frozen base is three flat int arrays — sorted key directory,
-    bucket offsets, concatenated bucket ids — giving cache-friendly
-    binary-search lookup with zero per-bucket boxing.  Post-freeze
+    bucket offsets, concatenated bucket ids — with zero per-bucket
+    boxing.  A derived prefix table, about one cell per eight directory
+    keys and addressed by a key's top bits, narrows every lookup to one
+    cell's short run of keys before a binary search; it is rebuilt in
+    one pass whenever a base is frozen, compacted or read, and never
+    written ({!write} stores the three arrays verbatim).  Post-freeze
     inserts accumulate in a small delta (a persistent map from key to
     an id list); {!compact} folds them (and drops dead ids) back into a
     fresh base.
@@ -45,11 +49,11 @@ val iter_bucket : t -> int -> (int -> unit) -> unit
 val iter_range : t -> lo:int -> hi:int -> (int -> int -> unit) -> unit
 (** [iter_range t ~lo ~hi f] calls [f key id] for every entry of every
     combined bucket whose key lies in [\[lo, hi\]], keys ascending, each
-    bucket in query order (delta newest-first, then frozen).  One binary
-    search plus a contiguous walk of the sorted directory (merged with
-    the delta's sorted keys when a delta exists) — the sorted-prefix
-    scan the multi-probe Hamming path is built on.  No-op when the
-    range is empty. *)
+    bucket in query order (delta newest-first, then frozen).  One
+    prefix-cell lookup plus a contiguous walk of the sorted directory
+    (merged with the delta's sorted keys when a delta exists) — the
+    sorted-prefix scan the multi-probe Hamming path is built on.  No-op
+    when the range is empty. *)
 
 val iter_within : t -> width:int -> radius:int -> int -> (int -> int -> unit) -> unit
 (** [iter_within t ~width ~radius key f]: every entry of every bucket
@@ -95,7 +99,8 @@ val compacted : is_alive:(int -> bool) -> t -> t
     an atomic pointer while concurrent readers drain the old table. *)
 
 val approx_words : t -> int
-(** Rough resident heap words (arrays + delta estimate). *)
+(** Rough resident heap words (arrays, prefix cells included, + delta
+    estimate). *)
 
 val write : Buffer.t -> is_alive:(int -> bool) -> t -> unit
 (** Serialize the live view (delta folded, dead dropped). *)

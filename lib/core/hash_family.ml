@@ -672,25 +672,6 @@ let eval t c i =
   let v = project t c i in
   v >= f.t1 && v <= f.t2
 
-(* [eval] of each function of a row, byte [j] of [bits] for
-   [fn_ids.(j)], with every float kept unboxed: the pivot lookups run in
-   the order [eval] makes them, so hits, misses, budget charges and
-   trace events are exactly those of calling it function by function. *)
-let eval_row t c fn_ids bits =
-  if Bytes.length bits < Array.length fn_ids then
-    invalid_arg "Hash_family.eval_row: bit row shorter than the function row";
-  let dists = c.dists and fns = t.fns in
-  for j = 0 to Array.length fn_ids - 1 do
-    let f = fns.(fn_ids.(j)) in
-    touch t c f.p1;
-    touch t c f.p2;
-    let d1 = dists.(f.p1) and d2 = dists.(f.p2) and d12 = f.d12 in
-    (* [Projection.project_with], spelled out: a call across the module
-       boundary would box both distances and the result. *)
-    let v = ((d1 *. d1) +. (d12 *. d12) -. (d2 *. d2)) /. (2. *. d12) in
-    Bytes.unsafe_set bits j (if v >= f.t1 && v <= f.t2 then '\001' else '\000')
-  done
-
 let margin t c i =
   let f = t.fns.(i) in
   let v = project t c i in
@@ -704,6 +685,66 @@ let eval_direct t obj i =
   let d2 = t.space.Space.distance obj t.pivots.(f.p2) in
   let v = Projection.project_with ~d1 ~d2 ~d12:f.d12 in
   v >= f.t1 && v <= f.t2
+
+(* ------------------------------------------------------- family rows *)
+
+(* One object's hash bits over the whole family, memoized: cell [i] is
+   function [i]'s bit ('\000' or '\001') once evaluated and [unknown]
+   until then.  [drawn] logs the function rows evaluated since the last
+   clear, so clearing rewrites only cells those rows cover — what was
+   evaluated, not the family size — the discipline of the query
+   scratch's seen mask, at one log entry per row rather than per cell. *)
+type row = {
+  cells : Bytes.t;
+  mutable drawn : int array array;
+  mutable len : int;
+}
+
+let unknown = '\002'
+let row n = { cells = Bytes.make n unknown; drawn = [||]; len = 0 }
+let row_length row = Bytes.length row.cells
+let row_cells row = row.cells
+
+let clear_row row =
+  for a = 0 to row.len - 1 do
+    let fn_ids = row.drawn.(a) in
+    for j = 0 to Array.length fn_ids - 1 do
+      Bytes.set row.cells (Array.unsafe_get fn_ids j) unknown
+    done;
+    row.drawn.(a) <- [||]
+  done;
+  row.len <- 0
+
+(* [eval] of each function of [fn_ids] whose cell is still unknown, in
+   order, with every float kept unboxed: the pivot lookups run in the
+   order [eval] makes them, so hits, misses, budget charges and trace
+   events are exactly those of calling it once per newly evaluated
+   function.  A known cell costs nothing — no lookup, no event.  The
+   row is logged before any cell is set, so a budget running out
+   midway still leaves every set cell covered by the log. *)
+let eval_fns t c row fn_ids =
+  if row_length row < size t then invalid_arg "Hash_family.eval_fns: row shorter than the family";
+  if row.len = Array.length row.drawn then begin
+    let grown = Array.make (max 4 (2 * row.len)) [||] in
+    Array.blit row.drawn 0 grown 0 row.len;
+    row.drawn <- grown
+  end;
+  row.drawn.(row.len) <- fn_ids;
+  row.len <- row.len + 1;
+  let dists = c.dists and fns = t.fns and cells = row.cells in
+  for j = 0 to Array.length fn_ids - 1 do
+    let i = fn_ids.(j) in
+    if Bytes.get cells i = unknown then begin
+      let f = fns.(i) in
+      touch t c f.p1;
+      touch t c f.p2;
+      let d1 = dists.(f.p1) and d2 = dists.(f.p2) and d12 = f.d12 in
+      (* [Projection.project_with], spelled out: a call across the module
+         boundary would box both distances and the result. *)
+      let v = ((d1 *. d1) +. (d12 *. d12) -. (d2 *. d2)) /. (2. *. d12) in
+      Bytes.unsafe_set cells i (if v >= f.t1 && v <= f.t2 then '\001' else '\000')
+    end
+  done
 
 let sample_fn_indices ~rng t n =
   if n < 0 then invalid_arg "Hash_family.sample_fn_indices: negative count";

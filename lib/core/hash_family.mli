@@ -177,14 +177,6 @@ val eval : 'a t -> 'a cache -> int -> bool
 (** [eval family cache i] applies binary function [i]; costs at most two
     uncached distance computations. *)
 
-val eval_row : 'a t -> 'a cache -> int array -> Bytes.t -> unit
-(** [eval_row family cache fn_ids bits] sets byte [j] of [bits] to
-    ['\001'] or ['\000'] as [eval family cache fn_ids.(j)] would return
-    [true] or [false], allocating nothing.  Pivot distances are looked up
-    in the same order as successive {!eval} calls make them, so cache
-    hits, misses, budget charges and trace events are identical.  Raises
-    [Invalid_argument] when [bits] is shorter than [fn_ids]. *)
-
 val cache_with_distances : 'a t -> 'a -> float array -> 'a cache
 (** A cache whose pivot distances are already known (one float per pivot,
     in pivot order).  Evaluations through it cost no distance
@@ -209,6 +201,43 @@ val margin : 'a t -> 'a cache -> int -> float
     normalized by the function's projection {!binary_fn.spread} — how
     close the object is to flipping this bit.  Small margins identify the
     bits a multi-probe query should perturb first. *)
+
+(** {2 Family rows}
+
+    A row memoizes one object's bits over the whole family — one cell
+    per function: unknown, 0 or 1 — so a function is evaluated at most
+    once per object however many tables and cascade levels draw it. *)
+
+type row
+
+val row : int -> row
+(** [row n]: [n] cells, all unknown.  A row serves a family of at most
+    [n] functions. *)
+
+val row_length : row -> int
+
+val eval_fns : 'a t -> 'a cache -> row -> int array -> unit
+(** [eval_fns family cache row fn_ids] makes the cell of every function
+    of [fn_ids] known, in order, evaluating only the cells still
+    unknown: pivot distances are looked up in the same order as
+    successive {!eval} calls over the first occurrence of each unknown
+    function make them, so cache hits, misses, budget charges and trace
+    events are identical to those; a known cell costs no lookup, no
+    event and no budget.  Allocates nothing in steady state.  A budget
+    that runs out leaves the function being evaluated unknown.  Raises
+    [Invalid_argument] when the row is shorter than the family or an id
+    is not a function of it. *)
+
+val row_cells : row -> Bytes.t
+(** The cells, for reading keys off: a known cell holds ['\000'] or
+    ['\001'], the function's bit (see {!Key.of_row}); an unknown one
+    holds another byte.  Do not write. *)
+
+val clear_row : row -> unit
+(** Make every cell unknown again, rewriting only the cells of the
+    function rows evaluated since the last clear — O(functions
+    evaluated), not O(family).  A row is reused across objects only
+    through this. *)
 
 (** {1 Sampling and signatures} *)
 

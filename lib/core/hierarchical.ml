@@ -115,11 +115,13 @@ let search_batch ?(opts = Query_opts.default) t qs =
   Index.batch ~opts ~space:(Hash_family.space t.family) (fun opts q -> search ~opts t q) qs
 
 (* Every level hashes with the cascade's one family, so one pivot cache
-   serves them all: an insert pays each pivot distance once. *)
+   and one family row serve them all: an insert pays each pivot distance
+   once and evaluates each hash function once. *)
 let insert t obj =
   let id = Store.add t.store obj in
   let cache = Hash_family.cache t.family obj in
-  Array.iter (fun lev -> Index.index_cached lev.index cache id) t.levels;
+  let row = Hash_family.row (Hash_family.size t.family) in
+  Array.iter (fun lev -> Index.index_cached lev.index cache row id) t.levels;
   id
 
 let delete t id = Store.delete t.store id

@@ -58,7 +58,6 @@ type 'a t = {
   l : int;
   fn_ids : int array array;  (* l rows of k function indices *)
   distinct_fns : int array;  (* deduplicated function indices *)
-  fn_slots : int array array;  (* fn_ids mapped to positions in distinct_fns *)
   tables : Csr.t array;  (* frozen CSR base + insert delta, one per row *)
 }
 
@@ -73,38 +72,30 @@ let distinct_of fn_ids =
   Array.iter (Array.iter (fun id -> Hashtbl.replace seen id ())) fn_ids;
   Array.of_seq (Hashtbl.to_seq_keys seen)
 
-let slots_of fn_ids distinct_fns =
-  let slot = Hashtbl.create (Array.length distinct_fns) in
-  Array.iteri (fun i fn_id -> Hashtbl.replace slot fn_id i) distinct_fns;
-  Array.map (Array.map (Hashtbl.find slot)) fn_ids
+(* The one key path — build, insert and every query: make the cells of
+   every distinct function known in one family row, in [distinct_fns]
+   order (which fixes the pivot-miss order and so hash_cost and budget
+   truncation), skipping cells an earlier index over the same row
+   already evaluated; then read each table row's key straight off the
+   row.  Neither step allocates. *)
+let fill_row t cache row = Hash_family.eval_fns t.family cache row t.distinct_fns
 
-(* The one key path — build, insert and every query: evaluate every
-   distinct function once, in [distinct_fns] order (which fixes the
-   pivot-miss order and so hash_cost and budget truncation), into a byte
-   row indexed by slot; then fold each table row's slots into its key.
-   Neither step allocates. *)
-let eval_bits t cache bits = Hash_family.eval_row t.family cache t.distinct_fns bits
+let key_of t cells row = (Key.of_row cells t.fn_ids.(row) :> int)
 
-let key_of_slots slots bits : Key.t =
-  let key = ref Key.zero in
-  for j = 0 to Array.length slots - 1 do
-    key := Key.push_bit !key (Bytes.unsafe_get bits (Array.unsafe_get slots j) <> '\000')
-  done;
-  !key
-
-(* Per-bit flip margins, filled after [eval_bits]: every projection the
-   margins need was just computed through the same cache, so this costs
-   zero additional distance computations (and charges no budget). *)
+(* Per-function flip margins, filled after [fill_row] at the family
+   functions this index draws: every projection the margins need was
+   just computed through the same cache, so this costs zero additional
+   distance computations (and charges no budget). *)
 let eval_margins t cache margins =
-  Array.iteri
-    (fun i fn_id -> margins.(i) <- Hash_family.margin t.family cache fn_id)
+  Array.iter
+    (fun fn_id -> margins.(fn_id) <- Hash_family.margin t.family cache fn_id)
     t.distinct_fns
 
-let index_cached t cache id =
-  let bits = Bytes.create (Array.length t.distinct_fns) in
-  eval_bits t cache bits;
-  for row = 0 to t.l - 1 do
-    Csr.add t.tables.(row) (key_of_slots t.fn_slots.(row) bits :> int) id
+let index_cached t cache row id =
+  fill_row t cache row;
+  let cells = Hash_family.row_cells row in
+  for r = 0 to t.l - 1 do
+    Csr.add t.tables.(r) (key_of t cells r) id
   done
 
 let build_on ?pool ~rng ~family ~store ?pivot_table ~k ~l () =
@@ -118,29 +109,32 @@ let build_on ?pool ~rng ~family ~store ?pivot_table ~k ~l () =
       invalid_arg "Index.build: pivot_table length mismatch"
   | _ -> ());
   let fn_ids = Array.init l (fun _ -> Hash_family.sample_fn_indices ~rng family k) in
-  let distinct_fns = distinct_of fn_ids in
-  let fn_slots = slots_of fn_ids distinct_fns in
+  let t = { family; store; k; l; fn_ids; distinct_fns = distinct_of fn_ids; tables = [||] } in
   let ids =
     Array.of_seq (Seq.filter (Store.is_alive store) (Seq.init (Store.length store) Fun.id))
   in
   let m = Array.length ids in
   (* keys.(row).(p): table [row]'s key for object ids.(p).  Each object
-     is keyed through a private cache and bit row — pure given the store
-     and pivot table, so objects fan out over the pool and write
-     disjoint cells. *)
+     is keyed through a private cache and a family row its chunk of
+     objects reuses — pure given the store and pivot table, so chunks
+     fan out over the pool and write disjoint cells. *)
   let keys = Array.init l (fun _ -> Array.make m 0) in
-  let key_object p =
-    let id = ids.(p) in
-    let obj = Store.get store id in
-    let cache =
-      match pivot_table with
-      | Some table -> Hash_family.cache_with_distances family obj table.(id)
-      | None -> Hash_family.cache family obj
-    in
-    let bits = Bytes.create (Array.length distinct_fns) in
-    Hash_family.eval_row family cache distinct_fns bits;
-    for row = 0 to l - 1 do
-      keys.(row).(p) <- (key_of_slots fn_slots.(row) bits :> int)
+  let key_objects ~lo ~hi =
+    let row = Hash_family.row (Hash_family.size family) in
+    for p = lo to hi - 1 do
+      let id = ids.(p) in
+      let obj = Store.get store id in
+      let cache =
+        match pivot_table with
+        | Some table -> Hash_family.cache_with_distances family obj table.(id)
+        | None -> Hash_family.cache family obj
+      in
+      fill_row t cache row;
+      let cells = Hash_family.row_cells row in
+      for r = 0 to l - 1 do
+        keys.(r).(p) <- key_of t cells r
+      done;
+      Hash_family.clear_row row
     done
   in
   let table_of row =
@@ -151,9 +145,7 @@ let build_on ?pool ~rng ~family ~store ?pivot_table ~k ~l () =
   let tables =
     match pool with
     | None ->
-        for p = 0 to m - 1 do
-          key_object p
-        done;
+        key_objects ~lo:0 ~hi:m;
         Array.init l table_of
     | Some pool ->
         (* Without a pivot table, keying pays the object's pivot
@@ -165,10 +157,11 @@ let build_on ?pool ~rng ~family ~store ?pivot_table ~k ~l () =
               Some (fun p -> Space.item_cost space (Store.get store ids.(p)))
           | _ -> None
         in
-        Dbh_util.Pool.parallel_for ?cost pool m key_object;
+        Dbh_util.Pool.map_reduce_chunks ?cost pool ~n:m ~map:key_objects
+          ~fold:(fun () () -> ()) ~init:();
         Dbh_util.Pool.parallel_map_array pool table_of (Array.init l Fun.id)
   in
-  { family; store; k; l; fn_ids; distinct_fns; fn_slots; tables }
+  { t with tables }
 
 let build ?pool ~rng ~family ~db ?pivot_table ~k ~l () =
   build_on ?pool ~rng ~family ~store:(Store.of_array db) ?pivot_table ~k ~l ()
@@ -313,10 +306,12 @@ let run ~describe subject ~opts ~family ~store ~limit obj body =
     ?nn_distance:(Option.map snd nn) ~stats ~truncated ~levels_probed:r.levels ();
   { nn; stats; truncated; levels_probed = r.levels }
 
+(* Hash the query for one index into the scratch's family row; the
+   cells are what the walk reads keys off. *)
 let hash r t =
-  let bits = Scratch.bit_row r.scratch (Array.length t.distinct_fns) in
-  eval_bits t r.cache bits;
-  bits
+  let row = Scratch.fn_row r.scratch (Hash_family.size t.family) in
+  fill_row t r.cache row;
+  Hash_family.row_cells row
 
 let admitted r id = id < r.admit && Store.is_alive r.objects id
 
@@ -339,15 +334,15 @@ let record_probe r ~level ~row table key =
    [hash] already cached, so extra probes cost zero additional hash
    distance computations.  Each emitted key counts one probe on the heap
    path; the range path claims the full ball upfront. *)
-let probe_extras r t ~level bits visit =
+let probe_extras r t ~level cells visit =
   let extra = r.probes_per_table - 1 in
-  let margins = Scratch.margin_row r.scratch (Array.length t.distinct_fns) in
+  let margins = Scratch.margin_row r.scratch (Hash_family.size t.family) in
   eval_margins t r.cache margins;
   let radius = r.hamming_radius in
   let ball = Key.ball_size ~width:t.k ~radius in
   let ps = Scratch.probe_seq r.scratch in
   for row = 0 to t.l - 1 do
-    let base = key_of_slots t.fn_slots.(row) bits in
+    let base = Key.of_row cells t.fn_ids.(row) in
     let table = t.tables.(row) in
     if extra >= ball then begin
       r.probes <- r.probes + ball;
@@ -365,8 +360,8 @@ let probe_extras r t ~level bits visit =
               visit id)
     end
     else begin
-      let slots = t.fn_slots.(row) in
-      let penalty j = margins.(Array.unsafe_get slots j) in
+      let fns = t.fn_ids.(row) in
+      let penalty j = margins.(Array.unsafe_get fns j) in
       Probe_seq.generate ps ~base ~width:t.k ~radius ~max_probes:extra ~penalty
         ~emit:(fun pk ->
           r.probes <- r.probes + 1;
@@ -378,15 +373,22 @@ let probe_extras r t ~level bits visit =
 (* The row walk shared by every shape: per table, record the probe and
    visit the base bucket's ids, then the multi-probe extras.  Each base
    row counts one probe as it is reached unless the caller [claimed] the
-   l base probes before hashing (see [mark_level]). *)
-let walk r t ~level ~claimed bits visit =
+   l base probes before hashing (see [mark_level]).  Every key is read
+   off the row before the first lookup: with nothing but lookups and
+   visits between them, consecutive tables' cache misses overlap, which
+   a k-step key fold between them prevents. *)
+let walk r t ~level ~claimed cells visit =
+  let keys = Scratch.key_row r.scratch t.l in
+  for row = 0 to t.l - 1 do
+    keys.(row) <- key_of t cells row
+  done;
   for row = 0 to t.l - 1 do
     if not claimed then r.probes <- r.probes + 1;
-    let key = (key_of_slots t.fn_slots.(row) bits :> int) in
+    let key = keys.(row) in
     record_probe r ~level ~row t.tables.(row) key;
     Csr.iter_bucket t.tables.(row) key visit
   done;
-  if r.probes_per_table > 1 && r.hamming_radius > 0 then probe_extras r t ~level bits visit
+  if r.probes_per_table > 1 && r.hamming_radius > 0 then probe_extras r t ~level cells visit
 
 (* Mark this index's fresh admitted candidates into the scratch, in
    bucket-iteration order; ids an earlier level already marked are
@@ -395,8 +397,8 @@ let walk r t ~level ~claimed bits visit =
    counts them. *)
 let mark_level r t ~level =
   r.probes <- r.probes + t.l;
-  let bits = hash r t in
-  walk r t ~level ~claimed:true bits (fun id ->
+  let cells = hash r t in
+  walk r t ~level ~claimed:true cells (fun id ->
       if admitted r id then ignore (Scratch.mark r.scratch id))
 
 (* The candidate scorer shared by every shape: charge the budget before
@@ -457,8 +459,8 @@ let run_on t ~opts q body =
    once reached. *)
 let search ?(opts = Query_opts.default) t q =
   run_on t ~opts q (fun r ->
-      let bits = hash r t in
-      walk r t ~level:0 ~claimed:false bits (fun id ->
+      let cells = hash r t in
+      walk r t ~level:0 ~claimed:false cells (fun id ->
           if admitted r id && Scratch.mark r.scratch id then ignore (score r id)))
 
 let candidates_into t q ~scratch =
@@ -466,7 +468,10 @@ let candidates_into t q ~scratch =
     invalid_arg "Index.candidates_into: scratch smaller than the store";
   mark_level
     (start ~opts:Query_opts.default ~family:t.family ~store:t.store ~limit:max_int scratch q)
-    t ~level:0
+    t ~level:0;
+  (* The marks are the output; the bits are [q]'s alone, so the next
+     call, possibly for another query, must evaluate afresh. *)
+  Hash_family.clear_row (Scratch.fn_row scratch (Hash_family.size t.family))
 
 (* The one batch loop behind every [search_batch].  Queries only read
    the index, so a batch fans out with no shared mutable state beyond
@@ -547,7 +552,10 @@ let query_budgeted ?(opts = Query_opts.default) t ~max_candidates q =
 
 let index_existing t id =
   if not (Store.is_alive t.store id) then invalid_arg "Index.index_existing: dead or unknown id";
-  index_cached t (Hash_family.cache t.family (Store.get t.store id)) id
+  index_cached t
+    (Hash_family.cache t.family (Store.get t.store id))
+    (Hash_family.row (Hash_family.size t.family))
+    id
 
 let insert t obj =
   let id = Store.add t.store obj in
@@ -663,8 +671,7 @@ let read_body ~family ~store r =
           raise (Binio.Corrupt "key block does not match id list");
         Csr.of_keys ~ids ~keys)
   in
-  let distinct_fns = distinct_of fn_ids in
-  { family; store; k; l; fn_ids; distinct_fns; fn_slots = slots_of fn_ids distinct_fns; tables }
+  { family; store; k; l; fn_ids; distinct_fns = distinct_of fn_ids; tables }
 
 (* v2 body: the live CSR arrays verbatim.  Loading re-validates every
    structural invariant (sorted directory, in-range packed keys, offsets
@@ -684,8 +691,7 @@ let read_body_packed ~family ~store r =
     with Invalid_argument _ -> raise (Binio.Corrupt "packed key out of range")
   in
   let tables = Array.init l (fun _ -> Csr.read r ~validate_key ~max_id:n ~seen) in
-  let distinct_fns = distinct_of fn_ids in
-  { family; store; k; l; fn_ids; distinct_fns; fn_slots = slots_of fn_ids distinct_fns; tables }
+  { family; store; k; l; fn_ids; distinct_fns = distinct_of fn_ids; tables }
 
 let write_store ~encode buf store =
   Binio.write_int buf (Store.length store);

@@ -186,8 +186,9 @@ val candidates_into : 'a t -> 'a -> scratch:Scratch.t -> unit
     bucket-iteration order, readable from the scratch's candidate
     buffer; ids already marked are skipped, so successive calls (over
     indexes sharing a store) dedup across indexes.  Hashes [q] through
-    the scratch's pivot row at no budget; the scratch capacity must
-    cover the store ([Scratch.ensure]).  For tests and diagnostics: the
+    the scratch's pivot and family rows at no budget, and clears the
+    family row again; the scratch capacity must cover the store
+    ([Scratch.ensure]).  For tests and diagnostics: the
     query entry points mark and reset their scratch themselves. *)
 
 (** {1 Dynamic updates} *)
@@ -202,11 +203,13 @@ val index_existing : 'a t -> int -> unit
 (** Index an object already present in the (shared) store.  Idempotence
     is not checked — indexing twice duplicates the bucket entry. *)
 
-val index_cached : 'a t -> 'a Hash_family.cache -> int -> unit
-(** {!index_existing} through the caller's pivot cache over the object:
-    indexes sharing one family (the levels of a cascade) share the
-    cache, so each pivot distance is paid once per object, not once per
-    index.  The id must be alive; this is not checked. *)
+val index_cached : 'a t -> 'a Hash_family.cache -> Hash_family.row -> int -> unit
+(** {!index_existing} through the caller's pivot cache and family row
+    over the object: indexes sharing one family (the levels of a
+    cascade) share both, so each pivot distance is paid and each hash
+    function evaluated once per object, not once per index.  The row
+    must hold no bits but this object's, and the id must be alive;
+    neither is checked. *)
 
 val delete : 'a t -> int -> unit
 (** Tombstone an id in the store: it stops being returned by {e any}

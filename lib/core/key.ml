@@ -14,6 +14,15 @@ let of_bits bits =
   check_width k;
   Array.fold_left push_bit zero bits
 
+(* [push_bit] over [cells.[positions.(j)]], spelled out so the fold stays
+   one loop of loads and shifts: a known cell's byte is its bit. *)
+let of_row cells positions =
+  let key = ref zero in
+  for j = 0 to Array.length positions - 1 do
+    key := (!key lsl 1) lor Char.code (Bytes.get cells (Array.unsafe_get positions j))
+  done;
+  !key
+
 let to_bits ~width key =
   check_width width;
   if key < 0 || (width < max_bits && key lsr width <> 0) then

@@ -34,6 +34,13 @@ val of_bits : bool array -> t
 (** Pack a full code at once.  Raises [Invalid_argument] when the code
     is empty or wider than {!max_bits}. *)
 
+val of_row : Bytes.t -> int array -> t
+(** [of_row cells positions] folds the bits [cells.[positions.(j)]]
+    through {!push_bit}, [j] ascending — a table's key read off a
+    family row ({!Hash_family.row_cells}), where each cell the table
+    draws holds ['\000'] or ['\001'].  Like {!push_bit}, the caller
+    passes at most {!max_bits} positions and only known cells. *)
+
 val to_bits : width:int -> t -> bool array
 (** Unpack to [width] bits, MSB first.  Raises [Invalid_argument] on a
     bad width or a key that does not fit in it. *)

@@ -1,17 +1,20 @@
-(* Reusable per-query workspace.  The three pieces the query hot path
-   used to allocate fresh every time — the seen mask, the candidate
-   accumulator and the pivot-distance cache array — live here and are
-   recycled: [reset] clears only the bytes actually touched, so a query
-   over a million-object store that saw forty candidates pays for forty,
-   not a million. *)
+(* Reusable per-query workspace.  The pieces the query hot path used to
+   allocate fresh every time — the seen mask, the candidate accumulator,
+   the pivot-distance cache array, the family row of hash bits and the
+   key row — live here and are recycled: [reset] clears only the bytes
+   actually touched, so a query over a million-object store that saw
+   forty candidates pays for forty, not a million, and one that
+   evaluated two hundred functions of a large family clears two hundred
+   cells. *)
 
 type t = {
   mutable seen : Bytes.t;  (* one byte per store id; '\000' = unseen *)
   mutable buf : int array;  (* ids marked seen, in discovery order *)
   mutable len : int;
   mutable dists : float array;  (* pivot-distance workspace *)
-  mutable bits : Bytes.t;  (* hash-bit workspace, one byte per distinct fn *)
-  mutable margins : float array;  (* per-bit flip margins, one per distinct fn *)
+  mutable fns : Hash_family.row;  (* the query's bits, one cell per family fn *)
+  mutable keys : int array;  (* one level's table keys *)
+  mutable margins : float array;  (* flip margins, one per family fn *)
   probe : Probe_seq.t;  (* reusable multi-probe heap *)
 }
 
@@ -21,7 +24,8 @@ let create ?(capacity = 0) () =
     buf = Array.make 64 0;
     len = 0;
     dists = [||];
-    bits = Bytes.empty;
+    fns = Hash_family.row 0;
+    keys = [||];
     margins = [||];
     probe = Probe_seq.create ();
   }
@@ -57,7 +61,8 @@ let reset t =
   for i = 0 to t.len - 1 do
     Bytes.unsafe_set t.seen t.buf.(i) '\000'
   done;
-  t.len <- 0
+  t.len <- 0;
+  Hash_family.clear_row t.fns
 
 let to_list t = List.init t.len (fun i -> t.buf.(i))
 
@@ -67,14 +72,20 @@ let pivot_dists t m =
   if Array.length t.dists < m then t.dists <- Array.make m nan;
   t.dists
 
-(* Bit rows are fully overwritten before being read (Index.eval_bits),
-   so a dirty buffer is fine here too. *)
-let bit_row t m =
-  if Bytes.length t.bits < m then t.bits <- Bytes.create m;
-  t.bits
+(* The family row is clean between queries ([reset] clears what a query
+   set), so growth can discard it, as [ensure] does the seen mask. *)
+let fn_row t m =
+  if Hash_family.row_length t.fns < m then t.fns <- Hash_family.row m;
+  t.fns
 
-(* Margin rows likewise: the multi-probe path fills every slot it reads
-   (Index.eval_margins) before handing penalties to the probe heap. *)
+(* Key rows are filled table by table before the walk reads them
+   (Index.walk), so a dirty buffer is fine. *)
+let key_row t m =
+  if Array.length t.keys < m then t.keys <- Array.make m 0;
+  t.keys
+
+(* Margin rows are read only where the multi-probe path just wrote them
+   (Index.eval_margins), so a dirty buffer is fine. *)
 let margin_row t m =
   if Array.length t.margins < m then t.margins <- Array.make m 0.;
   t.margins

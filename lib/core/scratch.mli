@@ -1,9 +1,12 @@
 (** Reusable per-query workspace: seen mask + candidate buffer + pivot
-    scratch.
+    scratch + the query's family row of hash bits + key, margin and
+    probe rows.
 
-    A query marks every candidate it dedupes into the scratch; [reset]
-    clears only the marked bytes (O(candidates), not O(store)), so one
-    scratch amortises the hot path's allocations to zero across queries.
+    A query marks every candidate it dedupes into the scratch and every
+    hash function it evaluates into the family row; [reset] clears only
+    the marked bytes and the evaluated cells (O(candidates + functions
+    evaluated), not O(store + family)), so one scratch amortises the hot
+    path's allocations to zero across queries.
     Thread one through [Query_opts.make ~scratch] — entry points without
     one allocate a private scratch per query, which is correct but costs
     the old per-query allocations.
@@ -43,22 +46,30 @@ val to_list : t -> int list
 (** The marked ids in discovery order (allocates; diagnostics/tests). *)
 
 val reset : t -> unit
-(** Unmark everything, O(count).  Queries reset on exit — including
-    exceptional exit — so the scratch is always clean between queries. *)
+(** Unmark everything and make every cell of the family row unknown,
+    O(count + cells set).  Queries reset on exit — including exceptional
+    exit — so the scratch is always clean between queries. *)
 
 val pivot_dists : t -> int -> float array
 (** A reusable row of at least [m] floats for the pivot-distance cache.
     Contents are unspecified — the cache constructor re-initialises it.
     The row is owned by the scratch: at most one live cache per scratch. *)
 
-val bit_row : t -> int -> Bytes.t
-(** A reusable row of at least [m] bytes for per-query hash bits.
+val fn_row : t -> int -> Hash_family.row
+(** The query's family row, covering at least [m] functions: one cell
+    per function of the query's family, each evaluated at most once per
+    query however many tables and cascade levels draw it
+    ({!Hash_family.eval_fns}).  Unknown everywhere between queries;
+    {!reset} clears the cells a query set. *)
+
+val key_row : t -> int -> int array
+(** A reusable row of at least [m] ints for one level's table keys.
     Contents are unspecified — the caller overwrites before reading. *)
 
 val margin_row : t -> int -> float array
-(** A reusable row of at least [m] floats for per-bit flip margins
-    (multi-probe path).  Contents are unspecified — the caller
-    overwrites before reading. *)
+(** A reusable row of at least [m] floats for flip margins, indexed by
+    family function (multi-probe path).  Contents are unspecified — the
+    caller overwrites before reading. *)
 
 val probe_seq : t -> Probe_seq.t
 (** The scratch's reusable multi-probe workspace (penalty-sorted bits +

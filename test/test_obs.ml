@@ -325,6 +325,64 @@ let test_trace_cascade_ordering () =
     >= Array.length events);
   Alcotest.(check bool) "json non-empty" true (String.length (Trace.to_json trace) > 2)
 
+(* One evaluation per hash function per query: the levels of a cascade
+   share the query's family row, so a level skips every function an
+   earlier level already evaluated.  Each evaluation looks up two pivot
+   distances, so a traced search that enters several levels records at
+   most two pivot events (hit or miss) per family function. *)
+let test_trace_one_eval_per_function () =
+  let h, db, rng = make_hier () in
+  let bound = 2 * Hash_family.size (Hierarchical.family h) in
+  let pivot_events trace =
+    Array.fold_left
+      (fun n (_, e) -> match e with Trace.Pivot_hit _ | Trace.Pivot_miss _ -> n + 1 | _ -> n)
+      0 (Trace.events trace)
+  in
+  (* Queries far from the data run the cascade deep. *)
+  let deep =
+    List.init 20 (fun i -> Dbh_datasets.Vectors.perturb ~rng ~sigma:1.0 db.(i * 7))
+    |> List.filter_map (fun q ->
+           let trace = Trace.create () in
+           let r = Hierarchical.search ~opts:(Query_opts.make ~trace ()) h q in
+           if r.Index.levels_probed >= 2 then Some (r.Index.levels_probed, pivot_events trace)
+           else None)
+  in
+  Alcotest.(check bool) "some query enters two levels" true (deep <> []);
+  List.iter
+    (fun (levels, events) ->
+      if events > bound then
+        Alcotest.failf "%d pivot events over %d levels; at most %d expected" events levels bound)
+    deep
+
+(* The family row is reset between queries: on a shared scratch, a
+   second query answers, costs, truncates and traces exactly as on a
+   fresh scratch, whatever budget cut the first one short (mid-hash
+   included), with and without multi-probe. *)
+let test_shared_scratch_resets_family_row () =
+  let h, db, rng = make_hier () in
+  let q1 = Dbh_datasets.Vectors.perturb ~rng ~sigma:0.3 db.(3) in
+  let q2 = Dbh_datasets.Vectors.perturb ~rng ~sigma:0.3 db.(250) in
+  let run ?scratch ?budget ~probes q =
+    let trace = Trace.create ~clock:(fun () -> 0.) () in
+    let opts =
+      Query_opts.make ?budget ?scratch ~trace ~probes_per_table:probes ~hamming_radius:1 ()
+    in
+    let r = Hierarchical.search ~opts h q in
+    (r.Index.nn, r.Index.stats, r.Index.truncated, r.Index.levels_probed, Trace.events trace)
+  in
+  List.iter
+    (fun probes ->
+      List.iter
+        (fun budget ->
+          let scratch = Dbh.Scratch.create () in
+          ignore (run ~scratch ?budget ~probes q1);
+          if run ~scratch ?budget ~probes q2 <> run ?budget ~probes q2 then
+            Alcotest.failf "shared scratch changed the second query (budget %s, probes %d)"
+              (match budget with None -> "none" | Some b -> string_of_int b)
+              probes)
+        (None :: List.init 60 (fun b -> Some (b + 1))))
+    [ 1; 4 ]
+
 let test_trace_capacity_bounded () =
   let trace = Trace.create ~clock:(fun () -> 0.) ~capacity:4 () in
   for i = 0 to 9 do
@@ -418,6 +476,10 @@ let () =
           Alcotest.test_case "cascade event ordering" `Quick test_trace_cascade_ordering;
           Alcotest.test_case "k-NN timeline" `Quick test_trace_knn_timeline;
           Alcotest.test_case "capacity bounded" `Quick test_trace_capacity_bounded;
+          Alcotest.test_case "one evaluation per function" `Quick
+            test_trace_one_eval_per_function;
+          Alcotest.test_case "shared scratch resets the family row" `Quick
+            test_shared_scratch_resets_family_row;
         ] );
       ( "multicore",
         [

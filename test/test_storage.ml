@@ -301,9 +301,11 @@ let test_insert_shares_pivot_cache () =
     (snapshot_md5 Hierarchical.write_packed per_level)
     (snapshot_md5 Hierarchical.write_packed shared)
 
-(* [eval_row] is [eval] function by function: same bits, hits and
-   misses, the same pivot events in the same order, and under a budget
-   the same point of exhaustion. *)
+(* The family-row evaluator is [eval] over the first occurrence of each
+   function: same bits, hits and misses, the same pivot events in the
+   same order, and under a budget the same point of exhaustion.  A
+   second pass over the filled row is free: no pivot event, no budget
+   charge, the same bits. *)
 let test_eval_row_matches_eval () =
   let rng = Rng.create 31 in
   let objs = Array.init 80 (fun _ -> Array.init 4 (fun _ -> Rng.float_in rng (-1.) 1.)) in
@@ -315,8 +317,7 @@ let test_eval_row_matches_eval () =
     let trace = Dbh_obs.Trace.create () in
     let budget = Option.map Dbh.Budget.create budget_limit in
     let cache = Hash_family.cache ?budget ~trace family objs.(0) in
-    let bits = Bytes.make (Array.length fn_ids) '-' in
-    let exhausted = try evaluate cache bits; false with Dbh.Budget.Exhausted -> true in
+    let bits = try Some (evaluate budget trace cache) with Dbh.Budget.Exhausted -> None in
     let pivots =
       Array.to_list (Dbh_obs.Trace.events trace)
       |> List.filter_map (fun (_, e) ->
@@ -325,22 +326,38 @@ let test_eval_row_matches_eval () =
              | Dbh_obs.Trace.Pivot_miss { pivot } -> Some (`Miss pivot)
              | _ -> None)
     in
-    ( (if exhausted then None else Some (Bytes.to_string bits)),
-      Hash_family.cache_cost cache,
-      Hash_family.cache_hits cache,
-      pivots )
+    (bits, Hash_family.cache_cost cache, Hash_family.cache_hits cache, pivots)
   in
-  let by_eval cache bits =
-    Array.iteri
-      (fun j fn ->
-        Bytes.set bits j (if Hash_family.eval family cache fn then '\001' else '\000'))
-      fn_ids
+  let by_eval _ _ cache =
+    let first = Hashtbl.create 64 in
+    Array.iter
+      (fun fn ->
+        if not (Hashtbl.mem first fn) then Hashtbl.add first fn (Hash_family.eval family cache fn))
+      fn_ids;
+    String.init (Array.length fn_ids) (fun j ->
+        if Hashtbl.find first fn_ids.(j) then '\001' else '\000')
   in
-  let by_row cache bits = Hash_family.eval_row family cache fn_ids bits in
+  let by_row budget trace cache =
+    let row = Hash_family.row (Hash_family.size family) in
+    let read () =
+      String.init (Array.length fn_ids) (fun j -> Bytes.get (Hash_family.row_cells row) fn_ids.(j))
+    in
+    Hash_family.eval_fns family cache row fn_ids;
+    let bits = read () in
+    let events = Array.length (Dbh_obs.Trace.events trace) in
+    let spent = Option.map Dbh.Budget.spent budget in
+    Hash_family.eval_fns family cache row fn_ids;
+    if Array.length (Dbh_obs.Trace.events trace) <> events then
+      Alcotest.fail "second pass over a filled row recorded pivot events";
+    if Option.map Dbh.Budget.spent budget <> spent then
+      Alcotest.fail "second pass over a filled row charged the budget";
+    if read () <> bits then Alcotest.fail "second pass over a filled row changed a bit";
+    bits
+  in
   List.iter
     (fun limit ->
       if run limit by_eval <> run limit by_row then
-        Alcotest.failf "eval_row diverges from eval (budget %s)"
+        Alcotest.failf "family-row evaluation diverges from eval (budget %s)"
           (match limit with None -> "none" | Some b -> string_of_int b))
     (None :: List.init 13 Option.some)
 
@@ -562,6 +579,107 @@ let of_keys_matches_list_buckets =
       && Csr.entry_count csr = m
       && Csr.largest_bucket csr
          = List.fold_left (fun acc (_, b) -> max acc (List.length b)) 0 expect)
+
+(* The prefix-indexed directory against a naive (key, ids) list: every
+   lookup ([iter_bucket], [bucket_size]), range scan ([iter_range]) and
+   Hamming-ball scan ([iter_within]) answers exactly as the list does,
+   on tables of 0..2000 keys at widths 1..62 — uniform keys, keys that
+   all share their top bits, the all-ones key ([max_int] at width 62) —
+   probed at every key, at 0, and above the largest key.  Each table is
+   checked as built by [of_keys], with a suffix [add]ed to a prefix
+   build (delta live), after [compact], after [compacted] and after a
+   [write]/[read] round trip. *)
+let prefix_directory_matches_list =
+  QCheck.Test.make ~name:"prefix directory = naive (key, ids) list" ~count:150
+    QCheck.(pair small_int (int_bound 2000)) (fun (seed, nk) ->
+      let rng = Rng.create (9000 + seed) in
+      let width = 1 + Rng.int rng Key.max_bits in
+      let top = if width = Key.max_bits then max_int else (1 lsl width) - 1 in
+      let draw =
+        if Rng.int rng 3 = 0 then
+          (* Every key shares its top bits: only the low [low] vary. *)
+          let low = Rng.int rng (min width 12) in
+          let high = Rng.int rng max_int land top land lnot ((1 lsl low) - 1) in
+          fun () -> high lor (Rng.int rng max_int land ((1 lsl low) - 1))
+        else fun () -> Rng.int rng max_int land top
+      in
+      let pool = Array.init nk (fun i -> if i = 0 && Rng.bool rng then top else draw ()) in
+      let m = if nk = 0 then 0 else nk + Rng.int rng (nk + 1) in
+      let keys = Array.init m (fun p -> if p < nk then pool.(p) else pool.(Rng.int rng nk)) in
+      let ids = Array.init m Fun.id in
+      (* The list: ascending keys, each bucket newest (highest id) first. *)
+      let buckets : (int, int list) Hashtbl.t = Hashtbl.create 64 in
+      Array.iteri
+        (fun p key ->
+          Hashtbl.replace buckets key (p :: Option.value ~default:[] (Hashtbl.find_opt buckets key)))
+        keys;
+      let model = Hashtbl.fold (fun key b acc -> (key, b) :: acc) buckets [] |> List.sort compare in
+      let bucket key = Option.value ~default:[] (Hashtbl.find_opt buckets key) in
+      let entries pred =
+        List.concat_map (fun (key, b) -> if pred key then List.map (fun id -> (key, id)) b else []) model
+      in
+      let max_key = List.fold_left (fun acc (key, _) -> max acc key) (-1) model in
+      let probes =
+        (0 :: top :: List.map fst model)
+        @ (if max_key >= 0 && max_key < max_int then [ max_key + 1; max_int ] else [])
+        @ List.init 20 (fun _ -> draw ())
+      in
+      let ranges =
+        (0, max_int) :: (max_key + 1, max_int) :: (0, 0)
+        :: List.init 20 (fun _ ->
+               let a = draw () and b = draw () in
+               (min a b, max a b))
+      in
+      let centers = 0 :: top :: List.init 3 (fun _ -> draw ()) in
+      let popcount x =
+        let rec go x acc = if x = 0 then acc else go (x land (x - 1)) (acc + 1) in
+        go x 0
+      in
+      let agrees t =
+        let collect iter =
+          let got = ref [] in
+          iter (fun key id -> got := (key, id) :: !got);
+          List.rev !got
+        in
+        List.for_all
+          (fun key ->
+            let got = ref [] in
+            Csr.iter_bucket t key (fun id -> got := id :: !got);
+            List.rev !got = bucket key && Csr.bucket_size t key = List.length (bucket key))
+          probes
+        && List.for_all
+             (fun (lo, hi) -> collect (Csr.iter_range t ~lo ~hi) = entries (fun k -> lo <= k && k <= hi))
+             ranges
+        && List.for_all
+             (fun center ->
+               let radius = 1 + Rng.int rng (min 2 width) in
+               collect (Csr.iter_within t ~width ~radius center)
+               = entries (fun k ->
+                     let d = popcount (k lxor center) in
+                     d >= 1 && d <= radius))
+             centers
+      in
+      let all_alive _ = true in
+      let built = Csr.of_keys ~ids ~keys in
+      let grown =
+        let split = Rng.int rng (m + 1) in
+        let t = Csr.of_keys ~ids:(Array.sub ids 0 split) ~keys:(Array.sub keys 0 split) in
+        for p = split to m - 1 do
+          Csr.add t keys.(p) p
+        done;
+        t
+      in
+      let delta_live = agrees grown in
+      let fresh = Csr.compacted ~is_alive:all_alive grown in
+      Csr.compact ~is_alive:all_alive grown;
+      let read_back =
+        let buf = Buffer.create 1024 in
+        Csr.write buf ~is_alive:all_alive built;
+        Csr.read
+          (Binio.reader (Buffer.contents buf))
+          ~validate_key:ignore ~max_id:(max m 1) ~seen:(Bytes.create (max m 1))
+      in
+      agrees built && delta_live && agrees grown && agrees fresh && agrees read_back)
 
 let test_online_compaction_vs_rebuild () =
   (* An online index after insert/delete churn + compact answers every
@@ -789,7 +907,7 @@ let () =
       ( "csr",
         Alcotest.test_case "online compaction vs uncompacted twin" `Quick
           test_online_compaction_vs_rebuild
-        :: qsuite [ csr_fuzz; of_keys_matches_list_buckets ] );
+        :: qsuite [ csr_fuzz; of_keys_matches_list_buckets; prefix_directory_matches_list ] );
       ( "scratch",
         [
           Alcotest.test_case "reuse stays clean" `Quick test_scratch_reuse_is_clean;
