@@ -1556,18 +1556,19 @@ let obs_section () =
 
 (* ------------------------------------------------------------ S1 storage *)
 
-(* The compact storage engine (packed int keys, frozen CSR tables,
-   reusable query scratch) against a faithful reimplementation of the
-   pre-refactor layout: per-table [Hashtbl] buckets holding cons lists,
-   a fresh [Bytes] seen mask and a candidate list allocated per query.
-   Both engines are driven by the same hash family and the same function
-   choices (the reference replays the index's rng draws), so every
-   answer must match bit-for-bit — checked here for the sequential sweep
-   and a 4-domain batched sweep.  What may differ, and is the point:
-   resident bytes per object, allocation words per query, and wall
-   time.  The section fails if the packed engine allocates more than
-   half of what the list engine does per query, or is slower.  Numbers
-   land in BENCH_storage.json. *)
+(* The compact storage engine (packed int keys, frozen CSR tables, the
+   domain's reusable query workspace) against a faithful
+   reimplementation of the pre-refactor layout: per-table [Hashtbl]
+   buckets holding cons lists, a fresh [Bytes] seen mask and a
+   candidate list allocated per query.  Both engines are driven by the
+   same hash family and the same function choices (the reference
+   replays the index's rng draws), so every answer must match
+   bit-for-bit — checked here for the sequential sweep and a 4-domain
+   batched sweep.  What may differ, and is the point: resident bytes
+   per object, allocation words per query, and wall time.  The section
+   fails if the packed engine allocates more than half of what the list
+   engine does per query, or is slower.  Numbers land in
+   BENCH_storage.json. *)
 
 let storage_section () =
   Report.print_heading
@@ -1667,20 +1668,12 @@ let storage_section () =
     done;
     (!best, !lookup)
   in
-  (* Query_opts is immutable, so one record serves the whole sweep —
-     building it per query would bill harness overhead (a fresh record
-     plus a boxed scratch) to the packed engine's alloc column. *)
-  let packed_opts scratch = Dbh.Query_opts.make ~scratch () in
-  let sweep_packed scratch =
-    let opts = packed_opts scratch in
-    fun () -> Array.map (fun q -> Dbh.Index.search ~opts index q) queries
-  in
+  let sweep_packed () = Array.map (fun q -> Dbh.Index.search index q) queries in
   let sweep_ref () = Array.map ref_query queries in
   (* Bit-identity, sequential: same neighbor, same distance, same number
      of exact comparisons.  These first sweeps also warm the distance
      memo; freeze it afterwards so the pooled sweep never mutates it. *)
-  let scratch = Dbh.Scratch.create () in
-  let packed_results = sweep_packed scratch () in
+  let packed_results = sweep_packed () in
   let ref_results = sweep_ref () in
   frozen := true;
   let identical_seq =
@@ -1696,14 +1689,18 @@ let storage_section () =
         Dbh.Index.search_batch ~opts:(Dbh.Query_opts.make ~pool ()) index queries)
   in
   let identical_pool = pooled_results = packed_results in
-  (* Allocation per query, after warm-up (the sweeps above). *)
+  (* Allocation per query, after warm-up (the sweeps above).  Each read
+     follows a minor collection: OCaml 5.1's [Gc.allocated_bytes] counts
+     what still sits in the minor heap at an eighth of its size. *)
   let alloc_words f =
+    Gc.minor ();
     let before = Gc.allocated_bytes () in
     ignore (Sys.opaque_identity (f ()));
+    Gc.minor ();
     let after = Gc.allocated_bytes () in
     (after -. before) /. float_of_int (Array.length queries) /. 8.
   in
-  let packed_alloc = alloc_words (sweep_packed scratch) in
+  let packed_alloc = alloc_words sweep_packed in
   let ref_alloc = alloc_words sweep_ref in
   (* Wall time: best of rounds for throughput, plus a per-query latency
      distribution for the packed engine. *)
@@ -1716,13 +1713,12 @@ let storage_section () =
     done;
     !b
   in
-  let packed_s = best (sweep_packed scratch) in
+  let packed_s = best sweep_packed in
   let ref_s = best sweep_ref in
   let latencies =
-    let opts = packed_opts scratch in
     Array.map
       (fun q ->
-        let _, dt = seconds (fun () -> Dbh.Index.search ~opts index q) in
+        let _, dt = seconds (fun () -> Dbh.Index.search index q) in
         dt *. 1e6)
       queries
   in

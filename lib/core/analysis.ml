@@ -143,9 +143,6 @@ let rate_kl ~k ~l ~probes ~radius c =
   if probes > 1 && radius > 0 then Collision.c_kl_probed c ~k ~l ~probes ~radius
   else Collision.c_kl c ~k ~l
 
-let accuracy_of_query ?(probes = 1) ?(radius = 0) t i ~k ~l =
-  rate_kl ~k ~l ~probes ~radius t.c_nn.(i)
-
 let accuracy ?(probes = 1) ?(radius = 0) t ~k ~l =
   let acc =
     Array.fold_left (fun acc c -> acc +. rate_kl ~k ~l ~probes ~radius c) 0. t.c_nn

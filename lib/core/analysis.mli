@@ -55,9 +55,6 @@ val accuracy : ?probes:int -> ?radius:int -> t -> k:int -> l:int -> float
     at the defaults the estimate is bit-identical to the historical
     one. *)
 
-val accuracy_of_query : ?probes:int -> ?radius:int -> t -> int -> k:int -> l:int -> float
-(** Per-query success probability [C_{k,l}(Q_i, N(Q_i))]. *)
-
 val lookup_cost : ?probes:int -> ?radius:int -> t -> k:int -> l:int -> float
 (** Predicted mean lookup cost (Eq. 12), scaled to the full database.
     Multi-probe raises it: probed buckets admit extra candidates at the

@@ -21,19 +21,16 @@
    query-iteration order is delta first (newest first), then the frozen
    segment in frozen order — so a table built over ids 0..n-1 iterates
    exactly like one built over a prefix with the rest inserted, which
-   the bit-identity tests rely on.  [compact] folds the delta into a
-   fresh frozen base and drops dead ids.
+   the bit-identity tests rely on.  [compacted] folds the delta into a
+   fresh table's frozen base and drops dead ids.
 
-   Concurrent reads: the frozen base lives behind a single [base]
-   record and the delta is a persistent map in a mutable field, so a
-   reader that loads each field once sees an internally consistent
-   value whatever a concurrent single writer does — an insert swaps the
-   delta pointer (old map = before, new map = after, both valid), and a
-   compaction swaps the base pointer (a reader pairing the old delta
-   with the new base sees ids twice, which the query layer's seen-mask
-   dedups; the reverse pairing sees the pre-compaction view).  The
-   bookkeeping counters ([delta_size] etc.) are diagnostics and are not
-   read on the query path. *)
+   Concurrent reads: the frozen base never changes and the delta is a
+   persistent map in a mutable field, so a reader that loads the delta
+   once sees an internally consistent table whatever a concurrent
+   single writer does — an insert swaps the delta pointer (old map =
+   before, new map = after, both valid).  The bookkeeping counters
+   ([delta_size] etc.) are diagnostics and are not read on the query
+   path. *)
 
 module Intmap = Map.Make (Int)
 
@@ -48,7 +45,7 @@ type base = {
 }
 
 type t = {
-  mutable base : base;
+  base : base;
   mutable delta : int list Intmap.t;  (* key -> ids, newest first *)
   mutable delta_size : int;  (* total ids across delta buckets *)
   mutable extra_keys : int;  (* delta keys absent from the directory *)
@@ -410,17 +407,9 @@ let live_view ~is_alive t =
     make_base ~keys ~offsets ~ids
   end
 
-(* Pure compaction: a fresh table the caller can publish atomically
-   while readers keep using [t]. *)
+(* A fresh table the caller can publish atomically while readers keep
+   using [t]. *)
 let compacted ~is_alive t = of_base (live_view ~is_alive t)
-
-let compact ~is_alive t =
-  let c = compacted ~is_alive t in
-  t.base <- c.base;
-  t.delta <- Intmap.empty;
-  t.delta_size <- 0;
-  t.extra_keys <- 0;
-  t.largest <- c.largest
 
 (* Rough resident size in words: the four arrays (prefix cells
    included) with their headers and the two records, plus ~5 words per

@@ -8,8 +8,8 @@
     one pass whenever a base is frozen, compacted or read, and never
     written ({!write} stores the three arrays verbatim).  Post-freeze
     inserts accumulate in a small delta (a persistent map from key to
-    an id list); {!compact} folds them (and drops dead ids) back into a
-    fresh base.
+    an id list); {!compacted} folds them (and drops dead ids) into a
+    fresh table's base.
 
     A bucket iterates delta first (newest first), then the frozen
     segment, which {!of_keys} lays out newest first too.  A table built
@@ -18,15 +18,11 @@
     cons-list order, and the bit-identity guarantee the query layer
     depends on.
 
-    {b Single-writer concurrent reads.}  The frozen base is one
-    immutable record behind a mutable field and the delta is a
-    persistent map, so a reader racing a single writer sees, per field,
-    either the before or the after value — both valid bucket sets (an
-    insert pointer-swaps the delta; {!compact} pointer-swaps the base,
-    and a reader pairing an old delta with a new base merely revisits
-    ids the query layer's seen-mask dedups).  Writers must still be
-    serialized externally, and concurrency-sensitive callers should
-    prefer publishing {!compacted} tables over in-place {!compact}. *)
+    {b Single-writer concurrent reads.}  The frozen base never changes
+    and the delta is a persistent map, so a reader racing a single
+    writer sees either the before or the after delta — both valid
+    bucket sets (an insert pointer-swaps the delta).  Writers must still
+    be serialized externally. *)
 
 type t
 
@@ -72,9 +68,8 @@ val bucket_count : t -> int
 (** Non-empty combined buckets — O(1). *)
 
 val largest_bucket : t -> int
-(** Max combined bucket size ever reached since the last freeze or
-    {!compact} (dead entries included, like the list tables before) —
-    O(1). *)
+(** Max combined bucket size ever reached since the freeze (dead entries
+    included, like the list tables before) — O(1). *)
 
 val entry_count : t -> int
 (** Total entries, frozen + delta, dead included. *)
@@ -87,16 +82,14 @@ val iter_buckets : t -> (int -> int list -> unit) -> unit
     materialised as a list in query order.  Allocates — cold paths only
     (persistence, diagnostics, rebuild). *)
 
-val compact : is_alive:(int -> bool) -> t -> unit
-(** Fold the delta into a fresh frozen base, dropping ids for which
-    [is_alive] is false and then-empty buckets.  Bucket-internal order
-    is preserved, so queries see identical candidates before and after
-    (dead ids were skipped, and never charged, either way). *)
-
 val compacted : is_alive:(int -> bool) -> t -> t
-(** Pure {!compact}: a fresh fully-frozen table with an empty delta,
-    leaving [t] untouched — for callers that publish the result through
-    an atomic pointer while concurrent readers drain the old table. *)
+(** A fresh fully-frozen table with an empty delta: the delta folded
+    into the frozen base, ids for which [is_alive] is false and
+    then-empty buckets dropped.  [t] is left untouched — for callers
+    that publish the result through an atomic pointer while concurrent
+    readers drain the old table.  Bucket-internal order is preserved,
+    so queries see identical candidates in both (dead ids were skipped,
+    and never charged, either way). *)
 
 val approx_words : t -> int
 (** Rough resident heap words (arrays, prefix cells included, + delta

@@ -35,10 +35,11 @@
     - {!Probe_seq}: the multi-probe sequence generator (penalty-ordered
       Hamming-adjacent keys)
     - {!Csr}: frozen CSR hash tables with a mutable insert delta
-    - {!Scratch}: reusable per-query workspace (zero-alloc hot path)
+    - {!Scratch}: the per-query workspace each domain reuses across its
+      queries (zero-alloc hot path)
     - {!Budget}: per-query distance-computation budgets
     - {!Query_opts}: the one-record query options (budget, pool,
-      metrics, trace, scratch)
+      metrics, trace, multi-probe knobs)
     - {!Index}: single-level index — build, NN / k-NN / range /
       multi-probe / budgeted queries, insert/delete, save/load
     - {!Hierarchical}: the s-level cascade (Sec. V-A)

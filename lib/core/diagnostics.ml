@@ -127,6 +127,3 @@ type online_stats = {
 
 let online_stats o =
   { live = Online.size o; tombstones = Online.tombstones o; delta_size = Online.delta_size o }
-
-let pp_online_stats ppf s =
-  Format.fprintf ppf "live=%d tombstones=%d delta=%d" s.live s.tombstones s.delta_size

@@ -77,4 +77,3 @@ type online_stats = {
     pressure an operator watches. *)
 
 val online_stats : 'a Online.t -> online_stats
-val pp_online_stats : Format.formatter -> online_stats -> unit

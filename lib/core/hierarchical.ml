@@ -92,7 +92,7 @@ let build ?pool ~rng ~family ~db ~analysis ~target_accuracy ?pivot_table ?(level
 
 (* The cascade query (Sec. V-A): levels in order, each marking its
    buckets and scoring its fresh candidates, until one settles within
-   its threshold.  One pivot cache and one scratch span the levels, so
+   its threshold.  One pivot cache and one workspace span the levels, so
    hash cost counts distinct pivots overall and lookup cost distinct
    candidates overall; the query records its metrics once, not per
    level.  [limit] is the visibility bound Online pins before probing. *)
@@ -125,8 +125,6 @@ let insert t obj =
   id
 
 let delete t id = Store.delete t.store id
-
-let compact t = Array.iter (fun lev -> Index.compact lev.index) t.levels
 
 let compacted t =
   { t with levels = Array.map (fun lev -> { lev with index = Index.compacted lev.index }) t.levels }

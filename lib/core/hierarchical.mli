@@ -90,15 +90,11 @@ val insert : 'a t -> 'a -> int
 val delete : 'a t -> int -> unit
 (** Tombstone an id; it disappears from every level at once. *)
 
-val compact : 'a t -> unit
-(** Fold every level's insert delta into its frozen base and drop
-    tombstoned ids from the tables ({!Index.compact} per level).
-    Queries see identical candidates before and after. *)
-
 val compacted : 'a t -> 'a t
-(** Pure {!compact}: a cascade with freshly compacted tables
-    ({!Index.compacted} per level) sharing the store and family of [t],
-    which is left untouched — for atomic publication. *)
+(** A cascade whose tables fold every level's insert delta into a fresh
+    frozen base and drop tombstoned ids ({!Index.compacted} per level),
+    sharing the store and family of [t], which is left untouched — for
+    atomic publication.  Queries see identical candidates in both. *)
 
 val delta_size : 'a t -> int
 (** Entries sitting in the levels' insert deltas — the compaction

@@ -177,12 +177,8 @@ let delta_size t = Array.fold_left (fun acc tbl -> acc + Csr.delta_size tbl) 0 t
 let approx_table_words t =
   Array.fold_left (fun acc tbl -> acc + Csr.approx_words tbl) 0 t.tables
 
-let compact t =
-  let is_alive = Store.is_alive t.store in
-  Array.iter (fun tbl -> Csr.compact ~is_alive tbl) t.tables
-
-(* Pure counterpart for atomic publication: fresh tables, everything
-   else (store, family, function choices) shared. *)
+(* Fresh tables for atomic publication, everything else (store, family,
+   function choices) shared. *)
 let compacted t =
   let is_alive = Store.is_alive t.store in
   { t with tables = Array.map (Csr.compacted ~is_alive) t.tables }
@@ -214,10 +210,11 @@ type 'a query = {
   cache : 'a Hash_family.cache;
   probes_per_table : int;
   hamming_radius : int;
-  (* Ids at or past [admit] — past the scratch capacity, or past the
-     visibility bound a concurrent reader pinned — were inserted by a
-     writer after this query started; skipping them linearizes the query
-     before those inserts.  Sequentially the bound never bites. *)
+  (* Ids at or past [admit] — past the store length read at query
+     start, or past the visibility bound a concurrent reader pinned —
+     were inserted by a writer after this query started; skipping them
+     linearizes the query before those inserts.  Sequentially the bound
+     never bites. *)
   admit : int;
   mutable best_id : int;
   mutable best_d : float;
@@ -226,7 +223,7 @@ type 'a query = {
   mutable levels : int;  (* cascade levels entered; 1 for single-level shapes *)
 }
 
-let start ~opts ~family ~store ~limit scratch obj =
+let start ~opts ~family ~store ~admit scratch obj =
   let budget = Option.map Budget.create opts.Query_opts.budget in
   let trace = opts.Query_opts.trace in
   {
@@ -242,7 +239,7 @@ let start ~opts ~family ~store ~limit scratch obj =
         obj;
     probes_per_table = opts.Query_opts.probes_per_table;
     hamming_radius = opts.Query_opts.hamming_radius;
-    admit = min limit (Scratch.capacity scratch);
+    admit;
     best_id = -1;
     best_d = infinity;
     lookup = 0;
@@ -250,15 +247,33 @@ let start ~opts ~family ~store ~limit scratch obj =
     levels = 1;
   }
 
-(* Setup and teardown shared by every shape.  The query owns its scratch
-   for the call — the caller's (so steady-state queries allocate no seen
-   mask, candidate cells or pivot row) or a private one — and resets it
-   on the way out, exceptional exits included, so a shared scratch is
-   clean for the next query.  A budget running out inside [body] ends
-   the query with the best answer the paid-for computations found.
-   Trace events are recorded only behind a [match] on the trace option,
-   so the untraced path allocates nothing for them; metrics are recorded
-   once at the end from the final stats, never from raw distance calls.
+(* Each domain's one query workspace, so steady-state queries allocate
+   no seen mask, candidate cells or pivot row.  [run] takes it with an
+   exchange that leaves [vacant] in the slot, and [give] resets it and
+   puts it back.  A query that finds the slot vacant — nested inside a
+   distance function, or on another systhread of the domain mid-query —
+   works in a fresh workspace, so two live queries never share marks. *)
+let vacant = Scratch.create ()
+let workspace = Domain.DLS.new_key (fun () -> Atomic.make (Scratch.create ()))
+
+let take slot =
+  match Atomic.exchange slot vacant with s when s == vacant -> Scratch.create () | s -> s
+
+let give slot scratch =
+  Scratch.reset scratch;
+  Atomic.set slot scratch
+
+(* Setup and teardown shared by every shape.  The query works in its
+   domain's workspace and gives it back on the way out, exceptional
+   exits included, clean for the next query (through a [match], not
+   [Fun.protect], whose closures cost ~19 words per query).  The store
+   length is read once: it sizes the seen mask and bounds admission, so
+   [Scratch.mark]'s unchecked writes stay in range however the store
+   grows meanwhile.  A budget running out inside [body] ends the query
+   with the best answer the paid-for computations found.  Trace events
+   are recorded only behind a [match] on the trace option, so the
+   untraced path allocates nothing for them; metrics are recorded once
+   at the end from the final stats, never from raw distance calls.
    [describe subject] names the query in its [Query_start] event, and
    is only called when tracing. *)
 let run ~describe subject ~opts ~family ~store ~limit obj body =
@@ -270,18 +285,29 @@ let run ~describe subject ~opts ~family ~store ~limit obj body =
   | Some tr ->
       Dbh_obs.Trace.record tr (Dbh_obs.Trace.Query_start { kind = describe subject })
   | None -> ());
-  let scratch = match opts.Query_opts.scratch with Some s -> s | None -> Scratch.create () in
-  Scratch.ensure scratch (Store.length store);
-  let r = start ~opts ~family ~store ~limit scratch obj in
-  Fun.protect
-    ~finally:(fun () -> Scratch.reset scratch)
-    (fun () ->
-      try body r
-      with Budget.Exhausted -> (
-        match (r.trace, r.budget) with
-        | Some tr, Some b ->
-            Dbh_obs.Trace.record tr (Dbh_obs.Trace.Budget_exhausted { spent = Budget.spent b })
-        | _ -> ()));
+  let slot = Domain.DLS.get workspace in
+  let scratch = take slot in
+  let r =
+    match
+      let n = Store.length store in
+      Scratch.ensure scratch n;
+      let r = start ~opts ~family ~store ~admit:(min limit n) scratch obj in
+      (try body r
+       with Budget.Exhausted -> (
+         match (r.trace, r.budget) with
+         | Some tr, Some b ->
+             Dbh_obs.Trace.record tr (Dbh_obs.Trace.Budget_exhausted { spent = Budget.spent b })
+         | _ -> ()));
+      r
+    with
+    | r ->
+        give slot scratch;
+        r
+    | exception e ->
+        let bt = Printexc.get_raw_backtrace () in
+        give slot scratch;
+        Printexc.raise_with_backtrace e bt
+  in
   let truncated = match r.budget with Some b -> Budget.exhausted b | None -> false in
   let stats =
     { hash_cost = Hash_family.cache_cost r.cache; lookup_cost = r.lookup; probes = r.probes }
@@ -464,41 +490,36 @@ let search ?(opts = Query_opts.default) t q =
           if admitted r id && Scratch.mark r.scratch id then ignore (score r id)))
 
 let candidates_into t q ~scratch =
-  if Scratch.capacity scratch < Store.length t.store then
+  let n = Store.length t.store in
+  if Scratch.capacity scratch < n then
     invalid_arg "Index.candidates_into: scratch smaller than the store";
-  mark_level
-    (start ~opts:Query_opts.default ~family:t.family ~store:t.store ~limit:max_int scratch q)
-    t ~level:0;
+  mark_level (start ~opts:Query_opts.default ~family:t.family ~store:t.store ~admit:n scratch q) t
+    ~level:0;
   (* The marks are the output; the bits are [q]'s alone, so the next
      call, possibly for another query, must evaluate afresh. *)
   Hash_family.clear_row (Scratch.fn_row scratch (Hash_family.size t.family))
 
-(* The one batch loop behind every [search_batch].  Queries only read
+(* The one batch loop behind every [search_batch]: one [search opts]
+   per query, sequentially or fanned over [opts.pool].  Queries only read
    the index, so a batch fans out with no shared mutable state beyond
-   the atomic counters.  The metric set is resolved once up front and
+   the atomic counters, and each domain works in its own workspace
+   across the batch.  The metric set is resolved once up front and
    shared — its counters are atomic — while the trace is dropped: traces
-   are single-domain by design.  Sequentially one scratch (the caller's,
-   else a private one) serves the whole batch; under a pool each query
-   allocates its own (a scratch is single-domain state).  Budgets stay
-   per query: [run] creates a fresh one from [opts.budget] each time. *)
+   are single-domain by design.  Budgets stay per query: [run] creates a
+   fresh one from [opts.budget] each time. *)
 let batch ~opts ~space search qs =
-  let opts =
-    {
-      opts with
-      Query_opts.metrics = Dbh_obs.Metrics.resolve opts.Query_opts.metrics;
-      trace = None;
-    }
+  let search =
+    search
+      {
+        opts with
+        Query_opts.metrics = Dbh_obs.Metrics.resolve opts.Query_opts.metrics;
+        trace = None;
+      }
   in
   match opts.Query_opts.pool with
-  | None ->
-      let scratch = match opts.Query_opts.scratch with Some s -> s | None -> Scratch.create () in
-      Array.map (search { opts with Query_opts.scratch = Some scratch }) qs
+  | None -> Array.map search qs
   | Some pool ->
-      Dbh_util.Pool.parallel_map_array
-        ?cost:(Space.cost_estimator space qs)
-        pool
-        (search { opts with Query_opts.scratch = None })
-        qs
+      Dbh_util.Pool.parallel_map_array ?cost:(Space.cost_estimator space qs) pool search qs
 
 let search_batch ?(opts = Query_opts.default) t qs =
   batch ~opts ~space:(Hash_family.space t.family) (fun opts q -> search ~opts t q) qs

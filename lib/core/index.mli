@@ -89,31 +89,28 @@ val size : 'a t -> int
 val bucket_count : 'a t -> int
 (** Total number of non-empty buckets across tables (diagnostic).
     O(1): maintained by the CSR tables.  Counts dead (tombstoned)
-    entries until {!compact}, as the list tables always did. *)
+    entries until {!compacted}, as the list tables always did. *)
 
 val largest_bucket : 'a t -> int
 (** Size of the fullest bucket (diagnostic for balance) — O(1), dead
-    entries included until {!compact}. *)
+    entries included until {!compacted}. *)
 
 val delta_size : 'a t -> int
-(** Entries inserted since the last freeze/{!compact}, still sitting in
-    the tables' mutable deltas — the compaction-pressure signal. *)
+(** Entries inserted since the last freeze/{!compacted}, still sitting
+    in the tables' mutable deltas — the compaction-pressure signal. *)
 
 val approx_table_words : 'a t -> int
 (** Rough resident heap words of the tables (directory + offsets + ids
     + delta estimate); excludes store, family and pivots. *)
 
-val compact : 'a t -> unit
-(** Fold every table's insert delta into its frozen CSR base and drop
-    tombstoned ids.  Queries see identical candidates before and after
-    (dead ids were skipped, and never charged, either way); only the
-    diagnostics change — deltas empty, dead entries no longer counted. *)
-
 val compacted : 'a t -> 'a t
-(** Pure {!compact}: an index with freshly compacted tables sharing the
-    store, family and function choices of [t], which is left untouched.
-    For publishing through an atomic pointer while concurrent readers
-    drain the old tables. *)
+(** An index whose tables fold every insert delta into a fresh frozen
+    CSR base and drop tombstoned ids, sharing the store, family and
+    function choices of [t], which is left untouched — for publishing
+    through an atomic pointer while concurrent readers drain the old
+    tables.  Queries see identical candidates in both (dead ids were
+    skipped, and never charged, either way); only the diagnostics
+    differ — deltas empty, dead entries no longer counted. *)
 
 val iter_buckets : 'a t -> (int -> int -> int list -> unit) -> unit
 (** [iter_buckets t f] calls [f table key bucket] for every non-empty
@@ -125,7 +122,9 @@ val iter_buckets : 'a t -> (int -> int -> int list -> unit) -> unit
 
     The canonical entry points are {!search} and {!search_batch},
     driven by one {!Query_opts.t} record (budget, pool, metrics, trace,
-    scratch, multi-probe knobs).
+    multi-probe knobs).  Every query works in its domain's one
+    workspace ({!Scratch}), so steady-state queries allocate no seen
+    mask, candidate buffer or hash rows.
 
     When a metric set is reachable (explicit [opts.metrics] or an
     installed ambient set), every completed query records its logical
@@ -188,8 +187,8 @@ val candidates_into : 'a t -> 'a -> scratch:Scratch.t -> unit
     indexes sharing a store) dedup across indexes.  Hashes [q] through
     the scratch's pivot and family rows at no budget, and clears the
     family row again; the scratch capacity must cover the store
-    ([Scratch.ensure]).  For tests and diagnostics: the
-    query entry points mark and reset their scratch themselves. *)
+    ([Scratch.ensure]).  For tests and diagnostics: the query entry
+    points work in their domain's workspace and reset it themselves. *)
 
 (** {1 Dynamic updates} *)
 
@@ -202,14 +201,6 @@ val insert : 'a t -> 'a -> int
 val index_existing : 'a t -> int -> unit
 (** Index an object already present in the (shared) store.  Idempotence
     is not checked — indexing twice duplicates the bucket entry. *)
-
-val index_cached : 'a t -> 'a Hash_family.cache -> Hash_family.row -> int -> unit
-(** {!index_existing} through the caller's pivot cache and family row
-    over the object: indexes sharing one family (the levels of a
-    cascade) share both, so each pivot distance is paid and each hash
-    function evaluated once per object, not once per index.  The row
-    must hold no bits but this object's, and the id must be alive;
-    neither is checked. *)
 
 val delete : 'a t -> int -> unit
 (** Tombstone an id in the store: it stops being returned by {e any}
@@ -245,11 +236,12 @@ val load : decode:(string -> 'a) -> space:'a Dbh_space.Space.t -> path:string ->
 
 (**/**)
 
-(* The query engine's pieces shared with the cascade (Hierarchical) and
-   the other query surfaces: the setup/teardown every query runs inside,
-   one cascade level, the one batch loop, and the one-stop metrics
-   recording for a completed query (the robust layer's linear-scan
-   fallback reports through it too). *)
+(* The engine's pieces shared with the cascade (Hierarchical) and the
+   other query surfaces: the setup/teardown every query runs inside, the
+   key path a cascade insert shares across its levels, one cascade
+   level, the one batch loop, and the one-stop metrics recording for a
+   completed query (the robust layer's linear-scan fallback reports
+   through it too). *)
 type 'a query
 
 val run :
@@ -263,10 +255,20 @@ val run :
   ('a query -> unit) ->
   'a result
 (* [run ~describe subject ~opts ~family ~store ~limit q body]: set up
-   the query (budget, scratch, pivot cache), run [body], and tear down
-   (scratch reset, [Query_done], metrics).  [limit] bounds candidate
-   admission to ids below it — the visibility bound a concurrent reader
-   pins before probing; sequential callers pass [max_int]. *)
+   the query (budget, the domain's workspace, pivot cache), run [body],
+   and tear down (workspace reset and given back, [Query_done],
+   metrics).  [limit] bounds candidate admission to ids below it — the
+   visibility bound a concurrent reader pins before probing; sequential
+   callers pass [max_int].  Admission is also bounded by the store
+   length read at query start. *)
+
+val index_cached : 'a t -> 'a Hash_family.cache -> Hash_family.row -> int -> unit
+(* [index_existing] through the caller's pivot cache and family row over
+   the object: indexes sharing one family (the levels of a cascade)
+   share both, so each pivot distance is paid and each hash function
+   evaluated once per object, not once per index.  The row must hold no
+   bits but this object's, and the id must be alive; neither is
+   checked. *)
 
 val cascade_level : 'a query -> 'a t -> level:int -> threshold:float -> bool
 (* Mark one level's candidates (deduped against earlier levels), score
@@ -280,7 +282,7 @@ val batch :
   'a array ->
   'b array
 (* [batch ~opts ~space search qs]: [search opts' q] per query, in order,
-   sequentially through one scratch or fanned over [opts.pool]. *)
+   sequentially or fanned over [opts.pool]. *)
 
 val observe_query :
   ?metrics:Dbh_obs.Metrics.t ->

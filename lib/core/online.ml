@@ -1,42 +1,6 @@
 module Rng = Dbh_util.Rng
 module Vec = Dbh_util.Vec
 
-(* Dead-handle set as a growable monotone byte map, mirroring [Store]'s
-   tombstones: membership probes from reader domains ([get],
-   [alive_handles], [size]) race writer-side deletes, and single-byte
-   0->1 flips over a grow-by-copy [Bytes.t] are benign where a
-   hash-table resize is not.  A reader observing a stale '\000'
-   linearizes its call before the delete; the map pointer is published
-   only after the old contents are copied in, and maps only ever grow,
-   so a bounds check against one observed map stays valid for any
-   later-observed one. *)
-module Deadmap = struct
-  type t = { mutable map : Bytes.t; mutable count : int }
-
-  let create () = { map = Bytes.empty; count = 0 }
-
-  let mem t h =
-    let m = t.map in
-    h >= 0 && h < Bytes.length m && Bytes.get m h = '\001'
-
-  (* Writer-only. *)
-  let add t h =
-    if not (mem t h) then begin
-      if h >= Bytes.length t.map then begin
-        let grown = Bytes.make (max 16 (max (h + 1) (2 * Bytes.length t.map))) '\000' in
-        Bytes.blit t.map 0 grown 0 (Bytes.length t.map);
-        t.map <- grown
-      end;
-      Bytes.set t.map h '\001';
-      t.count <- t.count + 1
-    end
-
-  let count t = t.count
-
-  (* Ascending handle order; writer-side only. *)
-  let iter f t = Bytes.iteri (fun h c -> if c = '\001' then f h) t.map
-end
-
 type 'a result = 'a Index.result = {
   nn : (int * float) option;
   stats : Index.stats;
@@ -71,9 +35,10 @@ type 'a t = {
   config : Builder.config;
   rebuild_factor : float;
   target_accuracy : float;
-  (* Stable registry: external handles never change. *)
-  registry : 'a Vec.t;
-  dead : Deadmap.t;
+  (* Stable registry: a handle is its object's id here, and never
+     changes.  A deleted handle is a tombstone, whose probes from reader
+     domains race the writer's deletes benignly (see [Store]). *)
+  registry : 'a Store.t;
   (* Current generation, swapped RCU-style. *)
   published : 'a state Atomic.t;
   mutable built_size : int;
@@ -82,8 +47,8 @@ type 'a t = {
 
 let current t = Atomic.get t.published
 
-let size t = Vec.length t.registry - Deadmap.count t.dead
-let tombstones t = Deadmap.count t.dead
+let size t = Store.alive_count t.registry
+let tombstones t = Store.length t.registry - Store.alive_count t.registry
 let delta_size t = Hierarchical.delta_size (current t).index
 
 let compact t =
@@ -99,14 +64,14 @@ let index t = (current t).index
 let rng_state t = Rng.state t.rng
 
 let get t handle =
-  if handle < 0 || handle >= Vec.length t.registry || Deadmap.mem t.dead handle then
+  if not (Store.is_alive t.registry handle) then
     invalid_arg "Online.get: dead or unknown handle";
-  Vec.get t.registry handle
+  Store.get t.registry handle
 
 let alive_handles t =
   let out = ref [] in
-  for h = Vec.length t.registry - 1 downto 0 do
-    if not (Deadmap.mem t.dead h) then out := h :: !out
+  for h = Store.length t.registry - 1 downto 0 do
+    if Store.is_alive t.registry h then out := h :: !out
   done;
   !out
 
@@ -114,7 +79,7 @@ let alive_handles t =
 let build_generation ?pool ?observations ~rng ~space ~config ~target_accuracy registry
     handles =
   if Array.length handles = 0 then invalid_arg "Online: cannot build an empty database";
-  let db = Array.map (Vec.get registry) handles in
+  let db = Array.map (Store.get registry) handles in
   let prepared = Builder.prepare ?pool ?observations ~rng ~space ~config db in
   let index = Builder.hierarchical ?pool ~rng ~prepared ~db ~target_accuracy ~config () in
   let external_of_internal = Vec.create () in
@@ -144,7 +109,7 @@ let create ?pool ~rng ~space ?(config = Builder.default_config) ?(rebuild_factor
     ~target_accuracy db =
   if Array.length db = 0 then invalid_arg "Online.create: empty database";
   if rebuild_factor <= 1.0 then invalid_arg "Online.create: rebuild_factor must exceed 1";
-  let registry = Vec.of_array db in
+  let registry = Store.of_array db in
   let handles = Array.init (Array.length db) Fun.id in
   let state = build_generation ?pool ~rng ~space ~config ~target_accuracy registry handles in
   {
@@ -155,7 +120,6 @@ let create ?pool ~rng ~space ?(config = Builder.default_config) ?(rebuild_factor
     rebuild_factor;
     target_accuracy;
     registry;
-    dead = Deadmap.create ();
     published = Atomic.make state;
     built_size = Array.length db;
     rebuild_count = 0;
@@ -211,7 +175,7 @@ let maybe_rebuild t =
   end
 
 let insert t obj =
-  let handle = Vec.push t.registry obj in
+  let handle = Store.add t.registry obj in
   let s = current t in
   let internal = Hierarchical.insert s.index obj in
   ignore (Vec.push s.external_of_internal handle);
@@ -229,10 +193,10 @@ let insert t obj =
   handle
 
 let delete t handle =
-  if handle < 0 || handle >= Vec.length t.registry then
+  if handle < 0 || handle >= Store.length t.registry then
     invalid_arg "Online.delete: unknown handle";
-  if not (Deadmap.mem t.dead handle) then begin
-    Deadmap.add t.dead handle;
+  if Store.is_alive t.registry handle then begin
+    Store.delete t.registry handle;
     let s = current t in
     (match Hashtbl.find_opt s.internal_of_external handle with
     | Some internal -> Hierarchical.delete s.index internal
@@ -316,10 +280,12 @@ module Durable = struct
     let s = current o in
     let buf = Buffer.create 4096 in
     Array.iter (Binio.write_int64 buf) (Rng.state o.rng);
-    Binio.write_int buf (Vec.length o.registry);
+    Binio.write_int buf (Store.length o.registry);
     let dead = ref [] in
-    Deadmap.iter (fun h -> dead := h :: !dead) o.dead;
-    Binio.write_int_array buf (Array.of_list (List.rev !dead));
+    for h = Store.length o.registry - 1 downto 0 do
+      if not (Store.is_alive o.registry h) then dead := h :: !dead
+    done;
+    Binio.write_int_array buf (Array.of_list !dead);
     Binio.write_int_array buf (Vec.to_array s.external_of_internal);
     Binio.write_int buf o.built_size;
     Binio.write_int buf o.rebuild_count;
@@ -357,28 +323,36 @@ module Durable = struct
     if Array.length eoi <> Store.length store then
       corrupt "handle map covers %d ids but store has %d" (Array.length eoi)
         (Store.length store);
-    let dead = Deadmap.create () in
-    Array.iter (Deadmap.add dead) dead_handles;
+    let dead = Array.make registry_len false in
+    Array.iter (fun h -> dead.(h) <- true) dead_handles;
     let internal_of_external = Hashtbl.create (Array.length eoi) in
     Array.iteri
       (fun internal h ->
         if h < 0 || h >= registry_len then corrupt "mapped handle %d out of range" h;
         if Hashtbl.mem internal_of_external h then corrupt "handle %d mapped twice" h;
         Hashtbl.replace internal_of_external h internal;
-        if Deadmap.mem dead h = Store.is_alive store internal then
+        if dead.(h) = Store.is_alive store internal then
           corrupt "liveness of handle %d disagrees between registry and store" h)
       eoi;
     for h = 0 to registry_len - 1 do
-      if not (Hashtbl.mem internal_of_external h) && not (Deadmap.mem dead h) then
+      if not (Hashtbl.mem internal_of_external h) && not dead.(h) then
         corrupt "alive handle %d missing from the index" h
     done;
-    (rng, registry_len, dead, eoi, internal_of_external, built_size, rebuild_count, index)
+    (* The registry is not stored twice: rebuild it from the index's
+       object store through the handle map.  Handles that died before
+       the last rebuild have no internal id; their slots get a filler
+       that [get] can never reach (the tombstone check fires first). *)
+    let objects = Array.make registry_len (Store.get store 0) in
+    Array.iteri (fun internal h -> objects.(h) <- Store.get store internal) eoi;
+    let registry = Store.of_array objects in
+    Array.iter (Store.delete registry) dead_handles;
+    (rng, registry, eoi, internal_of_external, built_size, rebuild_count, index)
 
   let verify_snapshot ~path =
     let _version, payload = read_expect_any ~path in
     let space = Dbh_space.Space.make ~name:"verify" (fun (_ : string) _ -> 0.) in
-    let _, registry_len, dead, _, _, _, _, _ = read_payload ~decode:Fun.id ~space payload in
-    (registry_len, registry_len - Deadmap.count dead)
+    let _, registry, _, _, _, _, _ = read_payload ~decode:Fun.id ~space payload in
+    (Store.length registry, Store.alive_count registry)
 
   (* Structural open for diagnostics (dbh-cli index-stats): the payload
      decoded with an identity codec and a distance that must never run.
@@ -394,31 +368,18 @@ module Durable = struct
   let inspect_snapshot ~path =
     let version, payload = read_expect_any ~path in
     let space = Dbh_space.Space.make ~name:"inspect" (fun (_ : string) _ -> 0.) in
-    let _, registry_len, dead, _, _, _, _, index =
-      read_payload ~decode:Fun.id ~space payload
-    in
+    let _, registry, _, _, _, _, index = read_payload ~decode:Fun.id ~space payload in
     {
       format_version = version;
-      registry_len;
-      dead_handles = Deadmap.count dead;
+      registry_len = Store.length registry;
+      dead_handles = Store.length registry - Store.alive_count registry;
       cascade = index;
     }
 
   let online_of_payload ?pool ~space ~config ~rebuild_factor ~target_accuracy ~decode payload =
-    let rng, registry_len, dead, eoi, internal_of_external, built_size, rebuild_count, index =
+    let rng, registry, eoi, internal_of_external, built_size, rebuild_count, index =
       read_payload ~decode ~space payload
     in
-    let store = Hierarchical.store index in
-    (* The registry is not stored twice: rebuild it from the index's
-       object store through the handle map.  Handles that died before
-       the last rebuild have no internal id; their slots get a filler
-       that [get] can never reach (the dead-handle check fires first). *)
-    let registry = Vec.create () in
-    let filler = Store.get store 0 in
-    for _ = 1 to registry_len do
-      ignore (Vec.push registry filler)
-    done;
-    Array.iteri (fun internal h -> Vec.set registry h (Store.get store internal)) eoi;
     let external_of_internal = Vec.create () in
     Array.iter (fun h -> ignore (Vec.push external_of_internal h)) eoi;
     {
@@ -429,7 +390,6 @@ module Durable = struct
       rebuild_factor;
       target_accuracy;
       registry;
-      dead;
       published =
         Atomic.make
           {
@@ -467,7 +427,7 @@ module Durable = struct
     | 'D' ->
         let h = Binio.read_int r in
         if not (Binio.at_end r) then corrupt "trailing bytes in wal delete";
-        if h < 0 || h >= Vec.length online.registry then
+        if h < 0 || h >= Store.length online.registry then
           corrupt "wal deletes unknown handle %d" h;
         delete online h
     | c -> corrupt "unknown wal op %C" c)
@@ -581,7 +541,7 @@ module Durable = struct
 
   let delete ?trace t handle =
     ensure_open t;
-    if handle < 0 || handle >= Vec.length t.online.registry then
+    if handle < 0 || handle >= Store.length t.online.registry then
       invalid_arg "Online.Durable.delete: unknown handle";
     let record = encode_delete handle in
     ignore (Wal.append t.wal record);

@@ -3,7 +3,6 @@ type t = {
   pool : Dbh_util.Pool.t option;
   metrics : Dbh_obs.Metrics.t option;
   trace : Dbh_obs.Trace.t option;
-  scratch : Scratch.t option;
   probes_per_table : int;
   hamming_radius : int;
 }
@@ -14,14 +13,12 @@ let default =
     pool = None;
     metrics = None;
     trace = None;
-    scratch = None;
     probes_per_table = 1;
     hamming_radius = 0;
   }
 
-let make ?budget ?pool ?metrics ?trace ?scratch ?(probes_per_table = 1)
-    ?(hamming_radius = 0) () =
-  { budget; pool; metrics; trace; scratch; probes_per_table; hamming_radius }
+let make ?budget ?pool ?metrics ?trace ?(probes_per_table = 1) ?(hamming_radius = 0) () =
+  { budget; pool; metrics; trace; probes_per_table; hamming_radius }
 
 let budgeted n = { default with budget = Some n }
 

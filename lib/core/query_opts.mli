@@ -2,9 +2,9 @@
 
     One record carries everything a query may be threaded with — a
     per-query distance budget, a domain pool for batches, the
-    observability hooks, a reusable scratch and the multi-probe knobs —
-    instead of each entry point growing its own spelling of the same
-    optional arguments.  [search ?opts] is the one query entry of
+    observability hooks and the multi-probe knobs — instead of each
+    entry point growing its own spelling of the same optional
+    arguments.  [search ?opts] is the one query entry of
     [Index], [Hierarchical], [Online] (and [Online.Durable]) and
     [Dbh_robust.Breaker]; their [search_batch] variants and
     [Index.query_knn]/[query_range]/[query_budgeted] take the same
@@ -33,13 +33,6 @@ type t = {
   trace : Dbh_obs.Trace.t option;
       (** Record this query's event timeline.  Single-query entry points
           only. *)
-  scratch : Scratch.t option;
-      (** Reuse this workspace (seen mask, candidate buffer, pivot row)
-          across queries instead of allocating per query.  Purely an
-          allocation optimisation — answers and stats are identical.
-          Single-domain: sequential entry points and sequential batches
-          use it; pooled batches ignore it (each query allocates its
-          own). *)
   probes_per_table : int;
       (** Buckets probed per table, base bucket included (default [1]).
           Values above 1 enable the multi-probe path: after each table's
@@ -64,7 +57,6 @@ val make :
   ?pool:Dbh_util.Pool.t ->
   ?metrics:Dbh_obs.Metrics.t ->
   ?trace:Dbh_obs.Trace.t ->
-  ?scratch:Scratch.t ->
   ?probes_per_table:int ->
   ?hamming_radius:int ->
   unit ->

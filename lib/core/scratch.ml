@@ -5,7 +5,7 @@
    actually touched, so a query over a million-object store that saw
    forty candidates pays for forty, not a million, and one that
    evaluated two hundred functions of a large family clears two hundred
-   cells. *)
+   cells.  Each domain keeps one for its queries (Index.run). *)
 
 type t = {
   mutable seen : Bytes.t;  (* one byte per store id; '\000' = unseen *)
@@ -18,9 +18,9 @@ type t = {
   probe : Probe_seq.t;  (* reusable multi-probe heap *)
 }
 
-let create ?(capacity = 0) () =
+let create () =
   {
-    seen = Bytes.make capacity '\000';
+    seen = Bytes.empty;
     buf = Array.make 64 0;
     len = 0;
     dists = [||];
@@ -32,9 +32,12 @@ let create ?(capacity = 0) () =
 
 (* Invariant: every non-'\000' byte of [seen] is listed in [buf.(0..len)],
    so growth can discard the old mask — it is all zeroes after reset, and
-   [ensure] is only called at query start, when the scratch is clean. *)
+   [ensure] is only called at query start, when the scratch is clean.
+   Growth at least doubles, so a workspace reused while its store grows
+   one insert at a time reallocates O(log n) times, not per insert. *)
 let ensure t n =
-  if Bytes.length t.seen < n then t.seen <- Bytes.make n '\000'
+  let cap = Bytes.length t.seen in
+  if cap < n then t.seen <- Bytes.make (max n (2 * cap)) '\000'
 
 let capacity t = Bytes.length t.seen
 

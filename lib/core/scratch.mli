@@ -7,23 +7,25 @@
     the marked bytes and the evaluated cells (O(candidates + functions
     evaluated), not O(store + family)), so one scratch amortises the hot
     path's allocations to zero across queries.
-    Thread one through [Query_opts.make ~scratch] — entry points without
-    one allocate a private scratch per query, which is correct but costs
-    the old per-query allocations.
 
-    A scratch is single-domain state: share it across {e sequential}
-    queries only.  Batch entry points reuse the caller's scratch when
-    running sequentially and ignore it under a pool (each domain
-    allocates its own). *)
+    Queries take no scratch: every query entry point works in its
+    domain's one workspace, held in domain-local storage, and resets it
+    on exit.  A query that finds that workspace in use — because it is
+    nested inside a distance function, or because another systhread of
+    the same domain is mid-query — works in a fresh one instead, so two
+    live queries never share marks.  A scratch is single-domain state;
+    the values below serve the engine, tests and diagnostics
+    ({!Index.candidates_into}). *)
 
 type t
 
-val create : ?capacity:int -> unit -> t
-(** Fresh empty scratch; [capacity] pre-sizes the seen mask. *)
+val create : unit -> t
+(** Fresh empty scratch, capacity 0. *)
 
 val ensure : t -> int -> unit
-(** Grow the seen mask to cover ids [0, n).  Called at query start, when
-    the scratch is clean; marks never survive growth. *)
+(** Grow the seen mask to cover ids [0, n), to at least twice the old
+    capacity when it grows at all.  Called at query start, when the
+    scratch is clean; marks never survive growth. *)
 
 val capacity : t -> int
 
@@ -73,5 +75,5 @@ val margin_row : t -> int -> float array
 
 val probe_seq : t -> Probe_seq.t
 (** The scratch's reusable multi-probe workspace (penalty-sorted bits +
-    probe heap) — like the other rows, single-domain and reused across
-    sequential queries. *)
+    probe heap) — like the other rows, reused across the queries that
+    work in this scratch. *)

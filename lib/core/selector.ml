@@ -32,5 +32,3 @@ let of_tag = function
   | _ -> None
 
 let known_tags = [ "uniform"; "median"; "density"; "nsh" ]
-
-let pp fmt t = Format.pp_print_string fmt (tag t)

@@ -69,5 +69,3 @@ val of_tag : string -> t option
 (** Inverse of {!tag}, with default parameters. *)
 
 val known_tags : string list
-
-val pp : Format.formatter -> t -> unit

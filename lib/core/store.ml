@@ -11,7 +11,6 @@ type 'a t = {
   mutable n_dead : int;
 }
 
-let create () = { objects = Vec.create (); tombs = Bytes.empty; n_dead = 0 }
 let of_array arr = { objects = Vec.of_array arr; tombs = Bytes.empty; n_dead = 0 }
 let length t = Vec.length t.objects
 let alive_count t = Vec.length t.objects - t.n_dead

@@ -11,8 +11,6 @@ type 'a t
 val of_array : 'a array -> 'a t
 (** A store seeded with the given objects (ids [0 .. n-1]); copies. *)
 
-val create : unit -> 'a t
-
 val length : 'a t -> int
 (** Total ids ever allocated, including deleted ones. *)
 

@@ -193,7 +193,6 @@ let append t payload =
   | Some m -> Dbh_obs.Registry.inc m.Dbh_obs.Metrics.wal_appends_total);
   seq
 
-let record_count t = t.next_seq - 1
 let path t = t.path
 
 let close t =

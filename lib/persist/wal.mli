@@ -65,10 +65,6 @@ val append : t -> string -> int
 val sync : t -> unit
 (** Flush (and fsync when enabled) without appending. *)
 
-val record_count : t -> int
-(** Records written through this handle plus valid records found on
-    open. *)
-
 val path : t -> string
 
 val close : t -> unit

@@ -72,9 +72,7 @@ val search : ?opts:Dbh.Query_opts.t -> 'a t -> 'a -> 'a outcome
     the linear-scan fallback; [opts.metrics]/[opts.trace] instrument
     both paths (fallback queries report [levels_probed = 0] and record
     a [Linear_fallback] trace event; state transitions record
-    [Breaker_state]).  [opts.scratch] is reused by index-served queries
-    (the linear-scan fallback needs no scratch).  [opts.pool] is
-    ignored. *)
+    [Breaker_state]).  [opts.pool] is ignored. *)
 
 val state : 'a t -> state
 val trips : 'a t -> int

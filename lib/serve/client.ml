@@ -47,17 +47,12 @@ let connect ?(timeout = 10.) ?(retry = Retry.default) ?deadline ~host ~port () =
 let the_fd t =
   match t.fd with Some fd -> fd | None -> invalid_arg "Client: closed"
 
-let fd t = the_fd t
-let next_id t = t.id
-
 let write_all fd s =
   let len = String.length s in
   let off = ref 0 in
   while !off < len do
     off := !off + Unix.write_substring fd s !off (len - !off)
   done
-
-let send_raw t s = write_all (the_fd t) s
 
 let send t req =
   let id = t.id in

@@ -3,9 +3,7 @@
 
     One connection, synchronous by default ({!request} = send + wait for
     the matching correlation id), with the pipelined primitives
-    ({!send}/{!recv}) exposed for tests that interleave.  Also exposes
-    {!send_raw} and {!fd} so chaos tests can write torn, truncated or
-    bit-flipped bytes on a real connection. *)
+    ({!send}/{!recv}) exposed for tests that interleave. *)
 
 type t
 
@@ -60,13 +58,5 @@ val readable : ?timeout:float -> t -> bool
     buffered frame is already in hand, or the socket becomes readable
     within [timeout] (default 0, a pure poll).  Lets a pipelining caller
     interleave sends without committing to a blocking read. *)
-
-(** {1 Chaos hooks} *)
-
-val send_raw : t -> string -> unit
-(** Write raw bytes as-is. *)
-
-val fd : t -> Unix.file_descr
-val next_id : t -> int64  (** the id {!send} would use next *)
 
 val close : t -> unit  (** idempotent *)

@@ -354,19 +354,18 @@ let test_trace_one_eval_per_function () =
         Alcotest.failf "%d pivot events over %d levels; at most %d expected" events levels bound)
     deep
 
-(* The family row is reset between queries: on a shared scratch, a
-   second query answers, costs, truncates and traces exactly as on a
-   fresh scratch, whatever budget cut the first one short (mid-hash
-   included), with and without multi-probe. *)
+(* The family row is reset between queries: in a domain whose workspace
+   a first query just used, a second query answers, costs, truncates and
+   traces exactly as in a freshly spawned domain, whatever budget cut
+   the first one short (mid-hash included), with and without
+   multi-probe. *)
 let test_shared_scratch_resets_family_row () =
   let h, db, rng = make_hier () in
   let q1 = Dbh_datasets.Vectors.perturb ~rng ~sigma:0.3 db.(3) in
   let q2 = Dbh_datasets.Vectors.perturb ~rng ~sigma:0.3 db.(250) in
-  let run ?scratch ?budget ~probes q =
+  let run ?budget ~probes q =
     let trace = Trace.create ~clock:(fun () -> 0.) () in
-    let opts =
-      Query_opts.make ?budget ?scratch ~trace ~probes_per_table:probes ~hamming_radius:1 ()
-    in
+    let opts = Query_opts.make ?budget ~trace ~probes_per_table:probes ~hamming_radius:1 () in
     let r = Hierarchical.search ~opts h q in
     (r.Index.nn, r.Index.stats, r.Index.truncated, r.Index.levels_probed, Trace.events trace)
   in
@@ -374,10 +373,10 @@ let test_shared_scratch_resets_family_row () =
     (fun probes ->
       List.iter
         (fun budget ->
-          let scratch = Dbh.Scratch.create () in
-          ignore (run ~scratch ?budget ~probes q1);
-          if run ~scratch ?budget ~probes q2 <> run ?budget ~probes q2 then
-            Alcotest.failf "shared scratch changed the second query (budget %s, probes %d)"
+          ignore (run ?budget ~probes q1);
+          let fresh = Domain.join (Domain.spawn (fun () -> run ?budget ~probes q2)) in
+          if run ?budget ~probes q2 <> fresh then
+            Alcotest.failf "a used workspace changed the second query (budget %s, probes %d)"
               (match budget with None -> "none" | Some b -> string_of_int b)
               probes)
         (None :: List.init 60 (fun b -> Some (b + 1))))

@@ -319,8 +319,13 @@ let test_every_surface_batch_matches_per_query () =
                       let per_query = Array.map (s.search opts) queries in
                       Alcotest.(check bool) (label ^ ": sequential batch") true
                         (s.batch opts queries = per_query);
+                      (* Twice on one pool: the second pass runs in the
+                         workspaces the first left in the pool's domains. *)
+                      let pooled = { opts with Query_opts.pool = Some pool } in
                       Alcotest.(check bool) (label ^ ": pooled batch") true
-                        (s.batch { opts with Query_opts.pool = Some pool } queries = per_query);
+                        (s.batch pooled queries = per_query);
+                      Alcotest.(check bool) (label ^ ": pooled batch, second pass") true
+                        (s.batch pooled queries = per_query);
                       Option.iter
                         (fun b ->
                           Array.iter

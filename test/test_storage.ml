@@ -1,5 +1,6 @@
 (* Storage-engine tests: the compact layout (packed keys, frozen CSR
-   tables, reusable query scratch) must be invisible from the outside.
+   tables, each domain's reusable query workspace) must be invisible
+   from the outside.
 
    The centrepiece is a golden diff — a pinned pen-digit/DTW workload
    whose per-query answers, hex-float distances and logical cost
@@ -7,7 +8,7 @@
    (test/fixtures/golden_storage.txt); any layout change that perturbs a
    single bit of any answer fails here.  Around it: Key codec
    properties, CSR freeze/compaction invariants fuzzed against fresh
-   rebuilds, scratch-reuse equivalence, and migration of a pinned
+   rebuilds, workspace-reuse equivalence, and migration of a pinned
    pre-refactor (v1) durable directory to the packed v2 snapshot
    format. *)
 
@@ -101,23 +102,16 @@ let golden_range_line qi (hits : (int * float) list) (stats : Index.stats) =
     (if hits = "" then "-" else hits)
     stats.Index.hash_cost stats.Index.lookup_cost stats.Index.probes
 
-let golden_lines ?opts () =
-  let queries, index, hier = golden_workload () in
-  let budgeted =
-    match opts with
-    | None -> Query_opts.budgeted 40
-    | Some o -> { o with Query_opts.budget = Some 40 }
-  in
-  let multi2 =
-    match opts with
-    | None -> Query_opts.multiprobe 3
-    | Some o -> { o with Query_opts.probes_per_table = 3; hamming_radius = 2 }
-  in
+let golden_budgeted = Query_opts.budgeted 40
+let golden_multi2 = Query_opts.multiprobe 3
+
+let golden_lines (queries, index, hier) =
+  let budgeted = golden_budgeted and multi2 = golden_multi2 in
   let lines = ref [] in
   let emit l = lines := l :: !lines in
   Array.iteri
     (fun qi q ->
-      emit (golden_result_line "single" qi (Index.search ?opts index q));
+      emit (golden_result_line "single" qi (Index.search index q));
       emit (golden_result_line "single-b40" qi (Index.search ~opts:budgeted index q));
       emit (golden_result_line "multi2" qi (Index.search ~opts:multi2 index q));
       emit (golden_result_line "budg10" qi (Index.query_budgeted index ~max_candidates:10 q));
@@ -125,7 +119,7 @@ let golden_lines ?opts () =
        emit (golden_knn_line qi hits stats));
       (let hits, stats = Index.query_range index 1.5 q in
        emit (golden_range_line qi hits stats));
-      emit (golden_result_line "hier" qi (Hierarchical.search ?opts hier q));
+      emit (golden_result_line "hier" qi (Hierarchical.search hier q));
       emit (golden_result_line "hier-b40" qi (Hierarchical.search ~opts:budgeted hier q)))
     queries;
   List.rev !lines
@@ -160,18 +154,51 @@ let check_against_golden label actual =
           label (i + 1) e a)
     (List.combine expected actual)
 
-let test_golden_bit_identity () = check_against_golden "fresh scratch" (golden_lines ())
+let test_golden_bit_identity () =
+  check_against_golden "golden workload" (golden_lines (golden_workload ()))
+
+(* A query's whole observable outcome under [opts]: answer, stats,
+   truncation, levels and its full trace on a frozen clock. *)
+let outcome search opts q =
+  let trace = Dbh_obs.Trace.create ~clock:(fun () -> 0.) () in
+  let (r : _ Index.result) = search { opts with Query_opts.trace = Some trace } q in
+  (r.Index.nn, r.Index.stats, r.Index.truncated, r.Index.levels_probed, Dbh_obs.Trace.events trace)
+
+(* Run [f] in a newly spawned domain, whose workspace no query has
+   touched. *)
+let in_fresh_domain f = Domain.join (Domain.spawn f)
 
 let test_golden_with_shared_scratch () =
-  (* Same workload through one long-lived scratch: zero-alloc reuse must
-     not change a bit of any answer. *)
-  let scratch = Scratch.create () in
-  let opts = Query_opts.make ~scratch () in
-  check_against_golden "shared scratch" (golden_lines ~opts ())
+  (* Every query works in its domain's one workspace, reused without
+     changing a bit.  Dirty this domain's with cascade queries cut short
+     at budgets 1..25 (mid-hash included); the golden workload run here
+     must still match the fixture, and each golden query must answer,
+     cost, truncate and trace exactly as in a freshly spawned domain. *)
+  let ((queries, index, hier) as workload) = golden_workload () in
+  Array.iteri
+    (fun qi q -> ignore (Hierarchical.search ~opts:(Query_opts.budgeted (qi + 1)) hier q))
+    queries;
+  check_against_golden "dirty workspace" (golden_lines workload);
+  let single opts q = Index.search ~opts index q in
+  let cascade opts q = Hierarchical.search ~opts hier q in
+  List.iter
+    (fun (label, search, opts) ->
+      Array.iteri
+        (fun qi q ->
+          if outcome search opts q <> in_fresh_domain (fun () -> outcome search opts q) then
+            Alcotest.failf "%s query %d: the dirty workspace changed its outcome" label qi)
+        queries)
+    [
+      ("single", single, Query_opts.default);
+      ("single-b40", single, golden_budgeted);
+      ("multi2", single, golden_multi2);
+      ("hier", cascade, Query_opts.default);
+      ("hier-b40", cascade, golden_budgeted);
+    ]
 
 let test_golden_batches_match_pool () =
-  (* search_batch — sequential (shared scratch inside) and fanned over a
-     pool — must agree with the golden per-query "single"/"hier" lines. *)
+  (* search_batch — sequential and fanned over a pool — must agree with
+     the golden per-query "single"/"hier" lines. *)
   let queries, index, hier = golden_workload () in
   let golden = read_lines (fixture_path "golden_storage.txt") in
   let expect tag =
@@ -363,9 +390,10 @@ let test_eval_row_matches_eval () =
 
 (* [build_on] over n objects lays out every table (keys, offsets, ids)
    exactly as building over a prefix, indexing the rest one by one and
-   compacting does — compared through the packed body, which writes
-   each table's arrays verbatim, and bucket by bucket.  [full_and_grown]
-   returns both indexes; [k] overrides the drawn key width. *)
+   taking the [compacted] index does — compared through the packed
+   body, which writes each table's arrays verbatim, and bucket by
+   bucket.  [full_and_grown] returns both indexes; [k] overrides the
+   drawn key width. *)
 let full_and_grown ?k seed n =
   let rng = Rng.create (7000 + seed) in
   let objs = Array.init n (fun _ -> Array.init 3 (fun _ -> Rng.float_in rng (-1.) 1.)) in
@@ -389,8 +417,7 @@ let full_and_grown ?k seed n =
     ignore (Dbh.Store.add store objs.(id));
     if dead.(id) then Dbh.Store.delete store id else Index.index_existing grown id
   done;
-  Index.compact grown;
-  (full, grown)
+  (full, Index.compacted grown)
 
 let packed_body t =
   let buf = Buffer.create 1024 in
@@ -521,7 +548,7 @@ let csr_fuzz =
       let ids = Array.init n_initial Fun.id in
       let keys = Array.map (fun id -> let key = Rng.int rng key_space in model_add key id; key) ids in
       next_id := n_initial;
-      let csr = Csr.of_keys ~ids ~keys in
+      let csr = ref (Csr.of_keys ~ids ~keys) in
       let is_alive id = not (Hashtbl.mem dead id) in
       (* Random deltas, deletions and occasional compactions. *)
       for _ = 1 to n_ops do
@@ -529,10 +556,10 @@ let csr_fuzz =
         | 0 | 1 ->
             let key = Rng.int rng key_space and id = !next_id in
             incr next_id;
-            Csr.add csr key id;
+            Csr.add !csr key id;
             model_add key id
         | 2 -> if !next_id > 0 then Hashtbl.replace dead (Rng.int rng !next_id) ()
-        | _ -> Csr.compact ~is_alive csr
+        | _ -> csr := Csr.compacted ~is_alive !csr
       done;
       (* Same buckets, same live contents, same iteration order. *)
       let keys = Hashtbl.fold (fun k _ acc -> k :: acc) model [] |> List.sort compare in
@@ -540,10 +567,10 @@ let csr_fuzz =
         (fun key ->
           let expect = Hashtbl.find model key |> List.filter is_alive in
           let got = ref [] in
-          Csr.iter_bucket csr key (fun id -> if is_alive id then got := id :: !got);
+          Csr.iter_bucket !csr key (fun id -> if is_alive id then got := id :: !got);
           List.rev !got = expect)
         keys
-      && Csr.bucket_size csr (key_space + 1) = 0)
+      && Csr.bucket_size !csr (key_space + 1) = 0)
 
 (* [of_keys] against the list-bucket build it replaced: cons every id
    onto its key's list in position order, then lay the lists out by
@@ -587,8 +614,8 @@ let of_keys_matches_list_buckets =
    all share their top bits, the all-ones key ([max_int] at width 62) —
    probed at every key, at 0, and above the largest key.  Each table is
    checked as built by [of_keys], with a suffix [add]ed to a prefix
-   build (delta live), after [compact], after [compacted] and after a
-   [write]/[read] round trip. *)
+   build (delta live), as [compacted] from that (which leaves it
+   untouched) and after a [write]/[read] round trip. *)
 let prefix_directory_matches_list =
   QCheck.Test.make ~name:"prefix directory = naive (key, ids) list" ~count:150
     QCheck.(pair small_int (int_bound 2000)) (fun (seed, nk) ->
@@ -671,7 +698,6 @@ let prefix_directory_matches_list =
       in
       let delta_live = agrees grown in
       let fresh = Csr.compacted ~is_alive:all_alive grown in
-      Csr.compact ~is_alive:all_alive grown;
       let read_back =
         let buf = Buffer.create 1024 in
         Csr.write buf ~is_alive:all_alive built;
@@ -743,28 +769,99 @@ let test_scratch_reuse_is_clean () =
     if not (Scratch.mark s i) then Alcotest.failf "stale mark at %d after growth" i
   done;
   Scratch.reset s;
+  (* Growth past the capacity at least doubles it, so a workspace whose
+     store grows one insert at a time rarely reallocates. *)
+  let cap = Scratch.capacity s in
+  Scratch.ensure s (cap + 1);
+  Alcotest.(check bool) "growth at least doubles" true (Scratch.capacity s >= 2 * cap);
   let row = Scratch.pivot_dists s 32 in
   Alcotest.(check bool) "pivot row big enough" true (Array.length row >= 32)
 
 let test_scratch_exception_safety () =
-  (* A budget blow-up mid-query must still leave a shared scratch clean
-     for the next query. *)
+  (* A query cut short — by its budget, or by an exception its distance
+     raises mid-query — must still give its domain's workspace back
+     clean: the next query there answers, costs, truncates and traces
+     exactly as in a freshly spawned domain. *)
   let db = Pen.generate_set ~rng:(Rng.create 21) 120 in
+  let calls_left = ref max_int in
+  let space =
+    Dbh_space.Space.make ~name:"pen-dtw-failing" (fun a b ->
+        decr calls_left;
+        if !calls_left < 0 then failwith "distance failed";
+        Pen.space.Dbh_space.Space.distance a b)
+  in
   let family =
-    Hash_family.make ~rng:(Rng.create 22) ~space:Pen.space ~num_pivots:15
-      ~threshold_sample:80 db
+    Hash_family.make ~rng:(Rng.create 22) ~space ~num_pivots:15 ~threshold_sample:80 db
   in
   let index = Index.build ~rng:(Rng.create 23) ~family ~db ~k:4 ~l:5 () in
-  let scratch = Scratch.create () in
-  let q = Pen.generate_set ~rng:(Rng.create 24) 1 in
-  let tight = Query_opts.make ~budget:3 ~scratch () in
-  let r1 = Index.search ~opts:tight index q.(0) in
+  let q = Pen.generate_set ~rng:(Rng.create 24) 2 in
+  let search opts q = Index.search ~opts index q in
+  let clean label =
+    List.iter
+      (fun opts ->
+        if outcome search opts q.(1) <> in_fresh_domain (fun () -> outcome search opts q.(1))
+        then Alcotest.failf "%s: the next query differs from a fresh domain's" label)
+      [ Query_opts.default; Query_opts.budgeted 20 ]
+  in
+  let r1 = Index.search ~opts:(Query_opts.budgeted 3) index q.(0) in
   Alcotest.(check bool) "budget truncated" true r1.Index.truncated;
-  Alcotest.(check int) "scratch clean after truncation" 0 (Scratch.count scratch);
-  let free = Query_opts.make ~scratch () in
-  let r2 = Index.search ~opts:free index q.(0) in
-  let r3 = Index.search index q.(0) in
-  if r2.Index.nn <> r3.Index.nn then Alcotest.fail "shared scratch changed the answer"
+  clean "after truncation";
+  (* Past the 15 pivots: the failing distance scores a candidate. *)
+  calls_left := 20;
+  (match Index.search index q.(0) with
+  | _ -> Alcotest.fail "the failing distance did not raise"
+  | exception Failure _ -> ());
+  calls_left := max_int;
+  clean "after an exception"
+
+(* A distance function may itself run a query.  The inner query finds
+   its domain's workspace taken by the outer one and works in a fresh
+   one, so neither disturbs the other: the outer query and every inner
+   one answer, cost, truncate and trace exactly as the same queries run
+   one at a time. *)
+let test_nested_query () =
+  let rng = Rng.create 43 in
+  let vec () = Array.init 4 (fun _ -> Rng.float_in rng (-1.) 1.) in
+  let inner_db = Array.init 150 (fun _ -> vec ()) in
+  let inner_family =
+    Hash_family.make ~rng ~space:l2 ~num_pivots:10 ~threshold_sample:60 inner_db
+  in
+  let inner = Index.build ~rng ~family:inner_family ~db:inner_db ~k:4 ~l:6 () in
+  let inner_outcome = outcome (fun opts q -> Index.search ~opts inner q) Query_opts.default in
+  let nesting = ref false and inner_runs = ref [] in
+  let space =
+    Dbh_space.Space.make ~name:"l2-nesting" (fun a b ->
+        if !nesting then inner_runs := (a, inner_outcome a) :: !inner_runs;
+        l2.Dbh_space.Space.distance a b)
+  in
+  let db = Array.init 200 (fun _ -> vec ()) in
+  let family = Hash_family.make ~rng ~space ~num_pivots:12 ~threshold_sample:80 db in
+  let outer = Index.build ~rng ~family ~db ~k:5 ~l:6 () in
+  let outer_outcome = outcome (fun opts q -> Index.search ~opts outer q) in
+  List.iter
+    (fun (label, opts) ->
+      for i = 1 to 8 do
+        let q = vec () in
+        let alone = outer_outcome opts q in
+        inner_runs := [];
+        nesting := true;
+        let nested =
+          Fun.protect ~finally:(fun () -> nesting := false) (fun () -> outer_outcome opts q)
+        in
+        if nested <> alone then
+          Alcotest.failf "%s query %d: nesting changed the outer query" label i;
+        if !inner_runs = [] then Alcotest.failf "%s query %d: no inner query ran" label i;
+        List.iter
+          (fun (a, got) ->
+            if got <> inner_outcome a then
+              Alcotest.failf "%s query %d: a nested inner query differs from its run alone" label i)
+          !inner_runs
+      done)
+    [
+      ("plain", Query_opts.default);
+      ("budget 30", Query_opts.budgeted 30);
+      ("multiprobe 3", Query_opts.multiprobe 3);
+    ]
 
 (* ------------------------------------------------- v1 -> v2 migration *)
 
@@ -912,6 +1009,7 @@ let () =
         [
           Alcotest.test_case "reuse stays clean" `Quick test_scratch_reuse_is_clean;
           Alcotest.test_case "exception safety" `Quick test_scratch_exception_safety;
+          Alcotest.test_case "nested query works in its own workspace" `Quick test_nested_query;
         ] );
       ( "migration",
         [
