@@ -47,6 +47,30 @@ let seconds f =
   let y = f () in
   (y, Unix.gettimeofday () -. t0)
 
+(* Best-of-[rounds] seconds of each mode (a thunk returning the seconds
+   it took), with the modes interleaved: a round runs passes that time
+   every mode once, each pass starting from the next mode, until the
+   round has lasted [min_round] seconds, and scores each mode by its
+   mean pass.  A slow stretch of the machine thus lands on every mode
+   alike instead of on whichever ran last. *)
+let interleaved_best ~rounds ~min_round modes =
+  let n = Array.length modes in
+  let best = Array.make n infinity in
+  let start = ref 0 in
+  for _ = 1 to rounds do
+    let sum = Array.make n 0. and passes = ref 0 in
+    while !passes = 0 || Array.fold_left ( +. ) 0. sum < min_round do
+      for k = 0 to n - 1 do
+        let i = (!start + k) mod n in
+        sum.(i) <- sum.(i) +. modes.(i) ()
+      done;
+      incr start;
+      incr passes
+    done;
+    Array.iteri (fun i s -> best.(i) <- Float.min best.(i) (s /. float_of_int !passes)) sum
+  done;
+  best
+
 (* Pen digits slightly harder than the library defaults, so that the
    brute-force 1-NN error is non-trivial (the paper's UNIPEN error is
    2.05%) and nearest-neighbor distances spread enough to stratify. *)
@@ -1453,12 +1477,14 @@ let persist_section () =
 (* ------------------------------------------------- O1 observability cost *)
 
 (* What the metrics registry costs on the serving path.  The same UNIPEN
-   query sweep runs with no registry installed, with an ambient registry,
-   and (informationally) with a per-query trace recorder; each mode keeps
-   its best-of-rounds wall time so scheduler noise cannot manufacture
-   overhead.  The section fails if the installed-registry sweep is more
-   than 5% slower than the bare one, or if the counters disagree with the
-   per-query stats they summarize.  Numbers land in BENCH_obs.json. *)
+   query sweep runs with no registry installed and with an ambient
+   registry, the two interleaved round by round, then (informationally)
+   with a per-query trace recorder, whose garbage would otherwise land
+   on whichever sweep followed it; each mode keeps its best-of-rounds
+   wall time so scheduler noise cannot manufacture overhead.  The
+   section fails if the installed-registry sweep is more than 5% slower
+   than the bare one, or if the counters disagree with the per-query
+   stats they summarize.  Numbers land in BENCH_obs.json. *)
 
 let obs_section () =
   Report.print_heading "obs (O1): instrumentation overhead, metrics on vs off";
@@ -1479,26 +1505,34 @@ let obs_section () =
   (* Warm-up: fault in every code path and let the allocator settle. *)
   ignore (sweep ());
   let rounds = if quick then 3 else 5 in
-  let best f =
-    let baseline = ref infinity and results = ref [||] in
-    for _ = 1 to rounds do
-      let r, dt = seconds f in
-      if dt < !baseline then baseline := dt;
-      results := r
-    done;
-    (!results, !baseline)
-  in
-  let off_results, off_s = best sweep in
   let m = Dbh_obs.Metrics.create () in
-  let on_results, on_s = best (fun () -> Dbh_obs.Metrics.with_installed m sweep) in
-  let trace_results, trace_s =
-    best (fun () ->
-        Array.map
-          (fun q ->
-            let trace = Dbh_obs.Trace.create () in
-            Dbh.Hierarchical.search ~opts:(Dbh.Query_opts.make ~trace ()) h q)
-          queries)
+  let off_results = ref [||] and on_results = ref [||] and trace_results = ref [||] in
+  let mode results f () =
+    let r, dt = seconds f in
+    results := r;
+    dt
   in
+  let gated =
+    interleaved_best ~rounds ~min_round:0.
+      [|
+        mode off_results sweep;
+        mode on_results (fun () -> Dbh_obs.Metrics.with_installed m sweep);
+      |]
+  in
+  let traced =
+    interleaved_best ~rounds ~min_round:0.
+      [|
+        mode trace_results (fun () ->
+            Array.map
+              (fun q ->
+                let trace = Dbh_obs.Trace.create () in
+                Dbh.Hierarchical.search ~opts:(Dbh.Query_opts.make ~trace ()) h q)
+              queries);
+      |]
+  in
+  let off_s = gated.(0) and on_s = gated.(1) and trace_s = traced.(0) in
+  let off_results = !off_results and on_results = !on_results in
+  let trace_results = !trace_results in
   (* The instrumented sweeps must answer exactly like the bare one. *)
   let identical = off_results = on_results && off_results = trace_results in
   (* Counters are recorded once per completed query from its stats, so the
@@ -1702,19 +1736,16 @@ let storage_section () =
   in
   let packed_alloc = alloc_words sweep_packed in
   let ref_alloc = alloc_words sweep_ref in
-  (* Wall time: best of rounds for throughput, plus a per-query latency
-     distribution for the packed engine. *)
+  (* Wall time per sweep: best of rounds for throughput, plus a
+     per-query latency distribution for the packed engine.  A sweep
+     takes milliseconds, so a round alternates the engines sweep by
+     sweep until it has lasted at least 0.2 s (0.1 s of each). *)
   let rounds = if quick then 3 else 5 in
-  let best f =
-    let b = ref infinity in
-    for _ = 1 to rounds do
-      let _, dt = seconds f in
-      if dt < !b then b := dt
-    done;
-    !b
+  let times =
+    interleaved_best ~rounds ~min_round:0.2
+      [| (fun () -> snd (seconds sweep_packed)); (fun () -> snd (seconds sweep_ref)) |]
   in
-  let packed_s = best sweep_packed in
-  let ref_s = best sweep_ref in
+  let packed_s = times.(0) and ref_s = times.(1) in
   let latencies =
     Array.map
       (fun q ->

@@ -46,13 +46,8 @@ let build ?pool ~rng ~family ~db ~query_indices ?(num_fns = 250) ?(db_sample = 5
   let sig_of = Hash_family.signature family ~fn_indices in
   (* All rng draws happen above/below on the submitting domain; the
      fanned-out work (brute-force NN scans, signatures, agreement rows)
-     is pure per index, so the fitted model is bit-identical to the
-     sequential build for the same seed. *)
-  let map_array ?cost f arr =
-    match pool with
-    | None -> Array.map f arr
-    | Some pool -> Dbh_util.Pool.parallel_map_array ?cost pool f arr
-  in
+     is pure per index, so the fitted model is bit-identical at every
+     pool width for the same seed. *)
   (* Chunking weight for a fan-out over db ids: each task's distance work
      (a brute-force scan or a signature) scales with the length of its
      own object when the space declares per-item costs. *)
@@ -70,13 +65,17 @@ let build ?pool ~rng ~family ~db ~query_indices ?(num_fns = 250) ?(db_sample = 5
           invalid_arg "Analysis.build: ground_truth length mismatch";
         gt
     | None ->
-        map_array ?cost:(id_cost query_indices)
+        Dbh_util.Pool.parallel_map_array ?pool ?cost:(id_cost query_indices)
           (fun qi -> brute_force_nn space db qi)
           query_indices
   in
   (* Database sample for the Eq. 12 lookup-cost sum. *)
   let sample_ids = Rng.sample_indices rng (min db_sample n) n in
-  let sample_sigs = map_array ?cost:(id_cost sample_ids) (fun j -> sig_of db.(j)) sample_ids in
+  let sample_sigs =
+    Dbh_util.Pool.parallel_map_array ?pool ?cost:(id_cost sample_ids)
+      (fun j -> sig_of db.(j))
+      sample_ids
+  in
   (* Signatures are needed for every sample query and for every true NN,
      and one object can play several of those roles at once (the NN of
      many queries, or a query that is also some other query's NN).
@@ -97,7 +96,11 @@ let build ?pool ~rng ~family ~db ~query_indices ?(num_fns = 250) ?(db_sample = 5
     Array.iter (fun (j, _) -> add j) nn;
     Array.of_list (List.rev !order)
   in
-  let sigs = map_array ?cost:(id_cost sig_ids) (fun id -> sig_of db.(id)) sig_ids in
+  let sigs =
+    Dbh_util.Pool.parallel_map_array ?pool ?cost:(id_cost sig_ids)
+      (fun id -> sig_of db.(id))
+      sig_ids
+  in
   let sig_tbl = Hashtbl.create (Array.length sig_ids) in
   Array.iteri (fun i id -> Hashtbl.replace sig_tbl id sigs.(i)) sig_ids;
   let sig_cached id = Hashtbl.find sig_tbl id in
@@ -116,12 +119,7 @@ let build ?pool ~rng ~family ~db ~query_indices ?(num_fns = 250) ?(db_sample = 5
         (fun s j -> if j = qi then nan else Bitvec.agreement q_sig sample_sigs.(s))
         sample_ids
   in
-  (match pool with
-  | None ->
-      for i = 0 to Array.length query_indices - 1 do
-        fit_query i
-      done
-  | Some pool -> Dbh_util.Pool.parallel_for pool (Array.length query_indices) fit_query);
+  Dbh_util.Pool.parallel_for ?pool (Array.length query_indices) fit_query;
   {
     db_size = n;
     c_nn;

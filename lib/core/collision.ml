@@ -96,15 +96,12 @@ let pairwise_matrix ?pool ~rng ?(num_fns = 200) family sample =
      The function draw happens before, so the matrix is bit-identical to
      the sequential run for the same seed. *)
   let sig_of = Hash_family.signature family ~fn_indices in
+  (* One signature pays pivot distances against a fixed pivot set, so an
+     object's share scales with its own declared cost. *)
   let signatures =
-    match pool with
-    | None -> Array.map sig_of sample
-    | Some pool ->
-        (* One signature pays pivot distances against a fixed pivot set,
-           so an object's share scales with its own declared cost. *)
-        Dbh_util.Pool.parallel_map_array
-          ?cost:(Dbh_space.Space.cost_estimator (Hash_family.space family) sample)
-          pool sig_of sample
+    Dbh_util.Pool.parallel_map_array ?pool
+      ?cost:(Dbh_space.Space.cost_estimator (Hash_family.space family) sample)
+      sig_of sample
   in
   let n = Array.length sample in
   let m = Array.make_matrix n n 1. in
@@ -115,15 +112,9 @@ let pairwise_matrix ?pool ~rng ?(num_fns = 200) family sample =
       m.(j).(i) <- c
     done
   in
-  (match pool with
-  | None ->
-      for i = 0 to n - 1 do
-        fill_row i
-      done
-  | Some pool ->
-      (* Rows write disjoint cells: row task i writes m.(i).(j>i) and the
-         mirror cells m.(j>i).(i), never a cell another row task touches.
-         The triangular loop makes row i cost n-1-i agreements, so chunk
-         by that instead of row count. *)
-      Dbh_util.Pool.parallel_for ~cost:(fun i -> n - i) pool n fill_row);
+  (* Rows write disjoint cells: row task i writes m.(i).(j>i) and the
+     mirror cells m.(j>i).(i), never a cell another row task touches.
+     The triangular loop makes row i cost n-1-i agreements, so chunk by
+     that instead of row count. *)
+  Dbh_util.Pool.parallel_for ?pool ~cost:(fun i -> n - i) n fill_row;
   m

@@ -120,52 +120,29 @@ let build_uniform ?pool ~rng ~space ~pivots ~dist_sp ~s ~max_functions strategy 
     in
     { p1 = i; p2 = j; d12; t1; t2; spread = spread_of sorted }
   in
-  match pool with
-  | None ->
-      (* Streaming path: one scratch projection buffer, thresholds drawn
-         as each pair is processed. *)
-      let projections = Array.make s 0. in
-      Array.to_list pairs
-      |> List.filter_map (fun (i, j) ->
-             let d12 = space.Space.distance pivots.(i) pivots.(j) in
-             if not (d12 > 0.) then None
-             else begin
-               for k = 0 to s - 1 do
-                 projections.(k) <-
-                   Projection.project_with ~d1:dist_sp.(i).(k) ~d2:dist_sp.(j).(k) ~d12
-               done;
-               let sorted = Array.copy projections in
-               Array.sort compare sorted;
-               Some (finish (i, j) d12 sorted)
-             end)
-      |> Array.of_list
-  | Some pool ->
-      (* Two-phase: the pure, expensive part (pivot-pair distance,
-         projections, sort) fans out across the pool; the rng-dependent
-         thresholds are then drawn sequentially in pair order. *)
-      let pre =
-        Dbh_util.Pool.parallel_map_array ?cost:(pair_cost space pivots pairs) pool
-          (fun (i, j) ->
-            let d12 = space.Space.distance pivots.(i) pivots.(j) in
-            if not (d12 > 0.) then None
-            else begin
-              let sorted =
-                Array.init s (fun k ->
-                    Projection.project_with ~d1:dist_sp.(i).(k) ~d2:dist_sp.(j).(k) ~d12)
-              in
-              Array.sort compare sorted;
-              Some (d12, sorted)
-            end)
-          pairs
+  (* A chunk's map is the pure, expensive part (pivot-pair distance,
+     projections, sort); its fold draws the thresholds. *)
+  let project ((i, j) as pair) =
+    let d12 = space.Space.distance pivots.(i) pivots.(j) in
+    if not (d12 > 0.) then None
+    else begin
+      let sorted =
+        Array.init s (fun k ->
+            Projection.project_with ~d1:dist_sp.(i).(k) ~d2:dist_sp.(j).(k) ~d12)
       in
-      let out = ref [] in
-      Array.iteri
-        (fun idx pair ->
-          match pre.(idx) with
-          | None -> ()
-          | Some (d12, sorted) -> out := finish pair d12 sorted :: !out)
-        pairs;
-      Array.of_list (List.rev !out)
+      Array.sort compare sorted;
+      Some (pair, d12, sorted)
+    end
+  in
+  Dbh_util.Pool.map_reduce_chunks ?pool ?cost:(pair_cost space pivots pairs)
+    (Array.length pairs)
+    ~map:(fun ~lo ~hi -> Array.init (hi - lo) (fun p -> project pairs.(lo + p)))
+    ~fold:
+      (Array.fold_left (fun out -> function
+         | None -> out
+         | Some (pair, d12, sorted) -> finish pair d12 sorted :: out))
+    ~init:[]
+  |> List.rev |> Array.of_list
 
 (* ------------------------------------------ data-dependent construction *)
 
@@ -245,10 +222,7 @@ let neighbor_lists ?pool ~dist_sp ~m ~s ~scale k =
     in
     Array.init (min k_eff (s - 1)) (fun r -> snd cand.(r))
   in
-  let ids = Array.init s (fun i -> i) in
-  match pool with
-  | None -> Array.map knn ids
-  | Some pool -> Dbh_util.Pool.parallel_map_array pool knn ids
+  Dbh_util.Pool.parallel_map_array ?pool knn (Array.init s Fun.id)
 
 (* Score one candidate interval for the neighbor-sensitive selector: the
    fraction of (point, near-neighbor) sample pairs whose bits disagree —
@@ -319,11 +293,8 @@ let build_selected ?pool ~space ~pivots ~dist_sp ~s ~max_functions ~grid ~score_
   in
   let pairs = all_pairs m in
   let scored =
-    match pool with
-    | None -> Array.map score_pair pairs
-    | Some pool ->
-        Dbh_util.Pool.parallel_map_array ?cost:(pair_cost space pivots pairs) pool score_pair
-          pairs
+    Dbh_util.Pool.parallel_map_array ?pool ?cost:(pair_cost space pivots pairs) score_pair
+      pairs
   in
   let valid = ref [] in
   Array.iteri (fun idx -> function Some _ -> valid := idx :: !valid | None -> ()) scored;
@@ -505,15 +476,9 @@ let build ?pool ~rng ~space ~num_pivots ~threshold_sample ~max_functions ~select
       dist_sp.(p).(i) <- d
     done
   in
-  (match pool with
-  | None ->
-      for p = 0 to m - 1 do
-        fill_row p
-      done
-  | Some pool ->
-      (* Row [p] computes the same [s] sample distances whatever [p] is,
-         so only the pivot's own length differentiates row costs. *)
-      Dbh_util.Pool.parallel_for ?cost:(Space.cost_estimator space pivots) pool m fill_row);
+  (* Row [p] computes the same [s] sample distances whatever [p] is, so
+     only the pivot's own length differentiates row costs. *)
+  Dbh_util.Pool.parallel_for ?pool ?cost:(Space.cost_estimator space pivots) m fill_row;
   let fns =
     match (selector : Selector.t) with
     | Uniform strategy ->
@@ -630,10 +595,7 @@ let cache_with_distances t obj dists =
 
 let pivot_table ?pool t objs =
   let row obj = Array.map (fun p -> t.space.Space.distance obj p) t.pivots in
-  match pool with
-  | None -> Array.map row objs
-  | Some pool ->
-      Dbh_util.Pool.parallel_map_array ?cost:(Space.cost_estimator t.space objs) pool row objs
+  Dbh_util.Pool.parallel_map_array ?pool ?cost:(Space.cost_estimator t.space objs) row objs
 
 let cache_cost c = c.misses
 let cache_hits c = c.hits

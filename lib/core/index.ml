@@ -142,26 +142,18 @@ let build_on ?pool ~rng ~family ~store ?pivot_table ~k ~l () =
     keys.(row) <- [||];
     table
   in
-  let tables =
-    match pool with
-    | None ->
-        key_objects ~lo:0 ~hi:m;
-        Array.init l table_of
-    | Some pool ->
-        (* Without a pivot table, keying pays the object's pivot
-           distances, so chunks balance on the space's item cost. *)
-        let space = Hash_family.space family in
-        let cost =
-          match pivot_table with
-          | None when Space.has_item_cost space ->
-              Some (fun p -> Space.item_cost space (Store.get store ids.(p)))
-          | _ -> None
-        in
-        Dbh_util.Pool.map_reduce_chunks ?cost pool ~n:m ~map:key_objects
-          ~fold:(fun () () -> ()) ~init:();
-        Dbh_util.Pool.parallel_map_array pool table_of (Array.init l Fun.id)
+  (* Without a pivot table, keying pays the object's pivot distances,
+     so chunks balance on the space's item cost. *)
+  let space = Hash_family.space family in
+  let cost =
+    match pivot_table with
+    | None when Space.has_item_cost space ->
+        Some (fun p -> Space.item_cost space (Store.get store ids.(p)))
+    | _ -> None
   in
-  { t with tables }
+  Dbh_util.Pool.map_reduce_chunks ?pool ?cost m ~map:key_objects ~fold:(fun () () -> ())
+    ~init:();
+  { t with tables = Dbh_util.Pool.parallel_map_array ?pool table_of (Array.init l Fun.id) }
 
 let build ?pool ~rng ~family ~db ?pivot_table ~k ~l () =
   build_on ?pool ~rng ~family ~store:(Store.of_array db) ?pivot_table ~k ~l ()
@@ -516,10 +508,8 @@ let batch ~opts ~space search qs =
         trace = None;
       }
   in
-  match opts.Query_opts.pool with
-  | None -> Array.map search qs
-  | Some pool ->
-      Dbh_util.Pool.parallel_map_array ?cost:(Space.cost_estimator space qs) pool search qs
+  Dbh_util.Pool.parallel_map_array ?pool:opts.Query_opts.pool
+    ?cost:(Space.cost_estimator space qs) search qs
 
 let search_batch ?(opts = Query_opts.default) t qs =
   batch ~opts ~space:(Hash_family.space t.family) (fun opts q -> search ~opts t q) qs

@@ -96,15 +96,6 @@ let build_generation ?pool ?observations ~rng ~space ~config ~target_accuracy re
     visible = Atomic.make (Array.length handles);
   }
 
-let rebuild t =
-  let handles = Array.of_list (alive_handles t) in
-  let s =
-    build_generation ?pool:t.pool ~rng:t.rng ~space:t.space ~config:t.config
-      ~target_accuracy:t.target_accuracy t.registry handles
-  in
-  Atomic.set t.published s;
-  t.built_size <- Array.length handles
-
 let create ?pool ~rng ~space ?(config = Builder.default_config) ?(rebuild_factor = 2.0)
     ~target_accuracy db =
   if Array.length db = 0 then invalid_arg "Online.create: empty database";
@@ -130,10 +121,18 @@ let record_counter pick =
   | None -> ()
   | Some m -> Dbh_obs.Registry.inc (pick m)
 
-let rebuild_now t =
-  rebuild t;
+(* Every rebuild: run the offline pipeline over the alive handles,
+   publish the result as the new generation, and count it. *)
+let rebuild t ~config ~observations =
+  let handles = Array.of_list (alive_handles t) in
+  Atomic.set t.published
+    (build_generation ?pool:t.pool ?observations ~rng:t.rng ~space:t.space ~config
+       ~target_accuracy:t.target_accuracy t.registry handles);
+  t.built_size <- Array.length handles;
   t.rebuild_count <- t.rebuild_count + 1;
   record_counter (fun m -> m.Dbh_obs.Metrics.online_rebuilds_total)
+
+let rebuild_now t = rebuild t ~config:t.config ~observations:None
 
 let retune ?metrics ?selector t =
   (* Observation-driven generation: distill the live-traffic strata from
@@ -153,26 +152,14 @@ let retune ?metrics ?selector t =
     | Some selector -> { t.config with Builder.selector }
   in
   let prior = Hierarchical.family (current t).index in
-  let handles = Array.of_list (alive_handles t) in
-  let s =
-    build_generation ?pool:t.pool ~observations:(prior, observations) ~rng:t.rng
-      ~space:t.space ~config ~target_accuracy:t.target_accuracy t.registry handles
-  in
-  Atomic.set t.published s;
-  t.built_size <- Array.length handles;
-  t.rebuild_count <- t.rebuild_count + 1;
-  record_counter (fun m -> m.Dbh_obs.Metrics.online_rebuilds_total);
+  rebuild t ~config ~observations:(Some (prior, observations));
   observations
 
 let maybe_rebuild t =
   let alive = size t in
   let hi = t.rebuild_factor *. float_of_int t.built_size in
   let lo = float_of_int t.built_size /. t.rebuild_factor in
-  if float_of_int alive >= hi || float_of_int alive <= lo then begin
-    rebuild t;
-    t.rebuild_count <- t.rebuild_count + 1;
-    record_counter (fun m -> m.Dbh_obs.Metrics.online_rebuilds_total)
-  end
+  if float_of_int alive >= hi || float_of_int alive <= lo then rebuild_now t
 
 let insert t obj =
   let handle = Store.add t.registry obj in
@@ -348,12 +335,6 @@ module Durable = struct
     Array.iter (Store.delete registry) dead_handles;
     (rng, registry, eoi, internal_of_external, built_size, rebuild_count, index)
 
-  let verify_snapshot ~path =
-    let _version, payload = read_expect_any ~path in
-    let space = Dbh_space.Space.make ~name:"verify" (fun (_ : string) _ -> 0.) in
-    let _, registry, _, _, _, _, _ = read_payload ~decode:Fun.id ~space payload in
-    (Store.length registry, Store.alive_count registry)
-
   (* Structural open for diagnostics (dbh-cli index-stats): the payload
      decoded with an identity codec and a distance that must never run.
      Returns the snapshot's format version, registry occupancy and the
@@ -375,6 +356,10 @@ module Durable = struct
       dead_handles = Store.length registry - Store.alive_count registry;
       cascade = index;
     }
+
+  let verify_snapshot ~path =
+    let info = inspect_snapshot ~path in
+    (info.registry_len, info.registry_len - info.dead_handles)
 
   let online_of_payload ?pool ~space ~config ~rebuild_factor ~target_accuracy ~decode payload =
     let rng, registry, eoi, internal_of_external, built_size, rebuild_count, index =
@@ -401,6 +386,26 @@ module Durable = struct
       built_size;
       rebuild_count;
     }
+
+  (* Newest snapshot in [dir] that verifies wins; a corrupt or unreadable
+     one is recorded with why and skipped, never deleted.  Returns the
+     loaded generation, if any, and the skipped ones, newest first.
+     Leader recovery and replica loading both start here. *)
+  let load_newest_snapshot ?pool ~space ?(config = Builder.default_config)
+      ?(rebuild_factor = 2.0) ~target_accuracy ~decode ~dir () =
+    let rec try_load skipped = function
+      | [] -> (None, List.rev skipped)
+      | g :: rest -> (
+          match
+            let _version, payload = read_expect_any ~path:(Layout.snapshot_path ~dir g) in
+            online_of_payload ?pool ~space ~config ~rebuild_factor ~target_accuracy ~decode
+              payload
+          with
+          | o -> (Some (g, o), List.rev skipped)
+          | exception Binio.Corrupt msg -> try_load ((g, msg) :: skipped) rest
+          | exception Sys_error msg -> try_load ((g, msg) :: skipped) rest)
+    in
+    try_load [] (List.rev (Layout.snapshot_generations ~dir))
 
   (* ------------------------------------------------- WAL op encoding *)
 
@@ -484,6 +489,19 @@ module Durable = struct
       (fun g -> if g < gen - 1 then Layout.remove_if_exists (Layout.wal_path ~dir:t.dir g))
       (Layout.wal_generations ~dir:t.dir)
 
+  let make_handle ~fsync ~encode ~decode ~dir ~wal ~wal_ops o generation =
+    { online = o; dir; encode; decode; fsync; generation; wal; wal_ops; closed = false }
+
+  (* Start generation [gen] over [o]: write its snapshot and a fresh
+     log, then prune older generations.  A new directory, a recovery
+     whose log chain broke and a promoted follower all begin so. *)
+  let fence ~fsync ~encode ~decode ~dir o gen =
+    save_snapshot_raw ~dir ~encode o gen;
+    let wal = Wal.create ~fsync ~path:(Layout.wal_path ~dir gen) () in
+    let t = make_handle ~fsync ~encode ~decode ~dir ~wal ~wal_ops:0 o gen in
+    cleanup_before t gen;
+    t
+
   let file_size path =
     let ic = open_in_bin path in
     Fun.protect ~finally:(fun () -> close_in_noerr ic) (fun () -> in_channel_length ic)
@@ -565,25 +583,14 @@ module Durable = struct
   let open_or_create ?pool ?(fsync = true) ~rng ~space ?(config = Builder.default_config)
       ?(rebuild_factor = 2.0) ~target_accuracy ~encode ~decode ~dir ?data () =
     Layout.ensure_dir dir;
-    let snapshot_gens = Layout.snapshot_generations ~dir in
-    let wal_gens = Layout.wal_generations ~dir in
-    let max_gen = List.fold_left max 0 (snapshot_gens @ wal_gens) in
-    (* Newest snapshot that verifies wins; corrupt ones are recorded and
-       skipped — degrade to an older generation rather than fail. *)
-    let rec try_load skipped = function
-      | [] -> (None, List.rev skipped)
-      | g :: rest -> (
-          let path = Layout.snapshot_path ~dir g in
-          match
-            let _version, payload = read_expect_any ~path in
-            online_of_payload ?pool ~space ~config ~rebuild_factor ~target_accuracy ~decode
-              payload
-          with
-          | o -> (Some (g, o), List.rev skipped)
-          | exception Binio.Corrupt msg -> try_load ((g, msg) :: skipped) rest
-          | exception Sys_error msg -> try_load ((g, msg) :: skipped) rest)
+    let max_gen =
+      List.fold_left max 0 (Layout.snapshot_generations ~dir @ Layout.wal_generations ~dir)
     in
-    let loaded, skipped = try_load [] (List.rev snapshot_gens) in
+    (* Degrade to an older generation rather than fail. *)
+    let loaded, skipped =
+      load_newest_snapshot ?pool ~space ~config ~rebuild_factor ~target_accuracy ~decode ~dir
+        ()
+    in
     match loaded with
     | Some (g, o) ->
         (* Replay the WAL chain from the loaded generation forward: wal g
@@ -614,12 +621,14 @@ module Durable = struct
         | Some m when !replayed > 0 ->
             Dbh_obs.Registry.add m.Dbh_obs.Metrics.wal_records_replayed_total !replayed
         | _ -> ());
-        let gen, wal, wal_ops =
+        let t =
           if last_gen = max_gen && not torn then begin
             (* Everything on disk is accounted for: keep appending to
                the current generation's log. *)
             let wal, scan = Wal.open_append ~fsync ~path:(Layout.wal_path ~dir last_gen) () in
-            (last_gen, wal, Array.length scan.Wal.records)
+            make_handle ~fsync ~encode ~decode ~dir ~wal
+              ~wal_ops:(Array.length scan.Wal.records)
+              o last_gen
           end
           else begin
             (* The chain broke (torn log, or generations above the one
@@ -630,16 +639,9 @@ module Durable = struct
             for g' = last_gen + 1 to max_gen do
               Layout.remove_if_exists (Layout.wal_path ~dir g')
             done;
-            let gen = max_gen + 1 in
-            save_snapshot_raw ~dir ~encode o gen;
-            (gen, Wal.create ~fsync ~path:(Layout.wal_path ~dir gen) (), 0)
+            fence ~fsync ~encode ~decode ~dir o (max_gen + 1)
           end
         in
-        let t =
-          { online = o; dir; encode; decode; fsync; generation = gen; wal; wal_ops;
-            closed = false }
-        in
-        if gen > last_gen then cleanup_before t gen;
         ( t,
           {
             source = `Snapshot g;
@@ -652,25 +654,16 @@ module Durable = struct
         match data with
         | Some db when Array.length db > 0 ->
             let o = create ?pool ~rng ~space ~config ~rebuild_factor ~target_accuracy db in
-            let gen = max_gen + 1 in
-            save_snapshot_raw ~dir ~encode o gen;
-            let t =
-              {
-                online = o;
-                dir;
-                encode;
-                decode;
-                fsync;
-                generation = gen;
-                wal = Wal.create ~fsync ~path:(Layout.wal_path ~dir gen) ();
-                wal_ops = 0;
-                closed = false;
-              }
-            in
-            cleanup_before t gen;
+            let t = fence ~fsync ~encode ~decode ~dir o (max_gen + 1) in
             let source = if skipped = [] then `Fresh else `Rebuilt in
             ( t,
-              { source; generation = gen; replayed_ops = 0; torn_tail = false; skipped } )
+              {
+                source;
+                generation = t.generation;
+                replayed_ops = 0;
+                torn_tail = false;
+                skipped;
+              } )
         | _ ->
             if skipped = [] then
               invalid_arg
@@ -685,14 +678,10 @@ module Durable = struct
   (* ------------------------------------------- hooks for dbh.replica *)
 
   (* The replica library lives outside this one and needs three pieces
-     of the durable machinery the public API deliberately hides: load a
-     snapshot file into an online index, apply one WAL record, and turn
-     a caught-up follower into a leader by fencing a fresh generation. *)
-
-  let online_of_snapshot ?pool ~space ?(config = Builder.default_config)
-      ?(rebuild_factor = 2.0) ~target_accuracy ~decode ~path () =
-    let _version, payload = read_expect_any ~path in
-    online_of_payload ?pool ~space ~config ~rebuild_factor ~target_accuracy ~decode payload
+     of the durable machinery the public API deliberately hides: load
+     the newest snapshot that verifies ([load_newest_snapshot] above),
+     apply one WAL record, and turn a caught-up follower into a leader
+     by fencing a fresh generation. *)
 
   let apply_record ~decode o payload = apply_op ~decode o payload
 
@@ -703,20 +692,5 @@ module Durable = struct
        every older generation's log superseded history — a recovery (or
        another follower) now loads this state and ignores records the
        old leader might still try to append behind our back. *)
-    save_snapshot_raw ~dir ~encode o generation;
-    let t =
-      {
-        online = o;
-        dir;
-        encode;
-        decode;
-        fsync;
-        generation;
-        wal = Wal.create ~fsync ~path:(Layout.wal_path ~dir generation) ();
-        wal_ops = 0;
-        closed = false;
-      }
-    in
-    cleanup_before t generation;
-    t
+    fence ~fsync ~encode ~decode ~dir o generation
 end

@@ -279,22 +279,24 @@ module Durable : sig
   (**/**)
 
   (* Internal hooks for the replica layer (dbh.replica) — not a stable
-     API.  [online_of_snapshot] loads one snapshot file (full structural
-     validation, raises Corrupt); [apply_record] applies one WAL record
-     exactly as recovery replay would; [attach] turns an online index
-     into a leader over [dir] by writing snapshot [generation] plus a
-     fresh WAL — the promotion fence. *)
+     API.  [load_newest_snapshot] is recovery's loader: the newest
+     snapshot in [dir] that passes full structural validation, with the
+     generations skipped on the way (newest first, with why);
+     [apply_record] applies one WAL record exactly as recovery replay
+     would; [attach] turns an online index into a leader over [dir] by
+     writing snapshot [generation] plus a fresh WAL — the promotion
+     fence. *)
 
-  val online_of_snapshot :
+  val load_newest_snapshot :
     ?pool:Dbh_util.Pool.t ->
     space:'a Dbh_space.Space.t ->
     ?config:Builder.config ->
     ?rebuild_factor:float ->
     target_accuracy:float ->
     decode:(string -> 'a) ->
-    path:string ->
+    dir:string ->
     unit ->
-    'a online
+    (int * 'a online) option * (int * string) list
 
   val apply_record : decode:(string -> 'a) -> 'a online -> string -> unit
 

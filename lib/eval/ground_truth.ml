@@ -24,15 +24,11 @@ let compute ?pool ~space ~db ~queries () =
   if Array.length db = 0 then invalid_arg "Ground_truth.compute: empty database";
   if Array.length queries = 0 then invalid_arg "Ground_truth.compute: no queries";
   let scan_query q = scan space db ~exclude:(-1) q in
+  (* A scan pays |db| distances against its own query, so a long query
+     costs proportionally more under sequence metrics. *)
   let pairs =
-    match pool with
-    | None -> Array.map scan_query queries
-    | Some pool ->
-        (* A scan pays |db| distances against its own query, so a long
-           query costs proportionally more under sequence metrics. *)
-        Dbh_util.Pool.parallel_map_array
-          ?cost:(Space.cost_estimator space queries)
-          pool scan_query queries
+    Dbh_util.Pool.parallel_map_array ?pool ?cost:(Space.cost_estimator space queries)
+      scan_query queries
   in
   {
     nn_index = Array.map fst pairs;

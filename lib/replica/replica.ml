@@ -76,31 +76,24 @@ let ensure_follower t =
 
 (* ------------------------------------------------------------- loading *)
 
-(* Newest snapshot that verifies wins, like leader recovery — but
-   purely read-only: a corrupt snapshot is skipped, never deleted. *)
+(* Newest snapshot that verifies wins, through the loader leader
+   recovery uses.  Loading only reads: a corrupt snapshot is skipped,
+   never deleted. *)
 let load_newest_snapshot ?pool ?config ?rebuild_factor ~space ~target_accuracy ~decode
     ~dir () =
-  let rec try_load errors = function
-    | [] ->
-        let detail =
-          if errors = [] then "directory holds no snapshot"
-          else
-            String.concat "; "
-              (List.map (fun (g, m) -> Printf.sprintf "gen %d: %s" g m) (List.rev errors))
-        in
-        Printf.ksprintf failwith "Replica: no loadable snapshot in %s: %s" dir detail
-    | g :: rest -> (
-        match
-          Durable.online_of_snapshot ?pool ~space ?config ?rebuild_factor
-            ~target_accuracy ~decode
-            ~path:(Layout.snapshot_path ~dir g)
-            ()
-        with
-        | o -> (g, o)
-        | exception Dbh_util.Binio.Corrupt msg -> try_load ((g, msg) :: errors) rest
-        | exception Sys_error msg -> try_load ((g, msg) :: errors) rest)
-  in
-  try_load [] (List.rev (Layout.snapshot_generations ~dir))
+  match
+    Durable.load_newest_snapshot ?pool ~space ?config ?rebuild_factor ~target_accuracy
+      ~decode ~dir ()
+  with
+  | Some loaded, _ -> loaded
+  | None, skipped ->
+      let detail =
+        if skipped = [] then "directory holds no snapshot"
+        else
+          String.concat "; "
+            (List.map (fun (g, m) -> Printf.sprintf "gen %d: %s" g m) skipped)
+      in
+      Printf.ksprintf failwith "Replica: no loadable snapshot in %s: %s" dir detail
 
 let load t =
   let g, o =

@@ -11,7 +11,6 @@ type config = {
   max_bucket_fraction : float;
   open_cooldown : int;
   half_open_probes : int;
-  cooldown_backoff : Dbh_util.Retry.policy option;
 }
 
 let default_config =
@@ -21,7 +20,6 @@ let default_config =
     max_bucket_fraction = 0.5;
     open_cooldown = 20;
     half_open_probes = 10;
-    cooldown_backoff = None;
   }
 
 type 'a t = {
@@ -32,9 +30,6 @@ type 'a t = {
   mutable trips : int;
   mutable recoveries : int;
   mutable fallbacks : int;
-  (* Trips since the last recovery — the attempt number the cooldown
-     backoff policy (when configured) is evaluated at. *)
-  mutable consecutive_trips : int;
   (* Closed: guard counters at the start of the current window. *)
   mutable window_queries : int;
   mutable window_calls0 : int;
@@ -104,17 +99,7 @@ let record_counter pick =
 let trip ?trace t =
   t.state <- Open;
   t.trips <- t.trips + 1;
-  t.consecutive_trips <- t.consecutive_trips + 1;
-  (* A relapsing index earns exponentially longer cooldowns (in
-     fallback queries) before the next rebuild-and-probe attempt; the
-     default policy-free config keeps the historical fixed cooldown. *)
-  t.cooldown_left <-
-    (match t.config.cooldown_backoff with
-    | None -> t.config.open_cooldown
-    | Some policy ->
-        max 1
-          (int_of_float
-             (Float.round (Dbh_util.Retry.backoff policy ~attempt:t.consecutive_trips))));
+  t.cooldown_left <- t.config.open_cooldown;
   record_counter (fun m -> m.Dbh_obs.Metrics.breaker_trips_total);
   record_state ?trace t
 
@@ -136,7 +121,6 @@ let create ?(config = default_config) ?guard online =
       trips = 0;
       recoveries = 0;
       fallbacks = 0;
-      consecutive_trips = 0;
       window_queries = 0;
       window_calls0 = 0;
       window_anoms0 = 0;
@@ -230,7 +214,6 @@ let rec search ?(opts = Dbh.Query_opts.default) t q =
         else begin
           t.state <- Closed;
           t.recoveries <- t.recoveries + 1;
-          t.consecutive_trips <- 0;
           record_counter (fun m -> m.Dbh_obs.Metrics.breaker_recoveries_total);
           record_state ?trace:opts.Dbh.Query_opts.trace t;
           begin_window t

@@ -41,13 +41,6 @@ type config = {
   open_cooldown : int;
       (** fallback queries served before attempting a rebuild (default 20) *)
   half_open_probes : int;  (** probe queries that must run clean (default 10) *)
-  cooldown_backoff : Dbh_util.Retry.policy option;
-      (** when set, the open cooldown is {!Dbh_util.Retry.backoff} of
-          the policy at the number of trips since the last recovery
-          (read as fallback queries, rounded, at least 1) instead of the
-          fixed [open_cooldown] — a relapsing index earns exponentially
-          longer cooldowns before the next rebuild-and-probe.  Default
-          [None] (historical fixed cooldown). *)
 }
 
 val default_config : config

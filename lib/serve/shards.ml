@@ -110,16 +110,15 @@ let search_many ?pool t items =
             outcomes.(s.idx).(q) <- Some (Breaker.search ~opts s.breaker obj))
           items)
   in
-  (match pool with
-  | Some pool when t.n > 1 && Pool.size pool > 1 ->
-      (* One task per shard, weighted by shard population: the pool
-         schedules hot shards first instead of letting one of them gate
-         the whole batch from the tail of a size-only layout. *)
-      Pool.parallel_for ~chunk:1
-        ~cost:(fun i -> Durable.size t.shards.(i).durable)
-        pool t.n
-        (fun i -> run_shard t.shards.(i))
-  | _ -> Array.iter run_shard t.shards);
+  (* One task per shard, weighted by shard population: the pool
+     schedules hot shards first instead of letting one of them gate the
+     whole batch from the tail of a size-only layout.  A lone shard or a
+     one-domain pool has nothing to spread, so it runs with no pool. *)
+  let pool = match pool with Some p when t.n > 1 && Pool.size p > 1 -> pool | _ -> None in
+  Pool.parallel_for ?pool ~chunk:1
+    ~cost:(fun i -> Durable.size t.shards.(i).durable)
+    t.n
+    (fun i -> run_shard t.shards.(i));
   Array.init m (fun q ->
       let nn = ref None and cost = ref 0 in
       let truncated = ref false and degraded = ref false in

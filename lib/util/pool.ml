@@ -6,7 +6,7 @@
    idling.  Chunk boundaries and task placement are deterministic
    functions of the input size and the cost estimator — never of
    scheduling — so chunked reductions merge in a fixed order and
-   parallel runs stay bit-identical to sequential ones. *)
+   parallel runs stay bit-identical to runs with no pool. *)
 
 (* A single-batch Chase-Lev deque: the task array is placed before the
    batch is published and never grows, so there is no push protocol and
@@ -182,8 +182,6 @@ let create ~domains =
     t.workers <- List.init (domains - 1) (fun i -> Domain.spawn (worker t (i + 1)));
   t
 
-let sequential = create ~domains:1
-
 let shutdown t =
   Mutex.lock t.mutex;
   t.closed <- true;
@@ -337,6 +335,10 @@ let run_tasks t ~weights f =
     end
   end
 
+let check_chunk = function
+  | Some c when c < 1 -> invalid_arg "Pool: chunk must be >= 1"
+  | _ -> ()
+
 (* Chunk layout is a deterministic function of [n], [chunk] and [cost]
    alone — never of the pool size.  Without a cost estimator the layout
    is the historical fixed-length split (at most 64 chunks).  With one,
@@ -347,11 +349,9 @@ let run_tasks t ~weights f =
    up), and an explicit [chunk] doubles as a hard cap on chunk length
    so [~chunk:1] always means one item per task. *)
 let layout ?chunk ?cost n =
+  check_chunk chunk;
   if n <= 0 then ([||], [||])
   else begin
-    (match chunk with
-    | Some c when c < 1 -> invalid_arg "Pool: chunk must be >= 1"
-    | _ -> ());
     match cost with
     | None ->
         let c =
@@ -393,39 +393,53 @@ let layout ?chunk ?cost n =
 
 let chunks ?chunk ?cost n = fst (layout ?chunk ?cost n)
 
-let parallel_for ?chunk ?cost t n f =
-  let ranges, weights = layout ?chunk ?cost n in
-  run_tasks t ~weights (fun ci ->
-      let lo, hi = ranges.(ci) in
-      for i = lo to hi - 1 do
+(* With no pool each combinator is the plain loop its pooled run must
+   equal, and touches neither telemetry nor metrics. *)
+
+let parallel_for ?pool ?chunk ?cost n f =
+  check_chunk chunk;
+  match pool with
+  | None ->
+      for i = 0 to n - 1 do
         f i
-      done)
+      done
+  | Some t ->
+      let ranges, weights = layout ?chunk ?cost n in
+      run_tasks t ~weights (fun ci ->
+          let lo, hi = ranges.(ci) in
+          for i = lo to hi - 1 do
+            f i
+          done)
 
-let parallel_map_array ?chunk ?cost t f arr =
+let parallel_map_array ?pool ?chunk ?cost f arr =
+  check_chunk chunk;
   let n = Array.length arr in
-  if n = 0 then [||]
-  else begin
-    (* Seed the result with element 0 so no dummy value is needed; [f]
-       is applied exactly once per element either way.  The remaining
-       loop runs over shifted indices, so the cost estimator shifts
-       with it. *)
-    let out = Array.make n (f arr.(0)) in
-    let cost = Option.map (fun c i -> c (i + 1)) cost in
-    parallel_for ?chunk ?cost t (n - 1) (fun i -> out.(i + 1) <- f arr.(i + 1));
-    out
-  end
+  match pool with
+  | None -> Array.map f arr
+  | Some _ when n = 0 -> [||]
+  | Some _ ->
+      (* Seed the result with element 0 so no dummy value is needed; [f]
+         is applied exactly once per element either way.  The remaining
+         loop runs over shifted indices, so the cost estimator shifts
+         with it. *)
+      let out = Array.make n (f arr.(0)) in
+      let cost = Option.map (fun c i -> c (i + 1)) cost in
+      parallel_for ?pool ?chunk ?cost (n - 1) (fun i -> out.(i + 1) <- f arr.(i + 1));
+      out
 
-let map_reduce_chunks ?chunk ?cost t ~n ~map ~fold ~init =
+let map_reduce_chunks ?pool ?chunk ?cost n ~map ~fold ~init =
   let ranges, weights = layout ?chunk ?cost n in
-  let count = Array.length ranges in
-  if count = 0 then init
-  else begin
-    let results = Array.make count None in
-    run_tasks t ~weights (fun ci ->
-        let lo, hi = ranges.(ci) in
-        results.(ci) <- Some (map ~lo ~hi));
-    (* Merge strictly in chunk order: bit-identical for any pool size. *)
-    Array.fold_left
-      (fun acc r -> match r with Some c -> fold acc c | None -> acc)
-      init results
-  end
+  match pool with
+  | None ->
+      (* Same layout, each chunk folded as soon as it is mapped: the
+         same grouping as the pooled merge, one chunk live at a time. *)
+      Array.fold_left (fun acc (lo, hi) -> fold acc (map ~lo ~hi)) init ranges
+  | Some t ->
+      let results = Array.make (Array.length ranges) None in
+      run_tasks t ~weights (fun ci ->
+          let lo, hi = ranges.(ci) in
+          results.(ci) <- Some (map ~lo ~hi));
+      (* Merge strictly in chunk order: bit-identical for any pool size. *)
+      Array.fold_left
+        (fun acc r -> match r with Some c -> fold acc c | None -> acc)
+        init results

@@ -3,9 +3,12 @@
     A dependency-free parallel execution substrate over OCaml 5 domains:
     {!create} spawns [domains - 1] worker domains (the submitting domain
     is the remaining worker), and the combinators fan indexed tasks out
-    to them.  Everything is opt-in — library code takes a [?pool]
-    argument and runs sequentially without one — so existing call sites
-    keep their exact semantics.
+    to them.  Every combinator takes an optional [?pool], and library
+    code passes the one it was given straight through.  Without a pool
+    a combinator is the plain loop its pooled run must equal: indices
+    (or chunks) in ascending order, with no telemetry, no metrics and no
+    task timing.  This module is the only place that decides between
+    the two, so callers keep one implementation of their work.
 
     {b Scheduling.}  Each batch pre-places its chunk tasks onto
     per-domain Chase–Lev deques: the owning domain pops LIFO at the
@@ -30,10 +33,10 @@
     {b Determinism.}  Chunk boundaries depend only on the input size,
     [?chunk] and [?cost] — never on the pool size or on scheduling.
     {!parallel_for} and {!parallel_map_array} only run pure-per-index
-    work, so their output is identical to the sequential loop;
+    work, so their output is identical to the plain loop;
     {!map_reduce_chunks} merges chunk results strictly in chunk order,
-    so even non-commutative merges are bit-identical run to run and
-    pool size to pool size.  Components that need randomness inside
+    so even non-commutative merges are bit-identical run to run, pool
+    size to pool size, and with no pool at all.  Components that need randomness inside
     chunks should split one generator per chunk up front
     ({!Rng.split_n} over [Array.length (chunks n)]) so parallel runs
     stay reproducible from the seed.
@@ -68,10 +71,6 @@ val create : domains:int -> t
     resources: call {!shutdown} (or use {!with_pool}) when done —
     OCaml caps the number of live domains. *)
 
-val sequential : t
-(** A shared always-sequential pool ([size = 1], no worker domains, no
-    shutdown needed).  Handy as an explicit "no parallelism" argument. *)
-
 val size : t -> int
 (** Total domains, counting the caller.  At least 1. *)
 
@@ -83,37 +82,43 @@ val with_pool : domains:int -> (t -> 'a) -> 'a
 (** [with_pool ~domains f] runs [f] with a fresh pool and shuts it down
     afterwards, whether [f] returns or raises. *)
 
-val parallel_for : ?chunk:int -> ?cost:(int -> int) -> t -> int -> (int -> unit) -> unit
-(** [parallel_for pool n f] runs [f i] for every [i] in [[0, n)],
+val parallel_for :
+  ?pool:t -> ?chunk:int -> ?cost:(int -> int) -> int -> (int -> unit) -> unit
+(** [parallel_for ?pool n f] runs [f i] for every [i] in [[0, n)],
     split into chunks across the pool's domains.  [f] must be safe to
     run concurrently for distinct [i] (e.g. writing only cell [i] of a
     result array).  [chunk] caps the chunk length (default: at most 64
     chunks); [cost i] estimates the relative work of index [i] so chunk
-    boundaries equalize estimated cost instead of index count. *)
+    boundaries equalize estimated cost instead of index count.  Without
+    a pool it is [for i = 0 to n - 1 do f i done]. *)
 
 val parallel_map_array :
-  ?chunk:int -> ?cost:(int -> int) -> t -> ('a -> 'b) -> 'a array -> 'b array
-(** [parallel_map_array pool f arr] is [Array.map f arr] with the
+  ?pool:t -> ?chunk:int -> ?cost:(int -> int) -> ('a -> 'b) -> 'a array -> 'b array
+(** [parallel_map_array ?pool f arr] is [Array.map f arr] with the
     applications spread over the pool.  [f] is applied exactly once per
     element; output order is the input order.  [cost i] estimates the
-    work of element [i] of [arr]. *)
+    work of element [i] of [arr].  Without a pool it is
+    [Array.map f arr]. *)
 
 val map_reduce_chunks :
+  ?pool:t ->
   ?chunk:int ->
   ?cost:(int -> int) ->
-  t ->
-  n:int ->
+  int ->
   map:(lo:int -> hi:int -> 'c) ->
   fold:('acc -> 'c -> 'acc) ->
   init:'acc ->
   'acc
-(** [map_reduce_chunks pool ~n ~map ~fold ~init] computes
+(** [map_reduce_chunks ?pool n ~map ~fold ~init] computes
     [map ~lo ~hi] on each chunk of [[0, n)] in parallel, then folds the
     chunk results {e in chunk order} sequentially.  Because chunking
     ignores the pool size and the merge order is fixed, the result is
-    bit-identical regardless of scheduling.  Note that [cost] moves
-    chunk {e boundaries}, so a non-associative [fold] sees different
-    groupings with and without it — pick one layout and keep it. *)
+    bit-identical regardless of scheduling.  Without a pool it walks
+    the same chunks in order and folds each one as soon as it is
+    mapped, so [fold] sees the same groupings and only one chunk result
+    is live at a time.  Note that [cost] moves chunk {e boundaries}, so
+    a non-associative [fold] sees different groupings with and without
+    it — pick one layout and keep it. *)
 
 val chunks : ?chunk:int -> ?cost:(int -> int) -> int -> (int * int) array
 (** The deterministic chunk decomposition [[(lo, hi); ...)] of [[0, n)]
@@ -137,7 +142,8 @@ val telemetry : t -> telemetry
 (** A snapshot (copies) of the per-domain counters since {!create} or
     the last {!reset_telemetry}.  For every batch,
     [sum local_pops + sum steals] equals the number of tasks run.
-    Sequential fast-path runs count as local pops of slot 0. *)
+    Runs that a one-domain pool (or a one-task batch) executes inline
+    count as local pops of slot 0. *)
 
 val reset_telemetry : t -> unit
 (** Zero the counters.  Call only while the pool is quiescent. *)

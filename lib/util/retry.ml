@@ -1,8 +1,8 @@
 (* Jittered exponential backoff as a pure computation: the policy maps
    an attempt number to a delay, and the caller decides what a delay
-   unit means (seconds for a WAL tailer, fallback queries for a circuit
-   breaker's cooldown).  Keeping the module clock- and sleep-free makes
-   every consumer deterministic under test. *)
+   unit means (seconds, for the WAL tailer and the client).  Keeping
+   the module clock- and sleep-free makes every consumer deterministic
+   under test. *)
 
 type policy = {
   initial : float;

@@ -3,8 +3,8 @@
     A {!policy} is a pure map from attempt number to delay — no clock,
     no sleeping, no hidden randomness — so retry loops built on it stay
     deterministic under test.  The delay unit is the caller's: a WAL
-    tailer reads it as seconds between polls, a circuit breaker as
-    fallback queries before the next recovery probe. *)
+    tailer reads it as seconds between polls, a client as seconds
+    between connection attempts. *)
 
 type policy = {
   initial : float;  (** delay for attempt 1 (must be positive) *)

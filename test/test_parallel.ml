@@ -53,13 +53,13 @@ let test_pool_map_matches_sequential () =
       let f i = (i * 37) mod 101 in
       Alcotest.(check (array int))
         "map identical" (Array.map f arr)
-        (Pool.parallel_map_array pool f arr))
+        (Pool.parallel_map_array ~pool f arr))
 
 let test_pool_for_covers_every_index_once () =
   Pool.with_pool ~domains (fun pool ->
       let n = 777 in
       let hits = Array.init n (fun _ -> Atomic.make 0) in
-      Pool.parallel_for pool n (fun i -> Atomic.incr hits.(i));
+      Pool.parallel_for ~pool n (fun i -> Atomic.incr hits.(i));
       Array.iteri
         (fun i c ->
           if Atomic.get c <> 1 then
@@ -73,7 +73,7 @@ let test_pool_reduce_is_chunk_ordered () =
          merge reproduces the sequential fold. *)
       let expected = String.concat "" (List.init n string_of_int) in
       let got =
-        Pool.map_reduce_chunks pool ~n
+        Pool.map_reduce_chunks ~pool n
           ~map:(fun ~lo ~hi ->
             String.concat "" (List.init (hi - lo) (fun i -> string_of_int (lo + i))))
           ~fold:(fun acc s -> acc ^ s)
@@ -86,24 +86,93 @@ let test_pool_size_one_and_empty () =
       Alcotest.(check int) "size" 1 (Pool.size pool);
       Alcotest.(check (array int))
         "width-1 map" [| 2; 4; 6 |]
-        (Pool.parallel_map_array pool (fun x -> 2 * x) [| 1; 2; 3 |]));
+        (Pool.parallel_map_array ~pool (fun x -> 2 * x) [| 1; 2; 3 |]));
   Pool.with_pool ~domains (fun pool ->
       Alcotest.(check (array int)) "empty map" [||]
-        (Pool.parallel_map_array pool (fun x -> 2 * x) [||]);
-      Pool.parallel_for pool 0 (fun _ -> Alcotest.fail "task ran on empty range"))
+        (Pool.parallel_map_array ~pool (fun x -> 2 * x) [||]);
+      Pool.parallel_for ~pool 0 (fun _ -> Alcotest.fail "task ran on empty range"))
 
 exception Boom
 
 let test_pool_exception_propagates_and_pool_survives () =
   Pool.with_pool ~domains (fun pool ->
       (try
-         Pool.parallel_for pool 100 (fun i -> if i = 43 then raise Boom);
+         Pool.parallel_for ~pool 100 (fun i -> if i = 43 then raise Boom);
          Alcotest.fail "exception was swallowed"
        with Boom -> ());
       (* The same pool keeps working after a failed batch. *)
       let sum = Atomic.make 0 in
-      Pool.parallel_for pool 100 (fun i -> ignore (Atomic.fetch_and_add sum i));
+      Pool.parallel_for ~pool 100 (fun i -> ignore (Atomic.fetch_and_add sum i));
       Alcotest.(check int) "pool usable after failure" 4950 (Atomic.get sum))
+
+(* With no pool, each combinator must equal the same call on 2- and
+   4-domain pools, for every chunk layout: plain, capped, cost-weighted
+   and both.  The fold is non-commutative, so only walking the same
+   chunks in order reproduces it. *)
+let test_no_pool_equals_pooled () =
+  let n = 301 in
+  let arr = Array.init n (fun i -> (i * 37) mod 101) in
+  let cost i = 1 + (arr.(i) mod 7) in
+  let run ?pool (chunk, cost) =
+    let hits = Array.make n 0 in
+    Pool.parallel_for ?pool ?chunk ?cost n (fun i -> hits.(i) <- hits.(i) + i + 1);
+    let mapped = Pool.parallel_map_array ?pool ?chunk ?cost (fun x -> x * x) arr in
+    let reduced =
+      Pool.map_reduce_chunks ?pool ?chunk ?cost n
+        ~map:(fun ~lo ~hi -> Printf.sprintf "[%d,%d)" lo hi)
+        ~fold:( ^ ) ~init:""
+    in
+    (hits, mapped, reduced)
+  in
+  List.iter
+    (fun ((chunk, cost) as layout) ->
+      let ((hits, mapped, reduced) as unpooled) = run layout in
+      Alcotest.(check (array int)) "no-pool for" (Array.init n (fun i -> i + 1)) hits;
+      Alcotest.(check (array int)) "no-pool map" (Array.map (fun x -> x * x) arr) mapped;
+      Alcotest.(check string)
+        "no-pool reduce walks the layout"
+        (String.concat ""
+           (Array.to_list
+              (Array.map
+                 (fun (lo, hi) -> Printf.sprintf "[%d,%d)" lo hi)
+                 (Pool.chunks ?chunk ?cost n))))
+        reduced;
+      List.iter
+        (fun width ->
+          Pool.with_pool ~domains:width (fun pool ->
+              if run ~pool layout <> unpooled then
+                Alcotest.failf "a %d-domain pool differs from no pool" width))
+        [ 2; 4 ])
+    [ (None, None); (Some 5, None); (None, Some cost); (Some 9, Some cost) ]
+
+(* Without a pool nothing reaches the pool's accounting: a whole build
+   and a batch of queries leave every dbh_pool_* series at zero, while
+   a single pooled loop moves them. *)
+let test_no_pool_records_no_pool_metrics () =
+  let module Metrics = Dbh_obs.Metrics in
+  let module Registry = Dbh_obs.Registry in
+  let db = test_db 29 300 in
+  let config =
+    { Builder.default_config with num_pivots = 25; num_sample_queries = 40; db_sample = 80; levels = 3 }
+  in
+  let m = Metrics.create () in
+  Metrics.with_installed m (fun () ->
+      let h = Builder.auto ~rng:(Rng.create 81) ~space:l2 ~config ~target_accuracy:0.9 db in
+      ignore (Hierarchical.search_batch h (Array.sub db 0 40)));
+  Alcotest.(check int) "queries counted" 40 (Registry.counter_value m.Metrics.queries_total);
+  let series =
+    Registry.parse_exposition (Registry.exposition m.Metrics.registry)
+    |> List.filter (fun (name, _) -> String.starts_with ~prefix:"dbh_pool_" name)
+  in
+  if series = [] then Alcotest.fail "no dbh_pool_* series exposed";
+  List.iter
+    (fun (name, v) -> if v <> 0. then Alcotest.failf "%s = %g with no pool" name v)
+    series;
+  Pool.with_pool ~domains (fun pool ->
+      Metrics.with_installed m (fun () -> Pool.parallel_for ~pool 10 ignore));
+  Alcotest.(check bool)
+    "a pooled loop is counted" true
+    (Registry.counter_value m.Metrics.pool_batches_total > 0)
 
 let test_pool_rejects_bad_widths () =
   Alcotest.check_raises "zero domains" (Invalid_argument "Pool.create: domains must be >= 1")
@@ -115,7 +184,7 @@ let test_counter_exact_under_parallelism () =
   Pool.with_pool ~domains (fun pool ->
       let counted, counter = Space.with_counter l2 in
       let db = test_db 11 64 in
-      Pool.parallel_for pool 300 (fun i ->
+      Pool.parallel_for ~pool 300 (fun i ->
           ignore (counted.Space.distance db.(i mod 64) db.((i * 7) mod 64)));
       Alcotest.(check int) "every call counted" 300 (Space.count counter))
 
@@ -382,16 +451,16 @@ let prop_skew_bit_identical =
       let reduce pool =
         (* Non-commutative fold: only a chunk-ordered merge with a
            width-independent layout reproduces it at every width. *)
-        Pool.map_reduce_chunks ~cost pool ~n
+        Pool.map_reduce_chunks ?pool ~cost n
           ~map:(fun ~lo ~hi -> Printf.sprintf "[%d,%d)" lo hi)
           ~fold:( ^ ) ~init:""
       in
-      let expected_reduce = reduce Pool.sequential in
+      let expected_reduce = reduce None in
       List.for_all
         (fun width ->
           Pool.with_pool ~domains:width (fun pool ->
-              Pool.parallel_map_array ~cost pool f arr = expected
-              && reduce pool = expected_reduce))
+              Pool.parallel_map_array ~pool ~cost f arr = expected
+              && reduce (Some pool) = expected_reduce))
         [ 1; 2; 4 ])
 
 let chunk_case =
@@ -428,7 +497,7 @@ let test_telemetry_accounts_every_task () =
       let rounds = 3 in
       let sink = Array.make n 0. in
       for _ = 1 to rounds do
-        Pool.parallel_for ~cost pool n (fun i -> sink.(i) <- spin (cost i / 10) 1.)
+        Pool.parallel_for ~pool ~cost n (fun i -> sink.(i) <- spin (cost i / 10) 1.)
       done;
       let tel = Pool.telemetry pool in
       let sum = Array.fold_left ( + ) 0 in
@@ -449,7 +518,7 @@ let test_skew_busy_balance () =
       Pool.reset_telemetry pool;
       let sink = Array.make n 0. in
       for _ = 1 to 5 do
-        Pool.parallel_for ~cost pool n (fun i -> sink.(i) <- spin (cost i) (float_of_int i))
+        Pool.parallel_for ~pool ~cost n (fun i -> sink.(i) <- spin (cost i) (float_of_int i))
       done;
       let tel = Pool.telemetry pool in
       let mx = Array.fold_left Float.max 0. tel.Pool.busy_seconds in
@@ -473,6 +542,9 @@ let () =
           Alcotest.test_case "exception propagates, pool survives" `Quick
             test_pool_exception_propagates_and_pool_survives;
           Alcotest.test_case "rejects bad widths" `Quick test_pool_rejects_bad_widths;
+          Alcotest.test_case "no pool equals pooled" `Quick test_no_pool_equals_pooled;
+          Alcotest.test_case "no pool records no pool metrics" `Quick
+            test_no_pool_records_no_pool_metrics;
         ] );
       ( "counters",
         [

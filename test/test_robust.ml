@@ -290,7 +290,6 @@ let breaker_config =
     max_bucket_fraction = 0.5;
     open_cooldown = 10;
     half_open_probes = 5;
-    cooldown_backoff = None;
   }
 
 let test_breaker_validation () =
