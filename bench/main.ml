@@ -1,33 +1,34 @@
 (* Benchmark harness: regenerates every table and figure of the paper's
    evaluation (see DESIGN.md section 4 for the experiment index).
 
-   Sections, in output order:
-     table/family-stats   (T1)  family construction audit (Sec. VI-B)
-     table/non-lsh        (T4)  random-matrix collision rates (Sec. IV-B)
-     table/kl-landscape   (T3)  U-shaped cost in k (Sec. IV-D)
-     table/bruteforce     (T2)  brute-force 1-NN errors + throughputs (Sec. VI-A)
-     table/calibration    (T5)  predicted vs measured accuracy and cost
-     figure5/unipen       (F5a) accuracy vs cost, three methods
-     figure5/mnist        (F5b)
-     figure5/hands        (F5c)
-     ablation/xsmall      (A1)  |X_small| sweep
-     ablation/levels      (A2)  hierarchical s sweep
-     ablation/vs-lsh      (A3)  DBH vs classical LSH on L2
-     ablation/baselines   (B1)  DBH vs LAESA, M-tree, FastMap filter+refine
-     robust/faults        (R1)  hardened pipeline under injected faults
-     parallel             (P1)  domain-pool scaling, writes BENCH_parallel.json
-     persist              (D1)  snapshot/WAL durability cost, writes BENCH_persist.json
-     obs                  (O1)  instrumentation overhead, writes BENCH_obs.json
-     storage              (S1)  packed CSR vs list buckets, writes BENCH_storage.json
-     multiprobe           (A4)  multi-probe vs plain tables, writes BENCH_multiprobe.json
-     family               (F1)  data-dependent selectors vs uniform, writes BENCH_family.json
-     replication          (W1)  WAL-shipping follower lag, writes BENCH_replication.json
-     serve                (N1)  network tier goodput across saturation, writes BENCH_serve.json
-     micro/*                    Bechamel micro-benchmarks
+   Sections, in output order (key, id, what):
+     serve          (N1)  network tier goodput across saturation, writes BENCH_serve.json
+     family-stats   (T1)  family construction audit (Sec. VI-B)
+     non-lsh        (T4)  random-matrix collision rates (Sec. IV-B)
+     kl-landscape   (T3)  U-shaped cost in k (Sec. IV-D)
+     bruteforce     (T2)  brute-force 1-NN errors + throughputs (Sec. VI-A)
+     calibration    (T5)  predicted vs measured accuracy and cost
+     figure5-unipen (F5a) accuracy vs cost, three methods
+     figure5-mnist  (F5b)
+     figure5-hands  (F5c)
+     xsmall         (A1)  |X_small| sweep
+     levels         (A2)  hierarchical s sweep
+     vs-lsh         (A3)  DBH vs classical LSH on L2
+     baselines      (B1)  DBH vs LAESA, M-tree, FastMap filter+refine
+     multiprobe     (A4)  multi-probe vs plain tables, writes BENCH_multiprobe.json
+     family         (F1)  data-dependent selectors vs uniform, writes BENCH_family.json
+     faults         (R1)  hardened pipeline under injected faults
+     parallel       (P1)  domain-pool scaling, writes BENCH_parallel.json
+     micro                Bechamel micro-benchmarks
+
+   Durability, replication, storage and instrumentation costs are gated
+   by the tests (test_persist, test_replica, test_storage, test_obs) and
+   timed by perfbench/.  The two timed sections here, parallel and
+   serve, share [interleaved].
 
    DBH_BENCH_SCALE=quick shrinks every workload ~4x for smoke runs;
-   DBH_BENCH_SECTIONS=key,key runs only the named sections (see the
-   [sections] list at the bottom). *)
+   DBH_BENCH_SECTIONS=key,key runs only the named sections and rejects
+   an unknown key. *)
 
 module Rng = Dbh_util.Rng
 module Space = Dbh_space.Space
@@ -42,34 +43,50 @@ let quick =
 
 let sc n = if quick then max 10 (n / 4) else n
 
-let seconds f =
+(* [f ()] and the seconds it took.  With [min_time], [f] is called
+   until that long has passed and the mean seconds per call reported, so
+   a phase of a few milliseconds is not timed by one scheduler tick. *)
+let seconds ?(min_time = 0.) f =
   let t0 = Unix.gettimeofday () in
-  let y = f () in
-  (y, Unix.gettimeofday () -. t0)
+  let rec go calls =
+    let y = f () in
+    let dt = Unix.gettimeofday () -. t0 in
+    if dt >= min_time then (y, dt /. float_of_int calls) else go (calls + 1)
+  in
+  go 1
 
-(* Best-of-[rounds] seconds of each mode (a thunk returning the seconds
-   it took), with the modes interleaved: a round runs passes that time
-   every mode once, each pass starting from the next mode, until the
-   round has lasted [min_round] seconds, and scores each mode by its
-   mean pass.  A slow stretch of the machine thus lands on every mode
-   alike instead of on whichever ran last. *)
-let interleaved_best ~rounds ~min_round modes =
+type reading = { median : float; cv : float }
+
+let rounds = 5
+
+(* The harness of the timed sections.  [modes.(i) ()] runs compared mode
+   [i] once and returns its output and one reading per phase (seconds,
+   or a rate).  Every mode first runs once as a discarded warm-up; then
+   each of [rounds] rounds runs every mode once, starting one mode later
+   than the round before, so a slow stretch of the machine lands on
+   every mode alike instead of on whichever ran last.  Each mode comes
+   back as its last output and, per phase, the median of its per-round
+   readings and their coefficient of variation. *)
+let interleaved modes =
   let n = Array.length modes in
-  let best = Array.make n infinity in
-  let start = ref 0 in
-  for _ = 1 to rounds do
-    let sum = Array.make n 0. and passes = ref 0 in
-    while !passes = 0 || Array.fold_left ( +. ) 0. sum < min_round do
-      for k = 0 to n - 1 do
-        let i = (!start + k) mod n in
-        sum.(i) <- sum.(i) +. modes.(i) ()
-      done;
-      incr start;
-      incr passes
-    done;
-    Array.iteri (fun i s -> best.(i) <- Float.min best.(i) (s /. float_of_int !passes)) sum
+  let last = Array.map (fun mode -> fst (mode ())) modes in
+  let readings = Array.make n [] in
+  for round = 0 to rounds - 1 do
+    for k = 0 to n - 1 do
+      let i = (round + k) mod n in
+      let out, r = modes.(i) () in
+      last.(i) <- out;
+      readings.(i) <- r :: readings.(i)
+    done
   done;
-  best
+  Array.mapi
+    (fun i per_round ->
+      let per_round = Array.of_list per_round in
+      ( last.(i),
+        Array.init (Array.length per_round.(0)) (fun phase ->
+            let xs = Array.map (fun r -> r.(phase)) per_round in
+            { median = Stats.median xs; cv = Stats.stddev xs /. Stats.mean xs }) ))
+    readings
 
 (* Pen digits slightly harder than the library defaults, so that the
    brute-force 1-NN error is non-trivial (the paper's UNIPEN error is
@@ -1114,10 +1131,13 @@ let robust_faults () =
 (* ------------------------------------------------- P1 parallel scaling *)
 
 (* Build + collision-matrix + batched-query wall time at 1/2/4/N domains,
-   with bit-identity checks against the sequential run, recorded to
+   with bit-identity checks against the 1-domain run, recorded to
    BENCH_parallel.json so the perf trajectory is tracked across PRs.
-   Speedups are whatever the machine gives — on a single hardware core
-   the pool can only add overhead, and the JSON says so honestly. *)
+   The widths run interleaved through [interleaved], each phase repeated
+   for at least 0.1 s per round, and every speedup is a ratio of phase
+   medians.  Speedups are whatever the machine gives — on a single
+   hardware core the pool can only add overhead, and the JSON says so
+   honestly. *)
 
 (* Container CPU quotas make nproc a lie: a 2-vCPU box capped by cgroup
    at one core of runtime can only lose from parallelism, while its
@@ -1174,9 +1194,10 @@ let parallel_scaling () =
     Dbh.Index.write ~encode buf index;
     Buffer.contents buf
   in
-  (* One measured round at a given pool width; identical seeds each time,
-     so every round must produce the same artifacts. *)
-  let round pool =
+  (* One pass at a given pool width; identical seeds each time, so every
+     pass must produce the same artifacts. *)
+  let phases pool =
+    let min_time = 0.1 in
     let build () =
       let rng = Rng.create 61 in
       let family =
@@ -1186,85 +1207,85 @@ let parallel_scaling () =
       let pivot_table = Dbh.Hash_family.pivot_table ?pool family db in
       Dbh.Index.build ?pool ~rng ~family ~db ~pivot_table ~k:10 ~l:10 ()
     in
-    let index, build_s = seconds build in
+    let index, build_s = seconds ~min_time build in
     let matrix, collision_s =
-      seconds (fun () ->
+      seconds ~min_time (fun () ->
           Dbh.Collision.pairwise_matrix ?pool ~rng:(Rng.create 62) ~num_fns:200
             (Dbh.Index.family index) collision_sample)
     in
     let results, query_s =
-      seconds (fun () -> Dbh.Index.search_batch ~opts:(Dbh.Query_opts.make ?pool ~budget:400 ()) index queries)
+      seconds ~min_time (fun () ->
+          Dbh.Index.search_batch ~opts:(Dbh.Query_opts.make ?pool ~budget:400 ()) index queries)
     in
-    (index, matrix, results, build_s, collision_s, query_s)
+    ((index, matrix, results), [| build_s; collision_s; query_s |])
   in
   let cores = Domain.recommended_domain_count () in
   let effective_cores =
     match cpu_quota_cores () with Some q -> min q cores | None -> cores
   in
-  let widths =
-    List.sort_uniq compare [ 1; 2; 4; cores ] |> List.filter (fun d -> d >= 1)
+  let widths = Array.of_list (List.sort_uniq compare [ 1; 2; 4; cores ]) in
+  (* One pass at a width: its artifacts and, for a pooled pass, the
+     pool's telemetry with the pass's wall time.  A pass spawns its own
+     pool, so no idle pool's domains sit in the other widths'
+     measurements. *)
+  let mode domains () =
+    if domains = 1 then
+      let out, times = phases None in
+      ((out, None), times)
+    else
+      Pool.with_pool ~domains (fun pool ->
+          let (out, times), wall = seconds (fun () -> phases (Some pool)) in
+          ((out, Some (Pool.telemetry pool, wall)), times))
   in
-  let rows =
-    List.map
-      (fun domains ->
-        let (index, matrix, results, build_s, collision_s, query_s), tel =
-          if domains = 1 then (round None, None)
-          else
-            Pool.with_pool ~domains (fun pool ->
-                Pool.reset_telemetry pool;
-                let r = round (Some pool) in
-                (r, Some (Pool.telemetry pool)))
-        in
-        (domains, index, matrix, results, build_s, collision_s, query_s, tel))
-      widths
-  in
+  let measured = interleaved (Array.map mode widths) in
+  let artifacts = Array.map (fun ((out, _), _) -> out) measured in
+  let telemetry i = snd (fst measured.(i)) in
+  let medians = Array.map snd measured in
   (* Bit-identity of every parallel run against the sequential baseline. *)
-  let _, base_index, base_matrix, base_results, base_build, base_collision, base_query, _ =
-    List.hd rows
-  in
+  let base_index, base_matrix, base_results = artifacts.(0) in
   let base_blob = serialized base_index in
   let identical =
-    List.for_all
-      (fun (_, index, matrix, results, _, _, _, _) ->
+    Array.for_all
+      (fun (index, matrix, results) ->
         serialized index = base_blob && matrix = base_matrix && results = base_results)
-      (List.tl rows)
+      artifacts
   in
-  (* Per-domain busy fraction of the round's pooled wall time, plus the
-     steal/local-pop split — the work-stealing design's vital signs. *)
-  let sum = Array.fold_left ( + ) 0 in
-  let steals_of = function None -> 0 | Some t -> sum t.Pool.steals in
-  let pops_of = function None -> 0 | Some t -> sum t.Pool.local_pops in
-  let busy_fractions tel wall =
-    match tel with
-    | None -> [||]
-    | Some t ->
-        if wall <= 0. then Array.map (fun _ -> 0.) t.Pool.busy_seconds
-        else Array.map (fun b -> b /. wall) t.Pool.busy_seconds
-  in
-  let min_busy fr = Array.fold_left Float.min infinity fr in
   let per_query =
     let opts = Dbh.Query_opts.budgeted 400 in
     Array.map (fun q -> Dbh.Index.search ~opts base_index q) queries
   in
   let batch_matches = base_results = per_query in
+  (* Per-domain busy fraction of a pooled pass's wall time, plus the
+     steal/local-pop split — the work-stealing design's vital signs. *)
+  let sum = Array.fold_left ( + ) 0 in
+  let steals_of = function None -> 0 | Some (t, _) -> sum t.Pool.steals in
+  let pops_of = function None -> 0 | Some (t, _) -> sum t.Pool.local_pops in
+  let busy_fractions = function
+    | None -> [||]
+    | Some (t, wall) -> Array.map (fun b -> b /. wall) t.Pool.busy_seconds
+  in
+  let min_busy fr = if fr = [||] then 1. else Array.fold_left Float.min infinity fr in
+  let speedup i phase = medians.(0).(phase).median /. medians.(i).(phase).median in
+  let max_cv i = Array.fold_left (fun acc r -> Float.max acc r.cv) 0. medians.(i) in
   Printf.printf "  hardware cores: %d (effective after cpu quota: %d)\n" cores
     effective_cores;
-  Printf.printf "  %8s %10s %14s %14s %10s %10s %10s %8s %8s %9s\n" "domains" "build(s)"
-    "collision(s)" "queries(s)" "build-x" "coll-x" "query-x" "steals" "pops" "min-busy";
-  List.iter
-    (fun (domains, _, _, _, build_s, collision_s, query_s, tel) ->
-      let fr = busy_fractions tel (build_s +. collision_s +. query_s) in
-      Printf.printf "  %8d %10.3f %14.3f %14.3f %10.2f %10.2f %10.2f %8d %8d %8.0f%%\n"
-        domains build_s collision_s query_s (base_build /. build_s)
-        (base_collision /. collision_s) (base_query /. query_s) (steals_of tel)
-        (pops_of tel)
-        (if Array.length fr = 0 then 100. else 100. *. min_busy fr))
-    rows;
+  Printf.printf "  medians of %d interleaved rounds after a discarded warm-up\n" rounds;
+  Printf.printf "  %8s %10s %14s %12s %8s %8s %8s %7s %8s %8s %9s\n" "domains" "build(s)"
+    "collision(s)" "queries(s)" "build-x" "coll-x" "query-x" "max-cv" "steals" "pops"
+    "min-busy";
+  Array.iteri
+    (fun i domains ->
+      let m = medians.(i) and tel = telemetry i in
+      Printf.printf "  %8d %10.4f %14.4f %12.4f %8.2f %8.2f %8.2f %6.1f%% %8d %8d %8.0f%%\n"
+        domains m.(0).median m.(1).median m.(2).median (speedup i 0) (speedup i 1)
+        (speedup i 2) (100. *. max_cv i) (steals_of tel) (pops_of tel)
+        (100. *. min_busy (busy_fractions tel)))
+    widths;
   (* Speedups from rounds running more domains than the machine has
      hardware cores measure scheduler contention, not the pool: publish
      them as advisory so downstream gates know not to assert on them. *)
   let advisory domains = domains > effective_cores in
-  if List.exists (fun (domains, _, _, _, _, _, _, _) -> advisory domains) rows then
+  if Array.exists advisory widths then
     Printf.printf
       "  note: rounds with domains > %d effective cores are advisory (oversubscribed; \
        speedups not gated)\n"
@@ -1286,26 +1307,31 @@ let parallel_scaling () =
     "  \"dataset\": { \"db_size\": %d, \"queries\": %d, \"dim\": 32, \"space\": \"l2\" },\n"
     (Array.length db) (Array.length queries);
   Printf.fprintf oc "  \"index\": { \"k\": 10, \"l\": 10, \"pivots\": %d },\n" (sc 80);
+  Printf.fprintf oc
+    "  \"timing\": { \"statistic\": \"median\", \"rounds\": %d, \"warmup_rounds\": 1, \
+     \"min_phase_s\": 0.1 },\n"
+    rounds;
   Printf.fprintf oc "  \"rounds\": [\n";
-  let last = List.length rows - 1 in
-  List.iteri
-    (fun i (domains, _, _, _, build_s, collision_s, query_s, tel) ->
-      let fr = busy_fractions tel (build_s +. collision_s +. query_s) in
+  let last = Array.length widths - 1 in
+  Array.iteri
+    (fun i domains ->
+      let m = medians.(i) and tel = telemetry i in
       let fr_json =
-        fr |> Array.to_list
+        busy_fractions tel |> Array.to_list
         |> List.map (Printf.sprintf "%.3f")
         |> String.concat ", "
       in
       Printf.fprintf oc
         "    { \"domains\": %d, \"build_s\": %.6f, \"collision_matrix_s\": %.6f, \
-         \"query_batch_s\": %.6f, \"build_speedup\": %.3f, \"collision_speedup\": %.3f, \
+         \"query_batch_s\": %.6f, \"build_cv\": %.4f, \"collision_cv\": %.4f, \
+         \"query_cv\": %.4f, \"build_speedup\": %.3f, \"collision_speedup\": %.3f, \
          \"query_speedup\": %.3f, \"steals\": %d, \"local_pops\": %d, \
          \"busy_fraction\": [%s], \"advisory\": %b }%s\n"
-        domains build_s collision_s query_s (base_build /. build_s)
-        (base_collision /. collision_s) (base_query /. query_s) (steals_of tel)
-        (pops_of tel) fr_json (advisory domains)
+        domains m.(0).median m.(1).median m.(2).median m.(0).cv m.(1).cv m.(2).cv
+        (speedup i 0) (speedup i 1) (speedup i 2) (steals_of tel) (pops_of tel) fr_json
+        (advisory domains)
         (if i = last then "" else ","))
-    rows;
+    widths;
   Printf.fprintf oc "  ],\n";
   Printf.fprintf oc "  \"bit_identical_across_widths\": %b,\n" identical;
   Printf.fprintf oc "  \"query_batch_matches_per_query\": %b\n" batch_matches;
@@ -1313,694 +1339,15 @@ let parallel_scaling () =
   close_out oc;
   Printf.printf "  wrote BENCH_parallel.json\n"
 
-(* ------------------------------------------------- D1 persist durability *)
-
-(* What durability costs on the paper's UNIPEN workload: initial
-   snapshot write, per-insert WAL overhead (fsync on and off, against a
-   volatile twin fed the same stream), crash recovery by WAL replay, and
-   a clean checkpoint + load.  The reopened index must answer the bench
-   queries bit-identically to the instance that never restarted; numbers
-   land in BENCH_persist.json next to BENCH_parallel.json. *)
-
-let persist_section () =
-  Report.print_heading
-    "persist (D1): snapshot/WAL durability cost on the UNIPEN-style workload";
-  let module Binio = Dbh_util.Binio in
-  let module Durable = Dbh.Online.Durable in
-  let space = Dbh_datasets.Pen_digits.space in
-  let db = pen_set ~rng:(Rng.create 90) (sc 300) in
-  let ops = pen_set ~rng:(Rng.create 91) (sc 200) in
-  let queries = pen_set ~rng:(Rng.create 92) (sc 50) in
-  let encode (inst : Dbh_datasets.Pen_digits.instance) =
-    let buf = Buffer.create 128 in
-    Binio.write_int buf inst.label;
-    Binio.write_int buf (Array.length inst.points);
-    Array.iter
-      (fun (p : Dbh_metrics.Geom.point) ->
-        Binio.write_float buf p.x;
-        Binio.write_float buf p.y)
-      inst.points;
-    Buffer.contents buf
-  in
-  let decode s =
-    let r = Binio.reader s in
-    let label = Binio.read_int r in
-    let n = Binio.read_int r in
-    if n < 0 || n > 100_000 then raise (Binio.Corrupt "pen instance: bad point count");
-    let points =
-      Array.init n (fun _ ->
-          let x = Binio.read_float r in
-          let y = Binio.read_float r in
-          { Dbh_metrics.Geom.x; y })
-    in
-    if not (Binio.at_end r) then raise (Binio.Corrupt "pen instance: trailing bytes");
-    { Dbh_datasets.Pen_digits.label; points }
-  in
-  let config =
-    {
-      Dbh.Builder.default_config with
-      num_pivots = sc 40;
-      num_sample_queries = sc 80;
-      db_sample = sc 200;
-    }
-  in
-  let open_dir ?(fsync = true) ?data dir =
-    Durable.open_or_create ~fsync ~rng:(Rng.create 93) ~space ~config
-      ~rebuild_factor:2.0 ~target_accuracy:0.9 ~encode ~decode ~dir ?data ()
-  in
-  let base = Filename.temp_file "dbh_bench_persist" "" in
-  Sys.remove base;
-  Unix.mkdir base 0o755;
-  let rm_rf dir =
-    if Sys.file_exists dir then begin
-      Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
-      Unix.rmdir dir
-    end
-  in
-  let file_size path = (Unix.stat path).Unix.st_size in
-  Fun.protect
-    ~finally:(fun () ->
-      rm_rf (Filename.concat base "durable");
-      rm_rf (Filename.concat base "nosync");
-      rm_rf base)
-    (fun () ->
-      let dir = Filename.concat base "durable" in
-      (* Fresh build + initial snapshot (generation 1). *)
-      let (t, _), build_s = seconds (fun () -> open_dir ~data:db dir) in
-      let snap1_bytes = file_size (Dbh_persist.Layout.snapshot_path ~dir 1) in
-      (* Durable inserts, fsync per op, vs a volatile twin on the same
-         stream — the gap is the price of the journal. *)
-      let (), insert_fsync_s =
-        seconds (fun () -> Array.iter (fun o -> ignore (Durable.insert t o)) ops)
-      in
-      let twin =
-        Dbh.Online.create ~rng:(Rng.create 93) ~space ~config ~rebuild_factor:2.0
-          ~target_accuracy:0.9 db
-      in
-      let (), insert_volatile_s =
-        seconds (fun () -> Array.iter (fun o -> ignore (Dbh.Online.insert twin o)) ops)
-      in
-      let nosync_dir = Filename.concat base "nosync" in
-      let (t_nosync, _), _ = seconds (fun () -> open_dir ~fsync:false ~data:db nosync_dir) in
-      let (), insert_nosync_s =
-        seconds (fun () ->
-            Array.iter (fun o -> ignore (Durable.insert t_nosync o)) ops)
-      in
-      Durable.close t_nosync;
-      let results_before = Durable.search_batch t queries in
-      (* Crash: close without checkpointing, every op lives only in the
-         WAL; reopening must replay all of them. *)
-      Durable.close t;
-      let (t, recovery), replay_s = seconds (fun () -> open_dir dir) in
-      if recovery.Durable.replayed_ops <> Array.length ops then
-        failwith "persist (D1): WAL replay lost operations";
-      let results_replayed = Durable.search_batch t queries in
-      if results_replayed <> results_before then
-        failwith "persist (D1): replayed index diverged from the live instance";
-      (* Clean shutdown path: checkpoint folds the WAL into snapshot 2,
-         after which reopening is a pure snapshot load. *)
-      let (), checkpoint_s = seconds (fun () -> Durable.checkpoint t) in
-      let snap2_bytes = file_size (Dbh_persist.Layout.snapshot_path ~dir 2) in
-      Durable.close t;
-      let (t, recovery2), load_s = seconds (fun () -> open_dir dir) in
-      if recovery2.Durable.replayed_ops <> 0 then
-        failwith "persist (D1): checkpoint left operations in the WAL";
-      let results_loaded = Durable.search_batch t queries in
-      if results_loaded <> results_before then
-        failwith "persist (D1): loaded snapshot diverged from the live instance";
-      Durable.close t;
-      let n_ops = float_of_int (Array.length ops) in
-      let ops_per_s dt = n_ops /. dt in
-      Printf.printf "  db %d, %d journaled inserts, %d queries (DTW space)\n"
-        (Array.length db) (Array.length ops) (Array.length queries);
-      Printf.printf "  %-34s %10.3f s  (%d bytes)\n" "build + initial snapshot" build_s
-        snap1_bytes;
-      Printf.printf "  %-34s %10.1f ops/s\n" "insert, volatile (no journal)"
-        (ops_per_s insert_volatile_s);
-      Printf.printf "  %-34s %10.1f ops/s\n" "insert, WAL without fsync"
-        (ops_per_s insert_nosync_s);
-      Printf.printf "  %-34s %10.1f ops/s\n" "insert, WAL with fsync"
-        (ops_per_s insert_fsync_s);
-      Printf.printf "  %-34s %10.3f s  (%.1f ops/s)\n" "crash recovery (replay WAL)"
-        replay_s (ops_per_s replay_s);
-      Printf.printf "  %-34s %10.3f s  (%d bytes)\n" "checkpoint" checkpoint_s
-        snap2_bytes;
-      Printf.printf "  %-34s %10.3f s\n" "reopen after checkpoint" load_s;
-      Printf.printf "  reopened instances match the live one bit-for-bit: true\n";
-      let oc = open_out "BENCH_persist.json" in
-      Printf.fprintf oc "{\n";
-      Printf.fprintf oc "  \"quick_scale\": %b,\n" quick;
-      Printf.fprintf oc
-        "  \"dataset\": { \"db_size\": %d, \"journaled_ops\": %d, \"queries\": %d, \
-         \"space\": \"dtw-pen\" },\n"
-        (Array.length db) (Array.length ops) (Array.length queries);
-      Printf.fprintf oc
-        "  \"snapshot_bytes\": { \"generation_1\": %d, \"generation_2\": %d },\n"
-        snap1_bytes snap2_bytes;
-      Printf.fprintf oc "  \"build_and_snapshot_s\": %.6f,\n" build_s;
-      Printf.fprintf oc
-        "  \"insert_ops_per_s\": { \"volatile\": %.1f, \"wal_nosync\": %.1f, \
-         \"wal_fsync\": %.1f },\n"
-        (ops_per_s insert_volatile_s) (ops_per_s insert_nosync_s)
-        (ops_per_s insert_fsync_s);
-      Printf.fprintf oc
-        "  \"recovery\": { \"replayed_ops\": %d, \"replay_s\": %.6f, \
-         \"replay_ops_per_s\": %.1f },\n"
-        (Array.length ops) replay_s (ops_per_s replay_s);
-      Printf.fprintf oc "  \"checkpoint_s\": %.6f,\n" checkpoint_s;
-      Printf.fprintf oc "  \"load_after_checkpoint_s\": %.6f,\n" load_s;
-      Printf.fprintf oc "  \"reopen_matches_live\": true\n";
-      Printf.fprintf oc "}\n";
-      close_out oc;
-      Printf.printf "  wrote BENCH_persist.json\n")
-
-(* ------------------------------------------------- O1 observability cost *)
-
-(* What the metrics registry costs on the serving path.  The same UNIPEN
-   query sweep runs with no registry installed and with an ambient
-   registry, the two interleaved round by round, then (informationally)
-   with a per-query trace recorder, whose garbage would otherwise land
-   on whichever sweep followed it; each mode keeps its best-of-rounds
-   wall time so scheduler noise cannot manufacture overhead.  The
-   section fails if the installed-registry sweep is more than 5% slower
-   than the bare one, or if the counters disagree with the per-query
-   stats they summarize.  Numbers land in BENCH_obs.json. *)
-
-let obs_section () =
-  Report.print_heading "obs (O1): instrumentation overhead, metrics on vs off";
-  let rng = Rng.create 90 in
-  let db = pen_set ~rng (sc 1600) in
-  let queries = pen_set ~rng:(Rng.create 91) (sc 200) in
-  let space = Dbh_datasets.Pen_digits.space in
-  let config =
-    { Dbh.Builder.default_config with num_sample_queries = sc 200; db_sample = sc 500 }
-  in
-  let prepared = Dbh.Builder.prepare ~rng ~space ~config db in
-  let h =
-    Dbh.Hierarchical.build ~rng ~family:prepared.Dbh.Builder.family ~db
-      ~analysis:prepared.Dbh.Builder.analysis ~target_accuracy:0.9
-      ~pivot_table:prepared.Dbh.Builder.pivot_table ()
-  in
-  let sweep () = Array.map (fun q -> Dbh.Hierarchical.search h q) queries in
-  (* Warm-up: fault in every code path and let the allocator settle. *)
-  ignore (sweep ());
-  let rounds = if quick then 3 else 5 in
-  let m = Dbh_obs.Metrics.create () in
-  let off_results = ref [||] and on_results = ref [||] and trace_results = ref [||] in
-  let mode results f () =
-    let r, dt = seconds f in
-    results := r;
-    dt
-  in
-  let gated =
-    interleaved_best ~rounds ~min_round:0.
-      [|
-        mode off_results sweep;
-        mode on_results (fun () -> Dbh_obs.Metrics.with_installed m sweep);
-      |]
-  in
-  let traced =
-    interleaved_best ~rounds ~min_round:0.
-      [|
-        mode trace_results (fun () ->
-            Array.map
-              (fun q ->
-                let trace = Dbh_obs.Trace.create () in
-                Dbh.Hierarchical.search ~opts:(Dbh.Query_opts.make ~trace ()) h q)
-              queries);
-      |]
-  in
-  let off_s = gated.(0) and on_s = gated.(1) and trace_s = traced.(0) in
-  let off_results = !off_results and on_results = !on_results in
-  let trace_results = !trace_results in
-  (* The instrumented sweeps must answer exactly like the bare one. *)
-  let identical = off_results = on_results && off_results = trace_results in
-  (* Counters are recorded once per completed query from its stats, so the
-     registry total must equal the sum of per-query costs across all
-     [rounds] installed sweeps. *)
-  let reported_cost =
-    rounds
-    * Array.fold_left
-        (fun acc r -> acc + Dbh.Index.total_cost r.Dbh.Index.stats)
-        0 on_results
-  in
-  let counted_cost =
-    Dbh_obs.Registry.counter_value m.Dbh_obs.Metrics.distance_computations_total
-  in
-  let overhead = (on_s -. off_s) /. off_s in
-  let trace_overhead = (trace_s -. off_s) /. off_s in
-  let qps s = float_of_int (Array.length queries) /. s in
-  Printf.printf "  %10s %12s %12s %12s\n" "mode" "sweep(s)" "queries/s" "overhead";
-  Printf.printf "  %10s %12.4f %12.1f %12s\n" "off" off_s (qps off_s) "-";
-  Printf.printf "  %10s %12.4f %12.1f %11.2f%%\n" "metrics" on_s (qps on_s)
-    (100. *. overhead);
-  Printf.printf "  %10s %12.4f %12.1f %11.2f%%\n" "trace" trace_s (qps trace_s)
-    (100. *. trace_overhead);
-  Printf.printf "  results identical across modes: %b\n" identical;
-  Printf.printf "  counter vs reported cost: %d vs %d\n" counted_cost reported_cost;
-  let oc = open_out "BENCH_obs.json" in
-  Printf.fprintf oc "{\n";
-  Printf.fprintf oc "  \"quick_scale\": %b,\n" quick;
-  Printf.fprintf oc
-    "  \"dataset\": { \"db_size\": %d, \"queries\": %d, \"space\": \"unipen-dtw\" },\n"
-    (Array.length db) (Array.length queries);
-  Printf.fprintf oc "  \"rounds\": %d,\n" rounds;
-  Printf.fprintf oc "  \"off_s\": %.6f,\n" off_s;
-  Printf.fprintf oc "  \"metrics_s\": %.6f,\n" on_s;
-  Printf.fprintf oc "  \"trace_s\": %.6f,\n" trace_s;
-  Printf.fprintf oc "  \"metrics_overhead\": %.4f,\n" overhead;
-  Printf.fprintf oc "  \"trace_overhead\": %.4f,\n" trace_overhead;
-  Printf.fprintf oc "  \"results_identical\": %b,\n" identical;
-  Printf.fprintf oc "  \"counter_total\": %d,\n" counted_cost;
-  Printf.fprintf oc "  \"reported_total\": %d,\n" reported_cost;
-  Printf.fprintf oc "  \"overhead_budget\": 0.05\n";
-  Printf.fprintf oc "}\n";
-  close_out oc;
-  Printf.printf "  wrote BENCH_obs.json\n";
-  if not identical then
-    failwith "obs (O1): instrumented sweeps returned different answers";
-  if counted_cost <> reported_cost then
-    failwith
-      (Printf.sprintf "obs (O1): counter %d <> reported per-query cost %d" counted_cost
-         reported_cost);
-  if overhead > 0.05 then
-    failwith
-      (Printf.sprintf "obs (O1): metrics overhead %.2f%% exceeds the 5%% budget"
-         (100. *. overhead))
-
-(* ------------------------------------------------------------ S1 storage *)
-
-(* The compact storage engine (packed int keys, frozen CSR tables, the
-   domain's reusable query workspace) against a faithful
-   reimplementation of the pre-refactor layout: per-table [Hashtbl]
-   buckets holding cons lists, a fresh [Bytes] seen mask and a
-   candidate list allocated per query.  Both engines are driven by the
-   same hash family and the same function choices (the reference
-   replays the index's rng draws), so every answer must match
-   bit-for-bit — checked here for the sequential sweep and a 4-domain
-   batched sweep.  What may differ, and is the point: resident bytes
-   per object, allocation words per query, and wall time.  The section
-   fails if the packed engine allocates more than half of what the list
-   engine does per query, or is slower.  Numbers land in
-   BENCH_storage.json. *)
-
-let storage_section () =
-  Report.print_heading
-    "storage (S1): packed CSR + scratch vs list buckets, resident/alloc/latency";
-  let module Pool = Dbh_util.Pool in
-  let rng = Rng.create 95 in
-  let db_pen = pen_set ~rng (sc 1600) in
-  let q_pen = pen_set ~rng:(Rng.create 96) (sc 300) in
-  let n = Array.length db_pen and m = Array.length q_pen in
-  (* Genuine UNIPEN/DTW distances, but memoized behind int handles: the
-     warm-up sweeps populate the memo, then it freezes, so the measured
-     sweeps pay array/hashtable lookups instead of DTW matrices and the
-     alloc/latency numbers isolate the storage machinery rather than the
-     distance function (which is identical in both engines anyway). *)
-  let obj i = if i < n then db_pen.(i) else q_pen.(i - n) in
-  let memo : (int, float) Hashtbl.t = Hashtbl.create (1 lsl 16) in
-  let frozen = ref false in
-  let space =
-    Space.make ~name:"unipen-dtw-memo" (fun a b ->
-        let key = (a * (n + m)) + b in
-        (* find, not find_opt: a [Some] cell per distance call would add
-           identical noise to both engines and compress the alloc ratio. *)
-        try Hashtbl.find memo key
-        with Not_found ->
-          let d = Dbh_datasets.Pen_digits.space.Space.distance (obj a) (obj b) in
-          if not !frozen then Hashtbl.add memo key d;
-          d)
-  in
-  let db = Array.init n (fun i -> i) in
-  let queries = Array.init m (fun i -> n + i) in
-  let k = 10 and l = 8 in
-  let family =
-    Dbh.Hash_family.make ~rng:(Rng.create 97) ~space ~num_pivots:(sc 60)
-      ~threshold_sample:(sc 300) db
-  in
-  let index = Dbh.Index.build ~rng:(Rng.create 98) ~family ~db ~k ~l () in
-  (* Reference engine.  [Index.build] draws exactly [l] function-index
-     samples from its rng before anything else, so replaying those draws
-     from the same seed reproduces its tables' function choices. *)
-  let fn_ids =
-    let rng = Rng.create 98 in
-    Array.init l (fun _ -> Dbh.Hash_family.sample_fn_indices ~rng family k)
-  in
-  let key_of cache row =
-    Array.fold_left
-      (fun key fn_id -> (key lsl 1) lor (if Dbh.Hash_family.eval family cache fn_id then 1 else 0))
-      0 fn_ids.(row)
-  in
-  let distinct_fns =
-    Array.to_list fn_ids |> List.concat_map Array.to_list |> List.sort_uniq compare
-    |> Array.of_list
-  in
-  let ref_tables : (int, int list) Hashtbl.t array =
-    Array.init l (fun _ -> Hashtbl.create (Array.length db))
-  in
-  Array.iteri
-    (fun id obj ->
-      let cache = Dbh.Hash_family.cache family obj in
-      Array.iteri
-        (fun row _ ->
-          let key = key_of cache row in
-          let b = try Hashtbl.find ref_tables.(row) key with Not_found -> [] in
-          Hashtbl.replace ref_tables.(row) key (id :: b))
-        fn_ids)
-    db;
-  (* The pre-refactor single-level query, allocation profile included: a
-     fresh pivot cache, a fresh memo Hashtbl of the distinct functions'
-     bits, a fresh per-query Bytes seen mask, boxed best tracking;
-     buckets probed in discovery order, improving on strict [<]. *)
-  let ref_query q =
-    let cache = Dbh.Hash_family.cache family q in
-    let bits = Hashtbl.create (Array.length distinct_fns) in
-    Array.iter
-      (fun fn_id -> Hashtbl.replace bits fn_id (Dbh.Hash_family.eval family cache fn_id))
-      distinct_fns;
-    let key_of row =
-      Array.fold_left
-        (fun key fn_id -> (key lsl 1) lor (if Hashtbl.find bits fn_id then 1 else 0))
-        0 fn_ids.(row)
-    in
-    let seen = Bytes.make (Array.length db) '\000' in
-    let best = ref None in
-    let lookup = ref 0 in
-    for row = 0 to l - 1 do
-      let bucket = try Hashtbl.find ref_tables.(row) (key_of row) with Not_found -> [] in
-      List.iter
-        (fun id ->
-          if Bytes.get seen id = '\000' then begin
-            Bytes.set seen id '\001';
-            incr lookup;
-            let d = space.Space.distance q db.(id) in
-            match !best with
-            | Some (_, bd) when bd <= d -> ()
-            | _ -> best := Some (id, d)
-          end)
-        bucket
-    done;
-    (!best, !lookup)
-  in
-  let sweep_packed () = Array.map (fun q -> Dbh.Index.search index q) queries in
-  let sweep_ref () = Array.map ref_query queries in
-  (* Bit-identity, sequential: same neighbor, same distance, same number
-     of exact comparisons.  These first sweeps also warm the distance
-     memo; freeze it afterwards so the pooled sweep never mutates it. *)
-  let packed_results = sweep_packed () in
-  let ref_results = sweep_ref () in
-  frozen := true;
-  let identical_seq =
-    Array.for_all2
-      (fun (r : _ Dbh.Index.result) (nn, lookup) ->
-        r.Dbh.Index.nn = nn && r.Dbh.Index.stats.Dbh.Index.lookup_cost = lookup)
-      packed_results ref_results
-  in
-  (* Bit-identity, 4 domains: the pooled batch must reproduce the
-     sequential packed results exactly. *)
-  let pooled_results =
-    Pool.with_pool ~domains:4 (fun pool ->
-        Dbh.Index.search_batch ~opts:(Dbh.Query_opts.make ~pool ()) index queries)
-  in
-  let identical_pool = pooled_results = packed_results in
-  (* Allocation per query, after warm-up (the sweeps above).  Each read
-     follows a minor collection: OCaml 5.1's [Gc.allocated_bytes] counts
-     what still sits in the minor heap at an eighth of its size. *)
-  let alloc_words f =
-    Gc.minor ();
-    let before = Gc.allocated_bytes () in
-    ignore (Sys.opaque_identity (f ()));
-    Gc.minor ();
-    let after = Gc.allocated_bytes () in
-    (after -. before) /. float_of_int (Array.length queries) /. 8.
-  in
-  let packed_alloc = alloc_words sweep_packed in
-  let ref_alloc = alloc_words sweep_ref in
-  (* Wall time per sweep: best of rounds for throughput, plus a
-     per-query latency distribution for the packed engine.  A sweep
-     takes milliseconds, so a round alternates the engines sweep by
-     sweep until it has lasted at least 0.2 s (0.1 s of each). *)
-  let rounds = if quick then 3 else 5 in
-  let times =
-    interleaved_best ~rounds ~min_round:0.2
-      [| (fun () -> snd (seconds sweep_packed)); (fun () -> snd (seconds sweep_ref)) |]
-  in
-  let packed_s = times.(0) and ref_s = times.(1) in
-  let latencies =
-    Array.map
-      (fun q ->
-        let _, dt = seconds (fun () -> Dbh.Index.search index q) in
-        dt *. 1e6)
-      queries
-  in
-  Array.sort compare latencies;
-  let pct p = latencies.(min (Array.length latencies - 1)
-                            (int_of_float (p *. float_of_int (Array.length latencies)))) in
-  let p50 = pct 0.5 and p99 = pct 0.99 in
-  (* Resident table footprint: maintained estimate for the CSR engine,
-     exact reachable words for the reference Hashtbl-of-lists. *)
-  let word = Sys.word_size / 8 in
-  let n = Array.length db in
-  let packed_bytes = Dbh.Index.approx_table_words index * word in
-  let ref_bytes = Obj.reachable_words (Obj.repr ref_tables) * word in
-  let speedup = ref_s /. packed_s in
-  let alloc_ratio = ref_alloc /. Float.max 1. packed_alloc in
-  Printf.printf "  %8s %14s %14s %14s %12s\n" "layout" "bytes/object" "alloc w/query"
-    "sweep(s)" "queries/s";
-  Printf.printf "  %8s %14.1f %14.1f %14.4f %12.1f\n" "list"
-    (float_of_int ref_bytes /. float_of_int n)
-    ref_alloc ref_s
-    (float_of_int (Array.length queries) /. ref_s);
-  Printf.printf "  %8s %14.1f %14.1f %14.4f %12.1f\n" "packed"
-    (float_of_int packed_bytes /. float_of_int n)
-    packed_alloc packed_s
-    (float_of_int (Array.length queries) /. packed_s);
-  Printf.printf "  packed p50/p99 latency: %.1f / %.1f us\n" p50 p99;
-  Printf.printf "  speedup over list layout: %.2fx, alloc reduction: %.1fx\n" speedup
-    alloc_ratio;
-  Printf.printf "  bit-identical: sequential %b, 4-domain batch %b\n" identical_seq
-    identical_pool;
-  let oc = open_out "BENCH_storage.json" in
-  Printf.fprintf oc "{\n";
-  Printf.fprintf oc "  \"quick_scale\": %b,\n" quick;
-  Printf.fprintf oc
-    "  \"dataset\": { \"db_size\": %d, \"queries\": %d, \"space\": \"unipen-dtw-memoized\" },\n"
-    n (Array.length queries);
-  Printf.fprintf oc "  \"index\": { \"k\": %d, \"l\": %d, \"pivots\": %d },\n" k l
-    (Dbh.Hash_family.num_pivots family);
-  Printf.fprintf oc "  \"rounds\": %d,\n" rounds;
-  Printf.fprintf oc "  \"list_bytes_per_object\": %.1f,\n"
-    (float_of_int ref_bytes /. float_of_int n);
-  Printf.fprintf oc "  \"packed_bytes_per_object\": %.1f,\n"
-    (float_of_int packed_bytes /. float_of_int n);
-  Printf.fprintf oc "  \"list_alloc_words_per_query\": %.1f,\n" ref_alloc;
-  Printf.fprintf oc "  \"packed_alloc_words_per_query\": %.1f,\n" packed_alloc;
-  Printf.fprintf oc "  \"alloc_reduction\": %.2f,\n" alloc_ratio;
-  Printf.fprintf oc "  \"list_sweep_s\": %.6f,\n" ref_s;
-  Printf.fprintf oc "  \"packed_sweep_s\": %.6f,\n" packed_s;
-  Printf.fprintf oc "  \"speedup\": %.3f,\n" speedup;
-  Printf.fprintf oc "  \"packed_p50_us\": %.1f,\n" p50;
-  Printf.fprintf oc "  \"packed_p99_us\": %.1f,\n" p99;
-  Printf.fprintf oc "  \"bit_identical_sequential\": %b,\n" identical_seq;
-  Printf.fprintf oc "  \"bit_identical_4domain\": %b\n" identical_pool;
-  Printf.fprintf oc "}\n";
-  close_out oc;
-  Printf.printf "  wrote BENCH_storage.json\n";
-  if not identical_seq then
-    failwith "storage (S1): packed engine diverged from the list-layout reference";
-  if not identical_pool then
-    failwith "storage (S1): 4-domain batch diverged from the sequential sweep";
-  if alloc_ratio < 2. then
-    failwith
-      (Printf.sprintf "storage (S1): alloc reduction %.2fx below the 2x gate" alloc_ratio);
-  if speedup <= 1.0 then
-    failwith
-      (Printf.sprintf "storage (S1): packed engine slower than list layout (%.2fx)"
-         speedup)
-
-(* ------------------------------------------------- W1 replication lag *)
-
-(* What WAL shipping buys and costs: a follower catches up from a
-   shipped snapshot + journal, then tails the leader live while serving
-   reads from another domain.  The caught-up replica must be a
-   bit-identical twin of the leader (rng state and query results both
-   times it is checked) or the section fails; numbers land in
-   BENCH_replication.json. *)
-
-let replication_section () =
-  Report.print_heading
-    "replication (W1): WAL shipping, catch-up and steady-state follower lag";
-  let module Binio = Dbh_util.Binio in
-  let module Durable = Dbh.Online.Durable in
-  let module Replica = Dbh_replica.Replica in
-  let space = Dbh_metrics.Minkowski.l2_space in
-  let vectors seed n =
-    let db, _ =
-      Dbh_datasets.Vectors.gaussian_mixture ~rng:(Rng.create seed) ~num_clusters:8
-        ~dim:16 n
-    in
-    db
-  in
-  let db = vectors 110 (sc 300) in
-  let ops = vectors 111 (sc 400) in
-  let live_ops = vectors 112 (sc 200) in
-  let queries = vectors 113 (sc 50) in
-  let encode (v : float array) =
-    let buf = Buffer.create 64 in
-    Binio.write_float_array buf v;
-    Buffer.contents buf
-  in
-  let decode s =
-    let r = Binio.reader s in
-    let v = Binio.read_float_array r in
-    if not (Binio.at_end r) then raise (Binio.Corrupt "trailing bytes in vector");
-    v
-  in
-  let config =
-    {
-      Dbh.Builder.default_config with
-      num_pivots = sc 40;
-      num_sample_queries = sc 80;
-      db_sample = sc 200;
-    }
-  in
-  let base = Filename.temp_file "dbh_bench_replication" "" in
-  Sys.remove base;
-  Unix.mkdir base 0o755;
-  let rm_rf dir =
-    if Sys.file_exists dir then begin
-      Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
-      Unix.rmdir dir
-    end
-  in
-  let leader_dir = Filename.concat base "leader" in
-  let follower_dir = Filename.concat base "follower" in
-  Fun.protect
-    ~finally:(fun () ->
-      rm_rf leader_dir;
-      rm_rf follower_dir;
-      rm_rf base)
-    (fun () ->
-      let leader, _ =
-        Durable.open_or_create ~fsync:false ~rng:(Rng.create 114) ~space ~config
-          ~rebuild_factor:2.0 ~target_accuracy:0.9 ~encode ~decode ~dir:leader_dir
-          ~data:db ()
-      in
-      Array.iter (fun o -> ignore (Durable.insert leader o)) ops;
-      (* Cold catch-up: ship everything once, open the follower, replay
-         the full journal. *)
-      let ship_bytes, ship_s =
-        seconds (fun () -> Replica.ship ~src:leader_dir ~dst:follower_dir ())
-      in
-      let follower, open_s =
-        seconds (fun () ->
-            Replica.open_ ~config ~rebuild_factor:2.0 ~space ~target_accuracy:0.9
-              ~decode ~dir:follower_dir ())
-      in
-      let caught_up, catch_up_s = seconds (fun () -> Replica.catch_up follower) in
-      if caught_up <> Array.length ops then
-        failwith "replication (W1): catch-up lost journaled operations";
-      let assert_twin label (r : _ Replica.t) =
-        if Replica.rng_state r <> Dbh.Online.rng_state (Durable.online leader) then
-          failwith (Printf.sprintf "replication (W1): %s rng state diverged" label);
-        if Replica.search_batch r queries <> Durable.search_batch leader queries then
-          failwith (Printf.sprintf "replication (W1): %s query results diverged" label)
-      in
-      assert_twin "caught-up follower" follower;
-      (* Steady state: a second replica tails the leader's own directory
-         live while one domain hammers it with reads; the leader keeps
-         inserting and the replica polls every few operations. *)
-      let tail =
-        Replica.open_ ~config ~rebuild_factor:2.0 ~space ~target_accuracy:0.9 ~decode
-          ~dir:leader_dir ()
-      in
-      ignore (Replica.catch_up tail);
-      let stop = Atomic.make false in
-      let reader =
-        Domain.spawn (fun () ->
-            let n = ref 0 in
-            let t0 = Unix.gettimeofday () in
-            while not (Atomic.get stop) do
-              ignore (Replica.search tail queries.(!n mod Array.length queries));
-              incr n
-            done;
-            (!n, Unix.gettimeofday () -. t0))
-      in
-      let lag_samples = ref [] in
-      let (), live_s =
-        seconds (fun () ->
-            Array.iteri
-              (fun i o ->
-                ignore (Durable.insert leader o);
-                if i mod 5 = 4 then begin
-                  lag_samples := Replica.lag_records tail :: !lag_samples;
-                  ignore (Replica.poll tail)
-                end)
-              live_ops;
-            ignore (Replica.catch_up tail))
-      in
-      Atomic.set stop true;
-      let reads, read_s = Domain.join reader in
-      assert_twin "live-tailing replica" tail;
-      let lags = Array.of_list (List.rev_map float_of_int !lag_samples) in
-      let final_lag = Replica.lag_records tail in
-      Durable.close leader;
-      let n_ops = float_of_int (Array.length ops) in
-      let n_live = float_of_int (Array.length live_ops) in
-      Printf.printf "  db %d, %d journaled + %d live inserts, %d queries (L2, dim 16)\n"
-        (Array.length db) (Array.length ops) (Array.length live_ops)
-        (Array.length queries);
-      Printf.printf "  %-34s %10d bytes  (%.3f s)\n" "initial ship" ship_bytes ship_s;
-      Printf.printf "  %-34s %10.3f s\n" "follower snapshot load" open_s;
-      Printf.printf "  %-34s %10.1f records/s  (%d records)\n" "cold catch-up"
-        (n_ops /. catch_up_s) caught_up;
-      Printf.printf "  %-34s %10.1f ops/s\n" "live apply (leader + tail)"
-        (n_live /. live_s);
-      Printf.printf "  %-34s %10.1f qps  (%d queries)\n" "follower reads while applying"
-        (float_of_int reads /. read_s)
-        reads;
-      Printf.printf "  %-34s mean %.1f, max %.0f, final %d\n" "steady-state lag (records)"
-        (Stats.mean lags) (Stats.maximum lags) final_lag;
-      Printf.printf "  follower is a bit-identical twin of the leader: true\n";
-      let oc = open_out "BENCH_replication.json" in
-      Printf.fprintf oc "{\n";
-      Printf.fprintf oc "  \"quick_scale\": %b,\n" quick;
-      Printf.fprintf oc
-        "  \"dataset\": { \"db_size\": %d, \"journaled_ops\": %d, \"live_ops\": %d, \
-         \"queries\": %d, \"space\": \"l2-16d\" },\n"
-        (Array.length db) (Array.length ops) (Array.length live_ops)
-        (Array.length queries);
-      Printf.fprintf oc "  \"ship\": { \"bytes\": %d, \"seconds\": %.6f },\n" ship_bytes
-        ship_s;
-      Printf.fprintf oc "  \"follower_open_s\": %.6f,\n" open_s;
-      Printf.fprintf oc
-        "  \"catch_up\": { \"records\": %d, \"seconds\": %.6f, \"records_per_s\": %.1f \
-         },\n"
-        caught_up catch_up_s (n_ops /. catch_up_s);
-      Printf.fprintf oc
-        "  \"steady_state\": { \"ops\": %d, \"apply_ops_per_s\": %.1f, \
-         \"mean_lag_records\": %.2f, \"max_lag_records\": %.0f, \"final_lag_records\": \
-         %d },\n"
-        (Array.length live_ops) (n_live /. live_s) (Stats.mean lags)
-        (Stats.maximum lags) final_lag;
-      Printf.fprintf oc
-        "  \"follower_reads\": { \"queries\": %d, \"seconds\": %.6f, \"queries_per_s\": \
-         %.1f },\n"
-        reads read_s
-        (float_of_int reads /. read_s);
-      Printf.fprintf oc "  \"bit_identical\": true\n";
-      Printf.fprintf oc "}\n";
-      close_out oc;
-      Printf.printf "  wrote BENCH_replication.json\n")
-
 (* --------------------------------------------------------------- serve *)
 
-(* N1: the network tier across its saturation point.  First a
-   closed-loop run finds peak goodput; then an open-loop run offers a
-   multiple of that rate.  Admission control must shed the excess with
-   explicit [Overloaded] replies while goodput stays within 80% of peak
-   — "shed, don't collapse" — and a violation fails the run.  Numbers
-   land in BENCH_serve.json. *)
+(* N1: the network tier across its saturation point.  A closed-loop
+   stage finds peak goodput; an open-loop stage offers three times the
+   latest peak.  The two run as interleaved pairs through [interleaved].
+   Admission control must shed the excess with explicit [Overloaded]
+   replies while the median overload goodput stays within 80% of the
+   median peak — "shed, don't collapse" — and a violation, or any
+   transport error, fails the run.  Numbers land in BENCH_serve.json. *)
 
 let serve_section () =
   Report.print_heading "serve (N1): admission-controlled network tier across saturation";
@@ -2149,28 +1496,40 @@ let serve_section () =
           in
           Printf.printf "  db %d over 2 shards, %d query payloads (L2, dim 16)\n"
             (Array.length db) (Array.length queries);
-          (* Warm up the JIT-free but cache-cold path, then measure. *)
-          ignore (stage (Some 100.));
-          let peak = stage ~connections:16 None in
-          print_stage "closed-loop peak" peak;
-          let peak_qps = peak.Loadgen.goodput_qps in
+          (* The latest peak goodput sets the overload stage's rate;
+             transport errors are summed over every stage. *)
+          let peak = ref 0. and errors = ref 0 in
+          let run label r =
+            print_stage label r;
+            errors := !errors + r.Loadgen.errors;
+            (r, [| r.Loadgen.goodput_qps |])
+          in
+          let peak_stage () =
+            let r = stage ~connections:16 None in
+            peak := r.Loadgen.goodput_qps;
+            run "closed-loop peak" r
+          in
           (* Past saturation the workers must not be latency-bound, or
              the open loop can never actually offer 3x peak: give the
              overload stage enough connections to hold its schedule. *)
-          let overload = stage ~connections:32 (Some (3.0 *. peak_qps)) in
-          print_stage "overload (3x peak)" overload;
-          let ratio = overload.Loadgen.goodput_qps /. peak_qps in
+          let overload_stage () =
+            run "overload (3x peak)" (stage ~connections:32 (Some (3.0 *. !peak)))
+          in
+          let measured = interleaved [| peak_stage; overload_stage |] in
+          let peak, peak_qps = (fst measured.(0), (snd measured.(0)).(0))
+          and overload, overload_qps = (fst measured.(1), (snd measured.(1)).(0)) in
+          let ratio = overload_qps.median /. peak_qps.median in
+          Printf.printf "  medians of %d interleaved pairs after a discarded warm-up pair:\n"
+            rounds;
+          Printf.printf "  %-22s %8.0f qps goodput (cv %.1f%%)\n" "closed-loop peak"
+            peak_qps.median (100. *. peak_qps.cv);
+          Printf.printf "  %-22s %8.0f qps goodput (cv %.1f%%)\n" "overload (3x peak)"
+            overload_qps.median (100. *. overload_qps.cv);
           Printf.printf "  %-22s %8.2f   (gate: >= 0.80)\n" "goodput ratio" ratio;
           if overload.Loadgen.shed = 0 then
             Printf.printf
-              "  note: overload run shed nothing — offered load stayed within \
+              "  note: the last overload stage shed nothing — offered load stayed within \
                capacity\n";
-          if overload.Loadgen.errors > 0 then
-            failwith "serve (N1): transport errors under overload";
-          if ratio < 0.8 then
-            failwith
-              (Printf.sprintf
-                 "serve (N1): goodput collapsed beyond saturation (%.2f of peak)" ratio);
           let oc = open_out "BENCH_serve.json" in
           let stage_json label (r : Loadgen.report) =
             Printf.sprintf
@@ -2188,15 +1547,29 @@ let serve_section () =
             "  \"dataset\": { \"db_size\": %d, \"queries\": %d, \"shards\": 2, \
              \"space\": \"l2-16d\" },\n"
             (Array.length db) (Array.length queries);
-          Printf.fprintf oc "  \"stages\": [\n    %s,\n    %s\n  ],\n"
+          Printf.fprintf oc
+            "  \"timing\": { \"statistic\": \"median\", \"rounds\": %d, \
+             \"warmup_rounds\": 1, \"stage_s\": %.1f },\n"
+            rounds duration;
+          Printf.fprintf oc "  \"last_stages\": [\n    %s,\n    %s\n  ],\n"
             (stage_json "closed_loop_peak" peak)
             (stage_json "overload_3x_peak" overload);
-          Printf.fprintf oc "  \"peak_goodput_qps\": %.1f,\n" peak_qps;
+          Printf.fprintf oc "  \"peak_goodput_qps\": %.1f,\n" peak_qps.median;
+          Printf.fprintf oc "  \"peak_goodput_cv\": %.4f,\n" peak_qps.cv;
+          Printf.fprintf oc "  \"overload_goodput_qps\": %.1f,\n" overload_qps.median;
+          Printf.fprintf oc "  \"overload_goodput_cv\": %.4f,\n" overload_qps.cv;
           Printf.fprintf oc "  \"overload_goodput_ratio\": %.3f,\n" ratio;
+          Printf.fprintf oc "  \"transport_errors\": %d,\n" !errors;
           Printf.fprintf oc "  \"goodput_gate_ok\": %b\n" (ratio >= 0.8);
           Printf.fprintf oc "}\n";
           close_out oc;
-          Printf.printf "  wrote BENCH_serve.json\n"))
+          Printf.printf "  wrote BENCH_serve.json\n";
+          if !errors > 0 then
+            failwith (Printf.sprintf "serve (N1): %d transport errors" !errors);
+          if ratio < 0.8 then
+            failwith
+              (Printf.sprintf
+                 "serve (N1): goodput collapsed beyond saturation (%.2f of peak)" ratio)))
 
 (* ------------------------------------------------- Bechamel micro-benches *)
 
@@ -2272,9 +1645,11 @@ let micro_benchmarks () =
 (* ------------------------------------------------------------------ main *)
 
 (* DBH_BENCH_SECTIONS=kl-landscape,parallel runs only the named sections
-   (comma-separated keys below); unset runs everything.  [serve] runs
-   first: it forks its load generator, and OCaml 5 refuses [Unix.fork]
-   once any domain has been spawned, which the pooled sections do. *)
+   (comma-separated keys below) and fails on a key not listed there;
+   unset runs everything.  [serve] runs first: it forks its load
+   generator, and OCaml 5 refuses [Unix.fork] once any domain has been
+   spawned, which the pooled sections do.  A section whose gate fails
+   does not stop the sections after it; the run then exits 1. *)
 let sections =
   [
     ("serve", serve_section);
@@ -2294,10 +1669,6 @@ let sections =
     ("family", family_section);
     ("faults", robust_faults);
     ("parallel", parallel_scaling);
-    ("persist", persist_section);
-    ("obs", obs_section);
-    ("storage", storage_section);
-    ("replication", replication_section);
     ("micro", micro_benchmarks);
   ]
 
@@ -2309,10 +1680,30 @@ let () =
     | None | Some "" -> fun _ -> true
     | Some spec ->
         let keys = String.split_on_char ',' spec |> List.map String.trim in
+        (match List.filter (fun key -> not (List.mem_assoc key sections)) keys with
+        | [] -> ()
+        | unknown ->
+            Printf.eprintf "DBH_BENCH_SECTIONS: unknown section %s; valid keys: %s\n"
+              (String.concat ", " (List.map (Printf.sprintf "%S") unknown))
+              (String.concat "," (List.map fst sections));
+            exit 2);
         fun name -> List.mem name keys
   in
-  let (), dt =
+  let failed, dt =
     seconds (fun () ->
-        List.iter (fun (name, section) -> if wanted name then section ()) sections)
+        List.filter_map
+          (fun (name, section) ->
+            if not (wanted name) then None
+            else
+              match section () with
+              | () -> None
+              | exception e ->
+                  Printf.printf "  FAILED: %s\n%!" (Printexc.to_string e);
+                  Some name)
+          sections)
   in
-  Printf.printf "\nTotal wall time: %.0f s\n" dt
+  Printf.printf "\nTotal wall time: %.0f s\n" dt;
+  if failed <> [] then begin
+    Printf.eprintf "failed sections: %s\n" (String.concat ", " failed);
+    exit 1
+  end

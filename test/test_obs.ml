@@ -19,6 +19,7 @@ module Hash_family = Dbh.Hash_family
 module Analysis = Dbh.Analysis
 module Index = Dbh.Index
 module Hierarchical = Dbh.Hierarchical
+module Builder = Dbh.Builder
 module Query_opts = Dbh.Query_opts
 module Registry = Dbh_obs.Registry
 module Metrics = Dbh_obs.Metrics
@@ -218,6 +219,67 @@ let test_budget_rejected_without_truncation () =
   rejects "Index.query_range" (fun () -> Index.query_range ~opts index 1. q);
   rejects "Index.query_budgeted" (fun () ->
       Index.query_budgeted ~opts index ~max_candidates:4 q)
+
+(* Metrics cost a constant per query, not a cost per candidate, and
+   never change an answer.  Over a warmed sweep of 400 pen digits under
+   a frozen DTW memo, installing a metric set adds 16 words per query to
+   both the single-level and the cascade search: a clock reading, the
+   elapsed seconds and three histogram sums.  The ceiling of 24 breaks
+   as soon as the metrics path allocates for each scored candidate.
+   The bare, metered and traced sweeps must return identical results. *)
+let test_metrics_cost_constant_per_query () =
+  let w = Memo_pen.make ~n:400 ~m:75 in
+  let db = w.Memo_pen.db and queries = w.Memo_pen.queries in
+  let config =
+    {
+      Builder.default_config with
+      num_pivots = 15;
+      threshold_sample = 75;
+      num_sample_queries = 50;
+      num_fns = 100;
+      db_sample = 100;
+      levels = 3;
+    }
+  in
+  let rng = Rng.create 97 in
+  let prepared = Builder.prepare ~rng ~space:w.Memo_pen.space ~config db in
+  let index =
+    Index.build ~rng ~family:prepared.Builder.family ~db
+      ~pivot_table:prepared.Builder.pivot_table ~k:10 ~l:8 ()
+  in
+  let h = Builder.hierarchical ~rng ~prepared ~db ~target_accuracy:0.9 ~config () in
+  let m = Metrics.create () in
+  let surfaces =
+    [
+      ("Index.search", fun opts q -> Index.search ~opts index q);
+      ("Hierarchical.search", fun opts q -> Hierarchical.search ~opts h q);
+    ]
+  in
+  let bare search q = search Query_opts.default q in
+  let traced search q = search (Query_opts.make ~trace:(Trace.create ()) ()) q in
+  (* Warm every mode once, then freeze the memo. *)
+  List.iter
+    (fun (_, search) ->
+      ignore (Array.map (bare search) queries);
+      ignore (Metrics.with_installed m (fun () -> Array.map (bare search) queries));
+      ignore (Array.map (traced search) queries))
+    surfaces;
+  w.Memo_pen.freeze ();
+  List.iter
+    (fun (name, search) ->
+      let off, off_words = Memo_pen.words_per_query (bare search) queries in
+      let on, on_words =
+        Metrics.with_installed m (fun () -> Memo_pen.words_per_query (bare search) queries)
+      in
+      if on_words -. off_words > 24. then
+        Alcotest.failf "%s: metrics added %.1f words per query; the ceiling is 24" name
+          (on_words -. off_words);
+      Alcotest.(check bool) (name ^ ": metrics change no answer") true (on = off);
+      Alcotest.(check bool)
+        (name ^ ": tracing changes no answer")
+        true
+        (Array.map (traced search) queries = off))
+    surfaces
 
 (* ------------------------------------------------------------- tracing *)
 
@@ -469,6 +531,8 @@ let () =
           Alcotest.test_case "budget via opts" `Quick test_budget_via_opts;
           Alcotest.test_case "budget rejected without truncation" `Quick
             test_budget_rejected_without_truncation;
+          Alcotest.test_case "metrics cost a constant per query" `Quick
+            test_metrics_cost_constant_per_query;
         ] );
       ( "trace",
         [

@@ -317,13 +317,6 @@ type surface = {
 
 let decode s = Dbh_util.Binio.read_float_array (Dbh_util.Binio.reader s)
 
-let rec remove_tree path =
-  if Sys.is_directory path then begin
-    Array.iter (fun f -> remove_tree (Filename.concat path f)) (Sys.readdir path);
-    Unix.rmdir path
-  end
-  else Sys.remove path
-
 let test_every_surface_batch_matches_per_query () =
   let module Breaker = Dbh_robust.Breaker in
   let module Durable = Online.Durable in
@@ -341,10 +334,7 @@ let test_every_surface_batch_matches_per_query () =
   let index = Index.build ~rng ~family ~db ~k:6 ~l:8 () in
   let h = Builder.auto ~rng:(Rng.create 31) ~space:l2 ~config ~target_accuracy:0.9 db in
   let o = online () in
-  let dir =
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "dbh-parallel-%d" (Unix.getpid ()))
-  in
+  Temp_dir.with_dir "parallel" @@ fun dir ->
   let d, _ =
     Durable.open_or_create ~fsync:false ~rng:(Rng.create 33) ~space:l2 ~config
       ~target_accuracy:0.9 ~encode ~decode ~dir ~data:db ()
@@ -369,9 +359,7 @@ let test_every_surface_batch_matches_per_query () =
     ]
   in
   Fun.protect
-    ~finally:(fun () ->
-      Durable.close d;
-      remove_tree dir)
+    ~finally:(fun () -> Durable.close d)
     (fun () ->
       Pool.with_pool ~domains (fun pool ->
           List.iter

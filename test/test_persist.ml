@@ -52,17 +52,7 @@ let decode s =
 
 (* ------------------------------------------------------- file helpers *)
 
-let dir_counter = ref 0
-
-let fresh_dir () =
-  incr dir_counter;
-  let d =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "dbh-persist-%d-%d" (Unix.getpid ()) !dir_counter)
-  in
-  Unix.mkdir d 0o755;
-  d
+let with_dir f = Temp_dir.with_dir "persist" f
 
 let read_file path =
   let ic = open_in_bin path in
@@ -141,7 +131,7 @@ let test_envelope_every_truncation_detected () =
   expect_corrupt "trailing garbage" (fun () -> Envelope.decode (image ^ "x"))
 
 let test_envelope_kind_and_version_checked () =
-  let dir = fresh_dir () in
+  with_dir @@ fun dir ->
   let path = Filename.concat dir "e.dbh" in
   Envelope.save ~path ~kind:"index" ~version:2 sample_payload;
   Alcotest.(check string) "same kind/version" sample_payload
@@ -151,7 +141,7 @@ let test_envelope_kind_and_version_checked () =
       Envelope.read_expect ~kind:"index" ~version:1 ~path)
 
 let test_write_atomic_replaces_and_leaves_no_temp () =
-  let dir = fresh_dir () in
+  with_dir @@ fun dir ->
   let path = Filename.concat dir "file.bin" in
   Envelope.write_atomic ~path "first";
   Envelope.write_atomic ~path "second";
@@ -178,7 +168,7 @@ let write_wal path =
   Wal.close w
 
 let test_wal_round_trip () =
-  let dir = fresh_dir () in
+  with_dir @@ fun dir ->
   let path = Filename.concat dir "w.log" in
   write_wal path;
   let scan = Wal.scan ~path in
@@ -186,7 +176,7 @@ let test_wal_round_trip () =
   Alcotest.(check (array string)) "payloads" wal_payloads scan.Wal.records
 
 let test_wal_truncation_at_every_offset () =
-  let dir = fresh_dir () in
+  with_dir @@ fun dir ->
   let path = Filename.concat dir "w.log" in
   write_wal path;
   let full = read_file path in
@@ -209,7 +199,7 @@ let test_wal_truncation_at_every_offset () =
   done
 
 let test_wal_every_byte_flip_detected () =
-  let dir = fresh_dir () in
+  with_dir @@ fun dir ->
   let path = Filename.concat dir "w.log" in
   write_wal path;
   let full = read_file path in
@@ -220,7 +210,7 @@ let test_wal_every_byte_flip_detected () =
   done
 
 let test_wal_append_after_torn_tail () =
-  let dir = fresh_dir () in
+  with_dir @@ fun dir ->
   let path = Filename.concat dir "w.log" in
   write_wal path;
   let full = read_file path in
@@ -251,7 +241,7 @@ let build_index seed n =
 
 let test_index_save_load_round_trip () =
   let index, db = build_index 11 60 in
-  let dir = fresh_dir () in
+  with_dir @@ fun dir ->
   let path = Filename.concat dir "index.dbh" in
   Index.save ~encode ~path index;
   let loaded = Index.load ~decode ~space:l2 ~path in
@@ -265,7 +255,7 @@ let test_index_save_load_round_trip () =
 
 let test_index_every_byte_flip_detected () =
   let index, _ = build_index 12 40 in
-  let dir = fresh_dir () in
+  with_dir @@ fun dir ->
   let path = Filename.concat dir "index.dbh" in
   Index.save ~encode ~path index;
   let full = read_file path in
@@ -278,7 +268,7 @@ let test_index_every_byte_flip_detected () =
 
 let test_index_decode_failure_is_corrupt () =
   let index, _ = build_index 13 40 in
-  let dir = fresh_dir () in
+  with_dir @@ fun dir ->
   let path = Filename.concat dir "index.dbh" in
   Index.save ~encode ~path index;
   let failing_decode (_ : string) = failwith "user codec exploded" in
@@ -293,7 +283,7 @@ let build_hierarchical seed n =
 
 let test_hierarchical_save_load_round_trip () =
   let h = build_hierarchical 21 60 in
-  let dir = fresh_dir () in
+  with_dir @@ fun dir ->
   let path = Filename.concat dir "h.dbh" in
   Hierarchical.save ~encode ~path h;
   let loaded = Hierarchical.load ~decode ~space:l2 ~path in
@@ -306,7 +296,7 @@ let test_hierarchical_save_load_round_trip () =
 
 let test_hierarchical_corruption_detected () =
   let h = build_hierarchical 22 40 in
-  let dir = fresh_dir () in
+  with_dir @@ fun dir ->
   let path = Filename.concat dir "h.dbh" in
   Hierarchical.save ~encode ~path h;
   let full = read_file path in
@@ -378,7 +368,7 @@ let check_equiv msg twin dur =
     queries
 
 let test_durable_fresh_then_reopen_equivalent () =
-  let dir = fresh_dir () in
+  with_dir @@ fun dir ->
   let twin = make_twin () in
   let d, rec1 = make_durable dir in
   Alcotest.(check bool) "fresh" true (rec1.Durable.source = `Fresh);
@@ -404,7 +394,7 @@ let test_durable_fresh_then_reopen_equivalent () =
   Durable.close d2
 
 let test_durable_checkpoint_then_reopen () =
-  let dir = fresh_dir () in
+  with_dir @@ fun dir ->
   let twin = make_twin () in
   let d, _ = make_durable dir in
   let ops1 = op_stream 63 25 and ops2 = op_stream 64 20 in
@@ -423,7 +413,7 @@ let test_durable_checkpoint_then_reopen () =
   Durable.close d2
 
 let test_durable_checkpoint_prunes_generations () =
-  let dir = fresh_dir () in
+  with_dir @@ fun dir ->
   let d, _ = make_durable dir in
   List.iter (apply_durable d) (op_stream 65 10);
   Durable.checkpoint d;
@@ -435,7 +425,7 @@ let test_durable_checkpoint_prunes_generations () =
   Alcotest.(check (list int)) "two wal generations" [ 2; 3 ] (Layout.wal_generations ~dir)
 
 let test_durable_corrupt_latest_falls_back () =
-  let dir = fresh_dir () in
+  with_dir @@ fun dir ->
   let twin = make_twin () in
   let d, _ = make_durable dir in
   let ops1 = op_stream 67 25 and ops2 = op_stream 68 15 in
@@ -462,7 +452,7 @@ let test_durable_corrupt_latest_falls_back () =
   Durable.close d2
 
 let test_durable_torn_wal_loses_only_the_tail () =
-  let dir = fresh_dir () in
+  with_dir @@ fun dir ->
   let twin = make_twin () in
   let d, _ = make_durable dir in
   let ops = op_stream 69 30 in
@@ -483,7 +473,7 @@ let test_durable_torn_wal_loses_only_the_tail () =
 let test_durable_kill_points_recover () =
   List.iter
     (fun kill ->
-      let dir = fresh_dir () in
+      with_dir @@ fun dir ->
       let twin = make_twin () in
       let d, _ = make_durable dir in
       let ops = op_stream 70 20 in
@@ -503,7 +493,7 @@ let test_durable_kill_points_recover () =
     [ Durable.After_snapshot; Durable.After_wal_switch ]
 
 let test_durable_snapshot_every_byte_flip_detected () =
-  let dir = fresh_dir () in
+  with_dir @@ fun dir ->
   let d, _ = make_durable dir in
   List.iter (apply_durable d) (op_stream 72 8);
   Durable.checkpoint d;
@@ -526,7 +516,7 @@ let test_durable_snapshot_every_byte_flip_detected () =
   Alcotest.(check bool) "verify sees handles" true (total >= alive && alive > 0)
 
 let test_durable_all_corrupt_rebuilds_or_refuses () =
-  let dir = fresh_dir () in
+  with_dir @@ fun dir ->
   let d, _ = make_durable dir in
   List.iter (apply_durable d) (op_stream 73 10);
   Durable.checkpoint d;
@@ -546,14 +536,14 @@ let test_durable_all_corrupt_rebuilds_or_refuses () =
   Durable.close d2
 
 let test_durable_empty_dir_without_data_refused () =
-  let dir = fresh_dir () in
+  with_dir @@ fun dir ->
   match reopen dir with
   | _ -> Alcotest.fail "expected Invalid_argument"
   | exception Invalid_argument _ -> ()
 
 let test_durable_parallel_pool_equivalent () =
   Pool.with_pool ~domains (fun pool ->
-      let dir = fresh_dir () in
+      with_dir @@ fun dir ->
       let twin = make_twin () in
       let d, _ = make_durable ~pool dir in
       let ops = op_stream 74 30 in

@@ -51,17 +51,7 @@ let decode s =
   if not (Binio.at_end r) then raise (Binio.Corrupt "trailing bytes in vector");
   v
 
-let dir_counter = ref 0
-
-let fresh_dir () =
-  incr dir_counter;
-  let d =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "dbh-replica-%d-%d" (Unix.getpid ()) !dir_counter)
-  in
-  Unix.mkdir d 0o755;
-  d
+let with_dir f = Temp_dir.with_dir "replica" f
 
 let read_file path =
   let ic = open_in_bin path in
@@ -217,7 +207,7 @@ let write_wal path =
   Wal.close w
 
 let test_prefix_resumable_cursor () =
-  let dir = fresh_dir () in
+  with_dir @@ fun dir ->
   let path = Filename.concat dir "w.log" in
   write_wal path;
   let p1 = Wal.read_valid_prefix ~path () in
@@ -237,7 +227,7 @@ let test_prefix_resumable_cursor () =
   Alcotest.(check (array string)) "new records only" [| "foxtrot" |] p3.Wal.payloads
 
 let test_prefix_never_truncates () =
-  let dir = fresh_dir () in
+  with_dir @@ fun dir ->
   let path = Filename.concat dir "w.log" in
   write_wal path;
   let full = read_file path in
@@ -255,7 +245,7 @@ let test_prefix_never_truncates () =
     (Unix.stat path).Unix.st_size
 
 let test_prefix_detects_shrink () =
-  let dir = fresh_dir () in
+  with_dir @@ fun dir ->
   let path = Filename.concat dir "w.log" in
   write_wal path;
   let full = read_file path in
@@ -318,14 +308,14 @@ let test_layout_strays_never_discovered =
             && not (is_valid_layout_name n ~prefix:"wal-" ~suffix:".log"))
           strays
       in
-      let dir = fresh_dir () in
+      with_dir @@ fun dir ->
       write_file (Layout.snapshot_path ~dir 3) "snap";
       write_file (Layout.wal_path ~dir 3) "wal";
       List.iter (fun n -> write_file (Filename.concat dir n) "stray") strays;
       Layout.snapshot_generations ~dir = [ 3 ] && Layout.wal_generations ~dir = [ 3 ])
 
 let test_layout_checkpoint_gc_spares_strays () =
-  let dir = fresh_dir () in
+  with_dir @@ fun dir ->
   let strays = [ "snapshot-.dbh"; "wal-99x.log"; "snapshot-000002.dbh.tmp"; "notes.txt" ] in
   List.iter (fun n -> write_file (Filename.concat dir n) "keep me") strays;
   let d, _ = make_durable dir in
@@ -355,7 +345,7 @@ let leader_files dir =
          (n, st.Unix.st_size, st.Unix.st_mtime))
 
 let test_catch_up_is_twin () =
-  let dir = fresh_dir () in
+  with_dir @@ fun dir ->
   let twin = make_twin () in
   let d, _ = make_durable dir in
   let ops = op_stream 90 30 in
@@ -371,7 +361,7 @@ let test_catch_up_is_twin () =
   check_twin "caught up" twin r
 
 let test_tailing_never_modifies_leader_files () =
-  let dir = fresh_dir () in
+  with_dir @@ fun dir ->
   let d, _ = make_durable dir in
   List.iter (apply_durable d) (op_stream 91 20);
   Durable.checkpoint d;
@@ -389,7 +379,7 @@ let test_tailing_never_modifies_leader_files () =
     (leader_files dir = before)
 
 let test_live_tailing_follows_rollover () =
-  let dir = fresh_dir () in
+  with_dir @@ fun dir ->
   let twin = make_twin () in
   let d, _ = make_durable dir in
   let r = open_replica dir in
@@ -417,7 +407,7 @@ let test_live_tailing_follows_rollover () =
    of wal-(g+1) would switch logs without the tail records — silent
    divergence; drain must re-read the closed log before switching. *)
 let test_rollover_race_does_not_skip_tail_records () =
-  let dir = fresh_dir () in
+  with_dir @@ fun dir ->
   let twin = make_twin () in
   let d, _ = make_durable dir in
   let r = open_replica dir in
@@ -452,7 +442,7 @@ let test_rollover_race_does_not_skip_tail_records () =
    snapshot, so the replica must fall back to a full reopen — detected
    recovery, never silent loss. *)
 let test_rollover_race_with_gc_forces_reopen () =
-  let dir = fresh_dir () in
+  with_dir @@ fun dir ->
   let twin = make_twin () in
   let d, _ = make_durable dir in
   let r = open_replica dir in
@@ -482,7 +472,7 @@ let test_rollover_race_with_gc_forces_reopen () =
   Durable.close d
 
 let test_torn_tail_applies_valid_prefix_then_resumes () =
-  let dir = fresh_dir () in
+  with_dir @@ fun dir ->
   let d, _ = make_durable dir in
   let ops = op_stream 95 8 in
   List.iter (apply_durable d) ops;
@@ -508,7 +498,7 @@ let test_torn_tail_applies_valid_prefix_then_resumes () =
   check_twin "after torn resume" twin r
 
 let test_shrunken_wal_forces_reopen () =
-  let dir = fresh_dir () in
+  with_dir @@ fun dir ->
   let d, _ = make_durable dir in
   let ops = op_stream 96 10 in
   List.iter (apply_durable d) ops;
@@ -535,7 +525,8 @@ let test_shrunken_wal_forces_reopen () =
   check_twin "rewound to truncated history" twin r
 
 let test_ship_and_tail_copy () =
-  let ldir = fresh_dir () and fdir = fresh_dir () in
+  with_dir @@ fun ldir ->
+  with_dir @@ fun fdir ->
   let twin = make_twin () in
   let d, _ = make_durable ldir in
   let ops1 = op_stream 97 15 in
@@ -566,7 +557,8 @@ let test_ship_and_tail_copy () =
    follower's copy with mixed old/new bytes and a permanently torn
    tail; ship must notice the diverged prefix and recopy wholesale. *)
 let test_ship_detects_rewritten_history () =
-  let ldir = fresh_dir () and fdir = fresh_dir () in
+  with_dir @@ fun ldir ->
+  with_dir @@ fun fdir ->
   let src_wal = Layout.wal_path ~dir:ldir 1 in
   let dst_wal = Layout.wal_path ~dir:fdir 1 in
   let w = Wal.create ~fsync:false ~path:src_wal () in
@@ -600,7 +592,7 @@ let test_ship_detects_rewritten_history () =
    are cached per record count — there are only n_ops+1 distinct
    states for len(wal)+1 cut points. *)
 let test_kill_at_every_wal_offset () =
-  let dir = fresh_dir () in
+  with_dir @@ fun dir ->
   let d, _ = make_durable dir in
   let ops = op_stream 99 6 in
   List.iter (apply_durable d) ops;
@@ -621,7 +613,7 @@ let test_kill_at_every_wal_offset () =
         t
   in
   for cut = 0 to String.length full do
-    let cdir = fresh_dir () in
+    with_dir @@ fun cdir ->
     write_file (Layout.snapshot_path ~dir:cdir 1) snap;
     write_file (Layout.wal_path ~dir:cdir 1) (String.sub full 0 cut);
     let r = open_replica cdir in
@@ -636,7 +628,7 @@ let test_kill_at_every_wal_offset () =
 let test_kill_points_during_checkpoint () =
   List.iter
     (fun kill ->
-      let dir = fresh_dir () in
+      with_dir @@ fun dir ->
       let twin = make_twin () in
       let d, _ = make_durable dir in
       let ops = op_stream 100 12 in
@@ -654,7 +646,7 @@ let test_kill_points_during_checkpoint () =
     [ Durable.After_snapshot; Durable.After_wal_switch ]
 
 let test_promote_fences_and_leads () =
-  let dir = fresh_dir () in
+  with_dir @@ fun dir ->
   let twin = make_twin () in
   let d, _ = make_durable dir in
   let ops = op_stream 101 15 in
@@ -704,7 +696,7 @@ let test_promote_fences_and_leads () =
   Durable.close d2
 
 let test_replica_metrics_wired () =
-  let dir = fresh_dir () in
+  with_dir @@ fun dir ->
   let d, _ = make_durable dir in
   let ops = op_stream 103 10 in
   List.iter (apply_durable d) ops;
@@ -723,7 +715,7 @@ let test_replica_metrics_wired () =
    every concurrently observed answer coherent (a valid prefix of
    history), and the final state must still be the twin. *)
 let test_concurrent_reads_while_applying () =
-  let dir = fresh_dir () in
+  with_dir @@ fun dir ->
   let twin = make_twin () in
   let d, _ = make_durable dir in
   let r = open_replica dir in
@@ -766,7 +758,7 @@ let test_concurrent_reads_while_applying () =
    for the full stall_limit ladder; ~deadline must cap the whole loop
    regardless of how generous stall_limit is. *)
 let test_catch_up_deadline_bounds_stall () =
-  let dir = fresh_dir () in
+  with_dir @@ fun dir ->
   let d, _ = make_durable dir in
   let ops = op_stream 111 8 in
   List.iter (apply_durable d) ops;
@@ -792,7 +784,8 @@ let test_catch_up_deadline_bounds_stall () =
    promptly, having shipped + applied what the leader wrote, and leave
    the replica closed with the lag gauges flushed to 0. *)
 let test_follow_stops_cleanly () =
-  let ldir = fresh_dir () and fdir = fresh_dir () in
+  with_dir @@ fun ldir ->
+  with_dir @@ fun fdir ->
   let twin = make_twin () in
   let d, _ = make_durable ldir in
   let ops = op_stream 112 12 in

@@ -72,17 +72,7 @@ let decode s =
   if not (Binio.at_end r) then raise (Binio.Corrupt "trailing bytes in vector");
   v
 
-let dir_counter = ref 0
-
-let fresh_dir () =
-  incr dir_counter;
-  let d =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "dbh-serve-%d-%d" (Unix.getpid ()) !dir_counter)
-  in
-  Unix.mkdir d 0o755;
-  d
+let with_dir f = Temp_dir.with_dir "serve" f
 
 (* ----------------------------------------------------------- protocol *)
 
@@ -512,7 +502,7 @@ type harness = {
 let with_server ?(shards = 2) ?(space = l2) ?admission ?(batch_max = 32)
     ?(idle_timeout = 10.) ?(metrics_port = None) ?(so_sndbuf = None)
     ?(data = seed_data) f =
-  let dir = fresh_dir () in
+  with_dir @@ fun dir ->
   let sh, _ =
     Shards.open_or_create ~fsync:false ~build:small_config ~seed:42 ~shards
       ~target_accuracy:0.9 ~space ~encode ~decode ~dir ~data ()
@@ -537,15 +527,20 @@ let with_server ?(shards = 2) ?(space = l2) ?admission ?(batch_max = 32)
   if domains > 1 then Pool.with_pool ~domains (fun p -> run (Some p))
   else run None
 
-(* A twin sharded index in another directory: the oracle for
-   bit-identity. *)
-let twin_shards ?(shards = 2) ?(data = seed_data) () =
-  let dir = fresh_dir () in
-  let sh, _ =
+(* The oracle for bit-identity: every query searched directly on a twin
+   sharded index in another directory. *)
+let direct_answers ~shards ~budget =
+  with_dir @@ fun dir ->
+  let twin, _ =
     Shards.open_or_create ~fsync:false ~build:small_config ~seed:42 ~shards
-      ~target_accuracy:0.9 ~space:l2 ~encode ~decode ~dir ~data ()
+      ~target_accuracy:0.9 ~space:l2 ~encode ~decode ~dir ~data:seed_data ()
   in
-  sh
+  let direct =
+    Shards.search_many twin
+      (Array.map (fun q -> (q, { Shards.budget; probes = 0; radius = 0 })) queries)
+  in
+  Shards.close twin;
+  direct
 
 let connect h = Client.connect ~host:"127.0.0.1" ~port:(Server.port h.server) ()
 
@@ -576,13 +571,7 @@ let test_ping_and_stats () =
 let test_search_bit_identical_to_direct () =
   let shards = 3 in
   let budget = 100_000 in
-  let twin = twin_shards ~shards () in
-  let direct =
-    Shards.search_many twin
-      (Array.map
-         (fun q -> (q, { Shards.budget; probes = 0; radius = 0 }))
-         queries)
-  in
+  let direct = direct_answers ~shards ~budget in
   with_server ~shards (fun h ->
       let c = connect h in
       Array.iteri
@@ -592,8 +581,7 @@ let test_search_bit_identical_to_direct () =
           in
           check_result_matches (Printf.sprintf "query %d" i) direct.(i) resp)
         queries;
-      Client.close c);
-  Shards.close twin
+      Client.close c)
 
 (* The acceptance bar: several well-formed clients in parallel, while
    chaos connections spray torn and corrupt bytes at the same port —
@@ -602,14 +590,7 @@ let test_search_bit_identical_to_direct () =
 let test_concurrent_clients_with_chaos () =
   let shards = 2 in
   let budget = 100_000 in
-  let twin = twin_shards ~shards () in
-  let direct =
-    Shards.search_many twin
-      (Array.map
-         (fun q -> (q, { Shards.budget; probes = 0; radius = 0 }))
-         queries)
-  in
-  Shards.close twin;
+  let direct = direct_answers ~shards ~budget in
   with_server ~shards ~idle_timeout:0.5 (fun h ->
       let port = Server.port h.server in
       let failures = Atomic.make 0 in
@@ -1211,7 +1192,7 @@ let test_expired_deadline_times_out () =
 (* ---------------------------------------------------- drain and crash *)
 
 let test_graceful_drain_checkpoints_shards () =
-  let dir = fresh_dir () in
+  with_dir @@ fun dir ->
   let sh, _ =
     Shards.open_or_create ~fsync:false ~build:small_config ~seed:42 ~shards:2
       ~target_accuracy:0.9 ~space:l2 ~encode ~decode ~dir ~data:seed_data ()
@@ -1245,7 +1226,7 @@ let test_graceful_drain_checkpoints_shards () =
   Shards.close sh2
 
 let test_kill_during_drain_checkpoint_recovers () =
-  let dir = fresh_dir () in
+  with_dir @@ fun dir ->
   let sh, _ =
     Shards.open_or_create ~fsync:false ~build:small_config ~seed:42 ~shards:2
       ~target_accuracy:0.9 ~space:l2 ~encode ~decode ~dir ~data:seed_data ()

@@ -863,19 +863,30 @@ let test_nested_query () =
       ("multiprobe 3", Query_opts.multiprobe 3);
     ]
 
-(* ------------------------------------------------- v1 -> v2 migration *)
+(* A warmed single-level query allocates a fixed handful of words (its
+   query record, hash cache, closures and result) however large the
+   store and however many candidates it scores: the seen mask,
+   candidate cells and pivot row live in the domain's workspace.  On
+   this workload (400 pen digits under a frozen DTW memo, k = 10,
+   l = 8) a query allocates 48 words, and 48 again at 1,600 objects.
+   The ceiling of 64 leaves room for a field or a closure more, while a
+   per-query seen mask (51 words at 400 objects) or an allocation per
+   scored candidate breaks it. *)
+let test_query_allocation_ceiling () =
+  let w = Memo_pen.make ~n:400 ~m:75 in
+  let family =
+    Hash_family.make ~rng:(Rng.create 97) ~space:w.Memo_pen.space ~num_pivots:15
+      ~threshold_sample:75 w.Memo_pen.db
+  in
+  let index = Index.build ~rng:(Rng.create 98) ~family ~db:w.Memo_pen.db ~k:10 ~l:8 () in
+  let search q = Index.search index q in
+  ignore (Array.map search w.Memo_pen.queries);
+  w.Memo_pen.freeze ();
+  let _, words = Memo_pen.words_per_query search w.Memo_pen.queries in
+  if words > 64. then
+    Alcotest.failf "Index.search allocated %.1f words per query; the ceiling is 64" words
 
-let fresh_dir =
-  let dir_counter = ref 0 in
-  fun () ->
-    incr dir_counter;
-    let d =
-      Filename.concat
-        (Filename.get_temp_dir_name ())
-        (Printf.sprintf "dbh-storage-%d-%d" (Unix.getpid ()) !dir_counter)
-    in
-    Unix.mkdir d 0o755;
-    d
+(* ------------------------------------------------- v1 -> v2 migration *)
 
 let copy_file src dst =
   let ic = open_in_bin src in
@@ -903,7 +914,7 @@ let test_v1_snapshot_migrates_to_v2 () =
      cleanly, replay its WAL, serve queries, and migrate to a packed v2
      snapshot on the first checkpoint. *)
   let src = fixture_path "v1_online" in
-  let dir = fresh_dir () in
+  Temp_dir.with_dir "storage" @@ fun dir ->
   List.iter
     (fun f -> copy_file (Filename.concat src f) (Filename.concat dir f))
     [ "snapshot-000001.dbh"; "wal-000001.log" ];
@@ -1010,6 +1021,8 @@ let () =
           Alcotest.test_case "reuse stays clean" `Quick test_scratch_reuse_is_clean;
           Alcotest.test_case "exception safety" `Quick test_scratch_exception_safety;
           Alcotest.test_case "nested query works in its own workspace" `Quick test_nested_query;
+          Alcotest.test_case "warmed query allocates under a fixed ceiling" `Quick
+            test_query_allocation_ceiling;
         ] );
       ( "migration",
         [
