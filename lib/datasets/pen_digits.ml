@@ -95,8 +95,3 @@ let trajectory_cost d = Array.length d.points
 let space =
   Space.make ~item_cost:trajectory_cost ~name:"pen-digits/DTW" (fun a b ->
       Dbh_metrics.Dtw.points a.points b.points)
-
-let space_banded w =
-  Space.make ~item_cost:trajectory_cost
-    ~name:(Printf.sprintf "pen-digits/DTW(band=%d)" w)
-    (fun a b -> Dbh_metrics.Dtw.points ~band:w a.points b.points)

@@ -35,6 +35,3 @@ val generate_set : rng:Dbh_util.Rng.t -> ?params:params -> int -> instance array
 val space : instance Dbh_space.Space.t
 (** DTW with Euclidean ground cost over the trajectories (labels are
     ignored by the distance). *)
-
-val space_banded : int -> instance Dbh_space.Space.t
-(** Sakoe–Chiba-banded DTW, for cheaper large sweeps. *)

@@ -77,18 +77,59 @@ let path ~cost a b =
 let float_cost x y = Float.abs (x -. y)
 
 let floats ?band a b = distance ?band ~cost:float_cost a b
-let points ?band a b = distance ?band ~cost:Geom.dist a b
 
-(* DTW is O(|a|*|b|) (band or not, the band only shaves a constant on
-   these series lengths), so one element's share of a distance call
-   scales with its own length. *)
+(* [Float.min x y] bit for bit, restated so that it inlines: without
+   flambda the stdlib call is a real call that boxes both arguments.
+   The two strict comparisons settle every pair but ties and NaNs, which
+   take [Float.min]'s own branches. *)
+let[@inline] float_min (x : float) (y : float) =
+  if y > x then x
+  else if y < x then y
+  else if (not (Float.sign_bit y)) && Float.sign_bit x then if Float.is_nan y then y else x
+  else if Float.is_nan x then x
+  else y
+
+(* [Geom.dist (ax, ay) pt], in [Geom.dist]'s operation order. *)
+let[@inline] ground ax ay (pt : Geom.point) =
+  let dx = ax -. pt.Geom.x and dy = ay -. pt.Geom.y in
+  sqrt ((dx *. dx) +. (dy *. dy))
+
+(* [distance ~cost:Geom.dist] specialized: the same recurrence in the
+   same operation order, so the result is bit-identical, with the
+   ground cost inline, the neighbouring cells in locals and the two rows
+   swapped instead of refilled and copied. *)
+let points a b =
+  let n = Array.length a and m = Array.length b in
+  if n = 0 || m = 0 then invalid_arg "Dtw.points: empty sequence";
+  let prev = ref (Array.make m infinity) and cur = ref (Array.make m infinity) in
+  let a0 = a.(0) and p = !prev in
+  p.(0) <- ground a0.Geom.x a0.Geom.y b.(0);
+  for j = 1 to m - 1 do
+    p.(j) <- p.(j - 1) +. ground a0.Geom.x a0.Geom.y b.(j)
+  done;
+  for i = 1 to n - 1 do
+    let p = !prev and q = !cur in
+    let ax = a.(i).Geom.x and ay = a.(i).Geom.y in
+    (* [diag] is p.(j - 1) and [left] q.(j - 1); both start at the
+       infinite border, and [float_min x infinity] is [x] bit for bit,
+       so column 0 takes p.(0) as [distance] does. *)
+    let diag = ref infinity and left = ref infinity in
+    for j = 0 to m - 1 do
+      let up = p.(j) in
+      let best = float_min up (float_min !diag !left) in
+      left := if best < infinity then best +. ground ax ay b.(j) else infinity;
+      q.(j) <- !left;
+      diag := up
+    done;
+    prev := q;
+    cur := p
+  done;
+  !prev.(m - 1)
+
+(* DTW is O(|a|*|b|), so one element's share of a distance call scales
+   with its own length. *)
 let float_space =
   Dbh_space.Space.make ~item_cost:Array.length ~name:"DTW-1d" (fun a b -> floats a b)
 
 let point_space =
   Dbh_space.Space.make ~item_cost:Array.length ~name:"DTW-2d" (fun a b -> points a b)
-
-let point_space_banded w =
-  Dbh_space.Space.make ~item_cost:Array.length
-    ~name:(Printf.sprintf "DTW-2d(band=%d)" w)
-    (fun a b -> points ~band:w a b)

@@ -7,7 +7,9 @@
     one of the paper's three motivating non-metric measures. *)
 
 val distance : ?band:int -> cost:('a -> 'a -> float) -> 'a array -> 'a array -> float
-(** [distance ~cost a b] is the DTW distance with ground cost [cost].
+(** [distance ~cost a b] is the DTW distance with ground cost [cost]: the
+    generic path, used by {!floats} and custom ground costs, and the
+    reference {!points} is tested against.
     [band], when given, restricts the warping path to the Sakoe–Chiba band
     of half-width [band] around the diagonal (after slope normalization
     for unequal lengths); paths outside yield [infinity] only if no banded
@@ -23,12 +25,12 @@ val path :
 val floats : ?band:int -> float array -> float array -> float
 (** DTW on scalar series with ground cost [|x − y|]. *)
 
-val points : ?band:int -> Geom.point array -> Geom.point array -> float
+val points : Geom.point array -> Geom.point array -> float
 (** DTW on planar trajectories with Euclidean ground cost — the UNIPEN
-    configuration. *)
+    configuration, and the kernel behind every pen-digit distance.  A
+    specialized kernel, bit-identical to [distance ~cost:Geom.dist] (NaN
+    and infinite coordinates included) that allocates only its two DP rows.
+    Raises on empty sequences. *)
 
 val float_space : float array Dbh_space.Space.t
 val point_space : Geom.point array Dbh_space.Space.t
-
-val point_space_banded : int -> Geom.point array Dbh_space.Space.t
-(** Banded variant used to trade exactness for speed in big sweeps. *)

@@ -10,6 +10,7 @@ module Dtw = Dbh_metrics.Dtw
 module Chamfer = Dbh_metrics.Chamfer
 module Shape_context = Dbh_metrics.Shape_context
 module Cosine = Dbh_metrics.Cosine
+module Pen = Dbh_datasets.Pen_digits
 module Rng = Dbh_util.Rng
 
 let check_float = Alcotest.(check (float 1e-9))
@@ -308,6 +309,66 @@ let test_dtw_points () =
   let a = [| Geom.point 0. 0.; Geom.point 1. 0. |] in
   let b = [| Geom.point 0. 1.; Geom.point 1. 1. |] in
   check_float "2d dtw" 2. (Dtw.points a b)
+
+(* [Dtw.points] is a specialized kernel; [Dtw.distance ~cost:Geom.dist]
+   is the generic path it must reproduce: the same bits, or NaN on both
+   sides. *)
+let points_match_generic a b =
+  let fast = Dtw.points a b and generic = Dtw.distance ~cost:Geom.dist a b in
+  Int64.equal (Int64.bits_of_float fast) (Int64.bits_of_float generic)
+  || (Float.is_nan fast && Float.is_nan generic)
+
+let trajectory_arb ~max_len coord =
+  QCheck.make
+    ~print:(fun a ->
+      String.concat ";"
+        (Array.to_list (Array.map (fun p -> Printf.sprintf "(%h,%h)" p.Geom.x p.Geom.y) a)))
+    QCheck.Gen.(array_size (int_range 1 max_len) (map2 Geom.point coord coord))
+
+let prop_dtw_points_bit_identical =
+  let traj = trajectory_arb ~max_len:40 (QCheck.Gen.float_range (-50.) 50.) in
+  QCheck.Test.make ~name:"points = distance ~cost:Geom.dist, bit for bit" ~count:300
+    (QCheck.pair traj traj) (fun (a, b) -> points_match_generic a b)
+
+(* Short trajectories, so that some pairs mix finite cells with NaN and
+   infinite ones. *)
+let prop_dtw_points_bit_identical_nonfinite =
+  let coord =
+    QCheck.Gen.(
+      frequency [ (3, float_range (-2.) 2.); (1, oneofl [ infinity; neg_infinity; nan; 0.; -0. ]) ])
+  in
+  let traj = trajectory_arb ~max_len:6 coord in
+  QCheck.Test.make ~name:"points = distance on non-finite coordinates" ~count:500
+    (QCheck.pair traj traj) (fun (a, b) -> points_match_generic a b)
+
+let test_dtw_points_nan_minimum () =
+  (* Row 0 is NaN throughout, so every minimum in row 1 is NaN and its
+     cells stay at infinity: the distance is infinity, not NaN. *)
+  let a = [| Geom.point nan 0.; Geom.point 0. 0. |] in
+  let b = [| Geom.point 0. 0.; Geom.point 1. 0. |] in
+  Alcotest.(check bool) "generic" true (Dtw.distance ~cost:Geom.dist a b = infinity);
+  Alcotest.(check bool) "points" true (Dtw.points a b = infinity)
+
+let test_dtw_points_pen_pairs () =
+  let set = Pen.generate_set ~rng:(Rng.create 21) 100 in
+  let rng = Rng.create 22 in
+  let differ = ref 0 in
+  for _ = 1 to 500 do
+    let a = (Rng.choose rng set).Pen.points and b = (Rng.choose rng set).Pen.points in
+    if not (points_match_generic a b) then incr differ
+  done;
+  Alcotest.(check int) "pen pairs whose bits differ" 0 !differ
+
+let test_dtw_points_allocation () =
+  let set = Pen.generate_set ~rng:(Rng.create 23) 64 in
+  let pairs = Array.init 32 (fun i -> (set.(2 * i).Pen.points, set.((2 * i) + 1).Pen.points)) in
+  Alcotest.(check int) "trajectory length" 32 (Array.length (fst pairs.(0)));
+  let dtw (a, b) = Dtw.points a b in
+  ignore (Memo_pen.words_per_query dtw pairs);
+  (* Two 32-float rows are 66 words; the rest is the boxed result and
+     its slot in the result array. *)
+  let _, words = Memo_pen.words_per_query dtw pairs in
+  if words > 80. then Alcotest.failf "Dtw.points allocated %.1f words per call (ceiling 80)" words
 
 (* --------------------------------------------------------------- Chamfer *)
 
@@ -609,7 +670,17 @@ let () =
         :: Alcotest.test_case "wide band = full" `Quick test_dtw_band_wide_equals_full
         :: Alcotest.test_case "band upper bound" `Quick test_dtw_band_upper_bound
         :: Alcotest.test_case "2d points" `Quick test_dtw_points
-        :: qsuite [ prop_dtw_symmetric; prop_dtw_bounded_by_diagonal ] );
+        :: Alcotest.test_case "points: NaN minimum leaves infinity" `Quick
+             test_dtw_points_nan_minimum
+        :: Alcotest.test_case "points = distance on 500 pen pairs" `Quick test_dtw_points_pen_pairs
+        :: Alcotest.test_case "points allocates only its rows" `Quick test_dtw_points_allocation
+        :: qsuite
+             [
+               prop_dtw_symmetric;
+               prop_dtw_bounded_by_diagonal;
+               prop_dtw_points_bit_identical;
+               prop_dtw_points_bit_identical_nonfinite;
+             ] );
       ( "chamfer",
         [
           Alcotest.test_case "self" `Quick test_chamfer_self;
