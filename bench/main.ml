@@ -344,7 +344,7 @@ let figure5_config () =
       (if quick then [| 0.1; 0.5 |] else [| 0.02; 0.05; 0.1; 0.2; 0.35; 0.5; 0.75; 1.0 |]);
     builder =
       {
-        Dbh.Builder.default_config with
+        Figure5.default_config.Figure5.builder with
         num_sample_queries = sc 200;
         db_sample = sc 500;
         threshold_sample = sc 500;

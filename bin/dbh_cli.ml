@@ -146,10 +146,8 @@ let run_experiment dataset seed db_size num_queries csv_path domains metrics sel
   let mset = if metrics then Some (Dbh_obs.Metrics.create ()) else None in
   Printf.printf "selector=%s\n%!" (Dbh.Selector.tag selector);
   let config =
-    {
-      Dbh_eval.Figure5.default_config with
-      builder = { Dbh.Builder.default_config with selector };
-    }
+    let base = Dbh_eval.Figure5.default_config in
+    { base with builder = { base.Dbh_eval.Figure5.builder with selector } }
   in
   let run () = Dbh_eval.Figure5.run ?pool ~rng ~dataset ~space ~db ~queries ~config () in
   let result =
@@ -227,8 +225,13 @@ let run_tune dataset seed db_size target =
         c.Dbh.Params.predicted_accuracy c.Dbh.Params.predicted_lookup
         c.Dbh.Params.predicted_hash c.Dbh.Params.predicted_cost)
     choices;
-  (match Dbh.Params.optimize prepared.Dbh.Builder.analysis ~target_accuracy:target () with
-  | Some c -> Printf.printf "chosen: %s\n" (Format.asprintf "%a" Dbh.Params.pp_choice c)
+  (match
+     Dbh.Params.optimize ~slack:config.Dbh.Builder.slack prepared.Dbh.Builder.analysis
+       ~target_accuracy:target ()
+   with
+  | Some c ->
+      Printf.printf "chosen (slack %g): %s\n" config.Dbh.Builder.slack
+        (Format.asprintf "%a" Dbh.Params.pp_choice c)
   | None -> print_endline "no feasible (k,l) at this target");
   0
 

@@ -139,7 +139,10 @@ let shards_arg =
   Arg.(value & opt int 2 & info [ "shards" ] ~docv:"N" ~doc)
 
 let domains_arg =
-  let doc = "Domains for fanning searches across shards (1 = sequential)." in
+  let doc =
+    "Domains for fanning searches across shards (1 = sequential). The server fans out \
+     only on a machine with at least N + 1 cores."
+  in
   Arg.(value & opt int 1 & info [ "domains" ] ~docv:"N" ~doc)
 
 let seed_arg =

@@ -15,6 +15,7 @@ type config = {
   k_min : int;
   k_max : int;
   l_max : int;
+  slack : float;
   levels : int;
 }
 
@@ -30,6 +31,7 @@ let default_config =
     k_min = 1;
     k_max = 30;
     l_max = 1000;
+    slack = 0.03;
     levels = 5;
   }
 
@@ -41,6 +43,7 @@ type 'a prepared = {
 }
 
 let prepare ?pool ?observations ~rng ~space ?(config = default_config) db =
+  Params.check_slack config.slack;
   Log.info (fun m ->
       m "preparing family over %d objects (space %s, %d pivots, selector %s)"
         (Array.length db) space.Dbh_space.Space.name config.num_pivots
@@ -74,7 +77,7 @@ let prepare ?pool ?observations ~rng ~space ?(config = default_config) db =
 let single ?pool ?probes ?radius ~rng ~prepared ~db ~target_accuracy
     ?(config = default_config) () =
   match
-    Params.optimize ?probes ?radius prepared.analysis ~target_accuracy
+    Params.optimize ?probes ?radius ~slack:config.slack prepared.analysis ~target_accuracy
       ~k_min:config.k_min ~k_max:config.k_max ~l_max:config.l_max ()
   with
   | None -> None
@@ -89,7 +92,7 @@ let single ?pool ?probes ?radius ~rng ~prepared ~db ~target_accuracy
 let hierarchical ?pool ~rng ~prepared ~db ~target_accuracy ?(config = default_config) () =
   Hierarchical.build ?pool ~rng ~family:prepared.family ~db ~analysis:prepared.analysis
     ~target_accuracy ~pivot_table:prepared.pivot_table ~levels:config.levels
-    ~k_min:config.k_min ~k_max:config.k_max ~l_max:config.l_max ()
+    ~k_min:config.k_min ~k_max:config.k_max ~l_max:config.l_max ~slack:config.slack ()
 
 let auto ?pool ~rng ~space ?(config = default_config) ~target_accuracy db =
   let prepared = prepare ?pool ~rng ~space ~config db in

@@ -19,12 +19,18 @@ type config = {
   k_min : int;
   k_max : int;
   l_max : int;
+  slack : float;
+      (** fraction of extra predicted distances the optimizer may spend
+          to use fewer tables ({!Params.optimize}); default [0.03].  [0.]
+          is the paper's objective.  Negative or non-finite values raise
+          [Invalid_argument]. *)
   levels : int;  (** strata for the hierarchical variant (default 5) *)
 }
 
 val default_config : config
 (** The paper's settings where it states them (100 pivots, 5 levels),
-    sensible defaults elsewhere. *)
+    sensible defaults elsewhere.  Its [slack] of [0.03] departs from the
+    paper: set [slack = 0.] to reproduce the paper's optimizer. *)
 
 type 'a prepared = {
   family : 'a Hash_family.t;
@@ -53,7 +59,9 @@ val prepare :
     [observations] switches the family build to {!Hash_family.retune}:
     the given prior family and live-traffic observation set anchor the
     data-dependent scoring — the re-tuning entry used by
-    [Online.retune]. *)
+    [Online.retune].
+
+    A bad [config.slack] raises [Invalid_argument] before any work. *)
 
 val single :
   ?pool:Dbh_util.Pool.t ->

@@ -29,7 +29,7 @@ let family t = t.family
    the best accuracy any (k, l_max) achieves and optimize for cost there —
    never blindly build l_max tables, which would make the hard stratum
    dominate every cascaded query. *)
-let fallback_choice analysis ~k_min ~k_max ~l_max =
+let fallback_choice ~slack analysis ~k_min ~k_max ~l_max =
   if k_min > k_max then invalid_arg "Hierarchical.build: empty k range";
   let best_acc = ref 0. in
   for k = k_min to k_max do
@@ -37,7 +37,7 @@ let fallback_choice analysis ~k_min ~k_max ~l_max =
     if acc > !best_acc then best_acc := acc
   done;
   let target = Float.min 0.9999 (Float.max 0. (!best_acc -. 0.005)) in
-  match Params.optimize analysis ~target_accuracy:target ~k_min ~k_max ~l_max () with
+  match Params.optimize ~slack analysis ~target_accuracy:target ~k_min ~k_max ~l_max () with
   | Some c -> c
   | None ->
       (* Only reachable when accuracy is ~0 everywhere; one cheap table. *)
@@ -51,7 +51,7 @@ let fallback_choice analysis ~k_min ~k_max ~l_max =
       }
 
 let build ?pool ~rng ~family ~db ~analysis ~target_accuracy ?pivot_table ?(levels = 5)
-    ?(k_min = 1) ?(k_max = 30) ?(l_max = 1000) () =
+    ?(k_min = 1) ?(k_max = 30) ?(l_max = 1000) ?(slack = 0.) () =
   if levels < 1 then invalid_arg "Hierarchical.build: need at least one level";
   let nq = Analysis.num_queries analysis in
   if nq < levels then invalid_arg "Hierarchical.build: fewer sample queries than levels";
@@ -66,9 +66,9 @@ let build ?pool ~rng ~family ~db ~analysis ~target_accuracy ?pivot_table ?(level
         let stratum = Analysis.restrict analysis positions in
         let d_threshold = Analysis.nn_distance analysis order.(hi) in
         let choice =
-          match Params.optimize stratum ~target_accuracy ~k_min ~k_max ~l_max () with
+          match Params.optimize ~slack stratum ~target_accuracy ~k_min ~k_max ~l_max () with
           | Some c -> c
-          | None -> fallback_choice stratum ~k_min ~k_max ~l_max
+          | None -> fallback_choice ~slack stratum ~k_min ~k_max ~l_max
         in
         (* Levels stay sequential — each consumes rng draws in level
            order — but every level's own build fans out over the pool. *)

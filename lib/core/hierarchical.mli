@@ -34,13 +34,16 @@ val build :
   ?k_min:int ->
   ?k_max:int ->
   ?l_max:int ->
+  ?slack:float ->
   unit ->
   'a t
 (** Build the cascade.  [levels] (the paper's [s]) defaults to 5, the
     value used in all the paper's experiments.  Strata whose accuracy
     target is unreachable within [l_max] fall back to the most accurate
     reachable setting.  Raises when [analysis] has fewer sample queries
-    than [levels].
+    than [levels].  Every stratum's [(k,l)], fallback included, comes
+    from {!Params.optimize} at [slack] (default [0.], the paper's
+    objective).
 
     [pool] fans each level's per-object hashing across domains (levels
     themselves stay sequential — they share the rng stream); the cascade

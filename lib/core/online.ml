@@ -393,6 +393,9 @@ module Durable = struct
      Leader recovery and replica loading both start here. *)
   let load_newest_snapshot ?pool ~space ?(config = Builder.default_config)
       ?(rebuild_factor = 2.0) ~target_accuracy ~decode ~dir () =
+    (* A loaded generation keeps [config] for its next rebuild: reject a
+       bad one now, not when a breaker trips. *)
+    Params.check_slack config.Builder.slack;
     let rec try_load skipped = function
       | [] -> (None, List.rev skipped)
       | g :: rest -> (

@@ -210,7 +210,9 @@ module Durable : sig
       verification and no data is given — degraded recovery never
       silently serves wrong answers).  [rng] seeds a fresh build only;
       a loaded snapshot restores its own generator state.  [fsync]
-      (default [true]) controls per-operation log durability. *)
+      (default [true]) controls per-operation log durability.  A
+      negative or non-finite [config.slack] raises [Invalid_argument]
+      before [dir] is read. *)
 
   val insert : ?trace:Dbh_obs.Trace.t -> 'a t -> 'a -> int
   (** Journal the insert to the WAL (durably, when [fsync]) and then

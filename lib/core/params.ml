@@ -52,11 +52,33 @@ let landscape ?(probes = 1) ?(radius = 0) analysis ~target_accuracy ?(k_min = 1)
   done;
   Array.of_list !choices
 
-let optimize ?probes ?radius analysis ~target_accuracy ?k_min ?k_max ?l_max () =
+let check_slack slack =
+  if not (Float.is_finite slack && slack >= 0.) then
+    invalid_arg "Params: slack must be finite and non-negative"
+
+let optimize ?probes ?radius ?(slack = 0.) analysis ~target_accuracy ?k_min ?k_max ?l_max () =
+  check_slack slack;
   let choices = landscape ?probes ?radius analysis ~target_accuracy ?k_min ?k_max ?l_max () in
   if Array.length choices = 0 then None
   else begin
     let best = ref choices.(0) in
     Array.iter (fun c -> if c.predicted_cost < !best.predicted_cost then best := c) choices;
-    Some !best
+    if slack = 0. then Some !best
+    else begin
+      (* Eq. 14 prices a table at nothing once hashing saturates at the
+         pivots, so the distance optimum buys its last fraction of a
+         percent with hundreds of tables.  Take the fewest tables whose
+         predicted cost stays within [slack] of it; ties go to the lower
+         cost, then to landscape order. *)
+      let bound = (1. +. slack) *. !best.predicted_cost in
+      let lean = ref !best in
+      Array.iter
+        (fun c ->
+          if
+            c.predicted_cost <= bound
+            && (c.l < !lean.l || (c.l = !lean.l && c.predicted_cost < !lean.predicted_cost))
+          then lean := c)
+        choices;
+      Some !lean
+    end
   end

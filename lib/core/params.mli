@@ -27,9 +27,13 @@ val min_l_for_accuracy :
 val choice_of : ?probes:int -> ?radius:int -> Analysis.t -> k:int -> l:int -> choice
 (** The model's full prediction at a fixed [(k,l)]. *)
 
+val check_slack : float -> unit
+(** Raises [Invalid_argument] unless the slack is finite and [>= 0]. *)
+
 val optimize :
   ?probes:int ->
   ?radius:int ->
+  ?slack:float ->
   Analysis.t ->
   target_accuracy:float ->
   ?k_min:int ->
@@ -45,7 +49,15 @@ val optimize :
     query has a collision rate below 1).  With [probes]/[radius] the
     whole search runs under the multi-probe model, so the returned
     choice is the operating point for an engine that will actually
-    probe that way. *)
+    probe that way.
+
+    [slack] (default [0.], the paper's objective: the first choice of
+    least predicted cost in landscape order) trades distances for
+    tables: among the feasible choices whose predicted cost is at most
+    [(1 + slack)] times the least, return the one with the fewest
+    tables, ties going to the lower predicted cost, then to landscape
+    order.  Raises [Invalid_argument] when [slack] is negative or not
+    finite. *)
 
 val landscape :
   ?probes:int ->

@@ -12,7 +12,7 @@ let default_config =
   {
     targets = [| 0.80; 0.85; 0.90; 0.95; 0.975; 0.99 |];
     vp_budget_fractions = [| 0.02; 0.05; 0.1; 0.2; 0.35; 0.5; 0.75; 1.0 |];
-    builder = Dbh.Builder.default_config;
+    builder = { Dbh.Builder.default_config with slack = 0. };
     multiprobe_probes = 8;
     multiprobe_radius = 2;
   }

@@ -127,6 +127,3 @@ let directed_to_grid a g =
       total := !total +. g.dist.((iy * g.size) + ix))
     a;
   !total /. float_of_int (Array.length a)
-
-(* Brute-force chamfer is O(|a|*|b|) nearest-point scans. *)
-let point_space = Dbh_space.Space.make ~item_cost:Array.length ~name:"chamfer" symmetric

@@ -28,6 +28,3 @@ val grid_of_points :
 val directed_to_grid : Geom.point array -> grid -> float
 (** Directed chamfer from a point set to the set represented by the grid;
     matches {!directed} up to raster resolution. *)
-
-val point_space : Geom.point array Dbh_space.Space.t
-(** Symmetric chamfer as a space. *)

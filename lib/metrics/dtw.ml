@@ -130,6 +130,3 @@ let points a b =
    with its own length. *)
 let float_space =
   Dbh_space.Space.make ~item_cost:Array.length ~name:"DTW-1d" (fun a b -> floats a b)
-
-let point_space =
-  Dbh_space.Space.make ~item_cost:Array.length ~name:"DTW-2d" (fun a b -> points a b)

@@ -33,4 +33,3 @@ val points : Geom.point array -> Geom.point array -> float
     Raises on empty sequences. *)
 
 val float_space : float array Dbh_space.Space.t
-val point_space : Geom.point array Dbh_space.Space.t

@@ -20,9 +20,6 @@ let partial ~fraction a b =
   Dbh_util.Stats.quantile (nearest_distances a b) fraction
 
 (* All-pairs nearest-point scans: O(|a|*|b|). *)
-let point_space =
-  Dbh_space.Space.make ~item_cost:Array.length ~name:"hausdorff" symmetric
-
 let partial_space ~fraction =
   Dbh_space.Space.make ~item_cost:Array.length
     ~name:(Printf.sprintf "hausdorff-partial(%.2f)" fraction)

@@ -20,8 +20,5 @@ val partial : fraction:float -> Geom.point array -> Geom.point array -> float
     occlusion and clutter, and no longer a metric.
     Requires [fraction] in (0, 1]. *)
 
-val point_space : Geom.point array Dbh_space.Space.t
-(** Symmetric Hausdorff as a space. *)
-
 val partial_space : fraction:float -> Geom.point array Dbh_space.Space.t
 (** Symmetrized (max of both directions) partial Hausdorff. *)

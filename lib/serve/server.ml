@@ -28,11 +28,26 @@ let default_config =
     so_sndbuf = None;
   }
 
+(* Replies leave through the connection's outbox.  The batcher writes
+   a reply itself only when the socket has room and nothing is queued
+   ahead of it; otherwise it appends to the outbox, which the
+   connection's writer thread writes out.  So a client that stops
+   reading can never stall the serving plane.  The connection thread
+   writes its own replies (sheds, pongs, stats) once no other write is
+   in flight, so while a peer leaves its replies unread its requests
+   stay unread too: the outbox holds only replies to work already
+   admitted, until the send timeout sheds the connection. *)
 type conn = {
   cid : int;
   fd : Unix.file_descr;
   wmutex : Mutex.t;
+  send_timeout : float;  (* bound on one flush of the outbox *)
+  pending : Condition.t;  (* the outbox has bytes, or the socket died *)
+  idle : Condition.t;  (* a write ended, or the socket died *)
+  outbox : Buffer.t;  (* encoded replies not yet written; guarded by wmutex *)
+  mutable writing : bool;  (* a thread is writing the socket; guarded by wmutex *)
   mutable writable : bool;  (* guarded by wmutex *)
+  mutable writer : Thread.t option;
 }
 
 type 'a t = {
@@ -69,22 +84,114 @@ let write_all fd s =
     off := !off + Unix.write_substring fd s !off (len - !off)
   done
 
-(* Best-effort reply: the peer may be gone, mid-kill, half-open, or a
-   slow reader whose socket buffer filled until SO_SNDTIMEO fired — a
-   failed write must never take a server thread down.  Once a reply
-   cannot be delivered the stream is useless (the peer would see a gap),
-   so the socket is shut down too: that unblocks the connection thread's
-   read so the connection gets reaped instead of lingering. *)
-let send_response c ~id resp =
+(* Once a reply cannot be delivered the stream is useless (the peer
+   would see a gap), so the socket is shut down too: that unblocks the
+   connection thread's read so the connection gets reaped instead of
+   lingering.  Called under wmutex. *)
+let kill_writes c =
+  c.writable <- false;
+  Buffer.reset c.outbox;
+  (try Unix.shutdown c.fd SHUTDOWN_ALL with Unix.Unix_error _ -> ());
+  Condition.broadcast c.pending;
+  Condition.broadcast c.idle
+
+(* Called under wmutex by whoever held the write. *)
+let write_done c ~ok =
+  c.writing <- false;
+  if not ok then kill_writes c
+  else begin
+    if Buffer.length c.outbox > 0 then Condition.signal c.pending;
+    Condition.broadcast c.idle
+  end
+
+(* Write the whole outbox outside the lock, so appending never waits on
+   the socket.  [SO_SNDTIMEO] bounds each write call; the deadline
+   bounds the flush, since a peer that takes a few bytes now and then
+   would keep every call just inside it.  Called under wmutex, with no
+   write in flight. *)
+let flush c =
+  let s = Buffer.contents c.outbox in
+  Buffer.clear c.outbox;
+  c.writing <- true;
+  Mutex.unlock c.wmutex;
+  let ok =
+    try
+      let deadline = Unix.gettimeofday () +. c.send_timeout in
+      let off = ref 0 in
+      while !off < String.length s do
+        if Unix.gettimeofday () > deadline then raise Exit;
+        off := !off + Unix.single_write_substring c.fd s !off (String.length s - !off)
+      done;
+      true
+    with Exit | Unix.Unix_error _ | Sys_error _ -> false
+  in
   Mutex.lock c.wmutex;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock c.wmutex)
-    (fun () ->
-      if c.writable then
-        try write_all c.fd (Protocol.encode_response ~id resp)
-        with Unix.Unix_error _ | Sys_error _ ->
-          c.writable <- false;
-          (try Unix.shutdown c.fd SHUTDOWN_ALL with Unix.Unix_error _ -> ()))
+  write_done c ~ok
+
+(* A descriptor past select's limit raises, and its replies take the
+   outbox. *)
+let has_room fd =
+  match Unix.select [] [ fd ] [] 0. with
+  | _, [], _ -> false
+  | _ -> true
+  | exception Unix.Unix_error _ -> false
+
+(* Best-effort reply from the batcher (or the drain), which must never
+   wait on a peer: written at once when the socket has room and nothing
+   is queued ahead of it, otherwise left to the writer thread.  A failed
+   write must never take a server thread down. *)
+let post_response c ~id resp =
+  let s = Protocol.encode_response ~id resp in
+  Mutex.lock c.wmutex;
+  if c.writable then
+    if (not c.writing) && Buffer.length c.outbox = 0 && has_room c.fd then begin
+      c.writing <- true;
+      Mutex.unlock c.wmutex;
+      let n =
+        try Unix.single_write_substring c.fd s 0 (String.length s)
+        with Unix.Unix_error _ | Sys_error _ -> -1
+      in
+      Mutex.lock c.wmutex;
+      if n > 0 && c.writable then
+        Buffer.add_substring c.outbox s n (String.length s - n);
+      write_done c ~ok:(n > 0)
+    end
+    else begin
+      Buffer.add_string c.outbox s;
+      Condition.signal c.pending
+    end;
+  Mutex.unlock c.wmutex
+
+(* A reply from the connection's own thread: wait for any write in
+   flight, then write it with whatever the batcher left meanwhile.  A
+   peer that does not read blocks only its own connection thread, for at
+   most the send timeout. *)
+let send_response c ~id resp =
+  let s = Protocol.encode_response ~id resp in
+  Mutex.lock c.wmutex;
+  while c.writable && c.writing do
+    Condition.wait c.idle c.wmutex
+  done;
+  if c.writable then begin
+    Buffer.add_string c.outbox s;
+    flush c
+  end;
+  Mutex.unlock c.wmutex
+
+let writer_loop c () =
+  Mutex.lock c.wmutex;
+  while c.writable do
+    if c.writing || Buffer.length c.outbox = 0 then Condition.wait c.pending c.wmutex
+    else flush c
+  done;
+  Mutex.unlock c.wmutex
+
+(* Replies still waiting in an outbox, for the drain. *)
+let unsent c =
+  Mutex.lock c.wmutex;
+  let n = c.writable && (c.writing || Buffer.length c.outbox > 0) in
+  Mutex.unlock c.wmutex;
+  n
 
 let listen_on ~host ~port =
   let addr = Unix.ADDR_INET (Unix.inet_addr_of_string host, port) in
@@ -107,8 +214,20 @@ let register_conn srv fd =
   Mutex.lock srv.conns_mutex;
   let c =
     srv.conn_seq <- srv.conn_seq + 1;
-    { cid = srv.conn_seq; fd; wmutex = Mutex.create (); writable = true }
+    {
+      cid = srv.conn_seq;
+      fd;
+      wmutex = Mutex.create ();
+      send_timeout = srv.config.idle_timeout;
+      pending = Condition.create ();
+      idle = Condition.create ();
+      outbox = Buffer.create 256;
+      writing = false;
+      writable = true;
+      writer = None;
+    }
   in
+  c.writer <- Some (Thread.create (writer_loop c) ());
   Hashtbl.replace srv.conns c.cid c;
   let open_now = Hashtbl.length srv.conns in
   Mutex.unlock srv.conns_mutex;
@@ -121,16 +240,18 @@ let forget_conn srv c =
   let open_now = Hashtbl.length srv.conns in
   Mutex.unlock srv.conns_mutex;
   Registry.set srv.sm.connections_open open_now;
-  (* Shutdown BEFORE taking wmutex: a reply write blocked on a slow
-     reader holds wmutex, and shutdown is what forces that write to fail
-     (EPIPE) — locking first would deadlock behind it with the fd never
-     closed.  After shutdown the in-flight write errors out and releases
-     the lock; once we hold it no new write can start (writable is
-     checked under wmutex), so the close below cannot race a writer. *)
-  (try Unix.shutdown c.fd SHUTDOWN_ALL with Unix.Unix_error _ -> ());
+  (* No write runs under wmutex.  Once writable is false no new write
+     can start; the shutdown fails the one in flight (EPIPE) at once,
+     and waiting for it to end keeps the close below from racing it:
+     a write after the close could reach whatever socket reuses the
+     descriptor. *)
   Mutex.lock c.wmutex;
-  c.writable <- false;
+  kill_writes c;
+  while c.writing do
+    Condition.wait c.idle c.wmutex
+  done;
   Mutex.unlock c.wmutex;
+  Option.iter Thread.join c.writer;
   try Unix.close c.fd with Unix.Unix_error _ -> ()
 
 let conn_count srv =
@@ -145,6 +266,7 @@ let conn_count srv =
 let handle_frame srv c (frame : Protocol.frame) =
   Registry.inc srv.sm.requests_total;
   let reply resp = send_response c ~id:frame.id resp in
+  let post resp = post_response c ~id:frame.id resp in
   let bad msg =
     Registry.inc srv.sm.bad_requests_total;
     reply (Protocol.Bad_request msg)
@@ -195,7 +317,7 @@ let handle_frame srv c (frame : Protocol.frame) =
               deadline;
               budget;
               enqueued_at = now;
-              reply;
+              reply = post;
             }
           in
           match Admission.admit srv.admission ~now item with
@@ -253,7 +375,13 @@ let conn_loop srv c () =
              with
              | `Frame (frame, consumed) ->
                  off := !off + consumed;
-                 handle_frame srv c frame
+                 (* Work for a peer that can no longer be answered
+                    would only take queue slots from the others. *)
+                 if c.writable then handle_frame srv c frame
+                 else begin
+                   alive := false;
+                   continue := false
+                 end
              | `Need_more -> continue := false
              | `Corrupt msg ->
                  Registry.inc srv.sm.bad_frames_total;
@@ -301,9 +429,8 @@ let accept_loop srv () =
               Unix.setsockopt_float fd SO_RCVTIMEO srv.config.idle_timeout;
               (* The send timeout bounds every reply write: a client
                  that pipelines requests but never reads fills the
-                 kernel send buffer, and without this the batcher would
-                 block forever inside its reply — one slow reader
-                 stalling the whole serving plane. *)
+                 kernel send buffer, and without this its writer and
+                 connection threads would block on it forever. *)
               Unix.setsockopt_float fd SO_SNDTIMEO srv.config.idle_timeout;
               (match srv.config.so_sndbuf with
               | Some b -> (
@@ -518,6 +645,17 @@ let start ?pool ?registry ~decode config shards =
   (match Sys.os_type with
   | "Unix" -> (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with _ -> ())
   | _ -> ());
+  (* The batcher is the pool's slot 0 and the admission plane is a
+     domain of its own, so a pool of p domains keeps p + 1 domains busy.
+     With fewer cores than that, the pool's workers only time-slice with
+     the batcher: under a shed storm each fan-out waits on the scheduler,
+     and the batcher serves less than it would alone.  There it searches
+     every shard itself. *)
+  let pool =
+    match pool with
+    | Some p when Pool.size p + 1 <= Domain.recommended_domain_count () -> pool
+    | _ -> None
+  in
   let reg = match registry with Some r -> r | None -> Registry.create () in
   let sm =
     Serve_metrics.on reg ~tenants:(List.map fst config.admission.classes)
@@ -614,17 +752,19 @@ and stop ?kill srv =
     (* 3. Take the connections down: no more admissions are possible, so
        shutting the sockets only interrupts reads.  Join the accept
        thread first so no new connection thread can appear after the
-       snapshot below; shutdown before touching wmutex, because a conn
-       thread blocked writing a shed reply to a slow reader holds it. *)
+       snapshot below, and give the outboxes what is left of the window
+       to deliver the batcher's last replies. *)
     (match srv.accept_thread with Some th -> Thread.join th | None -> ());
     Mutex.lock srv.conns_mutex;
     let open_conns = Hashtbl.fold (fun _ c acc -> c :: acc) srv.conns [] in
     Mutex.unlock srv.conns_mutex;
+    while List.exists unsent open_conns && Unix.gettimeofday () < give_up do
+      Unix.sleepf 0.005
+    done;
     List.iter
       (fun c ->
-        (try Unix.shutdown c.fd SHUTDOWN_ALL with Unix.Unix_error _ -> ());
         Mutex.lock c.wmutex;
-        c.writable <- false;
+        kill_writes c;
         Mutex.unlock c.wmutex)
       open_conns;
     Mutex.lock srv.conns_mutex;

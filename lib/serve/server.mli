@@ -7,9 +7,12 @@
     work to the admission queue.  A single batcher thread pops
     micro-batches, drops entries whose deadline already passed, executes
     searches through {!Shards.search_many} (fanning shards over the
-    domain pool) and writes replies back on the owning connection.  The
-    measured distance throughput of each batch feeds the admission
-    queue's deadline→budget conversion.
+    domain pool) and hands each reply to its connection: written at once
+    when the socket has room and nothing is queued ahead of it, else
+    left in the connection's outbox for its writer thread, so a client
+    that stops reading never stalls the batcher.  The measured distance
+    throughput of each batch feeds the admission queue's deadline→budget
+    conversion.
 
     Corrupt streams close the connection; well-framed garbage gets a
     [Bad_request] and the connection lives on; overload gets an explicit
@@ -56,7 +59,11 @@ val start :
     [dbh_serve_*] metric set (default: a fresh registry); the metrics
     listener exposes whatever else is registered on it too.  The server
     owns [pool] while running: nothing else may submit to it until
-    {!stop} returns.  Raises [Unix.Unix_error] when the bind fails. *)
+    {!stop} returns.  It fans batches over [pool] only when
+    [Pool.size pool + 1 <= Domain.recommended_domain_count ()]: with
+    fewer cores the pool's domains would only time-slice with the
+    batcher and the connection threads.  Raises [Unix.Unix_error] when
+    the bind fails. *)
 
 val port : 'a t -> int  (** the bound port (useful with [port = 0]) *)
 
@@ -71,7 +78,8 @@ val draining : 'a t -> bool
 val stop : ?kill:Dbh.Online.Durable.kill_point -> 'a t -> unit
 (** Graceful drain, idempotent: stop accepting, shed new work with
     [Overloaded], wait up to [drain_timeout] for the queue to empty then
-    shed the rest, join the batcher, close every connection, checkpoint
+    shed the rest, join the batcher, give the outboxes what is left of
+    that window to deliver, close every connection, checkpoint
     every shard ([kill] injects a crash there, for recovery tests) and
     close them.  Returns when everything is down. *)
 

@@ -477,6 +477,47 @@ let test_params_optimize_feasible () =
             (c.Params.predicted_cost <= c'.Params.predicted_cost +. 1e-9))
         choices
 
+(* The lean rule: within (1 + slack) of the distance optimum's predicted
+   cost, the fewest tables; more slack never buys more tables. *)
+let test_params_slack () =
+  let analysis, _, _, _ = make_analysis () in
+  let plan slack =
+    match Params.optimize ~slack analysis ~target_accuracy:0.9 ~k_max:15 ~l_max:300 () with
+    | Some c -> c
+    | None -> Alcotest.failf "slack %g: should find parameters" slack
+  in
+  let optimum = plan 0. in
+  let choices = Params.landscape analysis ~target_accuracy:0.9 ~k_max:15 ~l_max:300 () in
+  let last =
+    List.fold_left
+      (fun prev_l slack ->
+        let c = plan slack in
+        let bound = (1. +. slack) *. optimum.Params.predicted_cost in
+        let name what = Printf.sprintf "slack %g: %s" slack what in
+        Alcotest.(check bool) (name "meets target") true (c.Params.predicted_accuracy >= 0.9);
+        Alcotest.(check bool) (name "cost within slack") true (c.Params.predicted_cost <= bound);
+        Alcotest.(check bool) (name "no more tables than the optimum") true
+          (c.Params.l <= optimum.Params.l);
+        Alcotest.(check bool) (name "l never rises with slack") true (c.Params.l <= prev_l);
+        Array.iter
+          (fun c' ->
+            if c'.Params.predicted_cost <= bound then
+              Alcotest.(check bool) (name "fewest tables within the bound") true
+                (c.Params.l <= c'.Params.l))
+          choices;
+        c.Params.l)
+      optimum.Params.l [ 0.01; 0.03; 0.1; 0.3 ]
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "slack 0.3 saves tables (%d < %d)" last optimum.Params.l)
+    true (last < optimum.Params.l);
+  List.iter
+    (fun slack ->
+      Alcotest.check_raises (Printf.sprintf "slack %g" slack)
+        (Invalid_argument "Params: slack must be finite and non-negative") (fun () ->
+          ignore (Params.optimize ~slack analysis ~target_accuracy:0.9 ())))
+    [ -0.01; Float.nan; Float.infinity ]
+
 let test_params_unreachable () =
   let analysis, _, _, _ = make_analysis () in
   (* l_max=1 with big k: accuracy can't reach 0.999. *)
@@ -797,6 +838,7 @@ let () =
         [
           Alcotest.test_case "binary search = scan" `Quick test_params_min_l_matches_scan;
           Alcotest.test_case "optimize feasible+optimal" `Quick test_params_optimize_feasible;
+          Alcotest.test_case "slack: fewest tables within the bound" `Quick test_params_slack;
           Alcotest.test_case "unreachable" `Quick test_params_unreachable;
           Alcotest.test_case "bad target rejected" `Quick test_params_rejects_bad_target;
         ] );

@@ -108,6 +108,42 @@ let test_dbh_on_non_metric_dtw () =
   Alcotest.(check bool) (Printf.sprintf "cost %.0f < db size" cost) true
     (cost < 0.8 *. float_of_int (Array.length db))
 
+let test_lean_plans_keep_accuracy () =
+  (* The builder's default slack trades a few percent of predicted
+     distances for far fewer tables; measured on held-out queries, the
+     lean cascade must answer as accurately as the paper's optimum, up to
+     a 95% margin for the difference of two binomial proportions. *)
+  let rng = Rng.create 140 in
+  let db = Dbh_datasets.Pen_digits.generate_set ~rng 600 in
+  let queries = Dbh_datasets.Pen_digits.generate_set ~rng:(Rng.create 141) 150 in
+  let space = Dbh_datasets.Pen_digits.space in
+  let truth = Ground_truth.compute ~space ~db ~queries () in
+  let config =
+    { Builder.default_config with num_pivots = 30; num_sample_queries = 100; db_sample = 300 }
+  in
+  let prepared = Builder.prepare ~rng ~space ~config db in
+  let cascade config =
+    let h =
+      Builder.hierarchical ~rng:(Rng.create 142) ~prepared ~db ~target_accuracy:0.9 ~config ()
+    in
+    let tables = Array.fold_left (fun acc i -> acc + i.Hierarchical.l) 0 (Hierarchical.levels h) in
+    let results = Array.map (fun q -> Hierarchical.search h q) queries in
+    (tables, Ground_truth.accuracy truth (Array.map (fun r -> r.Index.nn) results))
+  in
+  let lean_tables, lean_acc = cascade config in
+  let paper_tables, paper_acc = cascade { config with slack = 0. } in
+  Alcotest.(check bool)
+    (Printf.sprintf "tables %d vs %d at slack 0" lean_tables paper_tables)
+    true
+    (1.5 *. float_of_int lean_tables <= float_of_int paper_tables);
+  let n = float_of_int (Array.length queries) in
+  let pooled = (lean_acc +. paper_acc) /. 2. in
+  let margin = 1.96 *. sqrt (2. *. pooled *. (1. -. pooled) /. n) in
+  Alcotest.(check bool)
+    (Printf.sprintf "accuracy %.3f vs %.3f at slack 0 (margin %.3f)" lean_acc paper_acc margin)
+    true
+    (lean_acc >= paper_acc -. margin)
+
 let test_dbh_on_strings () =
   (* Edit distance: another black-box space, queries are mutated members. *)
   let rng = Rng.create 130 in
@@ -243,6 +279,7 @@ let () =
           Alcotest.test_case "L2 calibration" `Slow test_l2_calibration;
           Alcotest.test_case "hierarchical cheaper" `Slow test_hierarchical_cheaper_than_single;
           Alcotest.test_case "non-metric DTW" `Slow test_dbh_on_non_metric_dtw;
+          Alcotest.test_case "lean plans keep accuracy" `Slow test_lean_plans_keep_accuracy;
           Alcotest.test_case "strings" `Slow test_dbh_on_strings;
           Alcotest.test_case "jaccard documents" `Slow test_dbh_on_jaccard_documents;
           Alcotest.test_case "KL histograms" `Slow test_dbh_on_kl_histograms;

@@ -137,7 +137,17 @@ let test_online_guards () =
   let db = test_db 11 150 in
   Alcotest.check_raises "factor" (Invalid_argument "Online.create: rebuild_factor must exceed 1")
     (fun () ->
-      ignore (Online.create ~rng ~space:l2 ~rebuild_factor:1.0 ~target_accuracy:0.9 db))
+      ignore (Online.create ~rng ~space:l2 ~rebuild_factor:1.0 ~target_accuracy:0.9 db));
+  List.iter
+    (fun slack ->
+      Alcotest.check_raises
+        (Printf.sprintf "slack %g" slack)
+        (Invalid_argument "Params: slack must be finite and non-negative")
+        (fun () ->
+          ignore
+            (Online.create ~rng ~space:l2 ~config:{ small_config with slack }
+               ~target_accuracy:0.9 db)))
+    [ -0.5; Float.nan ]
 
 (* ------------------------------------------------------------- Diagnostics *)
 

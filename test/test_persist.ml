@@ -541,6 +541,19 @@ let test_durable_empty_dir_without_data_refused () =
   | _ -> Alcotest.fail "expected Invalid_argument"
   | exception Invalid_argument _ -> ()
 
+(* A loaded generation builds nothing until its next rebuild, so a bad
+   slack must be refused at open, not when a breaker trips. *)
+let test_durable_bad_slack_refused () =
+  with_dir @@ fun dir ->
+  let d, _ = make_durable dir in
+  Durable.close d;
+  Alcotest.check_raises "negative slack"
+    (Invalid_argument "Params: slack must be finite and non-negative") (fun () ->
+      ignore
+        (Durable.open_or_create ~rng:(Rng.create 42) ~space:l2
+           ~config:{ small_config with slack = -0.5 } ~target_accuracy:0.9 ~encode ~decode ~dir
+           ()))
+
 let test_durable_parallel_pool_equivalent () =
   Pool.with_pool ~domains (fun pool ->
       with_dir @@ fun dir ->
@@ -625,6 +638,7 @@ let () =
             test_durable_all_corrupt_rebuilds_or_refuses;
           Alcotest.test_case "empty dir without data refused" `Quick
             test_durable_empty_dir_without_data_refused;
+          Alcotest.test_case "bad slack refused at open" `Quick test_durable_bad_slack_refused;
           Alcotest.test_case "pool restart equals sequential twin" `Quick
             test_durable_parallel_pool_equivalent;
         ] );

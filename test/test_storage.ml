@@ -43,7 +43,9 @@ let l2 = Minkowski.l2_space
 
 (* ------------------------------------------------- golden workload
    Copied verbatim from the one-shot generator that produced
-   test/fixtures/golden_storage.txt on the pre-refactor engine.  Do not
+   test/fixtures/golden_storage.txt on the pre-refactor engine, with one
+   addition: [slack = 0.] pins the paper's optimizer, which that
+   generator ran before the builder's default moved off it.  Do not
    edit without regenerating the fixture. *)
 
 let golden_hier ?pool db =
@@ -56,6 +58,7 @@ let golden_hier ?pool db =
       num_fns = 120;
       db_sample = 150;
       levels = 3;
+      slack = 0.;
     }
   in
   let prepared = Builder.prepare ?pool ~rng:(Rng.create 11) ~space:Pen.space ~config db in
