@@ -28,9 +28,14 @@
    persistent map in a mutable field, so a reader that loads the delta
    once sees an internally consistent table whatever a concurrent
    single writer does — an insert swaps the delta pointer (old map =
-   before, new map = after, both valid).  The bookkeeping counters
-   ([delta_size] etc.) are diagnostics and are not read on the query
-   path. *)
+   before, new map = after, both valid).  The delta key filter only
+   ever gains bits, and an insert sets its key's bit before the swap: a
+   reader that misses the bit skips the map and sees that key's
+   before-bucket, never a torn one.  A reader on another domain sees a
+   given insert only through a happens-before edge from it; [Online]
+   gives one with its release/acquire visibility bound, which covers
+   every id a query admits.  The bookkeeping counters ([delta_size]
+   etc.) are diagnostics and are not read on the query path. *)
 
 module Intmap = Map.Make (Int)
 
@@ -39,6 +44,7 @@ type base = {
   offsets : int array;  (* |keys| + 1, offsets.(0) = 0 *)
   ids : int array;  (* concatenated bucket segments *)
   shift : int;  (* a key's prefix cell is [key lsr shift] *)
+  cells : int;  (* prefix cells: Array.length prefix - 1, kept beside [shift] *)
   prefix : int array;
       (* cells + 1: prefix.(c) is the first directory index whose cell
          is >= c, so cell c spans prefix.(c) .. prefix.(c+1) - 1 *)
@@ -47,6 +53,8 @@ type base = {
 type t = {
   base : base;
   mutable delta : int list Intmap.t;  (* key -> ids, newest first *)
+  mutable filter_lo : int;  (* delta key filter, bits 0..62 (see [slot]) *)
+  mutable filter_hi : int;  (* ... bits 63..125 *)
   mutable delta_size : int;  (* total ids across delta buckets *)
   mutable extra_keys : int;  (* delta keys absent from the directory *)
   mutable largest : int;  (* max combined bucket size (incl. dead) *)
@@ -76,14 +84,14 @@ let make_base ~keys ~offsets ~ids =
       incr c
     done
   done;
-  { keys; offsets; ids; shift; prefix }
+  { keys; offsets; ids; shift; cells; prefix }
 
 (* Index of [key] in the directory, or -1: one prefix cell read, then a
    binary search of that cell's run of keys. *)
 let find_key base key =
   let prefix = base.prefix in
   let cell = key lsr base.shift in
-  if key < 0 || cell >= Array.length prefix - 1 then -1
+  if key < 0 || cell >= base.cells then -1
   else begin
     let keys = base.keys in
     let lo = ref (Array.unsafe_get prefix cell)
@@ -112,7 +120,29 @@ let largest_of base =
   !largest
 
 let of_base base =
-  { base; delta = Intmap.empty; delta_size = 0; extra_keys = 0; largest = largest_of base }
+  {
+    base;
+    delta = Intmap.empty;
+    filter_lo = 0;
+    filter_hi = 0;
+    delta_size = 0;
+    extra_keys = 0;
+    largest = largest_of base;
+  }
+
+(* The delta key filter: one bit per key hash over two words held in
+   the record itself, so a probe of a key the delta lacks usually skips
+   the persistent map's pointer walk.  A key's slot is the top 16 bits
+   of a Fibonacci hash scaled onto [0, 126) by a multiply and a shift —
+   no division — and slot [s] is bit [s] of [filter_lo] below 63, bit
+   [s - 63] of [filter_hi] above, so no shift reaches [Sys.int_size].
+   Bits are only ever set in a table's life; a fresh table (of_keys,
+   compacted, read) starts with both words 0. *)
+let slot key = (((key * 0x278DDE6E5FD29F05) lsr (Sys.int_size - 16)) * 126) lsr 16
+
+let may_hold t key =
+  let s = slot key in
+  if s < 63 then t.filter_lo land (1 lsl s) <> 0 else t.filter_hi land (1 lsl (s - 63)) <> 0
 
 (* Positions 0..m-1 ordered by key ascending, ties by position
    descending: an LSD radix sort over [radix_bits]-bit digits, seeded
@@ -187,8 +217,13 @@ let of_keys ~ids ~keys =
 
 let add t key id =
   let old = try Intmap.find key t.delta with Not_found -> [] in
-  (* Persistent-map update: readers holding the old map still see a
-     valid (pre-insert) bucket; the pointer swap is the publication. *)
+  (* The filter bit first, then the map swap: a reader that sees the new
+     map in this domain sees the bit too.  Persistent-map update:
+     readers holding the old map still see a valid (pre-insert) bucket;
+     the pointer swap is the publication. *)
+  let s = slot key in
+  if s < 63 then t.filter_lo <- t.filter_lo lor (1 lsl s)
+  else t.filter_hi <- t.filter_hi lor (1 lsl (s - 63));
   t.delta <- Intmap.add key (id :: old) t.delta;
   t.delta_size <- t.delta_size + 1;
   let frozen = frozen_size t.base key in
@@ -196,11 +231,12 @@ let add t key id =
   if old = [] && frozen = 0 then t.extra_keys <- t.extra_keys + 1;
   if combined > t.largest then t.largest <- combined
 
-(* Combined bucket iteration: delta (newest first), then frozen.  Each
-   mutable field is loaded exactly once (see the header note). *)
+(* Combined bucket iteration: delta (newest first), then frozen.  The
+   delta is loaded once (see the header note); an empty delta costs one
+   check, and a key whose filter bit is clear skips the map. *)
 let iter_bucket t key f =
   let delta = t.delta in
-  if not (Intmap.is_empty delta) then
+  if not (Intmap.is_empty delta) && may_hold t key then
     (match Intmap.find_opt key delta with Some l -> List.iter f l | None -> ());
   let base = t.base in
   match find_key base key with
@@ -218,7 +254,7 @@ let lower_bound base key =
   let prefix = base.prefix in
   let cell = key lsr base.shift in
   if key < 0 then 0
-  else if cell >= Array.length prefix - 1 then Array.length base.keys
+  else if cell >= base.cells then Array.length base.keys
   else begin
     let keys = base.keys in
     let lo = ref (Array.unsafe_get prefix cell) and hi = ref (Array.unsafe_get prefix (cell + 1)) in
@@ -412,12 +448,13 @@ let live_view ~is_alive t =
 let compacted ~is_alive t = of_base (live_view ~is_alive t)
 
 (* Rough resident size in words: the four arrays (prefix cells
-   included) with their headers and the two records, plus ~5 words per
-   delta entry (cons cell + amortised map node share). *)
+   included) with their headers and the two records (8 and 7 words with
+   headers, filter words included), plus ~5 words per delta entry (cons
+   cell + amortised map node share). *)
 let approx_words t =
   let base = t.base in
   Array.length base.keys + Array.length base.offsets + Array.length base.ids
-  + Array.length base.prefix + 16
+  + Array.length base.prefix + 19
   + (5 * t.delta_size)
 
 (* ------------------------------------------------------------- binary io *)

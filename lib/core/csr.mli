@@ -9,7 +9,9 @@
     written ({!write} stores the three arrays verbatim).  Post-freeze
     inserts accumulate in a small delta (a persistent map from key to
     an id list); {!compacted} folds them (and drops dead ids) into a
-    fresh table's base.
+    fresh table's base.  A two-word bit filter over the delta's keys,
+    held in the table record, lets a lookup of a key the delta lacks
+    skip the map in most cases; it never gives a false negative.
 
     A bucket iterates delta first (newest first), then the frozen
     segment, which {!of_keys} lays out newest first too.  A table built
@@ -20,9 +22,12 @@
 
     {b Single-writer concurrent reads.}  The frozen base never changes
     and the delta is a persistent map, so a reader racing a single
-    writer sees either the before or the after delta — both valid
-    bucket sets (an insert pointer-swaps the delta).  Writers must still
-    be serialized externally. *)
+    writer sees, for each key, either the before or the after bucket —
+    both valid bucket sets (an insert sets the key's filter bit, then
+    pointer-swaps the delta, and a bit once set stays set).  A reader
+    that must see a given insert needs a happens-before edge from it,
+    such as [Online]'s visibility bound.  Writers must still be
+    serialized externally. *)
 
 type t
 

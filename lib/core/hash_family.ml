@@ -24,18 +24,51 @@ type binary_fn = {
   spread : float;
 }
 
+(* The functions live only in flat unboxed arrays, function [i] at a
+   fixed stride in each: its pivot pair at [pairs.(2i)], [pairs.(2i+1)],
+   its line at [lines.(3i)] (d12), [3i+1] (t1) and [3i+2] (t2), and the
+   multi-probe scale at [spreads.(i)].  Evaluating a function reads one
+   int pair and three adjacent floats instead of chasing a record and
+   its boxed fields; [fn] builds the record view on demand. *)
 type 'a t = {
   space : 'a Space.t;
   pivots : 'a array;
-  fns : binary_fn array;
+  pairs : int array;
+  lines : float array;
+  spreads : float array;
   selector : Selector.t;
 }
 
 let space t = t.space
-let size t = Array.length t.fns
+let size t = Array.length t.spreads
 let num_pivots t = Array.length t.pivots
 let pivots t = t.pivots
-let fn t i = t.fns.(i)
+
+let fn t i =
+  let l = 3 * i in
+  {
+    p1 = t.pairs.(2 * i);
+    p2 = t.pairs.((2 * i) + 1);
+    d12 = t.lines.(l);
+    t1 = t.lines.(l + 1);
+    t2 = t.lines.(l + 2);
+    spread = t.spreads.(i);
+  }
+
+(* Lay construction's records out flat. *)
+let of_fns ~space ~pivots ~selector fns =
+  let n = Array.length fns in
+  let pairs = Array.make (2 * n) 0 and lines = Array.make (3 * n) 0. in
+  Array.iteri
+    (fun i f ->
+      pairs.(2 * i) <- f.p1;
+      pairs.((2 * i) + 1) <- f.p2;
+      lines.(3 * i) <- f.d12;
+      lines.((3 * i) + 1) <- f.t1;
+      lines.((3 * i) + 2) <- f.t2)
+    fns;
+  { space; pivots; pairs; lines; spreads = Array.map (fun f -> f.spread) fns; selector }
+
 let selector t = t.selector
 let selector_tag t = Selector.tag t.selector
 
@@ -497,7 +530,7 @@ let build ?pool ~rng ~space ~num_pivots ~threshold_sample ~max_functions ~select
   in
   if Array.length fns = 0 then
     invalid_arg "Hash_family.make: all pivot pairs are at distance 0";
-  { space; pivots; fns; selector }
+  of_fns ~space ~pivots ~selector fns
 
 let make ?pool ~rng ~space ?(num_pivots = 100) ?(threshold_sample = 500) ?max_functions
     ?(selector = Selector.default) data =
@@ -624,29 +657,26 @@ let pivot_distance t c i =
   c.dists.(i)
 
 let project t c i =
-  let f = t.fns.(i) in
-  let d1 = pivot_distance t c f.p1 in
-  let d2 = pivot_distance t c f.p2 in
-  Projection.project_with ~d1 ~d2 ~d12:f.d12
+  let d1 = pivot_distance t c t.pairs.(2 * i) in
+  let d2 = pivot_distance t c t.pairs.((2 * i) + 1) in
+  Projection.project_with ~d1 ~d2 ~d12:t.lines.(3 * i)
 
 let eval t c i =
-  let f = t.fns.(i) in
   let v = project t c i in
-  v >= f.t1 && v <= f.t2
+  v >= t.lines.((3 * i) + 1) && v <= t.lines.((3 * i) + 2)
 
 let margin t c i =
-  let f = t.fns.(i) in
   let v = project t c i in
-  let to_t1 = if f.t1 = neg_infinity then infinity else Float.abs (v -. f.t1) in
-  let to_t2 = if f.t2 = infinity then infinity else Float.abs (v -. f.t2) in
-  Float.min to_t1 to_t2 /. f.spread
+  let t1 = t.lines.((3 * i) + 1) and t2 = t.lines.((3 * i) + 2) in
+  let to_t1 = if t1 = neg_infinity then infinity else Float.abs (v -. t1) in
+  let to_t2 = if t2 = infinity then infinity else Float.abs (v -. t2) in
+  Float.min to_t1 to_t2 /. t.spreads.(i)
 
 let eval_direct t obj i =
-  let f = t.fns.(i) in
-  let d1 = t.space.Space.distance obj t.pivots.(f.p1) in
-  let d2 = t.space.Space.distance obj t.pivots.(f.p2) in
-  let v = Projection.project_with ~d1 ~d2 ~d12:f.d12 in
-  v >= f.t1 && v <= f.t2
+  let d1 = t.space.Space.distance obj t.pivots.(t.pairs.(2 * i)) in
+  let d2 = t.space.Space.distance obj t.pivots.(t.pairs.((2 * i) + 1)) in
+  let v = Projection.project_with ~d1 ~d2 ~d12:t.lines.(3 * i) in
+  v >= t.lines.((3 * i) + 1) && v <= t.lines.((3 * i) + 2)
 
 (* ------------------------------------------------------- family rows *)
 
@@ -693,18 +723,20 @@ let eval_fns t c row fn_ids =
   end;
   row.drawn.(row.len) <- fn_ids;
   row.len <- row.len + 1;
-  let dists = c.dists and fns = t.fns and cells = row.cells in
+  let dists = c.dists and pairs = t.pairs and lines = t.lines and cells = row.cells in
   for j = 0 to Array.length fn_ids - 1 do
     let i = fn_ids.(j) in
     if Bytes.get cells i = unknown then begin
-      let f = fns.(i) in
-      touch t c f.p1;
-      touch t c f.p2;
-      let d1 = dists.(f.p1) and d2 = dists.(f.p2) and d12 = f.d12 in
+      let p1 = pairs.(2 * i) and p2 = pairs.((2 * i) + 1) in
+      touch t c p1;
+      touch t c p2;
+      let l = 3 * i in
+      let d1 = dists.(p1) and d2 = dists.(p2) and d12 = lines.(l) in
       (* [Projection.project_with], spelled out: a call across the module
          boundary would box both distances and the result. *)
       let v = ((d1 *. d1) +. (d12 *. d12) -. (d2 *. d2)) /. (2. *. d12) in
-      Bytes.unsafe_set cells i (if v >= f.t1 && v <= f.t2 then '\001' else '\000')
+      Bytes.unsafe_set cells i
+        (if v >= lines.(l + 1) && v <= lines.(l + 2) then '\001' else '\000')
     end
   done
 
@@ -736,16 +768,15 @@ let write ~encode buf t =
   Binio.write_string buf (Selector.tag t.selector);
   Binio.write_int buf (Array.length t.pivots);
   Array.iter (fun p -> Binio.write_string buf (encode p)) t.pivots;
-  Binio.write_int buf (Array.length t.fns);
-  Array.iter
-    (fun f ->
-      Binio.write_int buf f.p1;
-      Binio.write_int buf f.p2;
-      Binio.write_float buf f.d12;
-      Binio.write_float buf f.t1;
-      Binio.write_float buf f.t2;
-      Binio.write_float buf f.spread)
-    t.fns
+  Binio.write_int buf (size t);
+  for i = 0 to size t - 1 do
+    Binio.write_int buf t.pairs.(2 * i);
+    Binio.write_int buf t.pairs.((2 * i) + 1);
+    for l = 3 * i to (3 * i) + 2 do
+      Binio.write_float buf t.lines.(l)
+    done;
+    Binio.write_float buf t.spreads.(i)
+  done
 
 let read ~decode ~space r =
   let tag = Binio.read_string r in
@@ -768,18 +799,22 @@ let read ~decode ~space r =
     Array.init num_pivots (fun _ -> Binio.guard_decode decode (Binio.read_string r))
   in
   let num_fns = Binio.read_int r in
-  if num_fns < 0 || num_fns > Binio.remaining r then
+  (* Each function takes six 8-byte fields, so the flat arrays allocated
+     up front are never larger than the input left to read. *)
+  if num_fns < 0 || num_fns > Binio.remaining r / 48 then
     raise (Binio.Corrupt "implausible function count");
-  let fns =
-    Array.init num_fns (fun _ ->
-        let p1 = Binio.read_int r in
-        let p2 = Binio.read_int r in
-        let d12 = Binio.read_float r in
-        let t1 = Binio.read_float r in
-        let t2 = Binio.read_float r in
-        let spread = Binio.read_float r in
-        if p1 < 0 || p1 >= num_pivots || p2 < 0 || p2 >= num_pivots then
-          raise (Binio.Corrupt "pivot index out of range");
-        { p1; p2; d12; t1; t2; spread })
-  in
-  { space; pivots; fns; selector }
+  let pairs = Array.make (2 * num_fns) 0 and lines = Array.make (3 * num_fns) 0. in
+  let spreads = Array.make num_fns 0. in
+  for i = 0 to num_fns - 1 do
+    let p1 = Binio.read_int r in
+    let p2 = Binio.read_int r in
+    for l = 3 * i to (3 * i) + 2 do
+      lines.(l) <- Binio.read_float r
+    done;
+    spreads.(i) <- Binio.read_float r;
+    if p1 < 0 || p1 >= num_pivots || p2 < 0 || p2 >= num_pivots then
+      raise (Binio.Corrupt "pivot index out of range");
+    pairs.(2 * i) <- p1;
+    pairs.((2 * i) + 1) <- p2
+  done;
+  { space; pivots; pairs; lines; spreads; selector }

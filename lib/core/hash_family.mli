@@ -83,7 +83,10 @@ val pivots : 'a t -> 'a array
 (** The X_small array; do not mutate. *)
 
 val fn : 'a t -> int -> binary_fn
-(** The i-th binary function's definition. *)
+(** The i-th binary function's definition.  The family stores its
+    functions as flat unboxed arrays (pivot pairs, lines and thresholds,
+    spreads), so this builds a fresh record on each call: a view for
+    cold paths, not what evaluation reads. *)
 
 val selector : 'a t -> Selector.t
 (** The selector this family was built (or loaded) with.  Families loaded

@@ -177,6 +177,63 @@ let test_v2_roundtrip_preserves_selector () =
       check_families_identical (tag ^ ": round-trip") family back)
     all_selectors
 
+(* The flat function table against an independent recomputation, per
+   selector: on 300 random objects, every bit [eval_fns] writes into a
+   family row equals the interval test of [fn i]'s view on
+   [Projection.project_with] over the object's raw pivot distances, and
+   every [margin] equals the same projection's normalized distance to
+   its nearest finite threshold.  Both hold for the built family and for
+   its [write]/[read] round trip, and [write] -> [read] -> [write]
+   reproduces the bytes. *)
+let test_flat_table_matches_reference () =
+  let db = test_db 23 400 in
+  let objects = test_db 29 300 in
+  let bytes family =
+    let buf = Buffer.create 4096 in
+    Hash_family.write ~encode buf family;
+    Buffer.contents buf
+  in
+  let check label family =
+    let n = Hash_family.size family in
+    let all = Array.init n Fun.id and row = Hash_family.row n in
+    let pivots = Hash_family.pivots family in
+    Array.iteri
+      (fun o x ->
+        let cache = Hash_family.cache family x in
+        Hash_family.eval_fns family cache row all;
+        let cells = Hash_family.row_cells row in
+        let dist = Array.map (fun p -> l2.Dbh_space.Space.distance x p) pivots in
+        for i = 0 to n - 1 do
+          let f = Hash_family.fn family i in
+          let v =
+            Dbh.Projection.project_with ~d1:dist.(f.Hash_family.p1) ~d2:dist.(f.Hash_family.p2)
+              ~d12:f.Hash_family.d12
+          in
+          let bit = v >= f.Hash_family.t1 && v <= f.Hash_family.t2 in
+          if Bytes.get cells i <> if bit then '\001' else '\000' then
+            Alcotest.failf "%s: object %d fn %d: eval_fns disagrees with the reference" label o i;
+          let gap t = if Float.is_finite t then Float.abs (v -. t) else infinity in
+          check_float_bits
+            (Printf.sprintf "%s: object %d fn %d margin" label o i)
+            (Float.min (gap f.Hash_family.t1) (gap f.Hash_family.t2) /. f.Hash_family.spread)
+            (Hash_family.margin family cache i)
+        done;
+        Hash_family.clear_row row)
+      objects
+  in
+  List.iter
+    (fun (tag, selector) ->
+      let family =
+        Hash_family.make ~rng:(Rng.create 37) ~space:l2 ~num_pivots:16 ~threshold_sample:150
+          ~max_functions:60 ~selector db
+      in
+      let written = bytes family in
+      let back = Hash_family.read ~decode ~space:l2 (Binio.reader written) in
+      Alcotest.(check string) (tag ^ ": write -> read -> write") written (bytes back);
+      check (tag ^ ": built") family;
+      check (tag ^ ": read back") back)
+    all_selectors
+
 let test_corrupt_selector_tag_rejected () =
   let db = test_db 13 200 in
   let family =
@@ -303,6 +360,8 @@ let () =
             test_v2_roundtrip_preserves_selector;
           Alcotest.test_case "corrupt selector tag rejected" `Quick
             test_corrupt_selector_tag_rejected;
+          Alcotest.test_case "flat table = reference recomputation" `Quick
+            test_flat_table_matches_reference;
         ] );
       ( "retune",
         [

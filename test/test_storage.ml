@@ -575,6 +575,48 @@ let csr_fuzz =
         keys
       && Csr.bucket_size !csr (key_space + 1) = 0)
 
+(* The delta key filter against the cons-list model, on wide keys.
+   [csr_fuzz] draws from at most 16 keys, a handful of the filter's
+   bits; here keys are up to [Key.max_bits] wide, the frozen table holds
+   up to ~500 ids, and up to ~1,500 [add]s (a quarter reusing a key
+   already present, so delta buckets grow and share keys with frozen
+   ones) give
+   far more distinct delta keys than the filter has bits, with an
+   occasional [compacted] starting a fresh, empty filter.  Every model
+   key and 200 random keys, most of them absent, are probed through
+   [iter_bucket] and [bucket_size]. *)
+let delta_filter_matches_model =
+  QCheck.Test.make ~name:"delta key filter = cons-list model, wide keys" ~count:40
+    QCheck.small_int (fun seed ->
+      let rng = Rng.create (13_000 + seed) in
+      let width = 1 + Rng.int rng Key.max_bits in
+      let top = if width = Key.max_bits then max_int else (1 lsl width) - 1 in
+      let draw () = Rng.int rng max_int land top in
+      let n_frozen = Rng.int rng 501 and n_adds = Rng.int rng 1501 in
+      let used = Array.make (n_frozen + n_adds) 0 in
+      let model : (int, int list) Hashtbl.t = Hashtbl.create 256 in
+      let bucket key = Option.value ~default:[] (Hashtbl.find_opt model key) in
+      let model_add key id =
+        used.(id) <- key;
+        Hashtbl.replace model key (id :: bucket key)
+      in
+      let keys = Array.init n_frozen (fun _ -> draw ()) in
+      Array.iteri (fun id key -> model_add key id) keys;
+      let csr = ref (Csr.of_keys ~ids:(Array.init n_frozen Fun.id) ~keys) in
+      for id = n_frozen to n_frozen + n_adds - 1 do
+        let key = if id > 0 && Rng.int rng 4 = 0 then used.(Rng.int rng id) else draw () in
+        Csr.add !csr key id;
+        model_add key id;
+        if Rng.int rng 400 = 0 then csr := Csr.compacted ~is_alive:(fun _ -> true) !csr
+      done;
+      let agrees key =
+        let got = ref [] in
+        Csr.iter_bucket !csr key (fun id -> got := id :: !got);
+        List.rev !got = bucket key && Csr.bucket_size !csr key = List.length (bucket key)
+      in
+      Hashtbl.fold (fun key _ ok -> ok && agrees key) model true
+      && List.for_all agrees (List.init 200 (fun _ -> draw ())))
+
 (* [of_keys] against the list-bucket build it replaced: cons every id
    onto its key's list in position order, then lay the lists out by
    ascending key.  Keys are drawn from a small pool of [width]-bit
@@ -750,6 +792,65 @@ let test_online_compaction_vs_rebuild () =
     Alcotest.(check int) "hash cost" rb.Online.stats.Index.hash_cost
       ra.Online.stats.Index.hash_cost
   done
+
+(* An insert is found by a reader domain as soon as the reader learns
+   of it.  The main domain inserts into an Online index and, after each
+   insert returns, hands (handle, object) to a reader domain through an
+   [Atomic]; it waits only until the reader has picked the pair up, so
+   the reader's search races the next insert.  The reader must get that
+   handle at distance 0.  Inserted objects sit only in the tables'
+   deltas, so each answer needs the delta filter bits an insert set to
+   be visible once Online's visibility bound admits its id. *)
+let test_delta_filter_across_domains () =
+  let rng = Rng.create 91 in
+  let db, _ = Dbh_datasets.Vectors.gaussian_mixture ~rng ~num_clusters:6 ~dim:4 300 in
+  let config =
+    { Builder.default_config with num_pivots = 20; num_sample_queries = 60; db_sample = 150 }
+  in
+  let t =
+    Online.create ~rng:(Rng.create 92) ~space:l2 ~config ~rebuild_factor:100.
+      ~target_accuracy:0.9 db
+  in
+  let inserts = 400 in
+  let handoff = Atomic.make None and taken = Atomic.make (-1) in
+  let reader =
+    Domain.spawn (fun () ->
+        let wrong = ref [] in
+        for _ = 1 to inserts do
+          let rec await () =
+            match Atomic.get handoff with
+            | Some (h, v) when h <> Atomic.get taken -> (h, v)
+            | _ ->
+                Domain.cpu_relax ();
+                await ()
+          in
+          let h, v = await () in
+          Atomic.set taken h;
+          match (Online.search t v).Online.nn with
+          | Some (h', d) when h' = h && d = 0. -> ()
+          | nn -> wrong := (h, nn) :: !wrong
+        done;
+        List.rev !wrong)
+  in
+  let wrng = Rng.create 93 in
+  for _ = 1 to inserts do
+    let v = Array.init 4 (fun _ -> Rng.float_in wrng (-1.) 1.) in
+    let h = Online.insert t v in
+    Atomic.set handoff (Some (h, v));
+    while Atomic.get taken <> h do
+      Domain.cpu_relax ()
+    done
+  done;
+  let wrong = Domain.join reader in
+  Alcotest.(check bool) "inserts sit in the deltas" true (Online.delta_size t > 0);
+  match wrong with
+  | [] -> ()
+  | (h, nn) :: _ ->
+      Alcotest.failf "%d of %d inserts not found; first: handle %d got %s" (List.length wrong)
+        inserts h
+        (match nn with
+        | Some (h', d) -> Printf.sprintf "(%d, %g)" h' d
+        | None -> "none")
 
 (* -------------------------------------------------------- scratch reuse *)
 
@@ -1018,7 +1119,15 @@ let () =
       ( "csr",
         Alcotest.test_case "online compaction vs uncompacted twin" `Quick
           test_online_compaction_vs_rebuild
-        :: qsuite [ csr_fuzz; of_keys_matches_list_buckets; prefix_directory_matches_list ] );
+        :: Alcotest.test_case "delta filter across domains" `Quick
+             test_delta_filter_across_domains
+        :: qsuite
+             [
+               csr_fuzz;
+               delta_filter_matches_model;
+               of_keys_matches_list_buckets;
+               prefix_directory_matches_list;
+             ] );
       ( "scratch",
         [
           Alcotest.test_case "reuse stays clean" `Quick test_scratch_reuse_is_clean;
