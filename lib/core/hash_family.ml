@@ -633,18 +633,23 @@ let pivot_table ?pool t objs =
 let cache_cost c = c.misses
 let cache_hits c = c.hits
 
+(* Pay for pivot [i]'s distance (budget charge first), count the miss
+   and trace it.  Out of line: misses are the rare case once a query's
+   pivots are in. *)
+let miss t c i =
+  (match c.budget with Some b -> Budget.charge b | None -> ());
+  c.dists.(i) <- t.space.Space.distance c.obj t.pivots.(i);
+  c.misses <- c.misses + 1;
+  match c.trace with
+  | Some tr -> Dbh_obs.Trace.record tr (Dbh_obs.Trace.Pivot_miss { pivot = i })
+  | None -> ()
+
 (* Make pivot [i]'s distance present in the cache, paying for it on a
-   miss (budget charge first) and counting/tracing the lookup either
-   way.  Returns unit so callers read [c.dists.(i)] unboxed. *)
-let touch t c i =
-  if Float.is_nan c.dists.(i) then begin
-    (match c.budget with Some b -> Budget.charge b | None -> ());
-    c.dists.(i) <- t.space.Space.distance c.obj t.pivots.(i);
-    c.misses <- c.misses + 1;
-    match c.trace with
-    | Some tr -> Dbh_obs.Trace.record tr (Dbh_obs.Trace.Pivot_miss { pivot = i })
-    | None -> ()
-  end
+   miss and counting the lookup either way; a hit is traced only when a
+   trace is attached.  Returns unit so callers read [c.dists.(i)]
+   unboxed. *)
+let[@inline] touch t c i =
+  if Float.is_nan c.dists.(i) then miss t c i
   else begin
     c.hits <- c.hits + 1;
     match c.trace with

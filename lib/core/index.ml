@@ -67,17 +67,23 @@ let store t = t.store
 let family t = t.family
 let size t = Store.alive_count t.store
 
-let distinct_of fn_ids =
-  let seen = Hashtbl.create 64 in
-  Array.iter (Array.iter (fun id -> Hashtbl.replace seen id ())) fn_ids;
-  Array.of_seq (Hashtbl.to_seq_keys seen)
+(* Ascending, so hashing walks the family's flat arrays in address
+   order. *)
+let distinct_of family fn_ids =
+  let drawn = Bytes.make (Hash_family.size family) '\000' in
+  Array.iter (Array.iter (fun id -> Bytes.set drawn id '\001')) fn_ids;
+  let ids = ref [] in
+  for id = Bytes.length drawn - 1 downto 0 do
+    if Bytes.get drawn id = '\001' then ids := id :: !ids
+  done;
+  Array.of_list !ids
 
 (* The one key path — build, insert and every query: make the cells of
    every distinct function known in one family row, in [distinct_fns]
-   order (which fixes the pivot-miss order and so hash_cost and budget
-   truncation), skipping cells an earlier index over the same row
-   already evaluated; then read each table row's key straight off the
-   row.  Neither step allocates. *)
+   order (which fixes the order pivot misses are paid in, and so the
+   pivot a budget running out mid-row stops at), skipping cells an
+   earlier index over the same row already evaluated; then read each
+   table row's key straight off the row.  Neither step allocates. *)
 let fill_row t cache row = Hash_family.eval_fns t.family cache row t.distinct_fns
 
 let key_of t cells row = (Key.of_row cells t.fn_ids.(row) :> int)
@@ -109,7 +115,8 @@ let build_on ?pool ~rng ~family ~store ?pivot_table ~k ~l () =
       invalid_arg "Index.build: pivot_table length mismatch"
   | _ -> ());
   let fn_ids = Array.init l (fun _ -> Hash_family.sample_fn_indices ~rng family k) in
-  let t = { family; store; k; l; fn_ids; distinct_fns = distinct_of fn_ids; tables = [||] } in
+  let distinct_fns = distinct_of family fn_ids in
+  let t = { family; store; k; l; fn_ids; distinct_fns; tables = [||] } in
   let ids =
     Array.of_seq (Seq.filter (Store.is_alive store) (Seq.init (Store.length store) Fun.id))
   in
@@ -240,20 +247,15 @@ let start ~opts ~family ~store ~admit scratch obj =
   }
 
 (* Each domain's one query workspace, so steady-state queries allocate
-   no seen mask, candidate cells or pivot row.  [run] takes it with an
-   exchange that leaves [vacant] in the slot, and [give] resets it and
-   puts it back.  A query that finds the slot vacant — nested inside a
+   no seen mask, candidate cells or pivot row.  [run] takes it and gives
+   it back reset.  A query that finds it lent out — nested inside a
    distance function, or on another systhread of the domain mid-query —
    works in a fresh workspace, so two live queries never share marks. *)
-let vacant = Scratch.create ()
-let workspace = Domain.DLS.new_key (fun () -> Atomic.make (Scratch.create ()))
+let workspace = Dbh_util.Per_domain.make Scratch.create
 
-let take slot =
-  match Atomic.exchange slot vacant with s when s == vacant -> Scratch.create () | s -> s
-
-let give slot scratch =
+let give scratch =
   Scratch.reset scratch;
-  Atomic.set slot scratch
+  Dbh_util.Per_domain.give workspace scratch
 
 (* Setup and teardown shared by every shape.  The query works in its
    domain's workspace and gives it back on the way out, exceptional
@@ -277,8 +279,7 @@ let run ~describe subject ~opts ~family ~store ~limit obj body =
   | Some tr ->
       Dbh_obs.Trace.record tr (Dbh_obs.Trace.Query_start { kind = describe subject })
   | None -> ());
-  let slot = Domain.DLS.get workspace in
-  let scratch = take slot in
+  let scratch = Dbh_util.Per_domain.take workspace in
   let r =
     match
       let n = Store.length store in
@@ -293,11 +294,11 @@ let run ~describe subject ~opts ~family ~store ~limit obj body =
       r
     with
     | r ->
-        give slot scratch;
+        give scratch;
         r
     | exception e ->
         let bt = Printexc.get_raw_backtrace () in
-        give slot scratch;
+        give scratch;
         Printexc.raise_with_backtrace e bt
   in
   let truncated = match r.budget with Some b -> Budget.exhausted b | None -> false in
@@ -682,7 +683,7 @@ let read_body ~family ~store r =
           raise (Binio.Corrupt "key block does not match id list");
         Csr.of_keys ~ids ~keys)
   in
-  { family; store; k; l; fn_ids; distinct_fns = distinct_of fn_ids; tables }
+  { family; store; k; l; fn_ids; distinct_fns = distinct_of family fn_ids; tables }
 
 (* v2 body: the live CSR arrays verbatim.  Loading re-validates every
    structural invariant (sorted directory, in-range packed keys, offsets
@@ -702,7 +703,7 @@ let read_body_packed ~family ~store r =
     with Invalid_argument _ -> raise (Binio.Corrupt "packed key out of range")
   in
   let tables = Array.init l (fun _ -> Csr.read r ~validate_key ~max_id:n ~seen) in
-  { family; store; k; l; fn_ids; distinct_fns = distinct_of fn_ids; tables }
+  { family; store; k; l; fn_ids; distinct_fns = distinct_of family fn_ids; tables }
 
 let write_store ~encode buf store =
   Binio.write_int buf (Store.length store);

@@ -78,53 +78,75 @@ let float_cost x y = Float.abs (x -. y)
 
 let floats ?band a b = distance ?band ~cost:float_cost a b
 
-(* [Float.min x y] bit for bit, restated so that it inlines: without
-   flambda the stdlib call is a real call that boxes both arguments.
-   The two strict comparisons settle every pair but ties and NaNs, which
-   take [Float.min]'s own branches. *)
-let[@inline] float_min (x : float) (y : float) =
-  if y > x then x
-  else if y < x then y
-  else if (not (Float.sign_bit y)) && Float.sign_bit x then if Float.is_nan y then y else x
-  else if Float.is_nan x then x
-  else y
+(* Each domain's DTW block: [b]'s x coordinates, its y coordinates and
+   the two DP rows, [m] floats each.  A longer [b] replaces it with a
+   larger one. *)
+let blocks = Dbh_util.Per_domain.make (fun () -> Array.create_float (4 * 32))
 
-(* [Geom.dist (ax, ay) pt], in [Geom.dist]'s operation order. *)
-let[@inline] ground ax ay (pt : Geom.point) =
-  let dx = ax -. pt.Geom.x and dy = ay -. pt.Geom.y in
+(* [Geom.dist] from (ax, ay) to point [j] of the trajectory copied into
+   [w], in [Geom.dist]'s operation order. *)
+let[@inline] ground w m ax ay j =
+  let dx = ax -. Array.unsafe_get w j and dy = ay -. Array.unsafe_get w (m + j) in
   sqrt ((dx *. dx) +. (dy *. dy))
 
-(* [distance ~cost:Geom.dist] specialized: the same recurrence in the
-   same operation order, so the result is bit-identical, with the
-   ground cost inline, the neighbouring cells in locals and the two rows
-   swapped instead of refilled and copied. *)
+(* [distance ~cost:Geom.dist] specialized for finite coordinates.  Then
+   every ground cost is [sqrt] of a sum of squares and every DP cell a
+   sum of them, so every operand lies in [+0, +inf], with no NaN and no
+   -0: there two strict comparisons give [Float.min]'s bits, and
+   [distance]'s [best < infinity] guard changes nothing (+inf plus a
+   cost is +inf).  The recurrence and the ground cost keep [distance]'s
+   and [Geom.dist]'s operation order, so the result is bit-identical.
+   Any other input takes [distance] itself. *)
 let points a b =
   let n = Array.length a and m = Array.length b in
   if n = 0 || m = 0 then invalid_arg "Dtw.points: empty sequence";
-  let prev = ref (Array.make m infinity) and cur = ref (Array.make m infinity) in
-  let a0 = a.(0) and p = !prev in
-  p.(0) <- ground a0.Geom.x a0.Geom.y b.(0);
-  for j = 1 to m - 1 do
-    p.(j) <- p.(j - 1) +. ground a0.Geom.x a0.Geom.y b.(j)
+  let w = Dbh_util.Per_domain.take blocks in
+  let w = if Array.length w >= 4 * m then w else Array.create_float (4 * m) in
+  (* [x -. x] is +0 for finite [x] and NaN otherwise, so [finite] stays
+     +0 exactly when every coordinate is finite. *)
+  let finite = ref 0. in
+  for j = 0 to m - 1 do
+    let p = Array.unsafe_get b j in
+    let x = p.Geom.x and y = p.Geom.y in
+    Array.unsafe_set w j x;
+    Array.unsafe_set w (m + j) y;
+    finite := !finite +. (x -. x) +. (y -. y)
   done;
-  for i = 1 to n - 1 do
-    let p = !prev and q = !cur in
-    let ax = a.(i).Geom.x and ay = a.(i).Geom.y in
-    (* [diag] is p.(j - 1) and [left] q.(j - 1); both start at the
-       infinite border, and [float_min x infinity] is [x] bit for bit,
-       so column 0 takes p.(0) as [distance] does. *)
-    let diag = ref infinity and left = ref infinity in
-    for j = 0 to m - 1 do
-      let up = p.(j) in
-      let best = float_min up (float_min !diag !left) in
-      left := if best < infinity then best +. ground ax ay b.(j) else infinity;
-      q.(j) <- !left;
-      diag := up
-    done;
-    prev := q;
-    cur := p
+  for i = 0 to n - 1 do
+    let p = Array.unsafe_get a i in
+    finite := !finite +. (p.Geom.x -. p.Geom.x) +. (p.Geom.y -. p.Geom.y)
   done;
-  !prev.(m - 1)
+  let d =
+    if not (!finite = 0.) then distance ~cost:Geom.dist a b
+    else begin
+      let prev = ref (2 * m) and cur = ref (3 * m) in
+      let p = !prev and ax = a.(0).Geom.x and ay = a.(0).Geom.y in
+      Array.unsafe_set w p (ground w m ax ay 0);
+      for j = 1 to m - 1 do
+        Array.unsafe_set w (p + j) (Array.unsafe_get w (p + j - 1) +. ground w m ax ay j)
+      done;
+      for i = 1 to n - 1 do
+        let p = !prev and q = !cur in
+        let ax = a.(i).Geom.x and ay = a.(i).Geom.y in
+        (* [diag] is cell j - 1 of the row above and [left] cell j - 1
+           of this one; both start at the infinite border, so column 0
+           takes the cell above, as in [distance]. *)
+        let diag = ref infinity and left = ref infinity in
+        for j = 0 to m - 1 do
+          let up = Array.unsafe_get w (p + j) and d = !diag and l = !left in
+          let best = if up < d then if up < l then up else l else if d < l then d else l in
+          left := best +. ground w m ax ay j;
+          Array.unsafe_set w (q + j) !left;
+          diag := up
+        done;
+        prev := q;
+        cur := p
+      done;
+      Array.unsafe_get w (!prev + m - 1)
+    end
+  in
+  Dbh_util.Per_domain.give blocks w;
+  d
 
 (* DTW is O(|a|*|b|), so one element's share of a distance call scales
    with its own length. *)

@@ -27,9 +27,13 @@ val floats : ?band:int -> float array -> float array -> float
 
 val points : Geom.point array -> Geom.point array -> float
 (** DTW on planar trajectories with Euclidean ground cost — the UNIPEN
-    configuration, and the kernel behind every pen-digit distance.  A
-    specialized kernel, bit-identical to [distance ~cost:Geom.dist] (NaN
-    and infinite coordinates included) that allocates only its two DP rows.
-    Raises on empty sequences. *)
+    configuration, and the kernel behind every pen-digit distance.
+    Bit-identical to [distance ~cost:Geom.dist], NaN and infinite
+    coordinates included.  When every coordinate is finite a specialized
+    kernel runs: it copies [b]'s coordinates into a float block that also
+    holds the two DP rows, one block per domain, reused across calls and
+    grown to the longest [b] met, so a warmed call allocates only its
+    boxed result.  Any other input runs [distance] itself.  Raises on
+    empty sequences. *)
 
 val float_space : float array Dbh_space.Space.t

@@ -365,10 +365,52 @@ let test_dtw_points_allocation () =
   Alcotest.(check int) "trajectory length" 32 (Array.length (fst pairs.(0)));
   let dtw (a, b) = Dtw.points a b in
   ignore (Memo_pen.words_per_query dtw pairs);
-  (* Two 32-float rows are 66 words; the rest is the boxed result and
-     its slot in the result array. *)
+  (* A warmed call works in its domain's block, so what allocates is the
+     boxed result (2 words) and its slot in the result array (1 word,
+     plus the array's header spread over the calls).  The 3 words of
+     margin are less than one 32-float DP row (33 words). *)
   let _, words = Memo_pen.words_per_query dtw pairs in
-  if words > 80. then Alcotest.failf "Dtw.points allocated %.1f words per call (ceiling 80)" words
+  if words > 6. then Alcotest.failf "Dtw.points allocated %.1f words per call (ceiling 6)" words
+
+(* Every call of [Dtw.points] in a domain works in that domain's one
+   block.  Two domains hold two blocks at once; two systhreads of one
+   domain share its block, and a thread switch can fall mid-call, when
+   the other thread must find the block lent out and work in a fresh
+   one.  Lengths are mixed, so the blocks grow mid-run. *)
+let test_dtw_points_shared_block () =
+  let rng = Rng.create 24 in
+  let trajectory () =
+    let params = { Pen.default_params with Pen.num_points = 4 + Rng.int rng 93 } in
+    (Pen.generate ~rng ~params (Rng.int rng 10)).Pen.points
+  in
+  let pairs = Array.init 500 (fun _ -> (trajectory (), trajectory ())) in
+  let expected = Array.map (fun (a, b) -> Dtw.distance ~cost:Geom.dist a b) pairs in
+  (* Pairs whose bits differ from [expected] over [passes] passes. *)
+  let differ passes () =
+    let n = ref 0 in
+    for _ = 1 to passes do
+      Array.iteri
+        (fun i (a, b) ->
+          let d = Dtw.points a b in
+          if not (Int64.equal (Int64.bits_of_float d) (Int64.bits_of_float expected.(i))) then
+            incr n)
+        pairs
+    done;
+    !n
+  in
+  let other = Domain.spawn (differ 2) in
+  let here = differ 2 () in
+  Alcotest.(check (pair int int)) "two domains: pairs whose bits differ" (0, 0)
+    (here, Domain.join other);
+  (* Systhreads switch on the runtime's 50 ms tick, so each thread runs
+     for about a quarter of a second: several switches, nearly all of
+     them mid-call.  A block lent to both threads at once made 2 or 3
+     pairs differ per thread in each of 6 runs at this length. *)
+  let theirs = ref (-1) in
+  let thread = Thread.create (fun () -> theirs := differ 24 ()) () in
+  let here = differ 24 () in
+  Thread.join thread;
+  Alcotest.(check (pair int int)) "two systhreads: pairs whose bits differ" (0, 0) (here, !theirs)
 
 (* --------------------------------------------------------------- Chamfer *)
 
@@ -680,7 +722,11 @@ let () =
                prop_dtw_bounded_by_diagonal;
                prop_dtw_points_bit_identical;
                prop_dtw_points_bit_identical_nonfinite;
-             ] );
+             ]
+        @ [
+            Alcotest.test_case "points: one block per domain, shared by systhreads" `Quick
+              test_dtw_points_shared_block;
+          ] );
       ( "chamfer",
         [
           Alcotest.test_case "self" `Quick test_chamfer_self;

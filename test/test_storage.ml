@@ -335,7 +335,8 @@ let test_insert_shares_pivot_cache () =
    function: same bits, hits and misses, the same pivot events in the
    same order, and under a budget the same point of exhaustion.  A
    second pass over the filled row is free: no pivot event, no budget
-   charge, the same bits. *)
+   charge, the same bits.  Without a trace, the same bits, hits and
+   misses. *)
 let test_eval_row_matches_eval () =
   let rng = Rng.create 31 in
   let objs = Array.init 80 (fun _ -> Array.init 4 (fun _ -> Rng.float_in rng (-1.) 1.)) in
@@ -343,13 +344,13 @@ let test_eval_row_matches_eval () =
     Hash_family.make ~rng ~space:l2 ~num_pivots:12 ~threshold_sample:60 objs
   in
   let fn_ids = Array.init 60 (fun _ -> Rng.int rng (Hash_family.size family)) in
-  let run budget_limit evaluate =
-    let trace = Dbh_obs.Trace.create () in
+  let run ~traced budget_limit evaluate =
+    let trace = if traced then Some (Dbh_obs.Trace.create ()) else None in
     let budget = Option.map Dbh.Budget.create budget_limit in
-    let cache = Hash_family.cache ?budget ~trace family objs.(0) in
+    let cache = Hash_family.cache ?budget ?trace family objs.(0) in
     let bits = try Some (evaluate budget trace cache) with Dbh.Budget.Exhausted -> None in
     let pivots =
-      Array.to_list (Dbh_obs.Trace.events trace)
+      Option.fold ~none:[] ~some:(fun tr -> Array.to_list (Dbh_obs.Trace.events tr)) trace
       |> List.filter_map (fun (_, e) ->
              match e with
              | Dbh_obs.Trace.Pivot_hit { pivot } -> Some (`Hit pivot)
@@ -357,6 +358,9 @@ let test_eval_row_matches_eval () =
              | _ -> None)
     in
     (bits, Hash_family.cache_cost cache, Hash_family.cache_hits cache, pivots)
+  in
+  let events trace =
+    Option.fold ~none:0 ~some:(fun tr -> Array.length (Dbh_obs.Trace.events tr)) trace
   in
   let by_eval _ _ cache =
     let first = Hashtbl.create 64 in
@@ -374,21 +378,27 @@ let test_eval_row_matches_eval () =
     in
     Hash_family.eval_fns family cache row fn_ids;
     let bits = read () in
-    let events = Array.length (Dbh_obs.Trace.events trace) in
+    let recorded = events trace in
     let spent = Option.map Dbh.Budget.spent budget in
     Hash_family.eval_fns family cache row fn_ids;
-    if Array.length (Dbh_obs.Trace.events trace) <> events then
+    if events trace <> recorded then
       Alcotest.fail "second pass over a filled row recorded pivot events";
     if Option.map Dbh.Budget.spent budget <> spent then
       Alcotest.fail "second pass over a filled row charged the budget";
     if read () <> bits then Alcotest.fail "second pass over a filled row changed a bit";
     bits
   in
+  (* 12 pivots: budgets below 12 run out mid-row. *)
   List.iter
     (fun limit ->
-      if run limit by_eval <> run limit by_row then
-        Alcotest.failf "family-row evaluation diverges from eval (budget %s)"
-          (match limit with None -> "none" | Some b -> string_of_int b))
+      let bits, misses, hits, pivots = run ~traced:true limit by_eval in
+      List.iter
+        (fun traced ->
+          if run ~traced limit by_row <> (bits, misses, hits, if traced then pivots else []) then
+            Alcotest.failf "family-row evaluation diverges from eval (budget %s, %s)"
+              (match limit with None -> "none" | Some b -> string_of_int b)
+              (if traced then "traced" else "untraced"))
+        [ true; false ])
     (None :: List.init 13 Option.some)
 
 (* [build_on] over n objects lays out every table (keys, offsets, ids)
