@@ -12,6 +12,8 @@
      checkpoint  snapshot a durable index directory and truncate its log
      verify      check snapshot/log files for corruption without opening an index
      index-stats print storage-layout statistics of a snapshot (buckets, deltas, bytes)
+     replicate   ship a leader directory into a follower and tail it as a read-only replica
+     loadgen     drive a running dbh-serve and report latency percentiles
 
    `experiment --metrics` and `stress --metrics` install a Dbh_obs metric
    set for the run and print its Prometheus exposition afterwards;
@@ -93,14 +95,24 @@ let builder_config ~pivots ~sample_queries =
 
 (* Run [f] with the pool implied by --domains: none for 1 (fully
    sequential, the default), a properly shut-down pool otherwise.
-   Results are bit-identical either way; only wall time changes. *)
+   Results are bit-identical either way; only wall time changes.  More
+   domains than the machine recommends still run, after a warning: each
+   minor collection stops every domain, so an oversubscribed pool can
+   build slower than no pool at all. *)
 let with_domains domains f =
   if domains < 1 then begin
     Printf.eprintf "dbh-cli: --domains must be >= 1 (got %d)\n" domains;
     1
   end
-  else if domains = 1 then f None
-  else Dbh_util.Pool.with_pool ~domains (fun pool -> f (Some pool))
+  else begin
+    let recommended = Domain.recommended_domain_count () in
+    if domains > recommended then
+      Printf.eprintf
+        "dbh-cli: warning: --domains %d exceeds the %d this machine recommends; it may \
+         run slower than --domains %d\n%!"
+        domains recommended recommended;
+    if domains = 1 then f None else Dbh_util.Pool.with_pool ~domains (fun pool -> f (Some pool))
+  end
 
 (* ------------------------------------------------------------------ demo *)
 

@@ -173,9 +173,6 @@ val cache_cost : 'a cache -> int
 val cache_hits : 'a cache -> int
 (** Pivot-distance lookups served from the cache (no distance paid). *)
 
-val pivot_distance : 'a t -> 'a cache -> int -> float
-(** Distance from the cached object to pivot [i], memoized. *)
-
 val eval : 'a t -> 'a cache -> int -> bool
 (** [eval family cache i] applies binary function [i]; costs at most two
     uncached distance computations. *)
@@ -195,9 +192,6 @@ val pivot_table : ?pool:Dbh_util.Pool.t -> 'a t -> 'a array -> float array array
 
 val eval_direct : 'a t -> 'a -> int -> bool
 (** Uncached evaluation (exactly two distance computations); for tests. *)
-
-val project : 'a t -> 'a cache -> int -> float
-(** The raw projection value F^{X1,X2}(x) under function [i]'s line. *)
 
 val margin : 'a t -> 'a cache -> int -> float
 (** Distance from F(x) to the nearest threshold of function [i],

@@ -158,6 +158,10 @@ let read_with ~read_body ~decode ~space r =
   let store = Index.read_store ~decode r in
   let num_levels = Binio.read_int r in
   if num_levels < 1 then raise (Binio.Corrupt "no levels");
+  (* Each level reads three floats before its body: bound the count
+     before allocating the level array. *)
+  if num_levels > Binio.remaining r / 24 then
+    raise (Binio.Corrupt (Printf.sprintf "implausible level count %d" num_levels));
   let levels =
     Array.init num_levels (fun _ ->
         let d_threshold = Binio.read_float r in

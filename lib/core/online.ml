@@ -300,6 +300,12 @@ module Durable = struct
       dead_handles;
     if Array.length dead_handles >= registry_len then corrupt "no alive objects in snapshot";
     let eoi = Binio.read_int_array r in
+    (* Every handle below [registry_len] is dead or mapped (checked
+       below), so a longer registry is corrupt: reject it before it
+       sizes any allocation. *)
+    if registry_len > Array.length dead_handles + Array.length eoi then
+      corrupt "registry length %d exceeds its %d dead and %d mapped handles" registry_len
+        (Array.length dead_handles) (Array.length eoi);
     let built_size = Binio.read_int r in
     if built_size < 1 then corrupt "implausible built size %d" built_size;
     let rebuild_count = Binio.read_int r in

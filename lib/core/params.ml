@@ -24,7 +24,7 @@ let min_l_for_accuracy ?(probes = 1) ?(radius = 0) analysis ~k ~target ~l_max =
     Some !lo
   end
 
-let choice_of ?(probes = 1) ?(radius = 0) analysis ~k ~l =
+let choice_of ~probes ~radius analysis ~k ~l =
   let lookup = Analysis.lookup_cost ~probes ~radius analysis ~k ~l in
   let hash = Analysis.hash_cost analysis ~k ~l in
   {

@@ -24,9 +24,6 @@ val min_l_for_accuracy :
     [probes]/[radius] (defaults [1]/[0]) evaluate the multi-probe model
     instead — the analytical handle on the tables multi-probing saves. *)
 
-val choice_of : ?probes:int -> ?radius:int -> Analysis.t -> k:int -> l:int -> choice
-(** The model's full prediction at a fixed [(k,l)]. *)
-
 val check_slack : float -> unit
 (** Raises [Invalid_argument] unless the slack is finite and [>= 0]. *)
 

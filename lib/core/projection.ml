@@ -1,20 +1,1 @@
-type 'a line = {
-  x1 : 'a;
-  x2 : 'a;
-  d12 : float;
-}
-
-let line_of_distance ~x1 ~x2 ~d12 =
-  if not (d12 > 0.) then invalid_arg "Projection.line: reference objects at distance 0";
-  { x1; x2; d12 }
-
-let line space x1 x2 =
-  let d12 = space.Dbh_space.Space.distance x1 x2 in
-  line_of_distance ~x1 ~x2 ~d12
-
 let project_with ~d1 ~d2 ~d12 = ((d1 *. d1) +. (d12 *. d12) -. (d2 *. d2)) /. (2. *. d12)
-
-let project space l x =
-  let d1 = space.Dbh_space.Space.distance x l.x1 in
-  let d2 = space.Dbh_space.Space.distance x l.x2 in
-  project_with ~d1 ~d2 ~d12:l.d12

@@ -10,23 +10,7 @@
     space it is just a number computed from two black-box distances —
     which is all DBH needs. *)
 
-type 'a line = private {
-  x1 : 'a;
-  x2 : 'a;
-  d12 : float;
-}
-
-val line : 'a Dbh_space.Space.t -> 'a -> 'a -> 'a line
-(** [line space x1 x2] fixes a projection line.  Raises [Invalid_argument]
-    if [D(x1,x2) <= 0] (identical reference objects define no line). *)
-
-val line_of_distance : x1:'a -> x2:'a -> d12:float -> 'a line
-(** Build a line from a precomputed distance (used when pivot–pivot
-    distances are already cached).  Requires [d12 > 0]. *)
-
-val project : 'a Dbh_space.Space.t -> 'a line -> 'a -> float
-(** Evaluate [F(x)]; costs exactly two distance computations. *)
-
 val project_with : d1:float -> d2:float -> d12:float -> float
-(** The bare formula on precomputed distances [d1 = D(x,x1)],
-    [d2 = D(x,x2)] — the hot path once pivot distances are cached. *)
+(** The formula on precomputed distances [d1 = D(x,x1)], [d2 = D(x,x2)]
+    and [d12 > 0] — {!Hash_family} evaluates every function through it
+    once the pivot distances are cached. *)

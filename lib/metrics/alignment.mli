@@ -3,35 +3,24 @@
     The paper's introduction motivates nearest-neighbor retrieval for
     "analysis of biological sequences" (BLAST, Swiss-Prot); alignment
     scores are the similarity measures of that world, and the distances
-    derived from them are non-metric — exactly DBH territory. *)
+    derived from them are non-metric — exactly DBH territory.
 
-type scoring = {
-  match_score : float;  (** reward for equal symbols (> 0) *)
-  mismatch : float;  (** penalty (typically < 0) for unequal symbols *)
-  gap : float;  (** penalty (typically < 0) per insertion/deletion *)
-}
+    Both distances score with a common nucleotide scheme: match 2,
+    mismatch −1, gap −2 per inserted or deleted symbol.  Each fills an
+    O(|a|·|b|) table in O(min(|a|,|b|)) space. *)
 
-val default_scoring : scoring
-(** match 2, mismatch −1, gap −2 (a common nucleotide scheme). *)
-
-val needleman_wunsch : ?scoring:scoring -> string -> string -> float
-(** Global alignment score (higher = more similar).  O(|a|·|b|) time,
-    O(min) space. *)
-
-val global_distance : ?scoring:scoring -> string -> string -> float
-(** [match_score · max(|a|,|b|) − needleman_wunsch a b]: non-negative,
-    zero iff the strings are equal (for sensible scorings with
-    [mismatch, gap < match_score]).  Symmetric; no triangle inequality in
+val global_distance : string -> string -> float
+(** [2 · max(|a|,|b|) − nw(a,b)], where [nw] is the Needleman–Wunsch
+    global alignment score (higher = more similar): non-negative, zero
+    iff the strings are equal.  Symmetric; no triangle inequality in
     general. *)
 
-val smith_waterman : ?scoring:scoring -> string -> string -> float
-(** Local alignment score: best-scoring pair of substrings; never
-    negative. *)
-
-val local_distance : ?scoring:scoring -> string -> string -> float
-(** [1 − sw(a,b) / sqrt (sw(a,a) · sw(b,b))] — normalized local
-    dissimilarity in [0, 1] (0 iff one string contains the other's best
-    self-alignment); non-metric.  Raises on empty strings. *)
+val local_distance : string -> string -> float
+(** [1 − sw(a,b) / sqrt (sw(a,a) · sw(b,b))], where [sw] is the
+    Smith–Waterman local alignment score (the best-scoring pair of
+    substrings, never negative) — normalized local dissimilarity in
+    [0, 1] (0 iff one string contains the other's best self-alignment);
+    non-metric.  Raises on empty strings. *)
 
 val global_space : string Dbh_space.Space.t
 val local_space : string Dbh_space.Space.t

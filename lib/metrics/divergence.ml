@@ -10,13 +10,7 @@ let kl ?(epsilon = 1e-12) p q =
   done;
   !acc
 
-let symmetric_kl ?(epsilon = 1e-12) p q = kl ~epsilon p q +. kl ~epsilon q p
-
-let jensen_shannon p q =
-  check_lengths p q;
-  let n = Array.length p in
-  let m = Array.init n (fun i -> (p.(i) +. q.(i)) /. 2.) in
-  (kl p m +. kl q m) /. 2.
+let symmetric_kl p q = kl p q +. kl q p
 
 let chi2 p q =
   check_lengths p q;
@@ -30,27 +24,9 @@ let chi2 p q =
   done;
   0.5 *. !acc
 
-let total_variation p q =
-  check_lengths p q;
-  let acc = ref 0. in
-  for i = 0 to Array.length p - 1 do
-    acc := !acc +. Float.abs (p.(i) -. q.(i))
-  done;
-  0.5 *. !acc
-
-let histogram_intersection p q =
-  check_lengths p q;
-  let acc = ref 0. in
-  for i = 0 to Array.length p - 1 do
-    acc := !acc +. Float.min p.(i) q.(i)
-  done;
-  1. -. !acc
-
 let normalize p =
   let total = Array.fold_left ( +. ) 0. p in
   if total <= 0. then invalid_arg "Divergence.normalize: non-positive sum";
   Array.map (fun x -> x /. total) p
 
-let kl_space = Dbh_space.Space.make ~name:"KL" (fun p q -> kl p q)
-let symmetric_kl_space = Dbh_space.Space.make ~name:"symKL" (fun p q -> symmetric_kl p q)
-let chi2_space = Dbh_space.Space.make ~name:"chi2" chi2
+let symmetric_kl_space = Dbh_space.Space.make ~name:"symKL" symmetric_kl

@@ -10,29 +10,15 @@ val kl : ?epsilon:float -> float array -> float array -> float
     [epsilon] (default [1e-12]) so zero cells do not produce infinities
     (the usual smoothing when KL is used as a retrieval dissimilarity). *)
 
-val symmetric_kl : ?epsilon:float -> float array -> float array -> float
-(** [kl p q + kl q p] — the symmetrized variant commonly used for
-    retrieval; still violates the triangle inequality. *)
-
-val jensen_shannon : float array -> float array -> float
-(** Jensen–Shannon divergence (bounded, symmetric; its square root is a
-    metric — useful as a metric control in experiments). *)
-
 val chi2 : float array -> float array -> float
 (** χ² histogram distance [0.5 · Σ (p_i − q_i)² / (p_i + q_i)], with
     zero-sum cells contributing zero — the per-bin cost used by shape
     contexts. *)
 
-val total_variation : float array -> float array -> float
-(** [0.5 · Σ |p_i − q_i|]. *)
-
-val histogram_intersection : float array -> float array -> float
-(** [1 − Σ min(p_i, q_i)] for normalized histograms. *)
-
 val normalize : float array -> float array
 (** Scale a non-negative array to sum to 1.  Raises on a zero or negative
     sum. *)
 
-val kl_space : float array Dbh_space.Space.t
 val symmetric_kl_space : float array Dbh_space.Space.t
-val chi2_space : float array Dbh_space.Space.t
+(** [kl p q + kl q p] — the symmetrized variant commonly used for
+    retrieval; still violates the triangle inequality. *)

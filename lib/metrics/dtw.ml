@@ -1,82 +1,28 @@
-let distance ?band ~cost a b =
+let distance ~cost a b =
   let n = Array.length a and m = Array.length b in
   if n = 0 || m = 0 then invalid_arg "Dtw.distance: empty sequence";
-  (* Row i of the DP table covers prefix a[0..i]; we keep two rows.
-     With a band, column j is admissible for row i when
-     |j - i*m/n| <= band (slope-normalized Sakoe-Chiba). *)
-  let admissible =
-    match band with
-    | None -> fun _ _ -> true
-    | Some w ->
-        if w < 0 then invalid_arg "Dtw.distance: negative band";
-        fun i j ->
-          let center = i * (m - 1) / max 1 (n - 1) in
-          abs (j - center) <= w + abs (m - n)
-  in
+  (* Row i of the DP table covers prefix a[0..i]; we keep two rows. *)
   let prev = Array.make m infinity in
   let cur = Array.make m infinity in
   for j = 0 to m - 1 do
-    if admissible 0 j then
-      prev.(j) <- (if j = 0 then cost a.(0) b.(0) else prev.(j - 1) +. cost a.(0) b.(j))
+    prev.(j) <- (if j = 0 then cost a.(0) b.(0) else prev.(j - 1) +. cost a.(0) b.(j))
   done;
   for i = 1 to n - 1 do
     Array.fill cur 0 m infinity;
     for j = 0 to m - 1 do
-      if admissible i j then begin
-        let best =
-          if j = 0 then prev.(0)
-          else Float.min prev.(j) (Float.min prev.(j - 1) cur.(j - 1))
-        in
-        if best < infinity then cur.(j) <- best +. cost a.(i) b.(j)
-      end
+      let best =
+        if j = 0 then prev.(0)
+        else Float.min prev.(j) (Float.min prev.(j - 1) cur.(j - 1))
+      in
+      if best < infinity then cur.(j) <- best +. cost a.(i) b.(j)
     done;
     Array.blit cur 0 prev 0 m
   done;
   prev.(m - 1)
 
-let path ~cost a b =
-  let n = Array.length a and m = Array.length b in
-  if n = 0 || m = 0 then invalid_arg "Dtw.path: empty sequence";
-  let d = Array.make_matrix n m infinity in
-  for i = 0 to n - 1 do
-    for j = 0 to m - 1 do
-      let c = cost a.(i) b.(j) in
-      let best =
-        if i = 0 && j = 0 then 0.
-        else if i = 0 then d.(0).(j - 1)
-        else if j = 0 then d.(i - 1).(0)
-        else Float.min d.(i - 1).(j) (Float.min d.(i).(j - 1) d.(i - 1).(j - 1))
-      in
-      d.(i).(j) <- best +. c
-    done
-  done;
-  (* Backtrack from the terminal cell. *)
-  let rec back i j acc =
-    if i = 0 && j = 0 then (i, j) :: acc
-    else begin
-      let candidates =
-        List.filter
-          (fun (i', j') -> i' >= 0 && j' >= 0)
-          [ (i - 1, j - 1); (i - 1, j); (i, j - 1) ]
-      in
-      let best =
-        List.fold_left
-          (fun acc (i', j') ->
-            match acc with
-            | None -> Some (i', j')
-            | Some (bi, bj) -> if d.(i').(j') < d.(bi).(bj) then Some (i', j') else acc)
-          None candidates
-      in
-      match best with
-      | Some (i', j') -> back i' j' ((i, j) :: acc)
-      | None -> assert false
-    end
-  in
-  (back (n - 1) (m - 1) [], d.(n - 1).(m - 1))
-
 let float_cost x y = Float.abs (x -. y)
 
-let floats ?band a b = distance ?band ~cost:float_cost a b
+let floats a b = distance ~cost:float_cost a b
 
 (* Each domain's DTW block: [b]'s x coordinates, its y coordinates and
    the two DP rows, [m] floats each.  A longer [b] replaces it with a
@@ -147,8 +93,3 @@ let points a b =
   in
   Dbh_util.Per_domain.give blocks w;
   d
-
-(* DTW is O(|a|*|b|), so one element's share of a distance call scales
-   with its own length. *)
-let float_space =
-  Dbh_space.Space.make ~item_cost:Array.length ~name:"DTW-1d" (fun a b -> floats a b)

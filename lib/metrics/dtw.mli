@@ -6,23 +6,13 @@
     (with a symmetric ground cost) but violates the triangle inequality —
     one of the paper's three motivating non-metric measures. *)
 
-val distance : ?band:int -> cost:('a -> 'a -> float) -> 'a array -> 'a array -> float
+val distance : cost:('a -> 'a -> float) -> 'a array -> 'a array -> float
 (** [distance ~cost a b] is the DTW distance with ground cost [cost]: the
     generic path, used by {!floats} and custom ground costs, and the
-    reference {!points} is tested against.
-    [band], when given, restricts the warping path to the Sakoe–Chiba band
-    of half-width [band] around the diagonal (after slope normalization
-    for unequal lengths); paths outside yield [infinity] only if no banded
-    path exists, which cannot happen for [band >= 0] since the
-    (slope-adjusted) diagonal is always admissible.  Raises on empty
-    sequences.  O(|a|·|b|) time, O(min) space. *)
+    reference {!points} is tested against.  Raises on empty sequences.
+    O(|a|·|b|) time, O(|b|) space. *)
 
-val path :
-  cost:('a -> 'a -> float) -> 'a array -> 'a array -> (int * int) list * float
-(** Optimal alignment as index pairs (in order) together with its cost.
-    O(|a|·|b|) space. *)
-
-val floats : ?band:int -> float array -> float array -> float
+val floats : float array -> float array -> float
 (** DTW on scalar series with ground cost [|x − y|]. *)
 
 val points : Geom.point array -> Geom.point array -> float
@@ -35,5 +25,3 @@ val points : Geom.point array -> Geom.point array -> float
     grown to the longest [b] met, so a warmed call allocates only its
     boxed result.  Any other input runs [distance] itself.  Raises on
     empty sequences. *)
-
-val float_space : float array Dbh_space.Space.t

@@ -1,61 +1,22 @@
-let levenshtein ?(sub_cost = 1.) ?(gap_cost = 1.) a b =
+let levenshtein a b =
   (* Keep the shorter string in the inner dimension for O(min) space. *)
   let a, b = if String.length a < String.length b then (a, b) else (b, a) in
   let n = String.length a in
   let m = String.length b in
-  let prev = Array.init (n + 1) (fun i -> float_of_int i *. gap_cost) in
+  let prev = Array.init (n + 1) float_of_int in
   let cur = Array.make (n + 1) 0. in
   for j = 1 to m do
-    cur.(0) <- float_of_int j *. gap_cost;
+    cur.(0) <- float_of_int j;
     for i = 1 to n do
-      let subst = if a.[i - 1] = b.[j - 1] then prev.(i - 1) else prev.(i - 1) +. sub_cost in
-      let del = prev.(i) +. gap_cost in
-      let ins = cur.(i - 1) +. gap_cost in
+      let subst = if a.[i - 1] = b.[j - 1] then prev.(i - 1) else prev.(i - 1) +. 1. in
+      let del = prev.(i) +. 1. in
+      let ins = cur.(i - 1) +. 1. in
       cur.(i) <- Float.min subst (Float.min del ins)
     done;
     Array.blit cur 0 prev 0 (n + 1)
   done;
   prev.(n)
 
-let levenshtein_banded ~band a b =
-  if band < 0 then invalid_arg "Edit_distance.levenshtein_banded: negative band";
-  let n = String.length a and m = String.length b in
-  if abs (n - m) > band then
-    (* No alignment fits in the band; max(n,m) is always a valid upper
-       bound (substitute along the shorter string, then insert/delete). *)
-    float_of_int (max n m)
-  else begin
-    let inf = float_of_int (n + m + 1) in
-    let prev = Array.make (m + 1) inf in
-    let cur = Array.make (m + 1) inf in
-    for j = 0 to min band m do
-      prev.(j) <- float_of_int j
-    done;
-    for i = 1 to n do
-      Array.fill cur 0 (m + 1) inf;
-      let lo = max 0 (i - band) and hi = min m (i + band) in
-      if lo = 0 then cur.(0) <- float_of_int i;
-      for j = max 1 lo to hi do
-        let subst = if a.[i - 1] = b.[j - 1] then prev.(j - 1) else prev.(j - 1) +. 1. in
-        let del = prev.(j) +. 1. in
-        let ins = cur.(j - 1) +. 1. in
-        cur.(j) <- Float.min subst (Float.min del ins)
-      done;
-      Array.blit cur 0 prev 0 (m + 1)
-    done;
-    prev.(m)
-  end
-
 (* O(|a|*|b|) dynamic program: cost scales with the string length. *)
 let space =
-  Dbh_space.Space.make ~item_cost:String.length ~name:"levenshtein" (fun a b ->
-      levenshtein a b)
-
-let substitution_only a b =
-  if String.length a <> String.length b then
-    invalid_arg "Edit_distance.substitution_only: length mismatch";
-  let acc = ref 0 in
-  for i = 0 to String.length a - 1 do
-    if a.[i] <> b.[i] then incr acc
-  done;
-  float_of_int !acc
+  Dbh_space.Space.make ~item_cost:String.length ~name:"levenshtein" levenshtein

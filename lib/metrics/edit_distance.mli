@@ -4,19 +4,9 @@
     LSH variants exist only for the substitution-only restriction, whereas
     DBH indexes the full insert/delete/substitute distance directly. *)
 
-val levenshtein : ?sub_cost:float -> ?gap_cost:float -> string -> string -> float
-(** Weighted edit distance (insertions and deletions cost [gap_cost],
-    substitutions [sub_cost]; both default to [1.]).  O(|a|·|b|) time,
-    O(min(|a|,|b|)) space. *)
-
-val levenshtein_banded : band:int -> string -> string -> float
-(** Unit-cost edit distance restricted to alignments within [band] of the
-    diagonal (Ukkonen).  An upper bound on {!levenshtein}; exact whenever
-    the true distance is at most [band]. *)
+val levenshtein : string -> string -> float
+(** Unit-cost edit distance: insertions, deletions and substitutions each
+    cost [1.].  O(|a|·|b|) time, O(min(|a|,|b|)) space. *)
 
 val space : string Dbh_space.Space.t
-(** Unit-cost Levenshtein as a space. *)
-
-val substitution_only : string -> string -> float
-(** Hamming-style distance with substitutions only (strings must have
-    equal length) — the restricted measure classic string LSH covers. *)
+(** {!levenshtein} as a space. *)

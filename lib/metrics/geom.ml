@@ -1,7 +1,6 @@
 type point = { x : float; y : float }
 
 let point x y = { x; y }
-let origin = { x = 0.; y = 0. }
 
 let add a b = { x = a.x +. b.x; y = a.y +. b.y }
 let sub a b = { x = a.x -. b.x; y = a.y -. b.y }
@@ -19,14 +18,8 @@ let angle_of p =
   let a = atan2 p.y p.x in
   if a < 0. then a +. (2. *. Float.pi) else a
 
-let centroid pts =
-  if Array.length pts = 0 then invalid_arg "Geom.centroid: empty point set";
-  let acc = Array.fold_left add origin pts in
-  scale (1. /. float_of_int (Array.length pts)) acc
-
 let translate offset pts = Array.map (add offset) pts
 let rotate_all theta pts = Array.map (rotate theta) pts
-let scale_all s pts = Array.map (scale s) pts
 
 let mean_pairwise_distance pts =
   let n = Array.length pts in
@@ -77,19 +70,3 @@ let resample n poly =
       out
     end
   end
-
-let normalize_to_unit_box pts =
-  if Array.length pts = 0 then invalid_arg "Geom.normalize_to_unit_box: empty point set";
-  let min_x = ref pts.(0).x and max_x = ref pts.(0).x in
-  let min_y = ref pts.(0).y and max_y = ref pts.(0).y in
-  Array.iter
-    (fun p ->
-      if p.x < !min_x then min_x := p.x;
-      if p.x > !max_x then max_x := p.x;
-      if p.y < !min_y then min_y := p.y;
-      if p.y > !max_y then max_y := p.y)
-    pts;
-  let cx = (!min_x +. !max_x) /. 2. and cy = (!min_y +. !max_y) /. 2. in
-  let half_span = Float.max ((!max_x -. !min_x) /. 2.) ((!max_y -. !min_y) /. 2.) in
-  let s = if half_span > 0. then 1. /. half_span else 1. in
-  Array.map (fun p -> { x = s *. (p.x -. cx); y = s *. (p.y -. cy) }) pts

@@ -6,7 +6,6 @@
 type point = { x : float; y : float }
 
 val point : float -> float -> point
-val origin : point
 
 val add : point -> point -> point
 val sub : point -> point -> point
@@ -22,12 +21,8 @@ val rotate : float -> point -> point
 val angle_of : point -> float
 (** Polar angle in [\[0, 2π)]. *)
 
-val centroid : point array -> point
-(** Mean of a non-empty point set. *)
-
 val translate : point -> point array -> point array
 val rotate_all : float -> point array -> point array
-val scale_all : float -> point array -> point array
 
 val mean_pairwise_distance : point array -> float
 (** Average distance over all unordered pairs of a point set with at least
@@ -40,8 +35,3 @@ val resample : int -> point array -> point array
 (** [resample n poly] returns [n] points evenly spaced by arc length along
     the polyline [poly].  Requires [n >= 2] and a non-empty input; a
     single-point input is replicated. *)
-
-val normalize_to_unit_box : point array -> point array
-(** Translate and uniformly scale a non-empty point set so that its
-    bounding box fits in [\[-1,1\]²] centred at the origin.  Degenerate
-    (single-location) sets are translated only. *)

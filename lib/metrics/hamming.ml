@@ -6,22 +6,4 @@ let bools a b =
   done;
   float_of_int !acc
 
-let strings a b =
-  if String.length a <> String.length b then invalid_arg "Hamming.strings: length mismatch";
-  let acc = ref 0 in
-  for i = 0 to String.length a - 1 do
-    if a.[i] <> b.[i] then incr acc
-  done;
-  float_of_int !acc
-
-let ints a b =
-  if Array.length a <> Array.length b then invalid_arg "Hamming.ints: length mismatch";
-  let acc = ref 0 in
-  for i = 0 to Array.length a - 1 do
-    if a.(i) <> b.(i) then incr acc
-  done;
-  float_of_int !acc
-
 let bool_space = Dbh_space.Space.make ~name:"hamming-bool" bools
-let string_space = Dbh_space.Space.make ~name:"hamming-string" strings
-let int_space = Dbh_space.Space.make ~name:"hamming-int" ints

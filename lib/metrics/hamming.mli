@@ -1,4 +1,4 @@
-(** Hamming distance on bit vectors and strings.
+(** Hamming distance on bit vectors.
 
     The original LSH constructions [Gionis–Indyk–Motwani] are stated for
     the Hamming cube; the {!Dbh_lsh} baseline and its comparison
@@ -7,13 +7,4 @@
 val bools : bool array -> bool array -> float
 (** Number of differing positions of two equal-length boolean vectors. *)
 
-val strings : string -> string -> float
-(** Number of differing positions of two equal-length strings. *)
-
-val ints : int array -> int array -> float
-(** Number of differing positions of two equal-length integer arrays
-    (values compared for equality, i.e. a generalized Hamming distance). *)
-
 val bool_space : bool array Dbh_space.Space.t
-val string_space : string Dbh_space.Space.t
-val int_space : int array Dbh_space.Space.t

@@ -1,14 +1,6 @@
 let check_lengths a b =
   if Array.length a <> Array.length b then invalid_arg "Minkowski: dimension mismatch"
 
-let l1 a b =
-  check_lengths a b;
-  let acc = ref 0. in
-  for i = 0 to Array.length a - 1 do
-    acc := !acc +. Float.abs (a.(i) -. b.(i))
-  done;
-  !acc
-
 let l2_squared a b =
   check_lengths a b;
   let acc = ref 0. in
@@ -19,26 +11,4 @@ let l2_squared a b =
   !acc
 
 let l2 a b = sqrt (l2_squared a b)
-
-let linf a b =
-  check_lengths a b;
-  let acc = ref 0. in
-  for i = 0 to Array.length a - 1 do
-    let d = Float.abs (a.(i) -. b.(i)) in
-    if d > !acc then acc := d
-  done;
-  !acc
-
-let lp p a b =
-  if p < 1. then invalid_arg "Minkowski.lp: p must be >= 1";
-  check_lengths a b;
-  let acc = ref 0. in
-  for i = 0 to Array.length a - 1 do
-    acc := !acc +. (Float.abs (a.(i) -. b.(i)) ** p)
-  done;
-  !acc ** (1. /. p)
-
-let l1_space = Dbh_space.Space.make ~name:"L1" l1
 let l2_space = Dbh_space.Space.make ~name:"L2" l2
-let linf_space = Dbh_space.Space.make ~name:"Linf" linf
-let lp_space p = Dbh_space.Space.make ~name:(Printf.sprintf "L%g" p) (lp p)

@@ -1,17 +1,8 @@
-(** Minkowski (Lp) distances on float vectors.
+(** Euclidean (L2) distance on float vectors.
 
-    These are the spaces classical LSH covers; DBH must match dedicated
+    This is the space classical LSH covers; DBH must match dedicated
     methods here while also handling the non-metric measures LSH cannot. *)
 
-val l1 : float array -> float array -> float
 val l2 : float array -> float array -> float
 val l2_squared : float array -> float array -> float
-val linf : float array -> float array -> float
-
-val lp : float -> float array -> float array -> float
-(** [lp p] for [p >= 1].  [lp 2. = l2] etc. *)
-
-val l1_space : float array Dbh_space.Space.t
 val l2_space : float array Dbh_space.Space.t
-val linf_space : float array Dbh_space.Space.t
-val lp_space : float -> float array Dbh_space.Space.t

@@ -35,15 +35,3 @@ let jaccard a b =
   let na, nb, inter = sizes a b in
   let union = na + nb - inter in
   if union = 0 then 0. else 1. -. (float_of_int inter /. float_of_int union)
-
-let dice a b =
-  let na, nb, inter = sizes a b in
-  if na + nb = 0 then 0. else 1. -. (2. *. float_of_int inter /. float_of_int (na + nb))
-
-let overlap a b =
-  let na, nb, inter = sizes a b in
-  let m = min na nb in
-  if m = 0 then 0. else 1. -. (float_of_int inter /. float_of_int m)
-
-let jaccard_space = Dbh_space.Space.make ~name:"jaccard" jaccard
-let dice_space = Dbh_space.Space.make ~name:"dice" dice

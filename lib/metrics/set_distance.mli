@@ -6,12 +6,3 @@
 val jaccard : int array -> int array -> float
 (** [1 − |A ∩ B| / |A ∪ B|]; [0.] for two empty sets.  Inputs need not be
     sorted and may contain duplicates (deduplicated internally). *)
-
-val dice : int array -> int array -> float
-(** [1 − 2|A ∩ B| / (|A| + |B|)] — non-metric companion of Jaccard. *)
-
-val overlap : int array -> int array -> float
-(** [1 − |A ∩ B| / min(|A|, |B|)]; [0.] when either set is empty. *)
-
-val jaccard_space : int array Dbh_space.Space.t
-val dice_space : int array Dbh_space.Space.t

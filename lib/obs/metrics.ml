@@ -153,7 +153,6 @@ let create () = on (Registry.create ())
 let installed : t option Atomic.t = Atomic.make None
 
 let install m = Atomic.set installed (Some m)
-let uninstall () = Atomic.set installed None
 let get () = Atomic.get installed
 let resolve = function Some _ as m -> m | None -> get ()
 

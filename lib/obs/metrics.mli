@@ -108,8 +108,6 @@ val install : t -> unit
     back to when no explicit [?metrics] is given.  Replaces any
     previously installed set. *)
 
-val uninstall : unit -> unit
-
 val get : unit -> t option
 (** The installed set, if any — one [Atomic.get]. *)
 

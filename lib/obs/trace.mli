@@ -58,8 +58,6 @@ val dropped : t -> int
 val clear : t -> unit
 (** Forget all events (and the dropped count); the trace is reusable. *)
 
-val pp_event : Format.formatter -> event -> unit
-
 val pp : Format.formatter -> t -> unit
 (** The full timeline, one event per line, with timestamps relative to
     the first event. *)

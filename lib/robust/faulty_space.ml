@@ -7,8 +7,6 @@ type config = {
   negative_prob : float;
   perturb_prob : float;
   perturb_scale : float;
-  latency_prob : float;
-  latency_spin : int;
 }
 
 let quiet =
@@ -18,19 +16,10 @@ let quiet =
     negative_prob = 0.;
     perturb_prob = 0.;
     perturb_scale = 0.25;
-    latency_prob = 0.;
-    latency_spin = 10_000;
   }
 
-let faults ?(nan = 0.) ?(exn_ = 0.) ?(negative = 0.) ?(perturb = 0.) ?(latency = 0.) () =
-  {
-    quiet with
-    nan_prob = nan;
-    exn_prob = exn_;
-    negative_prob = negative;
-    perturb_prob = perturb;
-    latency_prob = latency;
-  }
+let faults ?(nan = 0.) ?(exn_ = 0.) ?(negative = 0.) ?(perturb = 0.) () =
+  { quiet with nan_prob = nan; exn_prob = exn_; negative_prob = negative; perturb_prob = perturb }
 
 exception Injected of string
 
@@ -47,7 +36,6 @@ type t = {
   mutable exn : int;
   mutable negative : int;
   mutable perturbed : int;
-  mutable stalled : int;
 }
 
 let check_prob name p =
@@ -58,8 +46,7 @@ let validate c =
   check_prob "nan_prob" c.nan_prob;
   check_prob "exn_prob" c.exn_prob;
   check_prob "negative_prob" c.negative_prob;
-  check_prob "perturb_prob" c.perturb_prob;
-  check_prob "latency_prob" c.latency_prob
+  check_prob "perturb_prob" c.perturb_prob
 
 let config t = t.config
 
@@ -69,22 +56,11 @@ let set_config t c =
 
 let disable t = t.config <- quiet
 let calls t = t.calls
-let injected t = t.nan + t.exn + t.negative + t.perturbed + t.stalled
+let injected t = t.nan + t.exn + t.negative + t.perturbed
 let injected_nan t = t.nan
 let injected_exn t = t.exn
 let injected_negative t = t.negative
 let perturbed t = t.perturbed
-let stalled t = t.stalled
-
-let spin n =
-  (* Deterministic stand-in for a stalled remote distance service; the
-     accumulator escapes through opaque_identity so the loop survives
-     optimization. *)
-  let acc = ref 0 in
-  for i = 1 to n do
-    acc := !acc + i
-  done;
-  ignore (Sys.opaque_identity !acc)
 
 (* splitmix64 finalizer: full-avalanche scramble of one 64-bit word. *)
 let mix64 z =
@@ -125,7 +101,6 @@ let wrap ~rng ?(config = quiet) space =
       exn = 0;
       negative = 0;
       perturbed = 0;
-      stalled = 0;
     }
   in
   let distance x y =
@@ -139,11 +114,11 @@ let wrap ~rng ?(config = quiet) space =
     let c = t.config in
     (* The draws depend only on (pair, occurrence), never on the live
        configuration, so the fault pattern stays aligned with the call
-       sequence even when the config changes mid-run. *)
-    let u_latency = uniform t ~hx ~hy ~occurrence ~stream:0 in
+       sequence even when the config changes mid-run.  Stream 1 picks
+       the fault and stream 2 its perturbation factor; the stream numbers
+       are part of the seeded pattern, so renumbering them would move
+       every fault. *)
     let u = uniform t ~hx ~hy ~occurrence ~stream:1 in
-    let stall = u_latency < c.latency_prob in
-    if stall then t.stalled <- t.stalled + 1;
     let outcome =
       if u < c.nan_prob then begin
         t.nan <- t.nan + 1;
@@ -165,7 +140,6 @@ let wrap ~rng ?(config = quiet) space =
       else Pass
     in
     Mutex.unlock t.lock;
-    if stall then spin c.latency_spin;
     match outcome with
     | Return_nan -> Float.nan
     | Raise_exn -> raise (Injected (Printf.sprintf "injected failure in %s" space.Space.name))

@@ -3,8 +3,7 @@
     Wraps a space so that each distance evaluation may — with configured
     probabilities, driven by an explicit RNG so runs are reproducible from
     a seed — return NaN, raise an exception, return a negative value,
-    perturb the true value, or stall (a bounded busy-loop standing in for
-    a slow remote call).  Tests and benchmarks use it to exercise the
+    or perturb the true value.  Tests and benchmarks use it to exercise the
     whole pipeline (guards, budgets, the circuit breaker) under realistic
     failure, with the same failures on every run.
 
@@ -20,17 +19,14 @@ type config = {
   perturb_scale : float;
       (** relative perturbation amplitude: value scales by a factor
           uniform in [1 ± perturb_scale] *)
-  latency_prob : float;  (** P(stall before answering) *)
-  latency_spin : int;  (** busy-loop iterations per injected stall *)
 }
 
 val quiet : config
-(** All fault probabilities zero (perturb_scale 0.25, latency_spin 10_000
-    as defaults for when the knobs are turned up). *)
+(** All fault probabilities zero (perturb_scale 0.25 as the default for
+    when perturbation is turned up). *)
 
 val faults :
-  ?nan:float -> ?exn_:float -> ?negative:float -> ?perturb:float -> ?latency:float ->
-  unit -> config
+  ?nan:float -> ?exn_:float -> ?negative:float -> ?perturb:float -> unit -> config
 (** {!quiet} with the given probabilities switched on. *)
 
 exception Injected of string
@@ -57,11 +53,9 @@ val disable : t -> unit
 
 val calls : t -> int
 val injected : t -> int
-(** Total faults injected (all kinds, including stalls and
-    perturbations). *)
+(** Total faults injected (all kinds, including perturbations). *)
 
 val injected_nan : t -> int
 val injected_exn : t -> int
 val injected_negative : t -> int
 val perturbed : t -> int
-val stalled : t -> int

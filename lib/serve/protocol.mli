@@ -75,8 +75,6 @@ val pp_response : Format.formatter -> response -> unit
 
 val header_bytes : int  (** bytes before the payload (17) *)
 
-val overhead_bytes : int  (** header + trailing CRC (21) *)
-
 val default_max_payload : int  (** 1 MiB *)
 
 (** {1 Encoding} *)

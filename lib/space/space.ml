@@ -72,24 +72,6 @@ let transform ~name f s =
   (* Pull the cost estimate back along the feature map too. *)
   { name; distance; item_cost = Option.map (fun c x -> c (f x)) s.item_cost }
 
-(* Component costs add: evaluating the product distance evaluates both
-   component distances.  With neither side annotated the product stays
-   unannotated (constant cost). *)
-let product_cost a b =
-  match (a.item_cost, b.item_cost) with
-  | None, None -> None
-  | ca, cb ->
-      let get c x = match c with None -> 1 | Some c -> max 1 (c x) in
-      Some (fun (x, y) -> get ca x + get cb y)
-
-let max_product a b =
-  let distance (xa, xb) (ya, yb) = Float.max (a.distance xa ya) (b.distance xb yb) in
-  { name = Printf.sprintf "max(%s,%s)" a.name b.name; distance; item_cost = product_cost a b }
-
-let sum_product a b =
-  let distance (xa, xb) (ya, yb) = a.distance xa ya +. b.distance xb yb in
-  { name = Printf.sprintf "sum(%s,%s)" a.name b.name; distance; item_cost = product_cost a b }
-
 let is_symmetric ?(tol = 1e-9) t sample =
   let n = Array.length sample in
   let ok = ref true in

@@ -95,14 +95,6 @@ val transform : name:string -> ('b -> 'a) -> 'a t -> 'b t
 (** [transform ~name f s] measures distance between [x] and [y] as
     [s.distance (f x) (f y)] — pullback of a space along a feature map. *)
 
-val max_product : 'a t -> 'b t -> ('a * 'b) t
-(** L∞-style product: distance of pairs is the max of component
-    distances.  Preserves metric axioms of the components. *)
-
-val sum_product : 'a t -> 'b t -> ('a * 'b) t
-(** L1-style product: distance of pairs is the sum of component
-    distances. *)
-
 (** {1 Checks (for tests and diagnostics)} *)
 
 val is_symmetric : ?tol:float -> 'a t -> 'a array -> bool

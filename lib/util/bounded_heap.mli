@@ -13,7 +13,6 @@ val create : int -> 'a t
 
 val capacity : 'a t -> int
 val size : 'a t -> int
-val is_full : 'a t -> bool
 
 val threshold : 'a t -> float
 (** Largest (worst) key currently retained, or [infinity] while the heap is

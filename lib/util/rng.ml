@@ -123,19 +123,6 @@ let choose_index_weighted t weights =
   in
   scan 0 0.
 
-let shuffle_in_place t arr =
-  for i = Array.length arr - 1 downto 1 do
-    let j = int t (i + 1) in
-    let tmp = arr.(i) in
-    arr.(i) <- arr.(j);
-    arr.(j) <- tmp
-  done
-
-let shuffle t arr =
-  let copy = Array.copy arr in
-  shuffle_in_place t copy;
-  copy
-
 let sample_indices t m n =
   if m < 0 || m > n then invalid_arg "Rng.sample_indices";
   (* Partial Fisher–Yates over an index array. *)

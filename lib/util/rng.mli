@@ -71,12 +71,6 @@ val choose_index_weighted : t -> float array -> int
     proportional to [w.(i)].  Weights must be non-negative with a positive
     sum. *)
 
-val shuffle_in_place : t -> 'a array -> unit
-(** Fisher–Yates shuffle. *)
-
-val shuffle : t -> 'a array -> 'a array
-(** Shuffled copy; the input is left untouched. *)
-
 val sample_without_replacement : t -> int -> 'a array -> 'a array
 (** [sample_without_replacement t m arr] is [m] distinct elements of [arr]
     in random order.  Requires [0 <= m <= Array.length arr]. *)

@@ -27,6 +27,11 @@ let test_db seed n =
 
 (* ------------------------------------------------------------ Projection *)
 
+(* F^{A,B}(X) (Eq. 4) from the three distances [Hash_family] feeds it. *)
+let project x a b =
+  let d = l2.Space.distance in
+  Projection.project_with ~d1:(d x a) ~d2:(d x b) ~d12:(d a b)
+
 let test_projection_euclidean_exact () =
   (* In Euclidean space F^{A,B}(X) is the scalar projection of X-A on B-A. *)
   let rng = Rng.create 1 in
@@ -35,8 +40,7 @@ let test_projection_euclidean_exact () =
     let a = v () and b = v () and x = v () in
     let d12 = Minkowski.l2 a b in
     if d12 > 1e-6 then begin
-      let line = Projection.line l2 a b in
-      let f = Projection.project l2 line x in
+      let f = project x a b in
       let dot = ref 0. in
       Array.iteri (fun i ai -> dot := !dot +. ((x.(i) -. ai) *. (b.(i) -. ai))) a;
       let expected = !dot /. d12 in
@@ -46,14 +50,25 @@ let test_projection_euclidean_exact () =
 
 let test_projection_endpoints () =
   let a = [| 0.; 0. |] and b = [| 4.; 0. |] in
-  let line = Projection.line l2 a b in
-  check_float "F(A) = 0" 0. (Projection.project l2 line a);
-  check_float "F(B) = d12" 4. (Projection.project l2 line b)
+  check_float "F(A) = 0" 0. (project a a b);
+  check_float "F(B) = d12" 4. (project b a b)
 
-let test_projection_zero_distance_rejected () =
-  Alcotest.check_raises "degenerate line"
-    (Invalid_argument "Projection.line: reference objects at distance 0")
-    (fun () -> ignore (Projection.line l2 [| 1. |] [| 1. |]))
+let test_projection_degenerate_rejected () =
+  (* Ten pivots over three distinct points: some pivot pairs coincide and
+     define no line (d12 = 0), so the family must skip exactly those. *)
+  let db = Array.init 30 (fun i -> [| float_of_int (i mod 3) |]) in
+  let family =
+    Hash_family.make ~rng:(Rng.create 1) ~space:l2 ~num_pivots:10 ~threshold_sample:30 db
+  in
+  let pivots = Hash_family.pivots family in
+  let lines = ref 0 in
+  Array.iteri
+    (fun i p -> Array.iteri (fun j q -> if i < j && p <> q then incr lines) pivots)
+    pivots;
+  Alcotest.(check int) "one function per non-degenerate pair" !lines (Hash_family.size family);
+  for i = 0 to Hash_family.size family - 1 do
+    Alcotest.(check bool) "d12 > 0" true ((Hash_family.fn family i).Hash_family.d12 > 0.)
+  done
 
 let test_project_with_formula () =
   check_float "formula" 0.75 (Projection.project_with ~d1:1. ~d2:1. ~d12:1.5);
@@ -789,7 +804,7 @@ let () =
         [
           Alcotest.test_case "euclidean exactness" `Quick test_projection_euclidean_exact;
           Alcotest.test_case "endpoints" `Quick test_projection_endpoints;
-          Alcotest.test_case "degenerate rejected" `Quick test_projection_zero_distance_rejected;
+          Alcotest.test_case "degenerate rejected" `Quick test_projection_degenerate_rejected;
           Alcotest.test_case "formula" `Quick test_project_with_formula;
         ] );
       ( "hash_family",

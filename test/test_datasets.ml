@@ -1,5 +1,5 @@
 (* Tests for Dbh_datasets: templates, pen digits, raster, image digits,
-   hand shapes, vectors, strings, series. *)
+   hand shapes, vectors, strings, documents, DNA. *)
 
 module Rng = Dbh_util.Rng
 module Geom = Dbh_metrics.Geom
@@ -11,7 +11,6 @@ module Image_digits = Dbh_datasets.Image_digits
 module Hand_shapes = Dbh_datasets.Hand_shapes
 module Vectors = Dbh_datasets.Vectors
 module Strings = Dbh_datasets.Strings
-module Series = Dbh_datasets.Series
 
 let check_loose tol = Alcotest.(check (float tol))
 
@@ -336,33 +335,6 @@ let test_dna_mutate_bounded () =
   Alcotest.(check bool) "close under alignment" true
     (Dbh_metrics.Alignment.global_distance s m <= 40.)
 
-(* ----------------------------------------------------------------- Series *)
-
-let test_series_shapes () =
-  let rng = Rng.create 23 in
-  let s = Series.sine ~rng ~length:64 () in
-  Alcotest.(check int) "length" 64 (Array.length s);
-  let w = Series.random_walk ~rng ~length:32 () in
-  Alcotest.(check int) "walk length" 32 (Array.length w);
-  check_loose 1e-12 "walk starts at 0" 0. w.(0)
-
-let test_series_warp_dtw_close () =
-  (* A warped series stays DTW-close while moving far pointwise. *)
-  let rng = Rng.create 24 in
-  let s = Series.sine ~rng ~length:64 ~noise:0. () in
-  let w = Series.warp ~rng ~strength:0.4 s in
-  let dtw = Dbh_metrics.Dtw.floats s w in
-  let pointwise = ref 0. in
-  Array.iteri (fun i x -> pointwise := !pointwise +. Float.abs (x -. w.(i))) s;
-  Alcotest.(check bool) "dtw absorbs warp" true (dtw < 0.5 *. !pointwise)
-
-let test_series_family_classes () =
-  let rng = Rng.create 25 in
-  let members, labels = Series.sine_family ~rng ~length:48 ~num_classes:4 60 in
-  let space = Dbh_metrics.Dtw.float_space in
-  let within, cross = class_separation space members labels ~samples:400 (Rng.create 26) in
-  Alcotest.(check bool) "frequency classes separate" true (within < 0.7 *. cross)
-
 let () =
   Alcotest.run "dbh_datasets"
     [
@@ -423,11 +395,5 @@ let () =
           Alcotest.test_case "shapes" `Quick test_dna_shapes;
           Alcotest.test_case "family structure" `Quick test_dna_family_structure;
           Alcotest.test_case "mutate bounded" `Quick test_dna_mutate_bounded;
-        ] );
-      ( "series",
-        [
-          Alcotest.test_case "shapes" `Quick test_series_shapes;
-          Alcotest.test_case "warp dtw close" `Quick test_series_warp_dtw_close;
-          Alcotest.test_case "family classes" `Quick test_series_family_classes;
         ] );
     ]

@@ -1,5 +1,5 @@
-(* Tests for Dbh_metrics: geometry, Lp, Hamming, divergences, edit
-   distance, DTW, chamfer, shape context, cosine. *)
+(* Tests for Dbh_metrics: geometry, L2, Hamming, divergences, edit
+   distance, DTW, chamfer, shape context, alignment, set distances. *)
 
 module Geom = Dbh_metrics.Geom
 module Minkowski = Dbh_metrics.Minkowski
@@ -9,7 +9,6 @@ module Edit_distance = Dbh_metrics.Edit_distance
 module Dtw = Dbh_metrics.Dtw
 module Chamfer = Dbh_metrics.Chamfer
 module Shape_context = Dbh_metrics.Shape_context
-module Cosine = Dbh_metrics.Cosine
 module Pen = Dbh_datasets.Pen_digits
 module Rng = Dbh_util.Rng
 
@@ -51,11 +50,6 @@ let test_geom_angle () =
   check_loose 1e-9 "west" Float.pi (Geom.angle_of (Geom.point (-1.) 0.));
   check_loose 1e-9 "south" (1.5 *. Float.pi) (Geom.angle_of (Geom.point 0. (-1.)))
 
-let test_geom_centroid () =
-  let c = Geom.centroid [| Geom.point 0. 0.; Geom.point 2. 4. |] in
-  check_float "cx" 1. c.Geom.x;
-  check_float "cy" 2. c.Geom.y
-
 let test_geom_resample () =
   let line = [| Geom.point 0. 0.; Geom.point 10. 0. |] in
   let r = Geom.resample 5 line in
@@ -74,16 +68,6 @@ let test_geom_resample_degenerate () =
   Alcotest.(check int) "replicated" 4 (Array.length r);
   check_float "value" 3. r.(2).Geom.x
 
-let test_geom_normalize_box () =
-  let pts = [| Geom.point 10. 10.; Geom.point 14. 12. |] in
-  let n = Geom.normalize_to_unit_box pts in
-  let max_abs =
-    Array.fold_left
-      (fun acc p -> Float.max acc (Float.max (Float.abs p.Geom.x) (Float.abs p.Geom.y)))
-      0. n
-  in
-  check_loose 1e-9 "fits unit box" 1. max_abs
-
 let test_geom_mean_pairwise () =
   let pts = [| Geom.point 0. 0.; Geom.point 3. 4.; Geom.point 0. 0. |] in
   (* pairs: 5, 5, 0 -> mean 10/3 *)
@@ -93,12 +77,8 @@ let test_geom_mean_pairwise () =
 
 let test_minkowski_known () =
   let a = [| 0.; 0. |] and b = [| 3.; 4. |] in
-  check_float "l1" 7. (Minkowski.l1 a b);
   check_float "l2" 5. (Minkowski.l2 a b);
-  check_float "l2sq" 25. (Minkowski.l2_squared a b);
-  check_float "linf" 4. (Minkowski.linf a b);
-  check_loose 1e-9 "lp(2)=l2" 5. (Minkowski.lp 2. a b);
-  check_loose 1e-9 "lp(1)=l1" 7. (Minkowski.lp 1. a b)
+  check_float "l2sq" 25. (Minkowski.l2_squared a b)
 
 let prop_metric name dist =
   QCheck.Test.make ~name ~count:200
@@ -112,16 +92,6 @@ let prop_metric name dist =
       && dab >= 0.
       && dac <= dab +. dbc +. 1e-6)
 
-let prop_lp_monotone =
-  (* Lp norms are non-increasing in p for fixed vectors. *)
-  QCheck.Test.make ~name:"lp non-increasing in p" ~count:200
-    QCheck.(pair (vec_gen 6) (vec_gen 6))
-    (fun (a, b) ->
-      let d1 = Minkowski.lp 1. a b
-      and d2 = Minkowski.lp 2. a b
-      and d4 = Minkowski.lp 4. a b in
-      d1 >= d2 -. 1e-9 && d2 >= d4 -. 1e-9 && d4 >= Minkowski.linf a b -. 1e-9)
-
 let test_minkowski_mismatch () =
   Alcotest.check_raises "mismatch" (Invalid_argument "Minkowski: dimension mismatch")
     (fun () -> ignore (Minkowski.l2 [| 1. |] [| 1.; 2. |]))
@@ -130,9 +100,7 @@ let test_minkowski_mismatch () =
 
 let test_hamming () =
   check_float "bools" 2. (Hamming.bools [| true; false; true |] [| false; false; false |]);
-  check_float "strings" 1. (Hamming.strings "abc" "abd");
-  check_float "ints" 2. (Hamming.ints [| 1; 2; 3 |] [| 1; 5; 9 |]);
-  check_float "self" 0. (Hamming.strings "xyz" "xyz")
+  check_float "self" 0. (Hamming.bools [| true; false |] [| true; false |])
 
 (* ------------------------------------------------------------ Divergence *)
 
@@ -157,30 +125,11 @@ let test_kl_asymmetric () =
   Alcotest.(check bool) "asymmetric" true
     (Float.abs (Divergence.kl p q -. Divergence.kl q p) > 1e-6)
 
-let prop_js_bounded_symmetric =
-  QCheck.Test.make ~name:"JS symmetric and bounded by ln 2" ~count:200
+let prop_chi2_sym =
+  QCheck.Test.make ~name:"chi2 symmetric, zero on self" ~count:200
     QCheck.(pair (dist_gen 5) (dist_gen 5))
     (fun (p, q) ->
-      let js = Divergence.jensen_shannon p q in
-      Float.abs (js -. Divergence.jensen_shannon q p) < 1e-9
-      && js >= -1e-12
-      && js <= log 2. +. 1e-9)
-
-let prop_chi2_tv_sym =
-  QCheck.Test.make ~name:"chi2 and TV symmetric, zero on self" ~count:200
-    QCheck.(pair (dist_gen 5) (dist_gen 5))
-    (fun (p, q) ->
-      Float.abs (Divergence.chi2 p q -. Divergence.chi2 q p) < 1e-12
-      && Float.abs (Divergence.total_variation p q -. Divergence.total_variation q p) < 1e-12
-      && Divergence.chi2 p p < 1e-12
-      && Divergence.total_variation p p < 1e-12)
-
-let test_tv_known () =
-  check_float "tv" 0.5 (Divergence.total_variation [| 1.; 0. |] [| 0.5; 0.5 |])
-
-let test_histogram_intersection () =
-  check_float "identical" 0. (Divergence.histogram_intersection [| 0.5; 0.5 |] [| 0.5; 0.5 |]);
-  check_float "disjoint" 1. (Divergence.histogram_intersection [| 1.; 0. |] [| 0.; 1. |])
+      Float.abs (Divergence.chi2 p q -. Divergence.chi2 q p) < 1e-12 && Divergence.chi2 p p < 1e-12)
 
 let test_normalize () =
   Alcotest.(check (array (float 1e-12))) "normalize" [| 0.25; 0.75 |]
@@ -193,9 +142,7 @@ let test_normalize () =
 let test_edit_known () =
   check_float "kitten/sitting" 3. (Edit_distance.levenshtein "kitten" "sitting");
   check_float "empty" 3. (Edit_distance.levenshtein "" "abc");
-  check_float "self" 0. (Edit_distance.levenshtein "same" "same");
-  check_float "weighted sub" 1.5
-    (Edit_distance.levenshtein ~sub_cost:1.5 "abc" "axc")
+  check_float "self" 0. (Edit_distance.levenshtein "same" "same")
 
 let edit_str_gen = QCheck.(string_gen_of_size (QCheck.Gen.int_range 0 12) (QCheck.Gen.char_range 'a' 'd'))
 
@@ -208,21 +155,6 @@ let prop_edit_metric =
       && d a a = 0.
       && d a c <= d a b +. d b c +. 1e-9
       && d a b >= Float.abs (float_of_int (String.length a - String.length b)) -. 1e-9)
-
-let prop_banded_upper_bound =
-  QCheck.Test.make ~name:"banded >= exact; equal with wide band" ~count:150
-    QCheck.(pair edit_str_gen edit_str_gen)
-    (fun (a, b) ->
-      let exact = Edit_distance.levenshtein a b in
-      let wide = Edit_distance.levenshtein_banded ~band:(String.length a + String.length b) a b in
-      let narrow = Edit_distance.levenshtein_banded ~band:1 a b in
-      Float.abs (wide -. exact) < 1e-9 && narrow >= exact -. 1e-9)
-
-let test_substitution_only () =
-  check_float "subs" 2. (Edit_distance.substitution_only "abcd" "axcy");
-  Alcotest.check_raises "length mismatch"
-    (Invalid_argument "Edit_distance.substitution_only: length mismatch")
-    (fun () -> ignore (Edit_distance.substitution_only "a" "ab"))
 
 (* ------------------------------------------------------------------- DTW *)
 
@@ -269,41 +201,6 @@ let test_dtw_non_metric () =
   check_float "d(b,c)" 0. dbc;
   check_float "d(a,c)" 2. dac;
   Alcotest.(check bool) "violates triangle" true (dac > dab +. dbc +. 1e-9)
-
-let test_dtw_path () =
-  let path, cost = Dtw.path ~cost:(fun x y -> Float.abs (x -. y)) [| 0.; 0.; 1. |] [| 0.; 1. |] in
-  check_float "path cost matches" (Dtw.floats [| 0.; 0.; 1. |] [| 0.; 1. |]) cost;
-  (match path with
-  | (0, 0) :: _ -> ()
-  | _ -> Alcotest.fail "path must start at (0,0)");
-  (match List.rev path with
-  | (2, 1) :: _ -> ()
-  | _ -> Alcotest.fail "path must end at (n-1,m-1)");
-  (* Monotone steps. *)
-  let rec monotone = function
-    | (i1, j1) :: ((i2, j2) :: _ as rest) ->
-        let di = i2 - i1 and dj = j2 - j1 in
-        if (di = 0 || di = 1) && (dj = 0 || dj = 1) && di + dj > 0 then monotone rest
-        else false
-    | _ -> true
-  in
-  Alcotest.(check bool) "monotone path" true (monotone path)
-
-let test_dtw_band_wide_equals_full () =
-  let rng = Rng.create 7 in
-  for _ = 1 to 30 do
-    let a = Array.init 12 (fun _ -> Rng.float_in rng (-3.) 3.) in
-    let b = Array.init 9 (fun _ -> Rng.float_in rng (-3.) 3.) in
-    check_loose 1e-9 "wide band exact" (Dtw.floats a b) (Dtw.floats ~band:20 a b)
-  done
-
-let test_dtw_band_upper_bound () =
-  let rng = Rng.create 8 in
-  for _ = 1 to 30 do
-    let a = Array.init 14 (fun _ -> Rng.float_in rng (-3.) 3.) in
-    let b = Array.init 14 (fun _ -> Rng.float_in rng (-3.) 3.) in
-    Alcotest.(check bool) "banded >= full" true (Dtw.floats ~band:2 a b >= Dtw.floats a b -. 1e-9)
-  done
 
 let test_dtw_points () =
   let a = [| Geom.point 0. 0.; Geom.point 1. 0. |] in
@@ -518,80 +415,20 @@ let test_sc_rejects_tiny () =
     (Invalid_argument "Shape_context.compute: need at least 2 points")
     (fun () -> ignore (Shape_context.compute [| Geom.point 0. 0. |]))
 
-(* -------------------------------------------------------------- Hausdorff *)
-
-let test_hausdorff_known () =
-  let a = [| Geom.point 0. 0.; Geom.point 1. 0. |] in
-  let b = [| Geom.point 0. 0.; Geom.point 5. 0. |] in
-  (* directed a->b: max(0, 1) ... nearest of (1,0) in b is (0,0) at 1. *)
-  check_float "directed a b" 1. (Dbh_metrics.Hausdorff.directed a b);
-  (* directed b->a: (5,0) -> nearest (1,0) at 4. *)
-  check_float "directed b a" 4. (Dbh_metrics.Hausdorff.directed b a);
-  check_float "symmetric" 4. (Dbh_metrics.Hausdorff.symmetric a b);
-  check_float "self" 0. (Dbh_metrics.Hausdorff.symmetric a a)
-
-let test_hausdorff_partial_robust () =
-  (* One outlier dominates the max but not the 0.75-quantile. *)
-  let rng = Rng.create 77 in
-  let base = Array.init 20 (fun _ -> Geom.point (Rng.float rng 1.) (Rng.float rng 1.)) in
-  let with_outlier = Array.append base [| Geom.point 100. 100. |] in
-  let full = Dbh_metrics.Hausdorff.directed with_outlier base in
-  let part = Dbh_metrics.Hausdorff.partial ~fraction:0.75 with_outlier base in
-  Alcotest.(check bool) "outlier dominates max" true (full > 50.);
-  Alcotest.(check bool) "quantile robust" true (part < 1.)
-
-let test_hausdorff_dominates_chamfer () =
-  (* max >= mean of nearest distances, always. *)
-  let rng = Rng.create 78 in
-  for _ = 1 to 30 do
-    let mk n = Array.init n (fun _ -> Geom.point (Rng.float rng 1.) (Rng.float rng 1.)) in
-    let a = mk (2 + Rng.int rng 10) and b = mk (2 + Rng.int rng 10) in
-    Alcotest.(check bool) "hausdorff >= chamfer" true
-      (Dbh_metrics.Hausdorff.directed a b >= Chamfer.directed a b -. 1e-12)
-  done
-
-(* -------------------------------------------------------------------- EMD *)
-
-let test_emd_known () =
-  check_float "identical" 0. (Dbh_metrics.Emd.histograms [| 0.5; 0.5 |] [| 0.5; 0.5 |]);
-  (* All mass moves one bin: EMD = 1. *)
-  check_float "one bin shift" 1. (Dbh_metrics.Emd.histograms [| 1.; 0. |] [| 0.; 1. |]);
-  (* Two bins away: EMD = 2. *)
-  check_float "two bin shift" 2. (Dbh_metrics.Emd.histograms [| 1.; 0.; 0. |] [| 0.; 0.; 1. |]);
-  (* Mass scale is normalized away. *)
-  check_float "scale invariant" 1.
-    (Dbh_metrics.Emd.histograms [| 10.; 0. |] [| 0.; 2. |])
-
-let test_emd_sorted_samples () =
-  check_float "samples" 0.5 (Dbh_metrics.Emd.sorted_samples [| 0.; 1. |] [| 0.; 2. |])
-
-let test_emd_circular () =
-  (* On a circle of 4 bins, shifting mass from bin 0 to bin 3 is one step
-     backwards, not three forward. *)
-  let p = [| 1.; 0.; 0.; 0. |] and q = [| 0.; 0.; 0.; 1. |] in
-  check_float "linear sees 3" 3. (Dbh_metrics.Emd.histograms p q);
-  check_float "circular sees 1" 1. (Dbh_metrics.Emd.circular p q);
-  check_float "circular self" 0. (Dbh_metrics.Emd.circular p p)
-
-let prop_emd_metric_on_histograms =
-  QCheck.Test.make ~name:"1-d EMD symmetric + triangle" ~count:150
-    QCheck.(triple (dist_gen 6) (dist_gen 6) (dist_gen 6))
-    (fun (p, q, r) ->
-      let d = Dbh_metrics.Emd.histograms in
-      Float.abs (d p q -. d q p) < 1e-9 && d p r <= d p q +. d q r +. 1e-9)
-
 (* --------------------------------------------------------------- Alignment *)
 
 module Alignment = Dbh_metrics.Alignment
 
+(* [global_distance a b] is 2·max(|a|,|b|) minus the Needleman–Wunsch
+   score. *)
 let test_nw_known () =
   (* Identical strings: all matches, score = 2n. *)
-  check_float "identical" 8. (Alignment.needleman_wunsch "ACGT" "ACGT");
+  check_float "identical" 0. (Alignment.global_distance "ACGT" "ACGT");
   (* One substitution: 3 matches + 1 mismatch = 6 - 1 = 5. *)
-  check_float "one mismatch" 5. (Alignment.needleman_wunsch "ACGT" "ACGA");
+  check_float "one mismatch" (8. -. 5.) (Alignment.global_distance "ACGT" "ACGA");
   (* One insertion: 4 matches + 1 gap = 8 - 2 = 6. *)
-  check_float "one gap" 6. (Alignment.needleman_wunsch "ACGT" "ACGGT");
-  check_float "empty vs s" (-8.) (Alignment.needleman_wunsch "" "ACGT")
+  check_float "one gap" (10. -. 6.) (Alignment.global_distance "ACGT" "ACGGT");
+  check_float "empty vs s" (8. -. -8.) (Alignment.global_distance "" "ACGT")
 
 let test_global_distance () =
   check_float "self" 0. (Alignment.global_distance "ACGTACGT" "ACGTACGT");
@@ -601,12 +438,14 @@ let test_global_distance () =
     (Alignment.global_distance "ACGTAC" "AGTC")
     (Alignment.global_distance "AGTC" "ACGTAC")
 
+(* [local_distance a b] is 1 − sw(a,b) / sqrt (sw(a,a) · sw(b,b)) over
+   the Smith–Waterman score; a string's self-score is 2 per symbol. *)
 let test_sw_known () =
-  (* Shared substring "CGT": 3 matches = 6. *)
-  check_float "local motif" 6. (Alignment.smith_waterman "AACGTA" "TTCGTT");
+  (* Shared substring "CGT": 3 matches = 6, against self-scores of 12. *)
+  check_float "local motif" (1. -. (6. /. 12.)) (Alignment.local_distance "AACGTA" "TTCGTT");
   (* Disjoint alphabets: best local score includes at most 0. *)
-  check_float "nothing shared" 0. (Alignment.smith_waterman "AAAA" "TTTT");
-  Alcotest.(check bool) "nonnegative" true (Alignment.smith_waterman "AC" "GT" >= 0.)
+  check_float "nothing shared" 1. (Alignment.local_distance "AAAA" "TTTT");
+  Alcotest.(check bool) "nonnegative" true (Alignment.local_distance "AC" "GT" <= 1.)
 
 let test_local_distance () =
   check_loose 1e-9 "self" 0. (Alignment.local_distance "ACGTACGT" "ACGTACGT");
@@ -636,8 +475,6 @@ let prop_alignment_properties =
 let test_set_distances () =
   let a = [| 1; 2; 3; 4 |] and b = [| 3; 4; 5; 6 |] in
   check_float "jaccard" (1. -. (2. /. 6.)) (Dbh_metrics.Set_distance.jaccard a b);
-  check_float "dice" (1. -. (4. /. 8.)) (Dbh_metrics.Set_distance.dice a b);
-  check_float "overlap" 0.5 (Dbh_metrics.Set_distance.overlap a b);
   check_float "self" 0. (Dbh_metrics.Set_distance.jaccard a a);
   check_float "empty both" 0. (Dbh_metrics.Set_distance.jaccard [||] [||]);
   check_float "duplicates ignored" 0. (Dbh_metrics.Set_distance.jaccard [| 1; 1; 2 |] [| 2; 1 |])
@@ -658,15 +495,6 @@ let prop_jaccard_metric =
       && dab <= 1.
       && d a c <= dab +. d b c +. 1e-9)
 
-(* ---------------------------------------------------------------- Cosine *)
-
-let test_cosine () =
-  check_loose 1e-9 "parallel" 0. (Cosine.distance [| 1.; 2. |] [| 2.; 4. |]);
-  check_loose 1e-9 "orthogonal" 1. (Cosine.distance [| 1.; 0. |] [| 0.; 1. |]);
-  check_loose 1e-9 "opposite" 2. (Cosine.distance [| 1.; 0. |] [| -1.; 0. |]);
-  check_loose 1e-9 "zero vector" 1. (Cosine.distance [| 0.; 0. |] [| 1.; 0. |]);
-  check_loose 1e-9 "angular orthogonal" 0.5 (Cosine.angular [| 1.; 0. |] [| 0.; 1. |])
-
 let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
 
 let () =
@@ -677,52 +505,36 @@ let () =
           Alcotest.test_case "basics" `Quick test_geom_basics;
           Alcotest.test_case "rotate" `Quick test_geom_rotate;
           Alcotest.test_case "angle" `Quick test_geom_angle;
-          Alcotest.test_case "centroid" `Quick test_geom_centroid;
           Alcotest.test_case "resample" `Quick test_geom_resample;
           Alcotest.test_case "resample degenerate" `Quick test_geom_resample_degenerate;
-          Alcotest.test_case "normalize box" `Quick test_geom_normalize_box;
           Alcotest.test_case "mean pairwise" `Quick test_geom_mean_pairwise;
         ] );
       ( "minkowski",
         Alcotest.test_case "known values" `Quick test_minkowski_known
         :: Alcotest.test_case "dimension mismatch" `Quick test_minkowski_mismatch
         :: qsuite
-             [
-               prop_metric "l1 metric axioms" Minkowski.l1;
-               prop_metric "l2 metric axioms" Minkowski.l2;
-               prop_metric "linf metric axioms" Minkowski.linf;
-               prop_lp_monotone;
-             ] );
+             [ prop_metric "l2 metric axioms" Minkowski.l2 ] );
       ("hamming", [ Alcotest.test_case "known values" `Quick test_hamming ]);
       ( "divergence",
         Alcotest.test_case "kl asymmetric" `Quick test_kl_asymmetric
-        :: Alcotest.test_case "tv known" `Quick test_tv_known
-        :: Alcotest.test_case "histogram intersection" `Quick test_histogram_intersection
         :: Alcotest.test_case "normalize" `Quick test_normalize
-        :: qsuite [ prop_kl_nonneg; prop_js_bounded_symmetric; prop_chi2_tv_sym ] );
+        :: qsuite [ prop_kl_nonneg; prop_chi2_sym ] );
       ( "edit_distance",
         Alcotest.test_case "known values" `Quick test_edit_known
-        :: Alcotest.test_case "substitution only" `Quick test_substitution_only
-        :: qsuite [ prop_edit_metric; prop_banded_upper_bound ] );
+        :: qsuite [ prop_edit_metric ] );
       ( "dtw",
         Alcotest.test_case "identity" `Quick test_dtw_identity
         :: Alcotest.test_case "known values" `Quick test_dtw_known
         :: Alcotest.test_case "non-metric witness" `Quick test_dtw_non_metric
-        :: Alcotest.test_case "path" `Quick test_dtw_path
-        :: Alcotest.test_case "wide band = full" `Quick test_dtw_band_wide_equals_full
-        :: Alcotest.test_case "band upper bound" `Quick test_dtw_band_upper_bound
-        :: Alcotest.test_case "2d points" `Quick test_dtw_points
-        :: Alcotest.test_case "points: NaN minimum leaves infinity" `Quick
-             test_dtw_points_nan_minimum
-        :: Alcotest.test_case "points = distance on 500 pen pairs" `Quick test_dtw_points_pen_pairs
-        :: Alcotest.test_case "points allocates only its rows" `Quick test_dtw_points_allocation
         :: qsuite
-             [
-               prop_dtw_symmetric;
-               prop_dtw_bounded_by_diagonal;
-               prop_dtw_points_bit_identical;
-               prop_dtw_points_bit_identical_nonfinite;
-             ]
+             [ prop_dtw_symmetric; prop_dtw_bounded_by_diagonal; prop_dtw_points_bit_identical ]
+        @ Alcotest.test_case "2d points" `Quick test_dtw_points
+          :: Alcotest.test_case "points: NaN minimum leaves infinity" `Quick
+               test_dtw_points_nan_minimum
+          :: Alcotest.test_case "points = distance on 500 pen pairs" `Quick
+               test_dtw_points_pen_pairs
+          :: Alcotest.test_case "points allocates only its rows" `Quick test_dtw_points_allocation
+          :: qsuite [ prop_dtw_points_bit_identical_nonfinite ]
         @ [
             Alcotest.test_case "points: one block per domain, shared by systhreads" `Quick
               test_dtw_points_shared_block;
@@ -746,18 +558,6 @@ let () =
           Alcotest.test_case "greedy upper bound" `Quick test_sc_greedy_upper_bound;
           Alcotest.test_case "rejects tiny input" `Quick test_sc_rejects_tiny;
         ] );
-      ("cosine", [ Alcotest.test_case "known values" `Quick test_cosine ]);
-      ( "hausdorff",
-        [
-          Alcotest.test_case "known values" `Quick test_hausdorff_known;
-          Alcotest.test_case "partial robust" `Quick test_hausdorff_partial_robust;
-          Alcotest.test_case "dominates chamfer" `Quick test_hausdorff_dominates_chamfer;
-        ] );
-      ( "emd",
-        Alcotest.test_case "known values" `Quick test_emd_known
-        :: Alcotest.test_case "sorted samples" `Quick test_emd_sorted_samples
-        :: Alcotest.test_case "circular" `Quick test_emd_circular
-        :: qsuite [ prop_emd_metric_on_histograms ] );
       ( "set_distance",
         Alcotest.test_case "known values" `Quick test_set_distances
         :: qsuite [ prop_jaccard_metric ] );

@@ -312,7 +312,24 @@ let test_hierarchical_corruption_detected () =
       (Printf.sprintf "flip at byte %d" !i)
       (fun () -> Hierarchical.load ~decode ~space:l2 ~path);
     i := !i + stride
-  done
+  done;
+  (* Checksum-valid payloads whose level count is implausible must fail
+     the structural decode before the count sizes an allocation. *)
+  let _, payload = Envelope.decode full in
+  let r = Binio.reader payload in
+  ignore (Binio.read_string r);
+  ignore (Dbh.Hash_family.read ~decode ~space:l2 r);
+  ignore (Index.read_store ~decode r);
+  let at = Binio.pos r in
+  List.iter
+    (fun bits ->
+      let b = Bytes.of_string payload in
+      Bytes.set_int64_le b at (Int64.shift_left 1L bits);
+      write_file path (Envelope.wrap ~kind:"hierarchical" ~version:1 (Bytes.to_string b));
+      expect_corrupt
+        (Printf.sprintf "level count 2^%d" bits)
+        (fun () -> Hierarchical.load ~decode ~space:l2 ~path))
+    [ 40; 60 ]
 
 (* ------------------------------------------------------------ durable *)
 
@@ -424,32 +441,50 @@ let test_durable_checkpoint_prunes_generations () =
     (Layout.snapshot_generations ~dir);
   Alcotest.(check (list int)) "two wal generations" [ 2; 3 ] (Layout.wal_generations ~dir)
 
+(* An online snapshot with its registry length (the word after the four
+   rng words) set to [n], re-wrapped so every checksum holds. *)
+let with_registry_len n data =
+  let header, payload = Envelope.decode data in
+  let b = Bytes.of_string payload in
+  Bytes.set_int64_le b 32 (Int64.of_int n);
+  Envelope.wrap ~kind:header.Envelope.kind ~version:header.Envelope.version (Bytes.to_string b)
+
 let test_durable_corrupt_latest_falls_back () =
-  with_dir @@ fun dir ->
-  let twin = make_twin () in
-  let d, _ = make_durable dir in
-  let ops1 = op_stream 67 25 and ops2 = op_stream 68 15 in
-  List.iter (apply_online twin) ops1;
-  List.iter (apply_durable d) ops1;
-  Durable.checkpoint d;
-  List.iter (apply_online twin) ops2;
-  List.iter (apply_durable d) ops2;
-  Durable.close d;
-  (* Corrupt the newest snapshot.  Recovery must fall back to the
-     previous generation and still reach the present through the log
-     chain: the old generation's complete log plus the current one. *)
-  let latest = Layout.snapshot_path ~dir 2 in
-  write_file latest (flip_byte (read_file latest) 100);
-  let d2, rec2 = reopen dir in
-  (match rec2.Durable.source with
-  | `Snapshot 1 -> ()
-  | _ -> Alcotest.fail "expected fallback to generation 1");
-  Alcotest.(check bool) "corruption reported" true (List.mem_assoc 2 rec2.Durable.skipped);
-  Alcotest.(check int) "whole history replayed"
-    (List.length ops1 + List.length ops2)
-    rec2.Durable.replayed_ops;
-  check_equiv "after fallback" twin d2;
-  Durable.close d2
+  (* A flipped byte fails a checksum; a checksum-valid registry length
+     of 2^40 fails the structural decode. *)
+  List.iter
+    (fun (what, corrupt) ->
+      with_dir @@ fun dir ->
+      let twin = make_twin () in
+      let d, _ = make_durable dir in
+      let ops1 = op_stream 67 25 and ops2 = op_stream 68 15 in
+      List.iter (apply_online twin) ops1;
+      List.iter (apply_durable d) ops1;
+      Durable.checkpoint d;
+      List.iter (apply_online twin) ops2;
+      List.iter (apply_durable d) ops2;
+      Durable.close d;
+      (* Corrupt the newest snapshot.  Recovery must fall back to the
+         previous generation and still reach the present through the log
+         chain: the old generation's complete log plus the current one. *)
+      let latest = Layout.snapshot_path ~dir 2 in
+      write_file latest (corrupt (read_file latest));
+      let d2, rec2 = reopen dir in
+      (match rec2.Durable.source with
+      | `Snapshot 1 -> ()
+      | _ -> Alcotest.failf "%s: expected fallback to generation 1" what);
+      Alcotest.(check bool)
+        (what ^ ": corruption reported")
+        true
+        (List.mem_assoc 2 rec2.Durable.skipped);
+      Alcotest.(check int)
+        (what ^ ": whole history replayed")
+        (List.length ops1 + List.length ops2)
+        rec2.Durable.replayed_ops;
+      check_equiv (what ^ ": after fallback") twin d2;
+      Durable.close d2)
+    [ ("flipped byte", fun data -> flip_byte data 100);
+      ("registry length 2^40", with_registry_len (1 lsl 40)) ]
 
 let test_durable_torn_wal_loses_only_the_tail () =
   with_dir @@ fun dir ->

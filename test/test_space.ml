@@ -73,13 +73,6 @@ let test_transform () =
   let s = Space.transform ~name:"len" (fun str -> [| float_of_int (String.length str) |]) l2_space in
   Alcotest.(check (float 0.)) "pullback" 2. (s.Space.distance "a" "abc")
 
-let test_products () =
-  let pair_space_max = Space.max_product l2_space l2_space in
-  let pair_space_sum = Space.sum_product l2_space l2_space in
-  let x = ([| 0. |], [| 0. |]) and y = ([| 3. |], [| 4. |]) in
-  Alcotest.(check (float 1e-12)) "max product" 4. (pair_space_max.Space.distance x y);
-  Alcotest.(check (float 1e-12)) "sum product" 7. (pair_space_sum.Space.distance x y)
-
 let test_is_symmetric () =
   let asym = Space.make ~name:"asym" (fun a b -> if a < b then 1. else 2.) in
   Alcotest.(check bool) "detects asymmetry" false (Space.is_symmetric asym [| 1; 2; 3 |]);
@@ -112,7 +105,6 @@ let () =
           Alcotest.test_case "of_matrix rejects negative" `Quick test_of_matrix_rejects_negative;
           Alcotest.test_case "random metric matrix" `Quick test_random_metric_matrix;
           Alcotest.test_case "transform" `Quick test_transform;
-          Alcotest.test_case "products" `Quick test_products;
           Alcotest.test_case "is_symmetric" `Quick test_is_symmetric;
           Alcotest.test_case "triangle violations" `Quick test_triangle_violations;
           Alcotest.test_case "rename" `Quick test_rename;

@@ -1,11 +1,10 @@
-(* Tests for Dbh_util: Rng, Stats, Bounded_heap, Pqueue, Bitvec, Array_util. *)
+(* Tests for Dbh_util: Rng, Stats, Bounded_heap, Pqueue, Bitvec, Binio, Vec. *)
 
 module Rng = Dbh_util.Rng
 module Stats = Dbh_util.Stats
 module Bounded_heap = Dbh_util.Bounded_heap
 module Pqueue = Dbh_util.Pqueue
 module Bitvec = Dbh_util.Bitvec
-module Array_util = Dbh_util.Array_util
 
 let check_float = Alcotest.(check (float 1e-9))
 let check_float_loose tol = Alcotest.(check (float tol))
@@ -80,15 +79,6 @@ let test_rng_exponential_mean () =
   let xs = Array.init 20000 (fun _ -> Rng.exponential rng 2.) in
   check_float_loose 0.03 "mean 1/lambda" 0.5 (Stats.mean xs);
   Array.iter (fun x -> Alcotest.(check bool) "positive" true (x > 0.)) xs
-
-let test_rng_shuffle_is_permutation () =
-  let rng = Rng.create 17 in
-  let arr = Array.init 50 (fun i -> i) in
-  let shuffled = Rng.shuffle rng arr in
-  let sorted = Array.copy shuffled in
-  Array.sort compare sorted;
-  Alcotest.(check (array int)) "permutation" arr sorted;
-  Alcotest.(check (array int)) "input untouched" (Array.init 50 (fun i -> i)) arr
 
 let test_rng_sample_indices_distinct () =
   let rng = Rng.create 18 in
@@ -424,38 +414,6 @@ let test_vec_of_array_copies () =
   Alcotest.(check int) "copied" 1 (Dbh_util.Vec.get v 0);
   Alcotest.(check (array int)) "to_array" [| 1; 2; 3 |] (Dbh_util.Vec.to_array v)
 
-(* ------------------------------------------------------------- Array_util *)
-
-let test_array_util_argmin_argmax () =
-  Alcotest.(check int) "argmin" 1 (Array_util.argmin [| 3.; 1.; 2.; 1. |]);
-  Alcotest.(check int) "argmax" 0 (Array_util.argmax [| 3.; 1.; 2.; 3. |])
-
-let test_array_util_min_by () =
-  let i, x, v =
-    Array_util.min_by (fun s -> float_of_int (String.length s)) [| "abc"; "a"; "ab" |]
-  in
-  Alcotest.(check int) "index" 1 i;
-  Alcotest.(check string) "element" "a" x;
-  check_float "value" 1. v
-
-let test_array_util_range_take_drop () =
-  Alcotest.(check (array int)) "range" [| 2; 3; 4 |] (Array_util.range 2 5);
-  Alcotest.(check (array int)) "empty range" [||] (Array_util.range 5 5);
-  Alcotest.(check (array int)) "take" [| 1; 2 |] (Array_util.take 2 [| 1; 2; 3 |]);
-  Alcotest.(check (array int)) "take too many" [| 1; 2 |] (Array_util.take 5 [| 1; 2 |]);
-  Alcotest.(check (array int)) "drop" [| 3 |] (Array_util.drop 2 [| 1; 2; 3 |]);
-  Alcotest.(check (array int)) "drop all" [||] (Array_util.drop 5 [| 1; 2 |])
-
-let test_array_util_misc () =
-  check_float "mean_by" 2. (Array_util.mean_by float_of_int [| 1; 2; 3 |]);
-  Alcotest.(check int) "count" 2 (Array_util.count (fun x -> x > 1) [| 1; 2; 3 |]);
-  Alcotest.(check int) "fold_lefti"
-    (0 * 1 + 1 * 2 + 2 * 3)
-    (Array_util.fold_lefti (fun acc i x -> acc + (i * x)) 0 [| 1; 2; 3 |]);
-  Alcotest.(check (array (float 0.)))
-    "mapi_float" [| 0.; 2.; 6. |]
-    (Array_util.mapi_float (fun i x -> float_of_int (i * x)) [| 7; 2; 3 |])
-
 let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
 
 let () =
@@ -473,7 +431,6 @@ let () =
           Alcotest.test_case "float bounds" `Quick test_rng_float_bounds;
           Alcotest.test_case "gaussian moments" `Quick test_rng_gaussian_moments;
           Alcotest.test_case "exponential mean" `Quick test_rng_exponential_mean;
-          Alcotest.test_case "shuffle is permutation" `Quick test_rng_shuffle_is_permutation;
           Alcotest.test_case "sample distinct" `Quick test_rng_sample_indices_distinct;
           Alcotest.test_case "sample all" `Quick test_rng_sample_all;
           Alcotest.test_case "subsample large" `Quick test_rng_subsample_large_request;
@@ -516,12 +473,5 @@ let () =
         [
           Alcotest.test_case "basics" `Quick test_vec_basics;
           Alcotest.test_case "of_array copies" `Quick test_vec_of_array_copies;
-        ] );
-      ( "array_util",
-        [
-          Alcotest.test_case "argmin/argmax" `Quick test_array_util_argmin_argmax;
-          Alcotest.test_case "min_by" `Quick test_array_util_min_by;
-          Alcotest.test_case "range/take/drop" `Quick test_array_util_range_take_drop;
-          Alcotest.test_case "misc" `Quick test_array_util_misc;
         ] );
     ]
