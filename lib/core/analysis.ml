@@ -134,31 +134,25 @@ let db_size t = t.db_size
 let nn_distance t i = t.nn_dist.(i)
 let nn_collision t i = t.c_nn.(i)
 
-(* The per-rate cascade map: plain Eq. 10, or its multi-probe extension
-   when the knobs are on.  Dispatching keeps the default path running
-   the exact historical float expressions — bit-identical estimates. *)
-let rate_kl ~k ~l ~probes ~radius c =
-  if probes > 1 && radius > 0 then Collision.c_kl_probed c ~k ~l ~probes ~radius
-  else Collision.c_kl c ~k ~l
-
-let accuracy ?(probes = 1) ?(radius = 0) t ~k ~l =
+let accuracy ?probes ?radius t ~k ~l =
   let acc =
-    Array.fold_left (fun acc c -> acc +. rate_kl ~k ~l ~probes ~radius c) 0. t.c_nn
+    Array.fold_left (fun acc c -> acc +. Collision.c_kl ?probes ?radius c ~k ~l) 0. t.c_nn
   in
   acc /. float_of_int (num_queries t)
 
-let lookup_cost_of_query ?(probes = 1) ?(radius = 0) t i ~k ~l =
+let lookup_cost_of_query ?probes ?radius t i ~k ~l =
   let acc =
     Array.fold_left
-      (fun acc c -> if Float.is_nan c then acc else acc +. rate_kl ~k ~l ~probes ~radius c)
+      (fun acc c ->
+        if Float.is_nan c then acc else acc +. Collision.c_kl ?probes ?radius c ~k ~l)
       0. t.c_db.(i)
   in
   t.scale *. acc
 
-let lookup_cost ?(probes = 1) ?(radius = 0) t ~k ~l =
+let lookup_cost ?probes ?radius t ~k ~l =
   let acc = ref 0. in
   for i = 0 to num_queries t - 1 do
-    acc := !acc +. lookup_cost_of_query ~probes ~radius t i ~k ~l
+    acc := !acc +. lookup_cost_of_query ?probes ?radius t i ~k ~l
   done;
   !acc /. float_of_int (num_queries t)
 
@@ -170,8 +164,8 @@ let hash_cost t ~k ~l =
   let draws = float_of_int k *. float_of_int l in
   Array.fold_left (fun acc u -> acc +. (1. -. ((1. -. u) ** draws))) 0. t.pivot_usage
 
-let total_cost ?(probes = 1) ?(radius = 0) t ~k ~l =
-  lookup_cost ~probes ~radius t ~k ~l +. hash_cost t ~k ~l
+let total_cost ?probes ?radius t ~k ~l =
+  lookup_cost ?probes ?radius t ~k ~l +. hash_cost t ~k ~l
 
 let restrict t positions =
   if Array.length positions = 0 then invalid_arg "Analysis.restrict: empty subset";

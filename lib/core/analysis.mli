@@ -50,8 +50,8 @@ val nn_collision : t -> int -> float
 
 val accuracy : ?probes:int -> ?radius:int -> t -> k:int -> l:int -> float
 (** Predicted retrieval accuracy (Eq. 11): mean over sample queries of
-    [C_{k,l}(Q, N(Q))].  [probes]/[radius] (defaults [1]/[0]) switch the
-    per-rate map to {!Collision.c_kl_probed} — the multi-probe cascade;
+    [C_{k,l}(Q, N(Q))].  [probes]/[radius] (defaults [1]/[0]) are
+    passed to {!Collision.c_kl}, which models the multi-probe cascade;
     at the defaults the estimate is bit-identical to the historical
     one. *)
 

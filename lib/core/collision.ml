@@ -3,35 +3,12 @@ module Bitvec = Dbh_util.Bitvec
 
 let check_rate c = if c < 0. || c > 1. then invalid_arg "Collision: rate outside [0,1]"
 
-let c_k c k =
-  check_rate c;
-  if k < 0 then invalid_arg "Collision.c_k: negative k";
-  c ** float_of_int k
-
-let c_kl c ~k ~l =
-  if l < 0 then invalid_arg "Collision.c_kl: negative l";
-  let ck = c_k c k in
-  1. -. ((1. -. ck) ** float_of_int l)
-
-let l_for_target c ~k ~target =
-  check_rate target;
-  let ck = c_k c k in
-  if ck >= 1. then Some 1
-  else if target <= 0. then Some 0
-  else if ck <= 0. then None
-  else begin
-    (* 1 - (1-ck)^l >= target  <=>  l >= log(1-target)/log(1-ck) *)
-    let l = Float.ceil (log (1. -. target) /. log (1. -. ck)) in
-    if Float.is_integer l && l >= 0. && l < 1e9 then Some (max 1 (int_of_float l)) else None
-  end
-
 (* How many extra probes land on 1-flip vs 2-flip keys.  The probe
    sequence visits cheapest subsets first, but which mix of sizes a
    margin-driven walk picks is query-dependent; the model assumes the
    radius-1 shell fills before any radius-2 key — the dominant regime,
    since single flips are (weakly) cheaper than any pair containing
-   them.  The range-scan path probes the full ball, which this same
-   split covers with extra >= ball. *)
+   them. *)
 let probe_split ~k ~probes ~radius =
   if probes < 1 then invalid_arg "Collision: probes must be >= 1";
   if radius < 0 || radius > 2 then invalid_arg "Collision: radius must be in [0, 2]";
@@ -41,37 +18,44 @@ let probe_split ~k ~probes ~radius =
   let n2 = if radius >= 2 then min (extra - n1) (k * (k - 1) / 2) else 0 in
   (n1, n2)
 
-(* Eq. 9 extended to multi-probe: a probed bucket at Hamming distance m
-   from the base key collides with the query's neighbor exactly when the
-   m flipped bits all disagree (probability (1-c) each) and the other
-   k-m agree.  The events are disjoint across distinct flip subsets, so
-   the per-table collision probability is the plain c^k plus one term
-   per probed key. *)
-let c_k_probed c ~k ~probes ~radius =
+(* Eq. 9, extended to multi-probe: a probed bucket at Hamming distance
+   m from the base key collides with the query's neighbor exactly when
+   the m flipped bits all disagree (probability (1-c) each) and the
+   other k-m agree.  The events are disjoint across distinct flip
+   subsets, so the per-table collision probability is c^k plus one term
+   per probed key.  Any single-probe setting adds two zero terms, which
+   leaves c^k bit for bit; the defaults return c^k before splitting,
+   which keeps the optimizer's millions of plain calls at the cost of
+   one power. *)
+let c_k ?(probes = 1) ?(radius = 0) c k =
   check_rate c;
-  let n1, n2 = probe_split ~k ~probes ~radius in
-  let base = c_k c k in
-  let miss = 1. -. c in
-  let one = if n1 = 0 then 0. else float_of_int n1 *. (c ** float_of_int (k - 1)) *. miss in
-  let two =
-    if n2 = 0 then 0.
-    else float_of_int n2 *. (c ** float_of_int (k - 2)) *. miss *. miss
-  in
-  Float.min 1. (base +. one +. two)
+  if k < 0 then invalid_arg "Collision.c_k: negative k";
+  let ck = c ** float_of_int k in
+  if probes = 1 && radius = 0 then ck
+  else begin
+    let n1, n2 = probe_split ~k ~probes ~radius in
+    let miss = 1. -. c in
+    let one = if n1 = 0 then 0. else float_of_int n1 *. (c ** float_of_int (k - 1)) *. miss in
+    let two =
+      if n2 = 0 then 0.
+      else float_of_int n2 *. (c ** float_of_int (k - 2)) *. miss *. miss
+    in
+    Float.min 1. (ck +. one +. two)
+  end
 
-(* Eq. 10 with the probed per-table rate. *)
-let c_kl_probed c ~k ~l ~probes ~radius =
-  if l < 0 then invalid_arg "Collision.c_kl_probed: negative l";
-  let ck = c_k_probed c ~k ~probes ~radius in
+let c_kl ?probes ?radius c ~k ~l =
+  if l < 0 then invalid_arg "Collision.c_kl: negative l";
+  let ck = c_k ?probes ?radius c k in
   1. -. ((1. -. ck) ** float_of_int l)
 
-let l_for_target_probed c ~k ~probes ~radius ~target =
+let l_for_target ?probes ?radius c ~k ~target =
   check_rate target;
-  let ck = c_k_probed c ~k ~probes ~radius in
+  let ck = c_k ?probes ?radius c k in
   if ck >= 1. then Some 1
   else if target <= 0. then Some 0
   else if ck <= 0. then None
   else begin
+    (* 1 - (1-ck)^l >= target  <=>  l >= log(1-target)/log(1-ck) *)
     let l = Float.ceil (log (1. -. target) /. log (1. -. ck)) in
     if Float.is_integer l && l >= 0. && l < 1e9 then Some (max 1 (int_of_float l)) else None
   end

@@ -247,104 +247,6 @@ let iter_bucket t key f =
         f (Array.unsafe_get ids p)
       done
 
-(* First directory index with keys.(i) >= key (= length when none):
-   the cells before [key]'s hold only smaller keys and the cells after
-   only larger ones, so the search stays inside [key]'s cell. *)
-let lower_bound base key =
-  let prefix = base.prefix in
-  let cell = key lsr base.shift in
-  if key < 0 then 0
-  else if cell >= base.cells then Array.length base.keys
-  else begin
-    let keys = base.keys in
-    let lo = ref (Array.unsafe_get prefix cell) and hi = ref (Array.unsafe_get prefix (cell + 1)) in
-    while !lo < !hi do
-      let mid = (!lo + !hi) / 2 in
-      if Array.unsafe_get keys mid < key then lo := mid + 1 else hi := mid
-    done;
-    !lo
-  end
-
-(* Range scan over the sorted directory: every combined bucket with key
-   in [lo, hi], keys ascending, each bucket in query order (delta
-   newest-first, then the frozen segment).  One lower-bound lookup plus
-   a contiguous directory walk — the point of keeping keys sorted: a
-   Hamming ball's consecutive key runs cost one search each, not one
-   per key.  Same single-load concurrency discipline as [iter_bucket]. *)
-let iter_range t ~lo ~hi f =
-  let delta = t.delta in
-  let base = t.base in
-  let keys = base.keys and offsets = base.offsets and ids = base.ids in
-  let nk = Array.length keys in
-  let emit_base i =
-    let key = Array.unsafe_get keys i in
-    for p = Array.unsafe_get offsets i to Array.unsafe_get offsets (i + 1) - 1 do
-      f key (Array.unsafe_get ids p)
-    done
-  in
-  let i = ref (lower_bound base lo) in
-  if Intmap.is_empty delta then
-    while !i < nk && Array.unsafe_get keys !i <= hi do
-      emit_base !i;
-      incr i
-    done
-  else begin
-    (* Merge the directory walk with the delta's sorted key sequence,
-       emitting a shared key's delta ids before its frozen segment. *)
-    let dseq = ref (Intmap.to_seq_from lo delta) in
-    let next_delta () =
-      match !dseq () with
-      | Seq.Nil -> None
-      | Seq.Cons ((dk, dids), rest) ->
-          dseq := rest;
-          Some (dk, dids)
-    in
-    let pending = ref (next_delta ()) in
-    let continue = ref true in
-    while !continue do
-      match !pending with
-      | Some (dk, dids) when dk <= hi ->
-          if !i < nk && Array.unsafe_get keys !i < dk then begin
-            emit_base !i;
-            incr i
-          end
-          else begin
-            List.iter (f dk) dids;
-            if !i < nk && Array.unsafe_get keys !i = dk then begin
-              emit_base !i;
-              incr i
-            end;
-            pending := next_delta ()
-          end
-      | _ ->
-          if !i < nk && Array.unsafe_get keys !i <= hi then begin
-            emit_base !i;
-            incr i
-          end
-          else continue := false
-    done
-  end
-
-(* All buckets at Hamming distance 1..radius of [key]: the sorted ball
-   enumeration coalesces into maximal consecutive-key runs, each served
-   by one range scan.  The center bucket is not visited (the caller
-   already probed it). *)
-let iter_within t ~width ~radius key f =
-  if radius > 0 then begin
-    let ball = Key.enumerate_within ~width ~radius (Key.of_int ~width key) in
-    let at i = (ball.(i) : Key.t :> int) in
-    let n = Array.length ball in
-    let i = ref 0 in
-    while !i < n do
-      let j = ref !i in
-      while !j + 1 < n && at (!j + 1) = at !j + 1 do
-        incr j
-      done;
-      iter_range t ~lo:(at !i) ~hi:(at !j) f;
-      i := !j + 1
-    done
-  end
-
 let bucket_size t key =
   let delta = t.delta in
   let base = t.base in

@@ -45,26 +45,8 @@ val add : t -> int -> int -> unit
 
 val iter_bucket : t -> int -> (int -> unit) -> unit
 (** Iterate one combined bucket in query order (delta newest-first, then
-    frozen segment).  No-op for an absent key. *)
-
-val iter_range : t -> lo:int -> hi:int -> (int -> int -> unit) -> unit
-(** [iter_range t ~lo ~hi f] calls [f key id] for every entry of every
-    combined bucket whose key lies in [\[lo, hi\]], keys ascending, each
-    bucket in query order (delta newest-first, then frozen).  One
-    prefix-cell lookup plus a contiguous walk of the sorted directory
-    (merged with the delta's sorted keys when a delta exists) — the
-    sorted-prefix scan the multi-probe Hamming path is built on.  No-op
-    when the range is empty. *)
-
-val iter_within : t -> width:int -> radius:int -> int -> (int -> int -> unit) -> unit
-(** [iter_within t ~width ~radius key f]: every entry of every bucket
-    whose [width]-bit key lies at Hamming distance in [\[1, radius\]] of
-    [key] — code-only candidate generation over the packed directory.
-    The sorted ball enumeration ({!Key.enumerate_within}) coalesces into
-    maximal consecutive-key runs, each served by one {!iter_range}; the
-    center bucket itself is not visited.  Raises [Invalid_argument] when
-    [key] does not fit [width] or the radius exceeds
-    {!Key.max_radius}. *)
+    frozen segment).  No-op for an absent key.  Every probe a query
+    makes, base key or multi-probe neighbour, reads its bucket here. *)
 
 val bucket_size : t -> int -> int
 (** Combined entries under a key, dead included (trace/diagnostics). *)

@@ -344,49 +344,27 @@ let record_probe r ~level ~row table key =
 
 (* The extra probes of the multi-probe path.  After the base buckets,
    each table probes up to [probes_per_table - 1] Hamming-adjacent keys
-   within [hamming_radius] bit flips of its base key.  When the probe
-   budget covers the whole radius ball the keys are served by code-only
-   range scans over the sorted directory (one scan per consecutive-key
-   run); otherwise the probe heap emits keys one by one in increasing
-   flip-penalty order, cheapest bits — the projections that landed
-   nearest their thresholds — first.  Margins reuse the pivot distances
-   [hash] already cached, so extra probes cost zero additional hash
-   distance computations.  Each emitted key counts one probe on the heap
-   path; the range path claims the full ball upfront. *)
+   within [hamming_radius] bit flips of its base key, emitted one by one
+   by the probe heap in increasing flip-penalty order: cheapest bits —
+   the projections that landed nearest their thresholds — first.  A
+   budget that covers the whole radius ball gets every ball key exactly
+   once.  Margins reuse the pivot distances [hash] already cached, so
+   extra probes cost zero additional hash distance computations.  Each
+   emitted key counts one probe and records one trace event. *)
 let probe_extras r t ~level cells visit =
   let extra = r.probes_per_table - 1 in
   let margins = Scratch.margin_row r.scratch (Hash_family.size t.family) in
   eval_margins t r.cache margins;
-  let radius = r.hamming_radius in
-  let ball = Key.ball_size ~width:t.k ~radius in
   let ps = Scratch.probe_seq r.scratch in
   for row = 0 to t.l - 1 do
-    let base = Key.of_row cells t.fn_ids.(row) in
+    let fns = t.fn_ids.(row) in
     let table = t.tables.(row) in
-    if extra >= ball then begin
-      r.probes <- r.probes + ball;
-      match r.trace with
-      | None -> Csr.iter_within table ~width:t.k ~radius (base :> int) (fun _ id -> visit id)
-      | Some _ ->
-          (* The range scan only surfaces non-empty keys; record one
-             probe event per distinct key it visits. *)
-          let last = ref min_int in
-          Csr.iter_within table ~width:t.k ~radius (base :> int) (fun key id ->
-              if key <> !last then begin
-                last := key;
-                record_probe r ~level ~row table key
-              end;
-              visit id)
-    end
-    else begin
-      let fns = t.fn_ids.(row) in
-      let penalty j = margins.(Array.unsafe_get fns j) in
-      Probe_seq.generate ps ~base ~width:t.k ~radius ~max_probes:extra ~penalty
-        ~emit:(fun pk ->
-          r.probes <- r.probes + 1;
-          record_probe r ~level ~row table (pk :> int);
-          Csr.iter_bucket table (pk :> int) visit)
-    end
+    let penalty j = margins.(Array.unsafe_get fns j) in
+    Probe_seq.generate ps ~base:(Key.of_row cells fns) ~width:t.k ~radius:r.hamming_radius
+      ~max_probes:extra ~penalty ~emit:(fun pk ->
+        r.probes <- r.probes + 1;
+        record_probe r ~level ~row table (pk :> int);
+        Csr.iter_bucket table (pk :> int) visit)
   done
 
 (* The row walk shared by every shape: per table, record the probe and
@@ -608,7 +586,10 @@ let unpack_keys r ~k =
   let n = Binio.read_int r in
   if n < 0 then raise (Binio.Corrupt "negative key count");
   let data = Binio.read_string r in
-  if String.length data < (n * k + 7) / 8 then raise (Binio.Corrupt "truncated key block");
+  (* [n] keys of [k] bits need [(n * k + 7) / 8] bytes; bounding [n]
+     by the bits on hand says the same without forming [n * k], which
+     wraps for [n] near [max_int / k]. *)
+  if n > 8 * String.length data / k then raise (Binio.Corrupt "truncated key block");
   let bit = ref 0 in
   Array.init n (fun _ ->
       let key = ref 0 in

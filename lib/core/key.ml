@@ -63,24 +63,3 @@ let ball_size ~width ~radius =
   | 0 -> 0
   | 1 -> width
   | _ -> width + (width * (width - 1) / 2)
-
-let enumerate_within ~width ~radius key =
-  ignore (of_int ~width key : t);
-  check_radius radius;
-  if radius = 0 then [||]
-  else begin
-    let out = Array.make (ball_size ~width ~radius) 0 in
-    let n = ref 0 in
-    for j = 0 to width - 1 do
-      let m1 = 1 lsl j in
-      out.(!n) <- key lxor m1;
-      incr n;
-      if radius >= 2 then
-        for j2 = j + 1 to width - 1 do
-          out.(!n) <- key lxor m1 lxor (1 lsl j2);
-          incr n
-        done
-    done;
-    Array.sort Int.compare out;
-    out
-  end

@@ -61,8 +61,9 @@ val equal : t -> t -> bool
 (** {1 Hamming geometry}
 
     Codes are points of the k-bit Hamming cube; the multi-probe query
-    path perturbs them.  All of these are pure bit arithmetic — no
-    allocation except the array {!enumerate_within} returns. *)
+    path perturbs them one key at a time ({!Probe_seq} flips bits of a
+    base key in penalty order), and these values size and measure its
+    balls.  All of them are pure bit arithmetic and allocate nothing. *)
 
 val popcount : t -> int
 (** Number of set bits. *)
@@ -81,10 +82,3 @@ val ball_size : width:int -> radius:int -> int
     any [width]-bit code: [0], [width], or [width + width(width-1)/2].
     Raises [Invalid_argument] on a bad width or a radius outside
     [\[0, max_radius\]]. *)
-
-val enumerate_within : width:int -> radius:int -> t -> t array
-(** All codes at Hamming distance in [\[1, radius\]] of [key] (the
-    center itself is excluded), sorted ascending — i.e. in directory
-    order, so consecutive runs of the result coalesce into CSR range
-    scans.  Raises [Invalid_argument] when [key] does not fit [width] or
-    the radius is outside [\[0, max_radius\]]. *)

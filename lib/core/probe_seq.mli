@@ -34,7 +34,9 @@ val generate :
     cost of flipping code bit [j], [0 <= j < width]; ties resolve to
     lower bit positions first, so the sequence is deterministic).
     [base] itself is never emitted.  Emits fewer than [max_probes] keys
-    when the radius-[radius] ball is smaller ({!Key.ball_size}); emits
+    when the radius-[radius] ball is smaller ({!Key.ball_size}): then
+    every key of the ball comes out exactly once, which is how the
+    query path serves a budget that covers the whole ball.  Emits
     nothing when [max_probes <= 0] or [radius = 0].  Raises
     [Invalid_argument] on a bad width or a radius outside
     [\[0, Key.max_radius\]]. *)

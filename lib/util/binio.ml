@@ -28,8 +28,10 @@ let pos r = r.offset
 let at_end r = r.offset >= String.length r.data
 let remaining r = max 0 (String.length r.data - r.offset)
 
+(* [offset] never passes the end, so the subtraction cannot wrap; a
+   sum [offset + n] would for [n] near [max_int]. *)
 let need r n =
-  if r.offset + n > String.length r.data then
+  if n > String.length r.data - r.offset then
     raise (Corrupt (Printf.sprintf "truncated input at offset %d (need %d bytes)" r.offset n))
 
 let read_int64 r =

@@ -1,22 +1,22 @@
 (* Multi-probe query path tests.
 
-   The Hamming layer (Key popcount/distance/ball enumeration), the
-   penalty-ordered probe-sequence generator and the CSR Hamming-range
-   scans are each checked against naive bit-list models by QCheck; on
-   top of them, engine-level properties pin what multi-probing may and
-   may not change: extra probes add candidates but never hash cost, the
-   probe counter is exactly l * (1 + min(probes - 1, ball)), and the
-   default knobs (probes_per_table = 1, hamming_radius = 0) — as well
-   as probes without radius — are bit-identical to the single-probe
-   engine, sequentially and fanned over a pool.  The extended collision
-   model must dominate the plain one and collapse to it exactly at the
-   defaults. *)
+   The Hamming layer (Key popcount/distance/ball size) and the
+   penalty-ordered probe-sequence generator are checked against naive
+   bit-list models by QCheck; on top of them, engine-level properties
+   pin what multi-probing may and may not change: extra probes add
+   candidates but never hash cost, a query whose probe budget covers
+   the whole Hamming ball admits exactly the alive ids of the ball's
+   buckets, the probe counter is exactly l * (1 + min(probes - 1,
+   ball)), and the default knobs (probes_per_table = 1,
+   hamming_radius = 0) — as well as probes without radius — are
+   bit-identical to the single-probe engine, sequentially and fanned
+   over a pool.  The collision model with probes must dominate the
+   plain one and reduce to the paper's closed forms at the defaults. *)
 
 module Rng = Dbh_util.Rng
 module Pool = Dbh_util.Pool
 module Pen = Dbh_datasets.Pen_digits
 module Key = Dbh.Key
-module Csr = Dbh.Csr
 module Probe_seq = Dbh.Probe_seq
 module Collision = Dbh.Collision
 module Index = Dbh.Index
@@ -25,6 +25,8 @@ module Hierarchical = Dbh.Hierarchical
 module Builder = Dbh.Builder
 module Online = Dbh.Online
 module Query_opts = Dbh.Query_opts
+module Store = Dbh.Store
+module Minkowski = Dbh_metrics.Minkowski
 
 let domains =
   match Sys.getenv_opt "DBH_TEST_DOMAINS" with
@@ -45,28 +47,11 @@ let naive_hamming a b =
   Array.iteri (fun i x -> if x <> b.(i) then incr d) a;
   !d
 
-(* Every width-bit key at Hamming distance in [1, radius] of [center],
-   by exhaustive scan of the cube — ascending by construction. *)
-let naive_ball ~width ~radius center =
-  let cbits = Key.to_bits ~width center in
-  let keys = ref [] in
-  for v = (1 lsl width) - 1 downto 0 do
-    let k = Key.of_int ~width v in
-    let d = naive_hamming cbits (Key.to_bits ~width k) in
-    if d >= 1 && d <= radius then keys := k :: !keys
-  done;
-  Array.of_list !keys
-
 let arb_bits =
   QCheck.Gen.(1 -- Key.max_bits >>= fun w -> array_size (return w) bool)
   |> QCheck.make ~print:(fun bits ->
          String.concat ""
            (Array.to_list (Array.map (fun b -> if b then "1" else "0") bits)))
-
-(* (width, key) over cubes small enough to enumerate exhaustively. *)
-let arb_small_key =
-  QCheck.Gen.(2 -- 12 >>= fun w -> map (fun v -> (w, v)) (0 -- ((1 lsl w) - 1)))
-  |> QCheck.make ~print:(fun (w, v) -> Printf.sprintf "width=%d key=%d" w v)
 
 let popcount_matches_model =
   QCheck.Test.make ~name:"popcount = number of set bits" ~count:500 arb_bits
@@ -79,15 +64,6 @@ let hamming_matches_model =
       let pad bits = Array.append (Array.make (w - Array.length bits) false) bits in
       let a = pad a and b = pad b in
       Key.hamming (Key.of_bits a) (Key.of_bits b) = naive_hamming a b)
-
-let enumerate_matches_model =
-  QCheck.Test.make ~name:"enumerate_within = exhaustive cube scan, sorted" ~count:300
-    (QCheck.pair arb_small_key (QCheck.make QCheck.Gen.(0 -- Key.max_radius)))
-    (fun ((w, v), radius) ->
-      let center = Key.of_int ~width:w v in
-      let got = Key.enumerate_within ~width:w ~radius center in
-      got = naive_ball ~width:w ~radius center
-      && Array.length got = Key.ball_size ~width:w ~radius)
 
 let test_hamming_edges () =
   Alcotest.(check int) "popcount zero" 0 (Key.popcount Key.zero);
@@ -167,63 +143,6 @@ let probe_seq_reuse_is_pure =
       let reused = collect_probes shared ~width:w ~base ~radius ~max_probes ~pen in
       fresh = reused)
 
-(* ------------------------------------------- CSR Hamming-range scans *)
-
-let arb_csr_case =
-  let gen =
-    QCheck.Gen.(
-      2 -- 10 >>= fun w ->
-      0 -- ((1 lsl w) - 1) >>= fun center ->
-      1 -- Key.max_radius >>= fun radius ->
-      int_bound 200 >>= fun n_frozen ->
-      int_bound 40 >>= fun n_delta ->
-      int_bound 1000 >>= fun seed -> return (w, center, radius, n_frozen, n_delta, seed))
-  in
-  QCheck.make
-    ~print:(fun (w, c, r, nf, nd, seed) ->
-      Printf.sprintf "w=%d center=%d r=%d frozen=%d delta=%d seed=%d" w c r nf nd seed)
-    gen
-
-let iter_within_equals_per_key_probing =
-  QCheck.Test.make ~name:"csr iter_within = union of per-key bucket probes" ~count:300
-    arb_csr_case (fun (w, center, radius, n_frozen, n_delta, seed) ->
-      let rng = Rng.create seed in
-      (* Reference model: every id consed onto its key's list bucket in
-         id order, frozen and delta alike (newest first). *)
-      let model = Hashtbl.create 32 in
-      let model_add key id =
-        Hashtbl.replace model key (id :: Option.value ~default:[] (Hashtbl.find_opt model key))
-      in
-      let keys = Array.init n_frozen (fun _ -> Rng.int rng (1 lsl w)) in
-      Array.iteri (fun id key -> model_add key id) keys;
-      let table = Csr.of_keys ~ids:(Array.init n_frozen Fun.id) ~keys in
-      for id = 0 to n_delta - 1 do
-        let key = Rng.int rng (1 lsl w) in
-        Csr.add table key (n_frozen + id);
-        model_add key (n_frozen + id)
-      done;
-      let got = ref [] in
-      Csr.iter_within table ~width:w ~radius center (fun key id -> got := (key, id) :: !got);
-      let ball =
-        Key.enumerate_within ~width:w ~radius (Key.of_int ~width:w center) |> Array.to_list
-      in
-      let expected =
-        List.concat_map
-          (fun (k : Key.t) ->
-            let ids = ref [] in
-            Csr.iter_bucket table (k :> int) (fun id -> ids := id :: !ids);
-            List.rev_map (fun id -> ((k :> int), id)) !ids)
-          ball
-      in
-      let modelled =
-        List.concat_map
-          (fun (k : Key.t) ->
-            Option.value ~default:[] (Hashtbl.find_opt model (k :> int))
-            |> List.map (fun id -> ((k :> int), id)))
-          ball
-      in
-      List.rev !got = expected && expected = modelled)
-
 (* ------------------------------------------------- engine properties *)
 
 let small_workload () =
@@ -254,6 +173,59 @@ let test_probing_is_superset_and_hash_free () =
           Alcotest.(check bool) "multi-probe nn at least as close" true (dm <= dp))
     queries
 
+(* A query whose probe budget covers its whole Hamming ball admits
+   exactly the alive ids of the buckets within [radius] bit flips of
+   its own key in each table, base bucket included: the probe heap
+   serves every ball key once, delta buckets and tombstones included.
+   The query is a database object, so its own key in a table is the key
+   of the bucket that holds it; the keys come from [Index.iter_buckets],
+   and [query_range] at an infinite radius returns every admitted
+   candidate. *)
+let full_ball_admits_the_ball =
+  let arb =
+    QCheck.make
+      ~print:(fun (seed, radius, spare) ->
+        Printf.sprintf "seed=%d radius=%d spare=%d" seed radius spare)
+      QCheck.Gen.(
+        int_bound 10_000 >>= fun seed ->
+        1 -- Key.max_radius >>= fun radius ->
+        int_bound 10 >>= fun spare -> return (seed, radius, spare))
+  in
+  QCheck.Test.make ~name:"full-ball query = alive ids of the Hamming ball" ~count:40 arb
+    (fun (seed, radius, spare) ->
+      let rng = Rng.create seed in
+      let vectors n =
+        fst (Dbh_datasets.Vectors.gaussian_mixture ~rng ~num_clusters:4 ~dim:6 n)
+      in
+      let db = vectors 160 in
+      let family =
+        Hash_family.make ~rng ~space:Minkowski.l2_space ~num_pivots:16 ~threshold_sample:80 db
+      in
+      let k = 3 + Rng.int rng 6 and l = 2 + Rng.int rng 4 in
+      let index = Index.build ~rng ~family ~db ~k ~l () in
+      (* A live insert delta, and tombstones in base and delta alike. *)
+      Array.iter (fun v -> ignore (Index.insert index v)) (vectors 30);
+      let store = Index.store index in
+      for _ = 1 to 15 do
+        Index.delete index (Rng.int rng (Store.length store))
+      done;
+      let id = Rng.int rng (Store.length store) in
+      let own = Array.make l (-1) in
+      Index.iter_buckets index (fun table key bucket ->
+          if List.mem id bucket then own.(table) <- key);
+      let expected = ref [] in
+      Index.iter_buckets index (fun table key bucket ->
+          let flips = Key.hamming (Key.of_int ~width:k key) (Key.of_int ~width:k own.(table)) in
+          if flips <= radius then
+            List.iter (fun i -> if Store.is_alive store i then expected := i :: !expected) bucket);
+      let ball = Key.ball_size ~width:k ~radius in
+      let opts =
+        Query_opts.make ~probes_per_table:(1 + ball + spare) ~hamming_radius:radius ()
+      in
+      let hits, stats = Index.query_range ~opts index infinity (Store.get store id) in
+      List.sort compare (List.map fst hits) = List.sort_uniq compare !expected
+      && stats.Index.probes = l * (1 + ball))
+
 let test_probe_counter_is_deterministic () =
   let _, queries, index = small_workload () in
   let l = 5 and k = 10 in
@@ -273,11 +245,11 @@ let test_probe_counter_is_deterministic () =
       queries
   in
   check ~probes:1 ~radius:0;
-  (* heap path: 7 extras < the 55-key radius-2 ball *)
+  (* 7 extras, fewer than the 55 keys of the radius-2 ball *)
   check ~probes:8 ~radius:2;
-  (* range path: 99 extras cover the whole ball *)
+  (* 99 extras cover the whole ball: the heap runs dry at 55 *)
   check ~probes:100 ~radius:2;
-  (* radius-1 ball is just k keys; 99 extras cover it *)
+  (* the radius-1 ball is just k keys; 99 extras cover it *)
   check ~probes:100 ~radius:1
 
 let test_noop_knobs_are_bit_identical () =
@@ -376,25 +348,43 @@ let probed_model_dominates =
   QCheck.Test.make ~name:"c_k_probed >= c_k, <= 1, monotone in probes" ~count:500
     arb_model_case (fun (c, k, probes, radius) ->
       let base = Collision.c_k c k in
-      let p1 = Collision.c_k_probed c ~k ~probes ~radius in
-      let p2 = Collision.c_k_probed c ~k ~probes:(probes + 1) ~radius in
+      let p1 = Collision.c_k ~probes ~radius c k in
+      let p2 = Collision.c_k ~probes:(probes + 1) ~radius c k in
       p1 >= base && p1 <= 1. && p2 >= p1)
 
+(* Eq. 9, Eq. 10 and the table count they imply, written out: one probe
+   per table, or probes without a radius, must give these bit for
+   bit. *)
 let probed_model_collapses_at_defaults =
   QCheck.Test.make ~name:"probed model = plain model at the defaults" ~count:500
     arb_model_case (fun (c, k, probes, radius) ->
-      Collision.c_k_probed c ~k ~probes:1 ~radius = Collision.c_k c k
-      && Collision.c_k_probed c ~k ~probes ~radius:0 = Collision.c_k c k
-      && Collision.c_kl_probed c ~k ~l:7 ~probes:1 ~radius = Collision.c_kl c ~k ~l:7
-      && Collision.l_for_target_probed c ~k ~probes:1 ~radius ~target:0.9
-         = Collision.l_for_target c ~k ~target:0.9)
+      let ck = c ** float_of_int k in
+      let ckl = 1. -. ((1. -. ck) ** 7.) in
+      let l90 =
+        if ck >= 1. then Some 1
+        else if ck <= 0. then None
+        else begin
+          let l = Float.ceil (log (1. -. 0.9) /. log (1. -. ck)) in
+          if Float.is_integer l && l >= 0. && l < 1e9 then Some (max 1 (int_of_float l))
+          else None
+        end
+      in
+      Collision.c_k c k = ck
+      && Collision.c_kl c ~k ~l:7 = ckl
+      && Collision.l_for_target c ~k ~target:0.9 = l90
+      && List.for_all
+           (fun (probes, radius) ->
+             Collision.c_k ~probes ~radius c k = ck
+             && Collision.c_kl ~probes ~radius c ~k ~l:7 = ckl
+             && Collision.l_for_target ~probes ~radius c ~k ~target:0.9 = l90)
+           [ (1, radius); (probes, 0) ])
 
 let probed_model_saves_tables =
   QCheck.Test.make ~name:"l_for_target_probed <= l_for_target" ~count:500 arb_model_case
     (fun (c, k, probes, radius) ->
       match
         ( Collision.l_for_target c ~k ~target:0.9,
-          Collision.l_for_target_probed c ~k ~probes ~radius ~target:0.9 )
+          Collision.l_for_target ~probes ~radius c ~k ~target:0.9 )
       with
       | Some plain, Some probed -> probed <= plain
       | None, Some _ | None, None -> true
@@ -416,10 +406,8 @@ let () =
     [
       ( "key hamming",
         Alcotest.test_case "ball edges" `Quick test_hamming_edges
-        :: qsuite [ popcount_matches_model; hamming_matches_model; enumerate_matches_model ]
-      );
+        :: qsuite [ popcount_matches_model; hamming_matches_model ] );
       ("probe_seq", qsuite [ probe_seq_is_sound; probe_seq_reuse_is_pure ]);
-      ("csr ranges", qsuite [ iter_within_equals_per_key_probing ]);
       ( "engine",
         [
           Alcotest.test_case "probing is superset + hash-free" `Quick
@@ -431,7 +419,8 @@ let () =
           Alcotest.test_case "hierarchical + online agree" `Slow
             test_layers_agree_under_probing;
           Alcotest.test_case "knob validation" `Quick test_knob_validation;
-        ] );
+        ]
+        @ qsuite [ full_ball_admits_the_ball ] );
       ( "cost model",
         qsuite
           [

@@ -18,6 +18,7 @@ module Minkowski = Dbh_metrics.Minkowski
 module Hash_family = Dbh.Hash_family
 module Analysis = Dbh.Analysis
 module Index = Dbh.Index
+module Key = Dbh.Key
 module Hierarchical = Dbh.Hierarchical
 module Builder = Dbh.Builder
 module Query_opts = Dbh.Query_opts
@@ -300,6 +301,29 @@ let test_trace_knn_timeline () =
     (count (function Trace.Candidate _ -> true | _ -> false));
   Alcotest.(check int) "one Bucket_probe per probe" stats.Index.probes
     (count (function Trace.Bucket_probe _ -> true | _ -> false));
+  (* The same holds when the probe budget covers the whole Hamming ball:
+     radius 1 with k extra probes, radius 2 with the ball's k + k(k-1)/2. *)
+  let k = Index.k index in
+  List.iter
+    (fun radius ->
+      let ball = Key.ball_size ~width:k ~radius in
+      let trace = Trace.create () in
+      let opts =
+        Query_opts.make ~trace ~probes_per_table:(1 + ball) ~hamming_radius:radius ()
+      in
+      let _, stats = Index.query_knn ~opts index 5 q in
+      let what = Printf.sprintf "full radius-%d ball" radius in
+      Alcotest.(check int) (what ^ ": nothing dropped") 0 (Trace.dropped trace);
+      Alcotest.(check int) (what ^ ": every ball key probed")
+        (Index.l index * (1 + ball))
+        stats.Index.probes;
+      Alcotest.(check int)
+        (what ^ ": one Bucket_probe per probe")
+        stats.Index.probes
+        (Array.fold_left
+           (fun n (_, e) -> match e with Trace.Bucket_probe _ -> n + 1 | _ -> n)
+           0 (Trace.events trace)))
+    [ 1; 2 ];
   Alcotest.(check int) "one Pivot_miss per hash distance" stats.Index.hash_cost
     (count (function Trace.Pivot_miss _ -> true | _ -> false));
   (match events.(Array.length events - 1) with

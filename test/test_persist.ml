@@ -253,6 +253,30 @@ let test_index_save_load_round_trip () =
     queries;
   ignore db
 
+(* Save [index] with its first key count set to [max_int / k + 1], the
+   smallest count whose [n * k] bits wrap past [max_int], re-wrapped so
+   every checksum holds: loading must fail the structural decode before
+   the count sizes an array. *)
+let expect_key_count_overflow_corrupt ~path index =
+  Index.save ~encode ~path index;
+  let _, payload = Envelope.decode (read_file path) in
+  let r = Binio.reader payload in
+  ignore (Binio.read_string r);
+  ignore (Dbh.Hash_family.read ~decode ~space:l2 r);
+  ignore (Index.read_store ~decode r);
+  let k = Binio.read_int r in
+  let l = Binio.read_int r in
+  for _ = 1 to l do
+    ignore (Binio.read_int_array r)
+  done;
+  ignore (Binio.read_int_array r);
+  let b = Bytes.of_string payload in
+  Bytes.set_int64_le b (Binio.pos r) (Int64.of_int ((max_int / k) + 1));
+  write_file path (Envelope.wrap ~kind:"index" ~version:1 (Bytes.to_string b));
+  expect_corrupt
+    (Printf.sprintf "key count max_int / %d + 1" k)
+    (fun () -> Index.load ~decode ~space:l2 ~path)
+
 let test_index_every_byte_flip_detected () =
   let index, _ = build_index 12 40 in
   with_dir @@ fun dir ->
@@ -264,7 +288,10 @@ let test_index_every_byte_flip_detected () =
     expect_corrupt
       (Printf.sprintf "flip at byte %d" i)
       (fun () -> Index.load ~decode ~space:l2 ~path)
-  done
+  done;
+  (* k = 2 here, and k = 17 for the 60-vector index of the round trip. *)
+  expect_key_count_overflow_corrupt ~path index;
+  expect_key_count_overflow_corrupt ~path (fst (build_index 11 60))
 
 let test_index_decode_failure_is_corrupt () =
   let index, _ = build_index 13 40 in
@@ -449,9 +476,17 @@ let with_registry_len n data =
   Bytes.set_int64_le b 32 (Int64.of_int n);
   Envelope.wrap ~kind:header.Envelope.kind ~version:header.Envelope.version (Bytes.to_string b)
 
+(* A snapshot whose envelope kind length (bytes 16-23, after the
+   length-prefixed magic) reads [max_int]. *)
+let with_kind_len_max data =
+  let b = Bytes.of_string data in
+  Bytes.set_int64_le b 16 (Int64.of_int max_int);
+  Bytes.to_string b
+
 let test_durable_corrupt_latest_falls_back () =
   (* A flipped byte fails a checksum; a checksum-valid registry length
-     of 2^40 fails the structural decode. *)
+     of 2^40 fails the structural decode; a kind length of [max_int]
+     fails the envelope's bounds check before any checksum is read. *)
   List.iter
     (fun (what, corrupt) ->
       with_dir @@ fun dir ->
@@ -484,7 +519,8 @@ let test_durable_corrupt_latest_falls_back () =
       check_equiv (what ^ ": after fallback") twin d2;
       Durable.close d2)
     [ ("flipped byte", fun data -> flip_byte data 100);
-      ("registry length 2^40", with_registry_len (1 lsl 40)) ]
+      ("registry length 2^40", with_registry_len (1 lsl 40));
+      ("kind length max_int", with_kind_len_max) ]
 
 let test_durable_torn_wal_loses_only_the_tail () =
   with_dir @@ fun dir ->

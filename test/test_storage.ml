@@ -663,11 +663,10 @@ let of_keys_matches_list_buckets =
          = List.fold_left (fun acc (_, b) -> max acc (List.length b)) 0 expect)
 
 (* The prefix-indexed directory against a naive (key, ids) list: every
-   lookup ([iter_bucket], [bucket_size]), range scan ([iter_range]) and
-   Hamming-ball scan ([iter_within]) answers exactly as the list does,
-   on tables of 0..2000 keys at widths 1..62 — uniform keys, keys that
-   all share their top bits, the all-ones key ([max_int] at width 62) —
-   probed at every key, at 0, and above the largest key.  Each table is
+   lookup ([iter_bucket], [bucket_size]) answers exactly as the list
+   does, on tables of 0..2000 keys at widths 1..62 — uniform keys, keys
+   that all share their top bits, the all-ones key ([max_int] at width
+   62) — probed at every key, at 0, and above the largest key.  Each table is
    checked as built by [of_keys], with a suffix [add]ed to a prefix
    build (delta live), as [compacted] from that (which leaves it
    untouched) and after a [write]/[read] round trip. *)
@@ -697,49 +696,19 @@ let prefix_directory_matches_list =
         keys;
       let model = Hashtbl.fold (fun key b acc -> (key, b) :: acc) buckets [] |> List.sort compare in
       let bucket key = Option.value ~default:[] (Hashtbl.find_opt buckets key) in
-      let entries pred =
-        List.concat_map (fun (key, b) -> if pred key then List.map (fun id -> (key, id)) b else []) model
-      in
       let max_key = List.fold_left (fun acc (key, _) -> max acc key) (-1) model in
       let probes =
         (0 :: top :: List.map fst model)
         @ (if max_key >= 0 && max_key < max_int then [ max_key + 1; max_int ] else [])
         @ List.init 20 (fun _ -> draw ())
       in
-      let ranges =
-        (0, max_int) :: (max_key + 1, max_int) :: (0, 0)
-        :: List.init 20 (fun _ ->
-               let a = draw () and b = draw () in
-               (min a b, max a b))
-      in
-      let centers = 0 :: top :: List.init 3 (fun _ -> draw ()) in
-      let popcount x =
-        let rec go x acc = if x = 0 then acc else go (x land (x - 1)) (acc + 1) in
-        go x 0
-      in
       let agrees t =
-        let collect iter =
-          let got = ref [] in
-          iter (fun key id -> got := (key, id) :: !got);
-          List.rev !got
-        in
         List.for_all
           (fun key ->
             let got = ref [] in
             Csr.iter_bucket t key (fun id -> got := id :: !got);
             List.rev !got = bucket key && Csr.bucket_size t key = List.length (bucket key))
           probes
-        && List.for_all
-             (fun (lo, hi) -> collect (Csr.iter_range t ~lo ~hi) = entries (fun k -> lo <= k && k <= hi))
-             ranges
-        && List.for_all
-             (fun center ->
-               let radius = 1 + Rng.int rng (min 2 width) in
-               collect (Csr.iter_within t ~width ~radius center)
-               = entries (fun k ->
-                     let d = popcount (k lxor center) in
-                     d >= 1 && d <= radius))
-             centers
       in
       let all_alive _ = true in
       let built = Csr.of_keys ~ids ~keys in

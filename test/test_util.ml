@@ -343,15 +343,21 @@ let test_binio_roundtrip () =
   Alcotest.(check bool) "consumed" true (Dbh_util.Binio.at_end r)
 
 let test_binio_truncation () =
+  let raises_corrupt read data =
+    match read (Dbh_util.Binio.reader data) with
+    | _ -> false
+    | exception Dbh_util.Binio.Corrupt _ -> true
+  in
   let buf = Buffer.create 8 in
   Dbh_util.Binio.write_int buf 5;
   let partial = String.sub (Buffer.contents buf) 0 4 in
-  let r = Dbh_util.Binio.reader partial in
-  Alcotest.(check bool) "raises Corrupt" true
-    (try
-       ignore (Dbh_util.Binio.read_int r);
-       false
-     with Dbh_util.Binio.Corrupt _ -> true)
+  Alcotest.(check bool) "raises Corrupt" true (raises_corrupt Dbh_util.Binio.read_int partial);
+  (* A length prefix near [max_int] must not wrap the bounds check. *)
+  let huge = Buffer.create 16 in
+  Dbh_util.Binio.write_int huge max_int;
+  Buffer.add_string huge "abc";
+  Alcotest.(check bool) "length max_int raises Corrupt" true
+    (raises_corrupt Dbh_util.Binio.read_string (Buffer.contents huge))
 
 (* The byte format, pinned: every fixed-width value is one 64-bit
    little-endian word (ints two's complement, floats IEEE-754 bits), so
