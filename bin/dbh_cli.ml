@@ -833,8 +833,9 @@ let stats_of_cascade h =
     (fun i index ->
       let info = levels.(i) in
       print_level_stats
-        (Printf.sprintf "level %d (k=%d, l=%d, D=%g):" i info.Dbh.Hierarchical.k
-           info.Dbh.Hierarchical.l info.Dbh.Hierarchical.d_threshold)
+        (Printf.sprintf "level %d (k=%d, l=%d, D=%g, predicted acc %.3f, cost %.1f):" i
+           info.Dbh.Hierarchical.k info.Dbh.Hierarchical.l info.Dbh.Hierarchical.d_threshold
+           info.Dbh.Hierarchical.predicted_accuracy info.Dbh.Hierarchical.predicted_cost)
         index)
     indexes
 

@@ -53,30 +53,46 @@ val accuracy : ?probes:int -> ?radius:int -> t -> k:int -> l:int -> float
     [C_{k,l}(Q, N(Q))].  [probes]/[radius] (defaults [1]/[0]) are
     passed to {!Collision.c_kl}, which models the multi-probe cascade;
     at the defaults the estimate is bit-identical to the historical
-    one. *)
+    one.  On a {!credit}ed model it is the cascade's accuracy through
+    this level: the mean of [1 − m(Q)·(1 − C_{k,l}(Q, N(Q)))], where
+    [m(Q)] is the chance that [N(Q)] escaped every credited level. *)
 
 val lookup_cost : ?probes:int -> ?radius:int -> t -> k:int -> l:int -> float
 (** Predicted mean lookup cost (Eq. 12), scaled to the full database.
     Multi-probe raises it: probed buckets admit extra candidates at the
-    probed per-table rate. *)
+    probed per-table rate.  On a {!credit}ed model it counts the
+    candidates of this level and the credited ones together, each
+    object once. *)
 
 val hash_cost : t -> k:int -> l:int -> float
 (** Expected number of distinct pivots referenced by [k·l] functions
     drawn with replacement — the expected [HashCost_{k,l}] (Sec. V-B),
     never exceeding the number of pivots.  Multi-probe leaves this
     unchanged: extra probes reuse the base key's cached pivot
-    distances. *)
+    distances.  On a {!credit}ed model the draws of the credited levels
+    count too. *)
 
 val total_cost : ?probes:int -> ?radius:int -> t -> k:int -> l:int -> float
 (** [lookup_cost + hash_cost] (Eq. 13/14, averaged over queries). *)
 
-val lookup_cost_of_query : ?probes:int -> ?radius:int -> t -> int -> k:int -> l:int -> float
-(** Per-query Eq. 12 term (scaled to the full database). *)
+val credit : t -> k:int -> l:int -> t
+(** [credit t ~k ~l] models a cascade level that runs after a
+    single-probe level [(k, l)] drawn from the same family, and after
+    every level [t] already credits (Sec. V-A: a query of stratum [i]
+    passes through levels [0..i]).  Levels draw their functions
+    independently, so a pair at collision rate [c] escapes the credited
+    levels with probability [Π_j (1 − C_{k_j,l_j}(c))] (Eq. 10);
+    {!accuracy}, {!lookup_cost} and {!hash_cost} then price the union
+    of those levels and the one asked about.  The credit depends on a
+    pair only through its agreement count, so a credited model prices a
+    [(k, l)] in O(num_fns).  Hierarchical DBH credits each level for the
+    levels before it when its slack is positive.  Raises
+    [Invalid_argument] unless [k >= 1] and [l >= 1]. *)
 
 val restrict : t -> int array -> t
 (** Model restricted to a subset of its sample queries (by position,
     [0 .. num_queries-1]) — used by hierarchical DBH to fit per-stratum
-    parameters. *)
+    parameters.  Keeps the credit of [t]. *)
 
 val queries_by_nn_distance : t -> int array
 (** Sample-query positions sorted by increasing [nn_distance] — the

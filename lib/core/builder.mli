@@ -22,8 +22,11 @@ type config = {
   slack : float;
       (** fraction of extra predicted distances the optimizer may spend
           to use fewer tables ({!Params.optimize}); default [0.03].  [0.]
-          is the paper's objective.  Negative or non-finite values raise
-          [Invalid_argument]. *)
+          is the paper's objective, and for {!hierarchical} the paper's
+          per-level optimizer; above [0.], {!hierarchical} builds the
+          lean cascade plan, each level tuned for what the levels before
+          it already catch ({!Hierarchical.build}).  Negative or
+          non-finite values raise [Invalid_argument]. *)
   levels : int;  (** strata for the hierarchical variant (default 5) *)
 }
 
@@ -90,6 +93,9 @@ val hierarchical :
   ?config:config ->
   unit ->
   'a Hierarchical.t
+(** The cascade of {!Hierarchical.build} at [config]'s levels, k and l
+    ranges and slack: at [slack = 0.] the paper's per-level optimizer,
+    at the default [0.03] the lean cascade plan. *)
 
 val auto :
   ?pool:Dbh_util.Pool.t ->

@@ -57,19 +57,26 @@ let build ?pool ~rng ~family ~db ~analysis ~target_accuracy ?pivot_table ?(level
   if nq < levels then invalid_arg "Hierarchical.build: fewer sample queries than levels";
   let store = Store.of_array db in
   let order = Analysis.queries_by_nn_distance analysis in
+  (* The model the next level is tuned on.  At [slack = 0] (the paper)
+     each level runs alone; with a slack, a stratum-i query reaches
+     level i only after levels 0..i-1, so each level is credited with
+     what those already catch (the lean cascade plan). *)
+  let model = ref analysis in
   let level_array =
     Array.init levels (fun i ->
         (* Contiguous percentile stratum of the NN-distance ranking. *)
         let lo = i * nq / levels in
         let hi = ((i + 1) * nq / levels) - 1 in
         let positions = Array.sub order lo (hi - lo + 1) in
-        let stratum = Analysis.restrict analysis positions in
+        let stratum = Analysis.restrict !model positions in
         let d_threshold = Analysis.nn_distance analysis order.(hi) in
         let choice =
           match Params.optimize ~slack stratum ~target_accuracy ~k_min ~k_max ~l_max () with
           | Some c -> c
           | None -> fallback_choice ~slack stratum ~k_min ~k_max ~l_max
         in
+        if slack > 0. then
+          model := Analysis.credit !model ~k:choice.Params.k ~l:choice.Params.l;
         (* Levels stay sequential — each consumes rng draws in level
            order — but every level's own build fans out over the pool. *)
         let index =

@@ -9,7 +9,13 @@
     Retrieval cascades through the strata in increasing [D_i] order and
     stops as soon as the best distance found is within the current
     stratum's radius [D_i], which certifies (statistically) that later,
-    more expensive indexes are unnecessary for this query. *)
+    more expensive indexes are unnecessary for this query.
+
+    Two plans: at [slack = 0] (the paper) each level is tuned on its
+    stratum as if it ran alone; at [slack > 0] (the builder's default)
+    the levels are tuned in cascade order, each on a model credited
+    with what the levels before it already catch ({!Analysis.credit}):
+    the lean cascade plan. *)
 
 type level_info = {
   k : int;
@@ -17,7 +23,12 @@ type level_info = {
   d_threshold : float;
       (** [D_i]: largest sample-query NN distance in stratum [i]. *)
   predicted_accuracy : float;
+      (** The model's accuracy for stratum [i]'s sample queries: through
+          this level alone at [slack = 0], through levels [0..i] (the
+          cascade prediction) at [slack > 0]. *)
   predicted_cost : float;
+      (** Predicted distances (lookups + hashing) of a stratum-[i]
+          query, under the same model as [predicted_accuracy]. *)
 }
 
 type 'a t
@@ -42,8 +53,15 @@ val build :
     target is unreachable within [l_max] fall back to the most accurate
     reachable setting.  Raises when [analysis] has fewer sample queries
     than [levels].  Every stratum's [(k,l)], fallback included, comes
-    from {!Params.optimize} at [slack] (default [0.], the paper's
-    objective).
+    from {!Params.optimize} at [slack].
+
+    [slack = 0.] (the default) is the paper's per-level optimizer: each
+    stratum's own model, the argmin of Eq. 14.  [slack > 0.] is the lean
+    cascade plan: level [i] is tuned on its stratum credited with levels
+    [0..i-1] ({!Analysis.credit}), since a stratum-[i] query passes
+    through them first, and takes the fewest tables within [slack] of
+    that model's optimum.  Its [predicted_accuracy] is then the cascade
+    prediction through level [i].
 
     [pool] fans each level's per-object hashing across domains (levels
     themselves stay sequential — they share the rng stream); the cascade

@@ -359,9 +359,8 @@ let probe_extras r t ~level cells visit =
   for row = 0 to t.l - 1 do
     let fns = t.fn_ids.(row) in
     let table = t.tables.(row) in
-    let penalty j = margins.(Array.unsafe_get fns j) in
     Probe_seq.generate ps ~base:(Key.of_row cells fns) ~width:t.k ~radius:r.hamming_radius
-      ~max_probes:extra ~penalty ~emit:(fun pk ->
+      ~max_probes:extra ~margins ~fns ~emit:(fun pk ->
         r.probes <- r.probes + 1;
         record_probe r ~level ~row table (pk :> int);
         Csr.iter_bucket table (pk :> int) visit)

@@ -24,7 +24,11 @@
 
    The workspace (sort rows + heap arrays) is owned by the caller and
    reused across queries; [generate] allocates nothing beyond growing
-   those arrays the first time a larger k or probe count shows up. *)
+   those arrays the first time a larger k or probe count shows up.
+   Penalties go straight from the margin row into the workspace's float
+   arrays, and a heap key is stored before the int-only sift: a float
+   passed to or returned from a call that is not inlined would be
+   boxed. *)
 
 type t = {
   mutable order : int array;  (* bit positions sorted by (penalty, position) *)
@@ -79,10 +83,11 @@ let swap t i j =
   t.hsize.(i) <- t.hsize.(j);
   t.hsize.(j) <- is
 
-let push t pen mask last size =
-  ensure_heap t (t.hn + 1);
+(* Push the subset (mask, last, size) whose key the caller has already
+   written to [t.hpen.(t.hn)], inside a heap [ensure_heap] has grown:
+   every argument is an int, so nothing is boxed. *)
+let push t mask last size =
   let i = ref t.hn in
-  t.hpen.(!i) <- pen;
   t.hmask.(!i) <- mask;
   t.hlast.(!i) <- last;
   t.hsize.(!i) <- size;
@@ -111,18 +116,22 @@ let pop t =
     end
   done
 
-let generate t ~base ~width ~radius ~max_probes ~penalty ~emit =
+(* Bit j of the code sits at int bit (width - 1 - j). *)
+let mask_of t ~width i = 1 lsl (width - 1 - t.order.(i))
+
+let generate t ~base ~width ~radius ~max_probes ~margins ~fns ~emit =
   Key.check_width width;
   if radius < 0 || radius > Key.max_radius then
     invalid_arg
       (Printf.sprintf "Probe_seq.generate: radius must be in [0, %d]" Key.max_radius);
+  if Array.length fns < width then invalid_arg "Probe_seq.generate: fewer functions than bits";
   if max_probes > 0 && radius > 0 then begin
     ensure_width t width;
     let order = t.order and pens = t.pens in
     (* Insertion sort by (penalty, position): stable, so equal margins
        keep bit order and the sequence is deterministic. *)
     for j = 0 to width - 1 do
-      let p = penalty j in
+      let p = margins.(fns.(j)) in
       let i = ref j in
       while !i > 0 && pens.(!i - 1) > p do
         order.(!i) <- order.(!i - 1);
@@ -132,10 +141,10 @@ let generate t ~base ~width ~radius ~max_probes ~penalty ~emit =
       order.(!i) <- j;
       pens.(!i) <- p
     done;
-    (* Bit j of the code sits at int bit (width - 1 - j). *)
-    let mask_of i = 1 lsl (width - 1 - order.(i)) in
     t.hn <- 0;
-    push t pens.(0) (mask_of 0) 0 1;
+    ensure_heap t 1;
+    t.hpen.(0) <- pens.(0);
+    push t (mask_of t ~width 0) 0 1;
     let base = (base : Key.t :> int) in
     let emitted = ref 0 in
     while !emitted < max_probes && t.hn > 0 do
@@ -147,12 +156,14 @@ let generate t ~base ~width ~radius ~max_probes ~penalty ~emit =
       emit (Key.of_int ~width (base lxor mask));
       incr emitted;
       if last + 1 < width then begin
-        push t
-          (pen -. pens.(last) +. pens.(last + 1))
-          (mask lxor mask_of last lxor mask_of (last + 1))
-          (last + 1) size;
-        if size < radius then
-          push t (pen +. pens.(last + 1)) (mask lor mask_of (last + 1)) (last + 1) (size + 1)
+        let next = mask_of t ~width (last + 1) in
+        ensure_heap t (t.hn + 2);
+        t.hpen.(t.hn) <- pen -. pens.(last) +. pens.(last + 1);
+        push t (mask lxor mask_of t ~width last lxor next) (last + 1) size;
+        if size < radius then begin
+          t.hpen.(t.hn) <- pen +. pens.(last + 1);
+          push t (mask lor next) (last + 1) (size + 1)
+        end
       end
     done
   end

@@ -441,6 +441,41 @@ let test_analysis_restrict () =
   let half = Analysis.restrict analysis (Array.sub all 0 30) in
   Alcotest.(check int) "half size" 30 (Analysis.num_queries half)
 
+(* A credited model prices the union of the credited levels and the
+   level asked about (Eq. 10): accuracy per sample query in closed form,
+   lookups between the larger level's and the sum of both, hashing over
+   every draw; order of crediting and restriction change nothing. *)
+let test_analysis_credit () =
+  let analysis, _, _, _ = make_analysis () in
+  let credited = Analysis.credit analysis ~k:6 ~l:4 in
+  let nq = Analysis.num_queries analysis in
+  let closed =
+    Dbh_util.Stats.mean
+      (Array.init nq (fun i ->
+           let c = Analysis.nn_collision analysis i in
+           1. -. ((1. -. Collision.c_kl c ~k:6 ~l:4) *. (1. -. Collision.c_kl c ~k:9 ~l:7))))
+  in
+  check_float "accuracy = 1 - product of misses" closed (Analysis.accuracy credited ~k:9 ~l:7);
+  let one = Analysis.lookup_cost analysis ~k:6 ~l:4 in
+  let two = Analysis.lookup_cost analysis ~k:9 ~l:7 in
+  let union = Analysis.lookup_cost credited ~k:9 ~l:7 in
+  Alcotest.(check bool)
+    (Printf.sprintf "lookups %.2f within [%.2f, %.2f]" union (Float.max one two) (one +. two))
+    true
+    (union >= Float.max one two -. 1e-9 && union <= one +. two +. 1e-9);
+  check_float "hash cost over all 24 + 63 draws" (Analysis.hash_cost analysis ~k:3 ~l:29)
+    (Analysis.hash_cost credited ~k:9 ~l:7);
+  let both = Analysis.credit credited ~k:9 ~l:7 in
+  let swapped = Analysis.credit (Analysis.credit analysis ~k:9 ~l:7) ~k:6 ~l:4 in
+  check_float "crediting order" (Analysis.accuracy both ~k:4 ~l:2)
+    (Analysis.accuracy swapped ~k:4 ~l:2);
+  let half = Array.init (nq / 2) (fun i -> 2 * i) in
+  check_float "restrict keeps the credit"
+    (Analysis.accuracy (Analysis.credit (Analysis.restrict analysis half) ~k:6 ~l:4) ~k:9 ~l:7)
+    (Analysis.accuracy (Analysis.restrict credited half) ~k:9 ~l:7);
+  Alcotest.check_raises "l = 0" (Invalid_argument "Analysis.credit: k and l must be positive")
+    (fun () -> ignore (Analysis.credit analysis ~k:3 ~l:0))
+
 let test_analysis_order () =
   let analysis, _, _, _ = make_analysis () in
   let order = Analysis.queries_by_nn_distance analysis in
@@ -846,6 +881,7 @@ let () =
             test_analysis_hash_cost_upper_bounds;
           Alcotest.test_case "nn collision high" `Quick test_analysis_nn_collision_high;
           Alcotest.test_case "restrict" `Quick test_analysis_restrict;
+          Alcotest.test_case "credit prices the cascade (Eq. 10)" `Quick test_analysis_credit;
           Alcotest.test_case "order by nn distance" `Quick test_analysis_order;
           Alcotest.test_case "ground truth override" `Quick test_analysis_ground_truth_override;
         ] );

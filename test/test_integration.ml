@@ -8,6 +8,9 @@ module Minkowski = Dbh_metrics.Minkowski
 module Builder = Dbh.Builder
 module Index = Dbh.Index
 module Hierarchical = Dbh.Hierarchical
+module Analysis = Dbh.Analysis
+module Params = Dbh.Params
+module Collision = Dbh.Collision
 module Ground_truth = Dbh_eval.Ground_truth
 module Figure5 = Dbh_eval.Figure5
 module Tradeoff = Dbh_eval.Tradeoff
@@ -143,6 +146,117 @@ let test_lean_plans_keep_accuracy () =
     (Printf.sprintf "accuracy %.3f vs %.3f at slack 0 (margin %.3f)" lean_acc paper_acc margin)
     true
     (lean_acc >= paper_acc -. margin)
+
+(* The cascade model (Sec. V-A, Eq. 10) of a built cascade, stratum by
+   stratum, written out per sample query from its NN collision rate c:
+   levels draw their functions independently, so the neighbour escapes
+   levels 0..j with probability Π (1 − C_{k,l}(c)).  [own] is the
+   prediction through each stratum's own level, which the level must
+   store; [all] the prediction through every level.  A held-out query
+   whose neighbour lies in stratum i passes levels 0..i at least and may
+   run on, so its chance of being answered lies between the two. *)
+let cascade_model ~analysis ~levels ~target =
+  let s = Array.length levels and nq = Analysis.num_queries analysis in
+  let order = Analysis.queries_by_nn_distance analysis in
+  let stratum i =
+    let lo = i * nq / s and hi = ((i + 1) * nq / s) - 1 in
+    Array.sub order lo (hi - lo + 1)
+  in
+  let through last positions =
+    Dbh_util.Stats.mean
+      (Array.map
+         (fun p ->
+           let c = Analysis.nn_collision analysis p in
+           let miss = ref 1. in
+           for j = 0 to last do
+             let lev = levels.(j) in
+             miss := !miss *. (1. -. Collision.c_kl c ~k:lev.Hierarchical.k ~l:lev.Hierarchical.l)
+           done;
+           1. -. !miss)
+         positions)
+  in
+  (* credited.(i): the model credited with levels 0..i-1. *)
+  let credited = Array.make s analysis in
+  for i = 1 to s - 1 do
+    let prev = levels.(i - 1) in
+    credited.(i) <- Analysis.credit credited.(i - 1) ~k:prev.Hierarchical.k ~l:prev.Hierarchical.l
+  done;
+  let own = Array.init s (fun i -> through i (stratum i)) in
+  let all = Array.init s (fun i -> through (s - 1) (stratum i)) in
+  Array.iteri
+    (fun i (info : Hierarchical.level_info) ->
+      Alcotest.(check (float 1e-9))
+        (Printf.sprintf "level %d stores its cascade prediction" i)
+        own.(i) info.predicted_accuracy;
+      (* Unless the stratum fell back, the builder took the lean plan of
+         its stratum under the credited model, which meets the target. *)
+      match
+        Params.optimize ~slack:Builder.default_config.slack
+          (Analysis.restrict credited.(i) (stratum i))
+          ~target_accuracy:target ~k_max:Builder.default_config.k_max
+          ~l_max:Builder.default_config.l_max ()
+      with
+      | None -> ()
+      | Some c ->
+          Alcotest.(check (pair int int))
+            (Printf.sprintf "level %d plan" i)
+            (c.Params.k, c.Params.l) (info.k, info.l);
+          Alcotest.(check bool)
+            (Printf.sprintf "level %d predicts %.3f >= target %.2f" i own.(i) target)
+            true (own.(i) >= target))
+    levels;
+  (Dbh_util.Stats.mean own, Dbh_util.Stats.mean all)
+
+(* Held-out accuracy of cascades built at three targets must lie within
+   2.58 binomial standard errors (99%) of the cascade model's bracket:
+   at least the prediction through each stratum's own level, at most the
+   prediction through every level.  The per-level model of the paper
+   sits 5 to 8 standard errors below what held-out queries reach. *)
+let check_cascade_model ~space ~config ~db ~queries =
+  let truth = Ground_truth.compute ~space ~db ~queries () in
+  let prepared = Builder.prepare ~rng:(Rng.create 160) ~space ~config db in
+  let n = float_of_int (Array.length queries) in
+  let se p = sqrt (p *. (1. -. p) /. n) in
+  List.iter
+    (fun target ->
+      let h =
+        Builder.hierarchical ~rng:(Rng.create 161) ~prepared ~db ~target_accuracy:target ~config
+          ()
+      in
+      let own, all =
+        cascade_model ~analysis:prepared.Builder.analysis ~levels:(Hierarchical.levels h) ~target
+      in
+      let results = Array.map (fun q -> Hierarchical.search h q) queries in
+      let acc = Ground_truth.accuracy truth (Array.map (fun r -> r.Index.nn) results) in
+      let lo = own -. (2.58 *. se own) and hi = all +. (2.58 *. se all) in
+      Alcotest.(check bool)
+        (Printf.sprintf "target %.2f: held-out %.3f in [%.3f, %.3f] (own %.3f, all %.3f)" target
+           acc lo hi own all)
+        true
+        (acc >= lo && acc <= hi))
+    [ 0.8; 0.9; 0.95 ]
+
+let test_cascade_model_pen () =
+  let params =
+    {
+      Dbh_datasets.Pen_digits.default_params with
+      control_jitter = 0.05;
+      noise_sigma = 0.02;
+      warp_strength = 0.3;
+    }
+  in
+  let all = Dbh_datasets.Pen_digits.generate_set ~rng:(Rng.create 162) ~params 1100 in
+  check_cascade_model ~space:Dbh_datasets.Pen_digits.space
+    ~config:{ Builder.default_config with num_pivots = 40; num_sample_queries = 80 }
+    ~db:(Array.sub all 0 800) ~queries:(Array.sub all 800 300)
+
+let test_cascade_model_l2 () =
+  let all, _ =
+    Dbh_datasets.Vectors.gaussian_mixture ~rng:(Rng.create 163) ~num_clusters:25 ~dim:16 2300
+  in
+  check_cascade_model ~space:Minkowski.l2_space
+    ~config:{ Builder.default_config with num_pivots = 50; num_sample_queries = 100 }
+    ~db:(Array.sub all 0 2000) ~queries:(Array.sub all 2000 300)
 
 let test_dbh_on_strings () =
   (* Edit distance: another black-box space, queries are mutated members. *)
@@ -280,6 +394,8 @@ let () =
           Alcotest.test_case "hierarchical cheaper" `Slow test_hierarchical_cheaper_than_single;
           Alcotest.test_case "non-metric DTW" `Slow test_dbh_on_non_metric_dtw;
           Alcotest.test_case "lean plans keep accuracy" `Slow test_lean_plans_keep_accuracy;
+          Alcotest.test_case "cascade model brackets pen/DTW" `Slow test_cascade_model_pen;
+          Alcotest.test_case "cascade model brackets 16-d L2" `Slow test_cascade_model_l2;
           Alcotest.test_case "strings" `Slow test_dbh_on_strings;
           Alcotest.test_case "jaccard documents" `Slow test_dbh_on_jaccard_documents;
           Alcotest.test_case "KL histograms" `Slow test_dbh_on_kl_histograms;

@@ -93,10 +93,15 @@ let arb_probe_case =
         (String.concat ";" (Array.to_list (Array.map string_of_float pen))))
     gen
 
+(* [pen.(j)] is the flip penalty of bit j.  The generator reads it as
+   [margins.(fns.(j))]; the function ids run backwards here so the
+   indirection is exercised. *)
 let collect_probes ps ~width ~base ~radius ~max_probes ~pen =
   let out = ref [] in
-  Probe_seq.generate ps ~base ~width ~radius ~max_probes
-    ~penalty:(fun j -> pen.(j))
+  let w = Array.length pen in
+  let fns = Array.init w (fun j -> w - 1 - j) in
+  let margins = Array.init w (fun i -> pen.(w - 1 - i)) in
+  Probe_seq.generate ps ~base ~width ~radius ~max_probes ~margins ~fns
     ~emit:(fun k -> out := k :: !out);
   List.rev !out
 
@@ -142,6 +147,33 @@ let probe_seq_reuse_is_pure =
       let fresh = collect_probes (Probe_seq.create ()) ~width:w ~base ~radius ~max_probes ~pen in
       let reused = collect_probes shared ~width:w ~base ~radius ~max_probes ~pen in
       fresh = reused)
+
+(* A warmed workspace emits a whole radius-2 ball at k = 12 (78 keys)
+   without a word of allocation: penalties stay in its float arrays. *)
+let test_probe_seq_allocates_nothing () =
+  let width = 12 and radius = 2 in
+  let ball = Key.ball_size ~width ~radius in
+  let rng = Rng.create 88 in
+  let margins = Array.init 40 (fun _ -> Rng.float rng 3.) in
+  let fns = Array.init width (fun j -> (3 * j) + 1) in
+  let base = Key.of_int ~width 0xa5c in
+  let ps = Probe_seq.create () in
+  let emitted = ref 0 in
+  let emit _ = incr emitted in
+  let generate () =
+    Probe_seq.generate ps ~base ~width ~radius ~max_probes:ball ~margins ~fns ~emit
+  in
+  generate ();
+  emitted := 0;
+  Gc.minor ();
+  let before = Gc.minor_words () in
+  for _ = 1 to 10_000 do
+    generate ()
+  done;
+  Gc.minor ();
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check int) "keys emitted" (10_000 * ball) !emitted;
+  Alcotest.(check (float 0.)) "minor words over 10,000 generations" 0. words
 
 (* ------------------------------------------------- engine properties *)
 
@@ -407,7 +439,12 @@ let () =
       ( "key hamming",
         Alcotest.test_case "ball edges" `Quick test_hamming_edges
         :: qsuite [ popcount_matches_model; hamming_matches_model ] );
-      ("probe_seq", qsuite [ probe_seq_is_sound; probe_seq_reuse_is_pure ]);
+      ( "probe_seq",
+        qsuite [ probe_seq_is_sound; probe_seq_reuse_is_pure ]
+        @ [
+            Alcotest.test_case "warmed generation allocates nothing" `Quick
+              test_probe_seq_allocates_nothing;
+          ] );
       ( "engine",
         [
           Alcotest.test_case "probing is superset + hash-free" `Quick
