@@ -423,11 +423,11 @@ let ablation_xsmall () =
       let family =
         Dbh.Hash_family.make ~rng ~space ~num_pivots:m ~threshold_sample:(sc 500) db
       in
-      let analysis =
-        Dbh.Analysis.build ~rng ~family ~db ~query_indices ~ground_truth:gt ~num_fns:250
-          ~db_sample:(sc 500) ()
-      in
       let pivot_table = Dbh.Hash_family.pivot_table family db in
+      let analysis =
+        Dbh.Analysis.build ~rng ~family ~db ~pivot_table ~query_indices ~ground_truth:gt
+          ~num_fns:250 ~db_sample:(sc 500) ()
+      in
       let h =
         Dbh.Hierarchical.build ~rng ~family ~db ~analysis ~target_accuracy:0.9 ~pivot_table ()
       in

@@ -372,10 +372,11 @@ let run_stress dataset seed db_size num_queries target nan exn_p negative pertur
 
 (* ----------------------------------------------------------------- trace *)
 
-(* Build a hierarchical index, run one query with a trace recorder
-   attached, and print the full event timeline: pivot-distance cache
-   activity, per-table bucket probes, candidate comparisons, level
-   transitions and the end-of-query cost summary. *)
+(* Build a hierarchical index, counting the distances the build pays,
+   run one query with a trace recorder attached, and print the full
+   event timeline: pivot-distance cache activity, per-table bucket
+   probes, candidate comparisons, level transitions and the end-of-query
+   cost summary. *)
 let run_trace dataset seed db_size target pivots query_index budget =
   let (Bundle { space; db; queries }) =
     make_bundle dataset ~seed ~db_size ~num_queries:(max 1 (query_index + 1))
@@ -387,10 +388,12 @@ let run_trace dataset seed db_size target pivots query_index budget =
   else begin
     let rng = Rng.create (seed + 2) in
     let config = builder_config ~pivots ~sample_queries:(min 200 (Array.length db / 2)) in
-    let prepared = Dbh.Builder.prepare ~rng ~space ~config db in
+    let counted, build_counter = Space.with_counter space in
+    let prepared = Dbh.Builder.prepare ~rng ~space:counted ~config db in
     let index =
       Dbh.Builder.hierarchical ~rng ~prepared ~db ~target_accuracy:target ~config ()
     in
+    let build_distances = Space.count build_counter in
     let trace = Dbh_obs.Trace.create () in
     let opts =
       Dbh.Query_opts.make ?budget:(if budget > 0 then Some budget else None) ~trace ()
@@ -399,6 +402,7 @@ let run_trace dataset seed db_size target pivots query_index budget =
     let r = Dbh.Hierarchical.search ~opts index q in
     Printf.printf "dataset=%s  db=%d  space=%s  target=%.2f  query #%d\n" dataset
       (Array.length db) space.Space.name target query_index;
+    Printf.printf "build  : %d distances\n" build_distances;
     (match r.Dbh.Index.nn with
     | Some (id, d) -> Printf.printf "answer : id=%d distance=%g\n" id d
     | None -> print_endline "answer : none (all probed buckets empty)");

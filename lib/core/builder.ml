@@ -42,32 +42,26 @@ type 'a prepared = {
   pivot_table : float array array;
 }
 
-let prepare ?pool ?observations ~rng ~space ?(config = default_config) db =
+let prepare ?pool ?(observations = Hash_family.no_observations) ~rng ~space
+    ?(config = default_config) db =
   Params.check_slack config.slack;
   Log.info (fun m ->
       m "preparing family over %d objects (space %s, %d pivots, selector %s)"
         (Array.length db) space.Dbh_space.Space.name config.num_pivots
         (Selector.tag config.selector));
-  let family =
-    match observations with
-    | None ->
-        Hash_family.make ?pool ~rng ~space ~num_pivots:config.num_pivots
-          ~threshold_sample:config.threshold_sample ?max_functions:config.max_functions
-          ~selector:config.selector db
-    | Some (prior, obs) ->
-        (* Re-tuning path: anchor the data-dependent scoring to the
-           observed traffic strata instead of the sample's own spread. *)
-        Hash_family.retune ?pool ~rng ~num_pivots:config.num_pivots
-          ~threshold_sample:config.threshold_sample ?max_functions:config.max_functions
-          ~selector:config.selector ~observations:obs prior db
+  (* The table comes first: the family's fit, the model's signatures
+     and every index build read their pivot distances from it. *)
+  let family, pivot_table =
+    Hash_family.make_with_table ?pool ~rng ~space ~num_pivots:config.num_pivots
+      ~threshold_sample:config.threshold_sample ~max_functions:config.max_functions
+      ~selector:config.selector ~observations db
   in
   let n = Array.length db in
   let query_indices = Rng.sample_indices rng (min config.num_sample_queries n) n in
   let analysis =
-    Analysis.build ?pool ~rng ~family ~db ~query_indices ~num_fns:config.num_fns
+    Analysis.build ?pool ~rng ~family ~db ~pivot_table ~query_indices ~num_fns:config.num_fns
       ~db_sample:config.db_sample ()
   in
-  let pivot_table = Hash_family.pivot_table ?pool family db in
   Log.info (fun m ->
       m "prepared: %d binary functions, %d sample queries, pivot table %dx%d"
         (Hash_family.size family) (Array.length query_indices) (Array.length pivot_table)

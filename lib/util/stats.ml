@@ -46,6 +46,42 @@ let quantiles_of_sorted sorted q =
     sorted.(lo) +. (frac *. (sorted.(hi) -. sorted.(lo)))
   end
 
+(* [compare]'s order on floats: NaN before everything, then numeric
+   order, -0. and 0. equal.  Both arguments are known floats, so this
+   compiles to plain float comparisons, with nothing boxed. *)
+let[@inline] before (a : float) b = a < b || (a <> a && b = b)
+
+(* Sink [a.(i)] to its place in the max-heap [a.(0 .. len-1)]. *)
+let sift_down a i len =
+  let x = a.(i) in
+  let i = ref i and sinking = ref true in
+  while !sinking do
+    let l = (2 * !i) + 1 in
+    if l >= len then sinking := false
+    else begin
+      let c = if l + 1 < len && before a.(l) a.(l + 1) then l + 1 else l in
+      if before x a.(c) then begin
+        a.(!i) <- a.(c);
+        i := c
+      end
+      else sinking := false
+    end
+  done;
+  a.(!i) <- x
+
+(* Heapsort: in place, O(n log n) on any input, no recursion. *)
+let sort_floats a =
+  let n = Array.length a in
+  for i = (n / 2) - 1 downto 0 do
+    sift_down a i n
+  done;
+  for last = n - 1 downto 1 do
+    let top = a.(0) in
+    a.(0) <- a.(last);
+    a.(last) <- top;
+    sift_down a 0 last
+  done
+
 let quantile xs q =
   check_nonempty "quantile" xs;
   let sorted = Array.copy xs in

@@ -35,6 +35,12 @@ val quantiles_of_sorted : float array -> float -> float
 (** Same as {!quantile} but assumes the array is already sorted ascending;
     O(1).  Useful when many quantiles are read from one sample. *)
 
+val sort_floats : float array -> unit
+(** Sorts in place, ascending in [compare]'s order (NaN first, [-0.] and
+    [0.] equal), so elementwise the result equals [Array.sort compare]'s
+    up to the order of equal elements: the order {!quantiles_of_sorted}
+    reads.  Allocates nothing and boxes no float; O(n log n). *)
+
 val histogram : bins:int -> float array -> (float * float * int) array
 (** [histogram ~bins xs] partitions [\[min xs, max xs\]] into [bins] equal
     cells and returns [(lo, hi, count)] per cell.  The final cell is

@@ -186,6 +186,53 @@ let test_stats_mean_ci95 () =
   let _, hw1 = Stats.mean_ci95 [| 42. |] in
   check_float "singleton halfwidth" 0. hw1
 
+(* Floats with duplicates, signed zeros, infinities and NaNs of both
+   signs. *)
+let awkward_floats =
+  let open QCheck.Gen in
+  let value =
+    frequency
+      [
+        (4, float_range (-100.) 100.);
+        (3, map float_of_int (int_range (-3) 3));
+        (2, oneofl [ nan; -.nan; infinity; neg_infinity; 0.; -0. ]);
+      ]
+  in
+  QCheck.make ~print:QCheck.Print.(array float) (array_size (int_range 0 80) value)
+
+(* Elementwise equal under [compare]: -0. may stand where 0. does, and
+   one NaN where another does, as in any two correct sorts. *)
+let prop_sort_floats_matches_sort =
+  QCheck.Test.make ~name:"sort_floats = Array.sort compare" ~count:500 awkward_floats
+    (fun xs ->
+      let mine = Array.copy xs and reference = Array.copy xs in
+      Stats.sort_floats mine;
+      Array.sort compare reference;
+      Array.for_all2 (fun a b -> compare a b = 0) mine reference)
+
+(* The threshold fit sorts one 500-float sample per pivot pair; a warmed
+   sort must not allocate. *)
+let test_sort_floats_allocates_nothing () =
+  let rng = Rng.create 5 in
+  let sample = Array.init 500 (fun _ -> Rng.float rng 10.) in
+  let work = Array.copy sample in
+  let sort () =
+    Array.blit sample 0 work 0 500;
+    Stats.sort_floats work
+  in
+  sort ();
+  Gc.minor ();
+  let before = Gc.minor_words () in
+  for _ = 1 to 1_000 do
+    sort ()
+  done;
+  Gc.minor ();
+  let words = Gc.minor_words () -. before in
+  let reference = Array.copy sample in
+  Array.sort compare reference;
+  Alcotest.(check bool) "sorted" true (work = reference);
+  Alcotest.(check (float 0.)) "minor words over 1,000 sorts of 500 floats" 0. words
+
 (* --------------------------------------------------------- Bounded_heap *)
 
 let test_heap_keeps_k_smallest () =
@@ -455,7 +502,10 @@ let () =
           Alcotest.test_case "histogram" `Quick test_stats_histogram;
           Alcotest.test_case "pearson" `Quick test_stats_pearson;
           Alcotest.test_case "mean ci95" `Quick test_stats_mean_ci95;
-        ] );
+          Alcotest.test_case "warmed sort_floats allocates nothing" `Quick
+            test_sort_floats_allocates_nothing;
+        ]
+        @ qsuite [ prop_sort_floats_matches_sort ] );
       ( "bounded_heap",
         Alcotest.test_case "keeps k smallest" `Quick test_heap_keeps_k_smallest
         :: Alcotest.test_case "threshold" `Quick test_heap_threshold
