@@ -62,15 +62,15 @@ let l_for_target ?probes ?radius c ~k ~target =
 
 let estimate ~rng ?(num_fns = 200) family x1 x2 =
   let fn_indices = Hash_family.sample_fn_indices ~rng family num_fns in
-  let s1 = Hash_family.signature family ~fn_indices x1 in
-  let s2 = Hash_family.signature family ~fn_indices x2 in
+  let s1 = Hash_family.signature family ~fn_indices (Hash_family.cache family x1) in
+  let s2 = Hash_family.signature family ~fn_indices (Hash_family.cache family x2) in
   Bitvec.agreement s1 s2
 
 let estimate_exact family x1 x2 =
   let n = Hash_family.size family in
   let fn_indices = Array.init n (fun i -> i) in
-  let s1 = Hash_family.signature family ~fn_indices x1 in
-  let s2 = Hash_family.signature family ~fn_indices x2 in
+  let s1 = Hash_family.signature family ~fn_indices (Hash_family.cache family x1) in
+  let s2 = Hash_family.signature family ~fn_indices (Hash_family.cache family x2) in
   Bitvec.agreement s1 s2
 
 let pairwise_matrix ?pool ~rng ?(num_fns = 200) family sample =
@@ -79,7 +79,7 @@ let pairwise_matrix ?pool ~rng ?(num_fns = 200) family sample =
      they are independent per object, so they fan out across the pool.
      The function draw happens before, so the matrix is bit-identical to
      the sequential run for the same seed. *)
-  let sig_of = Hash_family.signature family ~fn_indices in
+  let sig_of x = Hash_family.signature family ~fn_indices (Hash_family.cache family x) in
   (* One signature pays pivot distances against a fixed pivot set, so an
      object's share scales with its own declared cost. *)
   let signatures =

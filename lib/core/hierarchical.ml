@@ -124,12 +124,23 @@ let search_batch ?(opts = Query_opts.default) t qs =
 (* Every level hashes with the cascade's one family, so one pivot cache
    and one family row serve them all: an insert pays each pivot distance
    once and evaluates each hash function once. *)
-let insert t obj =
-  let id = Store.add t.store obj in
+type 'a keyed = { obj : 'a; cache : 'a Hash_family.cache; row : Hash_family.row }
+
+let key t obj =
   let cache = Hash_family.cache t.family obj in
   let row = Hash_family.row (Hash_family.size t.family) in
-  Array.iter (fun lev -> Index.index_cached lev.index cache row id) t.levels;
+  Array.iter (fun lev -> Index.fill_row lev.index cache row) t.levels;
+  Hash_family.check_cache ~caller:"Hierarchical.insert" cache;
+  { obj; cache; row }
+
+(* The keys are already in the row: indexing reads them, and pays no
+   distance and evaluates no function again. *)
+let insert_keyed t k =
+  let id = Store.add t.store k.obj in
+  Array.iter (fun lev -> Index.index_cached lev.index k.cache k.row id) t.levels;
   id
+
+let insert t obj = insert_keyed t (key t obj)
 
 let delete t id = Store.delete t.store id
 

@@ -262,6 +262,10 @@ val run :
    callers pass [max_int].  Admission is also bounded by the store
    length read at query start. *)
 
+val fill_row : 'a t -> 'a Hash_family.cache -> Hash_family.row -> unit
+(* Make known the family-row cell of every function this index draws,
+   through the pivot cache: the keys [index_cached] then reads. *)
+
 val index_cached : 'a t -> 'a Hash_family.cache -> Hash_family.row -> int -> unit
 (* [index_existing] through the caller's pivot cache and family row over
    the object: indexes sharing one family (the levels of a cascade)

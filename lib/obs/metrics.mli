@@ -40,7 +40,7 @@ type t = {
   query_seconds : Registry.histogram;
   query_nn_distance : Registry.histogram;
       (** observed D(Q, N(Q)) per answered query — the live-traffic
-          strata {!Dbh.Hash_family.retune} re-tunes against *)
+          strata {!Dbh.Online.retune} re-tunes against *)
   (* spaces *)
   space_distance_calls_total : Registry.counter;
       (** raw calls through {!Dbh_space.Space.observed} spaces (includes

@@ -51,7 +51,8 @@ let make_hier ?(seed = 80) () =
   let family = Hash_family.make ~rng ~space:l2 ~num_pivots:25 ~threshold_sample:200 db in
   let query_indices = Rng.sample_indices rng 80 500 in
   let analysis =
-    Analysis.build ~rng ~family ~db ~query_indices ~num_fns:200 ~db_sample:200 ()
+    Analysis.build ~rng ~family ~db ~pivot_table:(Hash_family.pivot_table family db)
+      ~query_indices ~num_fns:200 ~db_sample:200 ()
   in
   let h =
     Hierarchical.build ~rng ~family ~db ~analysis ~target_accuracy:0.9 ~levels:4

@@ -81,6 +81,29 @@ let test_online_rebuild_preserves_handles () =
       Alcotest.(check bool) "found a live handle" true (Online.get t found = Online.get t h)
   | None -> Alcotest.fail "must answer"
 
+let test_online_rejects_nan_insert () =
+  (* An object with a NaN distance to a pivot would fail the next
+     rebuild's pivot table, so the insert raises before it stores
+     anything, and the index goes on working, rebuilds included. *)
+  let db = test_db 15 100 in
+  let t =
+    Online.create ~rng:(Rng.create 16) ~space:l2 ~config:small_config ~rebuild_factor:1.5
+      ~target_accuracy:0.9 db
+  in
+  Alcotest.check_raises "NaN coordinate"
+    (Invalid_argument "Hierarchical.insert: distance function returned NaN or a negative value")
+    (fun () -> ignore (Online.insert t [| 0.; nan; 0.; 0. |]));
+  Alcotest.(check int) "size unchanged" 100 (Online.size t);
+  Alcotest.(check int) "no table entry" 0 (Online.delta_size t);
+  let qrng = Rng.create 17 in
+  let fresh () = Array.init 4 (fun _ -> Rng.float_in qrng (-1.) 1.) in
+  Alcotest.(check int) "no handle taken" 100 (Online.insert t (fresh ()));
+  for _ = 1 to 60 do
+    ignore (Online.insert t (fresh ()))
+  done;
+  Alcotest.(check bool) "rebuilt" true (Online.rebuilds t >= 1);
+  Alcotest.(check int) "size" 161 (Online.size t)
+
 let test_online_mass_delete_triggers_rebuild () =
   let db = test_db 8 200 in
   let rng = Rng.create 9 in
@@ -235,6 +258,8 @@ let () =
           Alcotest.test_case "insert/get/delete" `Quick test_online_insert_and_handles;
           Alcotest.test_case "rebuild preserves handles" `Quick
             test_online_rebuild_preserves_handles;
+          Alcotest.test_case "NaN insert rejected before commit" `Quick
+            test_online_rejects_nan_insert;
           Alcotest.test_case "mass delete rebuilds" `Quick test_online_mass_delete_triggers_rebuild;
           Alcotest.test_case "accuracy after churn" `Quick test_online_accuracy_after_churn;
           Alcotest.test_case "guards" `Quick test_online_guards;

@@ -437,6 +437,23 @@ let test_durable_fresh_then_reopen_equivalent () =
   check_equiv "after post-restart ops" twin d2;
   Durable.close d2
 
+let test_durable_rejects_nan_insert () =
+  (* A rejected object never reaches the log, so replay never meets
+     it. *)
+  with_dir @@ fun dir ->
+  let d, _ = make_durable dir in
+  Alcotest.check_raises "NaN coordinate"
+    (Invalid_argument "Hierarchical.insert: distance function returned NaN or a negative value")
+    (fun () -> ignore (Durable.insert d [| nan; 0.; 0.; 0. |]));
+  Alcotest.(check int) "nothing journaled" 0 (Durable.wal_ops d);
+  let h = Durable.insert d (test_db 65 1).(0) in
+  Durable.close d;
+  let d2, rec2 = reopen dir in
+  Alcotest.(check int) "only the good insert replayed" 1 rec2.Durable.replayed_ops;
+  Alcotest.(check int) "size" 51 (Durable.size d2);
+  Alcotest.(check int) "its handle" 50 h;
+  Durable.close d2
+
 let test_durable_checkpoint_then_reopen () =
   with_dir @@ fun dir ->
   let twin = make_twin () in
@@ -696,6 +713,7 @@ let () =
           Alcotest.test_case "close/reopen equals never-restarted" `Quick
             test_durable_fresh_then_reopen_equivalent;
           Alcotest.test_case "checkpoint then reopen" `Quick test_durable_checkpoint_then_reopen;
+          Alcotest.test_case "NaN insert never journaled" `Quick test_durable_rejects_nan_insert;
           Alcotest.test_case "checkpoint prunes generations" `Quick
             test_durable_checkpoint_prunes_generations;
           Alcotest.test_case "corrupt latest falls back a generation" `Quick
