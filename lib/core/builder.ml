@@ -42,8 +42,7 @@ type 'a prepared = {
   pivot_table : float array array;
 }
 
-let prepare ?pool ?(observations = Hash_family.no_observations) ~rng ~space
-    ?(config = default_config) db =
+let prepare ?pool ~rng ~space ?(config = default_config) db =
   Params.check_slack config.slack;
   Log.info (fun m ->
       m "preparing family over %d objects (space %s, %d pivots, selector %s)"
@@ -54,7 +53,7 @@ let prepare ?pool ?(observations = Hash_family.no_observations) ~rng ~space
   let family, pivot_table =
     Hash_family.make_with_table ?pool ~rng ~space ~num_pivots:config.num_pivots
       ~threshold_sample:config.threshold_sample ~max_functions:config.max_functions
-      ~selector:config.selector ~observations db
+      ~selector:config.selector db
   in
   let n = Array.length db in
   let query_indices = Rng.sample_indices rng (min config.num_sample_queries n) n in

@@ -49,7 +49,6 @@ type 'a prepared = {
 
 val prepare :
   ?pool:Dbh_util.Pool.t ->
-  ?observations:Hash_family.observations ->
   rng:Dbh_util.Rng.t ->
   space:'a Dbh_space.Space.t ->
   ?config:config ->
@@ -65,15 +64,9 @@ val prepare :
     threshold sample, computes {!prepared.pivot_table} first, and reads
     the family's fit and the model's signatures from it
     ({!Hash_family.make_with_table}, {!Analysis.build}); only the sample
-    queries' nearest-neighbour scans pay more.  Without observations
-    the family is the one {!Hash_family.make} builds with the same
-    draws.  A NaN or negative distance anywhere in the table raises
-    [Invalid_argument].
-
-    [observations] (default {!Hash_family.no_observations}) anchors the
-    data-dependent scoring to the observed live-traffic distance scale
-    ({!Hash_family.make_with_table}) — the re-tuning entry used by
-    [Online.retune].
+    queries' nearest-neighbour scans pay more.  The family is the one
+    {!Hash_family.make} builds with the same draws.  A NaN or negative
+    distance anywhere in the table raises [Invalid_argument].
 
     A bad [config.slack] raises [Invalid_argument] before any work. *)
 

@@ -23,8 +23,7 @@
     - {!Selector}: pluggable pivot-pair/threshold selection strategies
       (uniform per the paper; density- and neighbor-sensitive variants)
     - {!Hash_family}: the binary hash function family over a pivot set
-      X_small (Eq. 5–7, Sec. V-B), built through a {!Selector} and
-      re-tunable from live-traffic observations
+      X_small (Eq. 5–7, Sec. V-B), built through a {!Selector}
     - {!Collision}: collision-probability model C, C_k, C_{k,l}
       (Eq. 8–10)
     - {!Analysis}: sample-based accuracy and cost estimation (Eq. 11–14)
@@ -45,7 +44,7 @@
     - {!Hierarchical}: the s-level cascade (Sec. V-A)
     - {!Builder}: one-call offline pipeline
     - {!Diagnostics}: structural health checks for built indexes
-    - {!Online}: self-maintaining wrapper that re-tunes as the database
+    - {!Online}: self-maintaining wrapper that rebuilds as the database
       grows or shrinks *)
 
 module Projection = Projection

@@ -118,12 +118,3 @@ let family_balance_profile ~rng ?(num_fns = 200) family sample =
 let healthy ?(max_bucket_fraction = 0.5) s =
   s.indexed_objects = 0
   || (s.non_empty_buckets > 1 && s.largest_bucket_fraction <= max_bucket_fraction)
-
-type online_stats = {
-  live : int;
-  tombstones : int;
-  delta_size : int;
-}
-
-let online_stats o =
-  { live = Online.size o; tombstones = Online.tombstones o; delta_size = Online.delta_size o }

@@ -67,13 +67,3 @@ val family_balance_profile :
 val healthy : ?max_bucket_fraction:float -> table_stats -> bool
 (** Quick verdict: some bucket spread exists and no bucket holds more
     than [max_bucket_fraction] (default 0.5) of the objects. *)
-
-type online_stats = {
-  live : int;  (** alive objects *)
-  tombstones : int;  (** deleted handles awaiting compaction/rebuild *)
-  delta_size : int;  (** table entries awaiting compaction *)
-}
-(** Live-vs-tombstone occupancy of an {!Online} index — the compaction
-    pressure an operator watches. *)
-
-val online_stats : 'a Online.t -> online_stats

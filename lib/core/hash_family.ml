@@ -215,36 +215,27 @@ let local_gap sorted u =
 
 (* Sparsity of the boundary at threshold [t] placed at quantile [u]:
    how much wider the local spacing is than the expected bulk spacing
-   (spread covers half the mass, so bulk spacing ~ 2·spread/n).  Under an
-   observed distance scale δ (re-tuning), a gap is scored against δ
-   directly and saturates at 4δ — beyond "no near pair straddles the
-   boundary", sparser buys nothing. *)
-let boundary_sparsity ~scale ~spread ~n sorted u t =
+   (spread covers half the mass, so bulk spacing ~ 2·spread/n). *)
+let boundary_sparsity ~spread ~n sorted u t =
   if Float.abs t = infinity then infinity
-  else
-    let gap = local_gap sorted u in
-    match scale with
-    | None -> gap *. float_of_int n /. (2. *. spread)
-    | Some delta -> Float.min (gap /. delta) 4.
+  else local_gap sorted u *. float_of_int n /. (2. *. spread)
 
 (* Score one candidate interval for the density-sensitive selector: the
    sparsity of its worst finite boundary (both boundaries must be hard to
    straddle).  Intervals with no finite boundary accept everything and
    score lowest. *)
-let density_score ~scale ~spread sorted u (t1, t2) =
+let density_score ~spread sorted u (t1, t2) =
   let n = Array.length sorted in
-  let s1 = boundary_sparsity ~scale ~spread ~n sorted u t1 in
-  let s2 = boundary_sparsity ~scale ~spread ~n sorted (u +. 0.5) t2 in
+  let s1 = boundary_sparsity ~spread ~n sorted u t1 in
+  let s2 = boundary_sparsity ~spread ~n sorted (u +. 0.5) t2 in
   let s = Float.min s1 s2 in
   if s = infinity then neg_infinity else s
 
 (* Approximate k-nearest-neighbor lists within the construction sample,
    using the pivot-embedding lower bound
    max_p |D(p,x_i) − D(p,x_j)| ≤ D(x_i,x_j) over a pivot prefix — free:
-   dist_sp is already paid for.  With an observed distance scale δ the
-   neighborhood adapts to live traffic: all sample points within δ
-   (clamped to [1, 2k]). *)
-let neighbor_lists ?pool ~dist_sp ~m ~s ~scale k =
+   dist_sp is already paid for. *)
+let neighbor_lists ?pool ~dist_sp ~m ~s k =
   let np = min m 12 in
   let k = max 1 (min k (s - 1)) in
   let knn i =
@@ -262,15 +253,7 @@ let neighbor_lists ?pool ~dist_sp ~m ~s ~scale k =
       end
     done;
     Array.sort compare cand;
-    let k_eff =
-      match scale with
-      | None -> k
-      | Some delta ->
-          let within = ref 0 in
-          Array.iter (fun (d, _) -> if d <= delta then incr within) cand;
-          max 1 (min !within (2 * k))
-    in
-    Array.init (min k_eff (s - 1)) (fun r -> snd cand.(r))
+    Array.init (min k (s - 1)) (fun r -> snd cand.(r))
   in
   Dbh_util.Pool.parallel_map_array ?pool knn (Array.init s Fun.id)
 
@@ -543,18 +526,17 @@ let draw ~rng ~num_pivots ~threshold_sample data =
   (pivot_ids, Array.map (Array.get data) pivot_ids, subsample_ids rng threshold_sample n)
 
 (* The one threshold fit, whatever the source of [dist]. *)
-let fit ?pool ~rng ~space ~pivots ~dist ~max_functions ~selector ~scale () =
+let fit ?pool ~rng ~space ~pivots ~dist ~max_functions ~selector () =
   let m = Array.length pivots and s = Array.length dist.dist_sp.(0) in
   let fns =
     match (selector : Selector.t) with
     | Uniform strategy -> build_uniform ?pool ~rng ~m ~dist ~max_functions strategy
     | Density { grid } ->
         build_selected ?pool ~m ~dist ~s ~max_functions ~grid
-          ~score_interval:(fun ~spread ~proj:_ ~sorted u iv ->
-            density_score ~scale ~spread sorted u iv)
+          ~score_interval:(fun ~spread ~proj:_ ~sorted u iv -> density_score ~spread sorted u iv)
           ()
     | Neighbor { neighbors; grid } ->
-        let nbrs = neighbor_lists ?pool ~dist_sp:dist.dist_sp ~m ~s ~scale neighbors in
+        let nbrs = neighbor_lists ?pool ~dist_sp:dist.dist_sp ~m ~s neighbors in
         build_selected ?pool ~m ~dist ~s ~max_functions ~grid
           ~score_interval:(fun ~spread:_ ~proj ~sorted:_ _u iv ->
             disagreement_score ~nbrs proj iv)
@@ -578,65 +560,13 @@ let make ?pool ~rng ~space ?(num_pivots = 100) ?(threshold_sample = 500) ?max_fu
       pair_cost = pair_cost space pivots;
     }
   in
-  fit ?pool ~rng ~space ~pivots ~dist ~max_functions ~selector ~scale:None ()
-
-(* ---------------------------------------------------------- observations *)
-
-type observations = {
-  nn_distance_strata : (float * int) array;
-  table_hit_rate : float;
-}
-
-let no_observations = { nn_distance_strata = [||]; table_hit_rate = 0. }
-
-let observed_scale obs =
-  let strata =
-    Array.to_list obs.nn_distance_strata
-    |> List.filter (fun (d, c) -> c > 0 && d > 0. && Float.is_finite d)
-  in
-  let total = List.fold_left (fun acc (_, c) -> acc + c) 0 strata in
-  if total = 0 then None
-  else begin
-    (* Weighted median of the observed D(Q,N(Q)) strata. *)
-    let sorted = List.sort compare strata in
-    let half = (total + 1) / 2 in
-    let rec walk acc = function
-      | [] -> None
-      | (d, c) :: rest -> if acc + c >= half then Some d else walk (acc + c) rest
-    in
-    walk 0 sorted
-  end
-
-let observations_of_metrics (m : Dbh_obs.Metrics.t) =
-  let module R = Dbh_obs.Registry in
-  let buckets = R.histogram_buckets m.Dbh_obs.Metrics.query_nn_distance in
-  let strata = ref [] in
-  let prev_bound = ref 0. in
-  Array.iter
-    (fun (upper, count) ->
-      if count > 0 then begin
-        (* Representative distance for the stratum: the bucket midpoint,
-           or an extrapolation for the open-ended +inf bucket. *)
-        let d =
-          if Float.is_finite upper then (!prev_bound +. upper) /. 2. else !prev_bound *. 2.
-        in
-        if d > 0. then strata := (d, count) :: !strata
-      end;
-      if Float.is_finite upper then prev_bound := upper)
-    buckets;
-  let probes = R.counter_value m.Dbh_obs.Metrics.bucket_probes_total in
-  let looked = R.counter_value m.Dbh_obs.Metrics.lookup_distance_computations_total in
-  {
-    nn_distance_strata = Array.of_list (List.rev !strata);
-    table_hit_rate = (if probes <= 0 then 0. else float_of_int looked /. float_of_int probes);
-  }
+  fit ?pool ~rng ~space ~pivots ~dist ~max_functions ~selector ()
 
 (* The same draws and the same fit as [make], over the whole data ×
    pivot table, paid for first: the sample's rows and every pivot pair's
-   distance are already in it, so the fit pays nothing more.  Observed
-   strata scale the data-dependent scoring ([observed_scale]). *)
+   distance are already in it, so the fit pays nothing more. *)
 let make_with_table ?pool ~rng ~space ~num_pivots ~threshold_sample ~max_functions ~selector
-    ~observations data =
+    data =
   let pivot_ids, pivots, sample_ids = draw ~rng ~num_pivots ~threshold_sample data in
   let table = distance_rows ?pool ~caller:"Hash_family.make" space pivots data in
   let dist =
@@ -646,9 +576,7 @@ let make_with_table ?pool ~rng ~space ~num_pivots ~threshold_sample ~max_functio
       pair_cost = (fun _ -> None);
     }
   in
-  ( fit ?pool ~rng ~space ~pivots ~dist ~max_functions ~selector
-      ~scale:(observed_scale observations) (),
-    table )
+  (fit ?pool ~rng ~space ~pivots ~dist ~max_functions ~selector (), table)
 
 (* ----------------------------------------------------------- evaluation *)
 

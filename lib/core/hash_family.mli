@@ -78,6 +78,26 @@ val make :
     negative, or when [data] has fewer than 2 distinct-distance objects
     (no usable projection line exists). *)
 
+val make_with_table :
+  ?pool:Dbh_util.Pool.t ->
+  rng:Dbh_util.Rng.t ->
+  space:'a Dbh_space.Space.t ->
+  num_pivots:int ->
+  threshold_sample:int ->
+  max_functions:int option ->
+  selector:Selector.t ->
+  'a array ->
+  'a t * float array array
+(** [make_with_table ~rng ~space ... data] builds the family over [data]
+    from the same rng draws and with the same fit as {!make}, paired
+    with its {!pivot_table} over [data], at the cost of that table alone:
+    [|data| · m] distances.  It draws X_small and the threshold sample,
+    computes the table first (every entry checked, as {!pivot_table}
+    does), and reads everything the fit needs from it: the sample's rows
+    hold the sample-to-pivot distances, and the pivots' own rows every
+    D(X1, X2).  The family is {!make}'s, bit for bit, under every
+    selector.  This is {!Builder.prepare}'s path. *)
+
 val space : 'a t -> 'a Dbh_space.Space.t
 val size : 'a t -> int
 (** Number of binary functions in the family. *)
@@ -98,61 +118,6 @@ val selector : 'a t -> Selector.t
 
 val selector_tag : 'a t -> string
 (** [Selector.tag (selector t)] — the tag recorded in the envelope. *)
-
-(** {1 Re-tuning from live traffic}
-
-    The production loop: serving records per-query observations in the
-    {!Dbh_obs.Metrics} registry; {!observations_of_metrics} distills them
-    into the observed [D(Q,N(Q))] strata and table hit rate; a fit given
-    them ({!make_with_table}, reached through [Builder.prepare
-    ~observations]) anchors the data-dependent scoring to the
-    {e observed} distance scale instead of the construction sample's own
-    spread.  [Online.retune] runs that rebuild and hot-swaps the result
-    behind its atomic snapshot pointer. *)
-
-type observations = {
-  nn_distance_strata : (float * int) array;
-      (** observed query→nearest-neighbor distances, as
-          [(representative distance, query count)] strata (histogram
-          buckets of [dbh_query_nn_distance]) *)
-  table_hit_rate : float;
-      (** candidate comparisons per bucket probe — how much lookup work
-          an average probe yields; a trigger signal for when re-tuning
-          is worth it *)
-}
-
-val no_observations : observations
-(** Empty strata: a fit given them scores as {!make}'s does. *)
-
-val observations_of_metrics : Dbh_obs.Metrics.t -> observations
-(** Distill the live-traffic strata out of a metric set's
-    [dbh_query_nn_distance] histogram and probe/lookup counters. *)
-
-val make_with_table :
-  ?pool:Dbh_util.Pool.t ->
-  rng:Dbh_util.Rng.t ->
-  space:'a Dbh_space.Space.t ->
-  num_pivots:int ->
-  threshold_sample:int ->
-  max_functions:int option ->
-  selector:Selector.t ->
-  observations:observations ->
-  'a array ->
-  'a t * float array array
-(** [make_with_table ~rng ~space ... ~observations data] builds the
-    family over [data] from the same rng draws and with the same fit as
-    {!make}, paired with its {!pivot_table} over [data], at the cost of
-    that table alone: [|data| · m] distances.  It draws X_small and the
-    threshold sample, computes the table first (every entry checked, as
-    {!pivot_table} does), and reads everything the fit needs from it:
-    the sample's rows hold the sample-to-pivot distances, and the
-    pivots' own rows every D(X1, X2).  With {!no_observations} the
-    family is {!make}'s, bit for bit.  With observed strata, their
-    weighted median becomes the distance scale data-dependent scoring
-    anchors to: boundaries count as safe once their local gap clears the
-    distance at which live queries actually meet their neighbors, and
-    neighbor-sensitive neighborhoods adapt to that radius (the uniform
-    selector ignores it).  This is {!Builder.prepare}'s path. *)
 
 (** {1 Evaluation} *)
 

@@ -76,11 +76,10 @@ let alive_handles t =
   !out
 
 (* Run the full offline pipeline on a snapshot of alive handles. *)
-let build_generation ?pool ?observations ~rng ~space ~config ~target_accuracy registry
-    handles =
+let build_generation ?pool ~rng ~space ~config ~target_accuracy registry handles =
   if Array.length handles = 0 then invalid_arg "Online: cannot build an empty database";
   let db = Array.map (Store.get registry) handles in
-  let prepared = Builder.prepare ?pool ?observations ~rng ~space ~config db in
+  let prepared = Builder.prepare ?pool ~rng ~space ~config db in
   let index = Builder.hierarchical ?pool ~rng ~prepared ~db ~target_accuracy ~config () in
   let external_of_internal = Vec.create () in
   let internal_of_external = Hashtbl.create (Array.length handles) in
@@ -123,42 +122,32 @@ let record_counter pick =
 
 (* Every rebuild: run the offline pipeline over the alive handles,
    publish the result as the new generation, and count it. *)
-let rebuild t ~config ~observations =
+let rebuild_now t =
   let handles = Array.of_list (alive_handles t) in
   Atomic.set t.published
-    (build_generation ?pool:t.pool ?observations ~rng:t.rng ~space:t.space ~config
+    (build_generation ?pool:t.pool ~rng:t.rng ~space:t.space ~config:t.config
        ~target_accuracy:t.target_accuracy t.registry handles);
   t.built_size <- Array.length handles;
   t.rebuild_count <- t.rebuild_count + 1;
   record_counter (fun m -> m.Dbh_obs.Metrics.online_rebuilds_total)
 
-let rebuild_now t = rebuild t ~config:t.config ~observations:None
-
-let retune ?metrics ?selector t =
-  (* Observation-driven generation: distill the live-traffic strata from
-     the metrics registry, rebuild the family against them
-     (Builder.prepare ~observations), re-fit the collision model
-     and optimal (k,l), and hot-swap the result exactly like [compact] —
-     one atomic store publishes the whole new generation, so concurrent
-     readers see either the old cascade or the new one, never a mix. *)
-  let observations =
-    match Dbh_obs.Metrics.resolve metrics with
-    | Some m -> Hash_family.observations_of_metrics m
-    | None -> Hash_family.no_observations
-  in
-  let config =
-    match selector with
-    | None -> t.config
-    | Some selector -> { t.config with Builder.selector }
-  in
-  rebuild t ~config ~observations:(Some observations);
-  observations
-
+(* The update that calls this has already committed, so a rebuild the
+   build rejects (too few objects for the pipeline, or a NaN between two
+   stored objects) must not escape it.  Nothing is published before the
+   build returns, so the current generation keeps serving.  The failure
+   is counted and the thresholds re-anchor at the alive count (at least
+   1, as a snapshot requires), so the next attempt waits for another
+   [rebuild_factor] of change instead of every later update retrying.
+   Replay runs this same code, so a log replays to a twin. *)
 let maybe_rebuild t =
   let alive = size t in
   let hi = t.rebuild_factor *. float_of_int t.built_size in
   let lo = float_of_int t.built_size /. t.rebuild_factor in
-  if float_of_int alive >= hi || float_of_int alive <= lo then rebuild_now t
+  if float_of_int alive >= hi || float_of_int alive <= lo then
+    try rebuild_now t
+    with Invalid_argument _ ->
+      t.built_size <- max 1 alive;
+      record_counter (fun m -> m.Dbh_obs.Metrics.online_rebuild_failures_total)
 
 (* Hash the object against the current generation, checking every
    distance paid: a NaN or negative one, which the next rebuild's pivot

@@ -77,12 +77,25 @@ val insert : 'a t -> 'a -> int
     Every pivot distance that insertion pays is checked first: a NaN or
     negative one raises [Invalid_argument] before anything is stored,
     and the index is unchanged (the rebuild's pivot table would reject
-    the object too).  A rebuild the insert triggers raises the same way
-    if the space returns such a distance between stored objects; the
-    object is then stored, and later updates retry the rebuild. *)
+    the object too).
+
+    A rebuild the insert triggers can still be rejected: the space may
+    return such a distance between two stored objects, or the alive set
+    may be too small for the offline pipeline (fewer objects than the
+    cascade has levels, for one).  The insert then returns its handle
+    all the same: the object is stored and searchable in the current
+    generation, which keeps serving; the failure is counted in
+    [dbh_online_rebuild_failures_total]; and the next automatic rebuild
+    waits until the alive count grows or shrinks by [rebuild_factor]
+    from here. *)
 
 val delete : 'a t -> int -> unit
-(** Remove by stable handle (idempotent).  May trigger a rebuild. *)
+(** Remove by stable handle (idempotent).  May trigger a rebuild; a
+    rejected one is handled as for {!insert}: the delete stands, the
+    current generation keeps serving (without the deleted object), and
+    the failure is counted.  So deleting every object returns each
+    time, leaving an index that answers no neighbour until inserts
+    bring objects back. *)
 
 val search : ?opts:Query_opts.t -> 'a t -> 'a -> 'a result
 (** Approximate nearest neighbor among alive objects.  [opts.budget]
@@ -131,26 +144,15 @@ val rng_state : 'a t -> int64 array
 
 val rebuild_now : 'a t -> unit
 (** Re-run the whole offline pipeline immediately on the alive snapshot,
-    regardless of the growth thresholds; counts toward {!rebuilds}.
-    Handles remain stable.  Used by degradation wrappers to refresh an
-    index whose structure went bad (e.g. after a spell of anomalous
-    distances polluted its tables). *)
-
-val retune :
-  ?metrics:Dbh_obs.Metrics.t -> ?selector:Selector.t -> 'a t -> Hash_family.observations
-(** Close the production loop: distill the observed [D(Q,N(Q))] strata
-    and table hit rate from [metrics] (default: the installed set) via
-    {!Hash_family.observations_of_metrics}, rebuild family + model +
-    cascade with [Builder.prepare ~observations], whose family fit
-    anchors data-dependent scoring to the observed distance scale
-    ({!Hash_family.make_with_table}) — optionally switching
-    [selector] — and hot-swap the new generation behind the published
-    pointer.  Readers are never blocked and never see a torn state: one
-    atomic store publishes the whole generation, exactly as
-    {!compact}/rebuild do.  Handles remain stable; counts toward
-    {!rebuilds}.  Returns the observation set the rebuild used (empty
-    when no metrics were available).  Writer-side call — serialize it
-    with other mutations. *)
+    regardless of the growth thresholds, and publish the result behind
+    the atomic pointer (readers never block and never see a torn
+    generation); counts toward {!rebuilds}.  Handles remain stable.
+    Used by degradation wrappers to refresh an index whose structure
+    went bad (e.g. after a spell of anomalous distances polluted its
+    tables).  Unlike the automatic rebuild of {!insert} and {!delete},
+    a rejected build raises its [Invalid_argument] here, and nothing is
+    published.  Writer-side call: serialize it with other
+    mutations. *)
 
 type 'a online = 'a t
 
@@ -172,7 +174,7 @@ type 'a online = 'a t
     same bytes for the equivalence guarantee to be exact).  The same
     [config], [rebuild_factor] and [target_accuracy] must be passed on
     every open — they are intentionally not stored, so deployments can
-    retune them, at the cost of exact replay equivalence when they
+    change them, at the cost of exact replay equivalence when they
     change. *)
 
 module Durable : sig

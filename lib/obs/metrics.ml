@@ -25,6 +25,7 @@ type t = {
   online_inserts_total : Registry.counter;
   online_deletes_total : Registry.counter;
   online_rebuilds_total : Registry.counter;
+  online_rebuild_failures_total : Registry.counter;
   wal_appends_total : Registry.counter;
   wal_records_replayed_total : Registry.counter;
   checkpoints_total : Registry.counter;
@@ -50,8 +51,7 @@ let cost_buckets =
   [| 1.; 2.; 5.; 10.; 20.; 50.; 100.; 200.; 500.; 1000.; 2000.; 5000.; 10000. |]
 
 (* Distances are dataset-scale-free, so the nn-distance strata use wide
-   log-spaced bounds; re-tuning only needs the weighted median, which is
-   insensitive to the bucket width. *)
+   log-spaced bounds. *)
 let distance_buckets =
   [| 0.001; 0.002; 0.005; 0.01; 0.02; 0.05; 0.1; 0.2; 0.5; 1.; 2.; 5.; 10.; 20.; 50.; 100.;
      200.; 500.; 1000. |]
@@ -111,6 +111,9 @@ let on registry =
     online_deletes_total = counter "dbh_online_deletes_total" "online index deletions";
     online_rebuilds_total =
       counter "dbh_online_rebuilds_total" "offline pipeline re-runs of the online index";
+    online_rebuild_failures_total =
+      counter "dbh_online_rebuild_failures_total"
+        "automatic rebuilds of the online index that the build rejected";
     wal_appends_total = counter "dbh_wal_appends_total" "records appended to write-ahead logs";
     wal_records_replayed_total =
       counter "dbh_wal_records_replayed_total" "WAL records re-applied during recovery";

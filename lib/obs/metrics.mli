@@ -39,8 +39,7 @@ type t = {
   query_cost : Registry.histogram;  (** per-query total distance computations *)
   query_seconds : Registry.histogram;
   query_nn_distance : Registry.histogram;
-      (** observed D(Q, N(Q)) per answered query — the live-traffic
-          strata {!Dbh.Online.retune} re-tunes against *)
+      (** observed D(Q, N(Q)) per answered query *)
   (* spaces *)
   space_distance_calls_total : Registry.counter;
       (** raw calls through {!Dbh_space.Space.observed} spaces (includes
@@ -61,6 +60,10 @@ type t = {
   online_inserts_total : Registry.counter;
   online_deletes_total : Registry.counter;
   online_rebuilds_total : Registry.counter;
+  online_rebuild_failures_total : Registry.counter;
+      (** automatic rebuilds an update triggered that the build rejected
+          ([Invalid_argument]); the update stands and the previous
+          generation keeps serving (see {!Dbh.Online.insert}) *)
   (* durability *)
   wal_appends_total : Registry.counter;
   wal_records_replayed_total : Registry.counter;

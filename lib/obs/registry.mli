@@ -59,8 +59,8 @@ val histogram_buckets : histogram -> (float * int) array
 (** [(upper_bound, count)] per bucket, in bound order, ending with the
     implicit [+inf] bucket.  Counts are per-bucket (not cumulative) —
     the typed counterpart of the [_bucket] exposition lines, for code
-    that consumes its own histograms (e.g. re-tuning from observed
-    strata). *)
+    that consumes its own histograms (e.g. a benchmark reading a
+    median off them). *)
 
 (** {1 Export} *)
 

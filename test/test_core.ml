@@ -898,12 +898,9 @@ let test_builder_distance_bill () =
   ignore (Builder.hierarchical ~rng ~prepared ~db ~target_accuracy:0.9 ~config ());
   Alcotest.(check int) "tables read the pivot table" 0 (Space.count counter);
   Space.reset counter;
-  let observations =
-    { Hash_family.nn_distance_strata = [| (0.5, 10); (1.5, 4) |]; table_hit_rate = 1. }
-  in
-  let retune = { config with selector = Dbh.Selector.density_sensitive () } in
-  ignore (Builder.prepare ~observations ~rng:(Rng.create 78) ~space:counted ~config:retune db);
-  Alcotest.(check int) "prepare ~observations: n·m + |Q|·(n-1)" bill (Space.count counter);
+  let density = { config with selector = Dbh.Selector.density_sensitive () } in
+  ignore (Builder.prepare ~rng:(Rng.create 78) ~space:counted ~config:density db);
+  Alcotest.(check int) "prepare, density selector: n·m + |Q|·(n-1)" bill (Space.count counter);
   (* Standalone, the family pays the sample rows and the pivot pairs
      only, never the database's table. *)
   Space.reset counter;
@@ -912,15 +909,10 @@ let test_builder_distance_bill () =
   Alcotest.(check int) "make: m·s + C(m,2)" ((m * s) + (m * (m - 1) / 2)) (Space.count counter)
 
 (* The builder's family fit reads the pivot table, a standalone [make]
-   computes its own distances: without observations the two build the
-   same family, byte for byte, under every selector.  The digests pin
-   each family: [make]'s, and the observation-scaled fit's, which has no
-   standalone twin to compare against. *)
+   computes its own distances: the two build the same family, byte for
+   byte, under every selector.  The digests pin [make]'s family. *)
 let test_make_with_table_differential () =
   let db = test_db 80 120 in
-  let observations =
-    { Hash_family.nn_distance_strata = [| (0.5, 10); (1.5, 4) |]; table_hit_rate = 1. }
-  in
   let bytes family =
     let buf = Buffer.create 4096 in
     Hash_family.write
@@ -933,11 +925,11 @@ let test_make_with_table_differential () =
   in
   let md5 family = Digest.to_hex (Digest.string (bytes family)) in
   List.iter
-    (fun (name, selector, max_functions, make_md5, observed_md5) ->
-      let with_table observations =
+    (fun (name, selector, max_functions, make_md5) ->
+      let with_table =
         fst
           (Hash_family.make_with_table ~rng:(Rng.create 81) ~space:l2 ~num_pivots:10
-             ~threshold_sample:30 ~max_functions ~selector ~observations db)
+             ~threshold_sample:30 ~max_functions ~selector db)
       in
       let standalone =
         Hash_family.make ~rng:(Rng.create 81) ~space:l2 ~num_pivots:10 ~threshold_sample:30
@@ -946,22 +938,18 @@ let test_make_with_table_differential () =
       Alcotest.(check string) (name ^ ": make") make_md5 (md5 standalone);
       Alcotest.(check string)
         (name ^ ": make_with_table = make")
-        (bytes standalone)
-        (bytes (with_table Hash_family.no_observations));
-      Alcotest.(check string) (name ^ ": observed") observed_md5 (md5 (with_table observations)))
+        (bytes standalone) (bytes with_table))
     [
-      ( "uniform, 20", Dbh.Selector.default, Some 20, "79f4b5e0f6f5a8620057f8cd9617e87e",
-        "79f4b5e0f6f5a8620057f8cd9617e87e" );
+      ("uniform, 20", Dbh.Selector.default, Some 20, "79f4b5e0f6f5a8620057f8cd9617e87e");
       ( "density, 20", Dbh.Selector.density_sensitive (), Some 20,
-        "1696abd20ee62c1b64fe93243911e5a6", "320f0bfd0c16dc11d297c7eeeaef1a0d" );
+        "1696abd20ee62c1b64fe93243911e5a6" );
       ( "neighbor, 20", Dbh.Selector.neighbor_sensitive (), Some 20,
-        "0a781afba6a906582c6247525e5555b1", "9651afb233a46709371ea93ddb9efebc" );
-      ( "uniform, all", Dbh.Selector.default, None, "3b19c06318a90aa30421621c3f325e68",
-        "3b19c06318a90aa30421621c3f325e68" );
+        "0a781afba6a906582c6247525e5555b1" );
+      ("uniform, all", Dbh.Selector.default, None, "3b19c06318a90aa30421621c3f325e68");
       ( "density, all", Dbh.Selector.density_sensitive (), None,
-        "0aedd0f6514949d353913565e896cb29", "0aedd0f6514949d353913565e896cb29" );
+        "0aedd0f6514949d353913565e896cb29" );
       ( "neighbor, all", Dbh.Selector.neighbor_sensitive (), None,
-        "7f6b9e8e781397947803ed31e6fe3642", "3e80e3998d7bdc231109b69e3ea6b2db" );
+        "7f6b9e8e781397947803ed31e6fe3642" );
     ]
 
 let () =

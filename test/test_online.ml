@@ -116,6 +116,78 @@ let test_online_mass_delete_triggers_rebuild () =
   Alcotest.(check bool) "rebuilt after shrink" true (Online.rebuilds t >= 1);
   Alcotest.(check int) "size" 119 (Online.size t)
 
+(* Rebuilds an update triggers but the build rejects, read off the
+   metric set installed around the update. *)
+let rebuild_failures m =
+  Dbh_obs.Registry.counter_value m.Dbh_obs.Metrics.online_rebuild_failures_total
+
+let test_online_shrink_to_empty_and_regrow () =
+  (* Deleting every object shrinks the alive set below what the offline
+     pipeline builds from: 2 objects give fewer sample queries than the
+     cascade's 5 levels, then 1 object and then none cannot be built at
+     all.  Those rebuilds are rejected after their delete has committed,
+     so each delete must still return, and the index must grow back
+     through later inserts. *)
+  let config = { small_config with num_pivots = 8; num_sample_queries = 20 } in
+  let m = Dbh_obs.Metrics.create () in
+  Dbh_obs.Metrics.with_installed m @@ fun () ->
+  let db = test_db 17 40 in
+  let t = Online.create ~rng:(Rng.create 18) ~space:l2 ~config ~target_accuracy:0.9 db in
+  for h = 0 to 39 do
+    Online.delete t h
+  done;
+  Alcotest.(check int) "size" 0 (Online.size t);
+  Alcotest.(check bool) "no neighbour" true ((Online.search t (Array.make 4 0.)).Online.nn = None);
+  Alcotest.(check bool) "rejected rebuilds counted" true (rebuild_failures m >= 1);
+  let rebuilds = Online.rebuilds t in
+  let qrng = Rng.create 19 in
+  let inserted =
+    List.init 20 (fun _ ->
+        let v = Array.init 4 (fun _ -> Rng.float_in qrng (-1.) 1.) in
+        (Online.insert t v, v))
+  in
+  Alcotest.(check bool) "regrowth rebuilt" true (Online.rebuilds t > rebuilds);
+  List.iter
+    (fun (h, v) ->
+      match (Online.search t v).Online.nn with
+      | Some (found, d) ->
+          Alcotest.(check int) "its own neighbour" h found;
+          Alcotest.(check (float 0.)) "at distance 0" 0. d
+      | None -> Alcotest.fail "an inserted object must be found")
+    inserted;
+  (* A space that returns NaN between one object and every object
+     outside the current family's pivots: the insert check, which pays
+     only pivot distances, lets the object in, and the rebuild that the
+     growth threshold triggers meets the NaN in its pivot table. *)
+  let poison = Array.make 4 0.5 in
+  let pivots = ref [||] in
+  let outside x = not (Array.exists (fun p -> p == x) !pivots) in
+  let space =
+    Dbh_space.Space.make ~name:"l2-nan-pair" (fun a b ->
+        if (a == poison && outside b) || (b == poison && outside a) then nan
+        else Minkowski.l2 a b)
+  in
+  let db = test_db 20 40 in
+  let t = Online.create ~rng:(Rng.create 21) ~space ~config ~target_accuracy:0.9 db in
+  pivots := Dbh.Hash_family.pivots (Dbh.Hierarchical.family (Online.index t));
+  Alcotest.(check int) "poison passes the insert check" 40 (Online.insert t poison);
+  let failures = rebuild_failures m in
+  let fresh = test_db 22 39 in
+  Array.iteri
+    (fun i v -> Alcotest.(check int) "insert returns its handle" (41 + i) (Online.insert t v))
+    fresh;
+  Alcotest.(check int) "the growth rebuild was rejected" (failures + 1) (rebuild_failures m);
+  Alcotest.(check int) "no rebuild published" 0 (Online.rebuilds t);
+  Alcotest.(check int) "size" 80 (Online.size t);
+  Array.iteri
+    (fun i v ->
+      match (Online.search t v).Online.nn with
+      | Some (found, d) ->
+          Alcotest.(check int) "query answers" (41 + i) found;
+          Alcotest.(check (float 0.)) "at distance 0" 0. d
+      | None -> Alcotest.fail "queries must still answer")
+    fresh
+
 let test_online_accuracy_after_churn () =
   (* After heavy insert/delete churn (with rebuilds), retrieval accuracy
      against brute force over the surviving set stays high. *)
@@ -261,6 +333,8 @@ let () =
           Alcotest.test_case "NaN insert rejected before commit" `Quick
             test_online_rejects_nan_insert;
           Alcotest.test_case "mass delete rebuilds" `Quick test_online_mass_delete_triggers_rebuild;
+          Alcotest.test_case "shrink to empty and regrow" `Quick
+            test_online_shrink_to_empty_and_regrow;
           Alcotest.test_case "accuracy after churn" `Quick test_online_accuracy_after_churn;
           Alcotest.test_case "guards" `Quick test_online_guards;
         ] );

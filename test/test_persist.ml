@@ -665,6 +665,37 @@ let test_durable_parallel_pool_equivalent () =
         batch;
       Durable.close d2)
 
+let test_durable_shrink_reopens () =
+  (* Deleting down to 2 objects leaves too few sample queries for the
+     cascade's 5 levels, so the rebuild the last delete triggers is
+     rejected; the delete stands.  Every delete is journaled first, so
+     replay meets the same rejected rebuild, and the directory must
+     reopen to a twin of a sequential index that never restarted. *)
+  let config = { small_config with num_pivots = 8; num_sample_queries = 20 } in
+  let db = test_db 33 40 in
+  let twin = Online.create ~rng:(Rng.create 43) ~space:l2 ~config ~target_accuracy:0.9 db in
+  Pool.with_pool ~domains (fun pool ->
+      with_dir @@ fun dir ->
+      let open_dir ?data () =
+        Durable.open_or_create ~pool ~rng:(Rng.create 43) ~space:l2 ~config ~target_accuracy:0.9
+          ~encode ~decode ~dir ?data ()
+      in
+      let d, _ = open_dir ~data:db () in
+      for h = 0 to 37 do
+        Online.delete twin h;
+        Durable.delete d h
+      done;
+      check_equiv "before close" twin d;
+      Durable.close d;
+      let d2, r = open_dir () in
+      Alcotest.(check bool) "from snapshot 1" true (r.Durable.source = `Snapshot 1);
+      Alcotest.(check int) "every delete replayed" 38 r.Durable.replayed_ops;
+      Alcotest.(check (array int64))
+        "rng state" (Online.rng_state twin)
+        (Online.rng_state (Durable.online d2));
+      check_equiv "after replay" twin d2;
+      Durable.close d2)
+
 let () =
   Alcotest.run "dbh-persist"
     [
@@ -730,5 +761,6 @@ let () =
           Alcotest.test_case "bad slack refused at open" `Quick test_durable_bad_slack_refused;
           Alcotest.test_case "pool restart equals sequential twin" `Quick
             test_durable_parallel_pool_equivalent;
+          Alcotest.test_case "shrink reopens" `Quick test_durable_shrink_reopens;
         ] );
     ]

@@ -1,8 +1,8 @@
 (* Tests for the Selector redesign: golden-fixture bit-identity of the
    default build, the Eq. 6 balance invariant for every selector,
    pooled-vs-sequential bit-identity per selector, the versioned
-   family-envelope read path (v1 and v2), and the Online.retune
-   hot-swap under concurrent readers.
+   family-envelope read path (v1 and v2), and the Online rebuild
+   hot swap under concurrent readers.
 
    DBH_TEST_DOMAINS picks the pool width (default 2; CI also runs 4). *)
 
@@ -255,49 +255,17 @@ let test_corrupt_selector_tag_rejected () =
   | exception Binio.Corrupt _ -> ()
   | _ -> Alcotest.fail "corrupt selector tag must be rejected"
 
-(* -------------------------------------------------------------- retune *)
+(* ------------------------------------------------------------- rebuild *)
 
-let test_retune_from_metrics () =
-  let db = test_db 23 500 in
-  let m = Dbh_obs.Metrics.create () in
-  let config =
-    { Builder.default_config with num_pivots = 20; num_sample_queries = 50; db_sample = 100 }
-  in
-  let t = Online.create ~rng:(Rng.create 29) ~space:l2 ~config ~target_accuracy:0.9 db in
-  (* Drive observed traffic through the metric set so the nn-distance
-     histogram fills. *)
-  let opts = Dbh.Query_opts.make ~metrics:m () in
-  Array.iter (fun q -> ignore (Online.search ~opts t q)) (Array.sub db 0 80);
-  let obs = Hash_family.observations_of_metrics m in
-  Alcotest.(check bool) "observed strata nonempty" true
-    (Array.length obs.Hash_family.nn_distance_strata > 0);
-  let rebuilds_before = Online.rebuilds t in
-  let used = Online.retune ~metrics:m ~selector:(Selector.density_sensitive ()) t in
-  Alcotest.(check bool) "retune consumed the strata" true
-    (Array.length used.Hash_family.nn_distance_strata > 0);
-  Alcotest.(check int) "retune counts as a rebuild" (rebuilds_before + 1)
-    (Online.rebuilds t);
-  (* The swapped-in generation answers correctly and reports the new
-     selector. *)
-  (match (Online.search t db.(3)).Online.nn with
-  | Some (h, d) ->
-      Alcotest.(check int) "self found" 3 h;
-      Alcotest.(check (float 1e-9)) "zero distance" 0. d
-  | None -> Alcotest.fail "retuned index must answer");
-  ()
-
-let test_retune_hot_swap_chaos () =
-  (* Reader domains hammer search while the writer retunes repeatedly:
+let test_rebuild_hot_swap_chaos () =
+  (* Reader domains hammer search while the writer rebuilds repeatedly:
      readers must never crash, block, or see a torn generation — every
      answer must be a live handle with a finite distance. *)
   let db = test_db 37 400 in
   let config =
     { Builder.default_config with num_pivots = 16; num_sample_queries = 40; db_sample = 80 }
   in
-  let m = Dbh_obs.Metrics.create () in
   let t = Online.create ~rng:(Rng.create 41) ~space:l2 ~config ~target_accuracy:0.9 db in
-  let opts = Dbh.Query_opts.make ~metrics:m () in
-  Array.iter (fun q -> ignore (Online.search ~opts t q)) (Array.sub db 0 40);
   let stop = Atomic.make false in
   let failures = Atomic.make 0 in
   let readers =
@@ -314,16 +282,13 @@ let test_retune_hot_swap_chaos () =
               i := (!i + 1) mod 50
             done))
   in
-  let selectors =
-    [| Selector.density_sensitive (); Selector.uniform (); Selector.neighbor_sensitive () |]
-  in
-  for round = 0 to 2 do
-    ignore (Online.retune ~metrics:m ~selector:selectors.(round) t)
+  for _ = 0 to 2 do
+    Online.rebuild_now t
   done;
   Atomic.set stop true;
   List.iter Domain.join readers;
   Alcotest.(check int) "no torn reads" 0 (Atomic.get failures);
-  Alcotest.(check bool) "retunes counted" true (Online.rebuilds t >= 3)
+  Alcotest.(check int) "rebuilds counted" 3 (Online.rebuilds t)
 
 (* ------------------------------------------------- data-dependent shape *)
 
@@ -363,11 +328,10 @@ let () =
           Alcotest.test_case "flat table = reference recomputation" `Quick
             test_flat_table_matches_reference;
         ] );
-      ( "retune",
+      ( "rebuild",
         [
-          Alcotest.test_case "retune from live metrics" `Slow test_retune_from_metrics;
           Alcotest.test_case "hot swap under concurrent readers" `Slow
-            test_retune_hot_swap_chaos;
+            test_rebuild_hot_swap_chaos;
         ] );
       ( "selection",
         [

@@ -733,8 +733,8 @@ let prefix_directory_matches_list =
 
 let test_online_compaction_vs_rebuild () =
   (* An online index after insert/delete churn + compact answers every
-     query identically to the same index without compaction, and its
-     diagnostics report the reclaimed space. *)
+     query identically to the same index without compaction, and the
+     compaction folds its pending delta. *)
   let rng = Rng.create 77 in
   let db, _ = Dbh_datasets.Vectors.gaussian_mixture ~rng ~num_clusters:6 ~dim:4 200 in
   let config =
@@ -757,10 +757,6 @@ let test_online_compaction_vs_rebuild () =
   churn b;
   Alcotest.(check bool) "delta pending" true (Online.delta_size a > 0);
   Alcotest.(check bool) "tombstones pending" true (Online.tombstones a > 0);
-  let stats = Diagnostics.online_stats a in
-  Alcotest.(check int) "live" (Online.size a) stats.Diagnostics.live;
-  Alcotest.(check int) "tombstones" (Online.tombstones a) stats.Diagnostics.tombstones;
-  Alcotest.(check int) "delta" (Online.delta_size a) stats.Diagnostics.delta_size;
   Online.compact a;
   Alcotest.(check int) "delta folded" 0 (Online.delta_size a);
   let qrng = Rng.create 80 in
