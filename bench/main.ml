@@ -16,7 +16,6 @@
      vs-lsh         (A3)  DBH vs classical LSH on L2
      baselines      (B1)  DBH vs LAESA, M-tree, FastMap filter+refine
      multiprobe     (A4)  multi-probe vs plain tables, writes BENCH_multiprobe.json
-     family         (F1)  data-dependent selectors vs uniform, writes BENCH_family.json
      faults         (R1)  hardened pipeline under injected faults
      parallel       (P1)  domain-pool scaling, writes BENCH_parallel.json
      micro                Bechamel micro-benchmarks
@@ -859,202 +858,6 @@ let multiprobe_section () =
   if not (identical_seq && identical_par) then
     failwith "multiprobe (A4): default knobs changed the plain engine's results"
 
-(* ------------------------------------------- F1 data-dependent selectors *)
-
-(* Uniform vs density-sensitive vs neighbor-sensitive hash families on
-   the UNIPEN/DTW workload.  Every selector gets the same pivot pool and
-   family-size cap, its own Builder.prepare (scoring all C(m,2) candidate
-   pairs, keeping the top cap under the data-dependent selectors; a
-   random cap-sized subset under uniform), and its own optimal-(k,l)
-   re-tuning per accuracy target.  The gate: at least one data-dependent
-   selector must answer with >= 1.15x fewer distance computations per
-   query at equal-or-better measured accuracy than uniform's
-   target-0.9 point.  Numbers land in BENCH_family.json. *)
-
-let family_section () =
-  Report.print_heading
-    "family (F1): data-dependent pivot/threshold selectors vs uniform on the \
-     UNIPEN/DTW workload";
-  let rng = Rng.create 110 in
-  let db = pen_set ~rng (sc 2000) in
-  let queries = pen_set ~rng:(Rng.create 111) (sc 200) in
-  let space = Dbh_datasets.Pen_digits.space in
-  let truth = Ground_truth.compute ~space ~db ~queries () in
-  (* A lean pivot pool: per-query hash cost is bounded by the distinct
-     pivots touched, so a large pool would put every selector on the
-     same hash-cost floor and hide the candidate-set savings under
-     test.  The pool size (not sc-scaled) keeps the selection pressure
-     — scored C(m,2) candidate pairs per kept function — at ~5x for the
-     data-dependent selectors at both scales. *)
-  let num_pivots = 40 and max_functions = 150 in
-  let config selector =
-    {
-      Dbh.Builder.default_config with
-      num_pivots;
-      max_functions = Some max_functions;
-      threshold_sample = sc 300;
-      num_sample_queries = sc 200;
-      db_sample = sc 500;
-      (* Every selector was pinned at the default k_max = 30 in early
-         runs; longer keys are exactly how a sharper family converts
-         per-bit quality into smaller candidate sets, so give the
-         optimizer headroom (applies equally to all selectors). *)
-      k_max = 60;
-      selector;
-    }
-  in
-  (* A dense ladder: the data-dependent families usually overshoot
-     their accuracy target, so their winning operating point sits at a
-     lower target than uniform's reference. *)
-  let targets = [ 0.7; 0.75; 0.8; 0.85; 0.87; 0.9; 0.92; 0.95 ] in
-  let measure_selector tag selector =
-    let config = config selector in
-    let prepared, prep_s =
-      seconds (fun () -> Dbh.Builder.prepare ~rng:(Rng.create 112) ~space ~config db)
-    in
-    let points =
-      List.filter_map
-        (fun target ->
-          match
-            Dbh.Builder.single ~rng:(Rng.create 113) ~prepared ~db
-              ~target_accuracy:target ~config ()
-          with
-          | None -> None
-          | Some (index, choice) ->
-              let point =
-                Tradeoff.measure ~queries ~truth
-                  {
-                    Tradeoff.label = tag;
-                    setting =
-                      Printf.sprintf "target=%.2f,k=%d,l=%d" target choice.Dbh.Params.k
-                        choice.Dbh.Params.l;
-                    run =
-                      (fun q ->
-                        let r = Dbh.Index.search index q in
-                        (r.Dbh.Index.nn, Dbh.Index.total_cost r.Dbh.Index.stats));
-                  }
-              in
-              Some (target, choice, point))
-        targets
-    in
-    if points = [] then
-      failwith (Printf.sprintf "family (F1): selector %s tuned to no feasible (k, l)" tag);
-    (tag, prep_s, points)
-  in
-  let all =
-    [
-      measure_selector "uniform" (Dbh.Selector.uniform ());
-      measure_selector "density" (Dbh.Selector.density_sensitive ());
-      measure_selector "nsh" (Dbh.Selector.neighbor_sensitive ());
-    ]
-  in
-  Report.print_series_table
-    (List.map
-       (fun (tag, _, points) ->
-         {
-           Tradeoff.series_label = tag;
-           points = Array.of_list (List.map (fun (_, _, p) -> p) points);
-         })
-       all);
-  let uniform_points =
-    let _, _, points = List.nth all 0 in
-    points
-  in
-  (* A selector beats uniform where it *dominates* a uniform operating
-     point: equal-or-better measured accuracy for fewer distances.  The
-     two tradeoff curves cross (data-dependent families are sharpest in
-     the mid-accuracy band, while at the top end candidate cost
-     converges for everyone), so compare against the whole uniform
-     sweep and report each selector's strongest dominated point — the
-     same way two accuracy/cost curves are compared in the paper's
-     Fig. 5. *)
-  let best_of (tag, _, points) =
-    List.fold_left
-      (fun acc (_, _, up) ->
-        let holding =
-          List.filter (fun (_, _, p) -> p.Tradeoff.accuracy >= up.Tradeoff.accuracy) points
-        in
-        match
-          List.sort
-            (fun (_, _, a) (_, _, b) -> compare a.Tradeoff.mean_cost b.Tradeoff.mean_cost)
-            holding
-        with
-        | [] -> acc
-        | sel :: _ -> (
-            let _, _, p = sel in
-            let red = up.Tradeoff.mean_cost /. p.Tradeoff.mean_cost in
-            match acc with
-            | Some (_, _, best_red) when best_red >= red -> acc
-            | _ -> Some (up, sel, red)))
-      None uniform_points
-    |> Option.map (fun (up, sel, red) -> (tag, up, sel, red))
-  in
-  let contenders = List.filter_map best_of [ List.nth all 1; List.nth all 2 ] in
-  Report.print_kv
-    (List.map
-       (fun (tag, up, (target, choice, p), red) ->
-         ( tag,
-           Printf.sprintf
-             "accuracy %.3f, %.1f distances/query (%.2fx fewer than uniform's %.3f @ \
-              %.1f) at target %.2f, k=%d l=%d"
-             p.Tradeoff.accuracy p.Tradeoff.mean_cost red up.Tradeoff.accuracy
-             up.Tradeoff.mean_cost target choice.Dbh.Params.k choice.Dbh.Params.l ))
-       contenders);
-  let best =
-    match
-      List.sort (fun (_, _, _, a) (_, _, _, b) -> compare b a) contenders
-    with
-    | b :: _ -> Some b
-    | [] -> None
-  in
-  let gate_passed = match best with Some (_, _, _, red) -> red >= 1.15 | None -> false in
-  let oc = open_out "BENCH_family.json" in
-  Printf.fprintf oc "{\n";
-  Printf.fprintf oc "  \"quick_scale\": %b,\n" quick;
-  Printf.fprintf oc
-    "  \"dataset\": { \"db_size\": %d, \"queries\": %d, \"space\": \"pen-dtw\" },\n"
-    (Array.length db) (Array.length queries);
-  Printf.fprintf oc "  \"pivots\": %d,\n" num_pivots;
-  Printf.fprintf oc "  \"max_functions\": %d,\n" max_functions;
-  Printf.fprintf oc "  \"selectors\": {\n";
-  List.iteri
-    (fun i (tag, prep_s, points) ->
-      Printf.fprintf oc "    \"%s\": { \"prepare_s\": %.3f, \"points\": [%s] }%s\n" tag
-        prep_s
-        (String.concat ", "
-           (List.map
-              (fun (target, choice, p) ->
-                Printf.sprintf
-                  "{ \"target\": %.2f, \"k\": %d, \"l\": %d, \"accuracy\": %.6f, \
-                   \"mean_cost\": %.3f }"
-                  target choice.Dbh.Params.k choice.Dbh.Params.l p.Tradeoff.accuracy
-                  p.Tradeoff.mean_cost)
-              points))
-        (if i < List.length all - 1 then "," else ""))
-    all;
-  Printf.fprintf oc "  },\n";
-  (match best with
-  | Some (tag, up, (_, _, p), red) ->
-      Printf.fprintf oc
-        "  \"uniform_reference\": { \"accuracy\": %.6f, \"mean_cost\": %.3f },\n"
-        up.Tradeoff.accuracy up.Tradeoff.mean_cost;
-      Printf.fprintf oc
-        "  \"best_point\": { \"accuracy\": %.6f, \"mean_cost\": %.3f },\n"
-        p.Tradeoff.accuracy p.Tradeoff.mean_cost;
-      Printf.fprintf oc "  \"best_selector\": \"%s\",\n" tag;
-      Printf.fprintf oc "  \"best_distance_reduction\": %.3f,\n" red
-  | None ->
-      Printf.fprintf oc "  \"best_selector\": null,\n";
-      Printf.fprintf oc "  \"best_distance_reduction\": null,\n");
-  Printf.fprintf oc "  \"gate_passed\": %b\n" gate_passed;
-  Printf.fprintf oc "}\n";
-  close_out oc;
-  Printf.printf "  wrote BENCH_family.json\n";
-  if not gate_passed then
-    failwith
-      "family (F1): no data-dependent selector reached 1.15x fewer distance \
-       computations at equal-or-better accuracy"
-
 (* --------------------------------------------- R1 robustness under faults *)
 
 let robust_faults () =
@@ -1671,7 +1474,6 @@ let sections =
     ("vs-lsh", ablation_vs_lsh);
     ("baselines", ablation_baselines);
     ("multiprobe", multiprobe_section);
-    ("family", family_section);
     ("faults", robust_faults);
     ("parallel", parallel_scaling);
     ("micro", micro_benchmarks);

@@ -151,17 +151,12 @@ let sum_reported_cost (s : Dbh_eval.Tradeoff.series) =
     (fun acc (p : Dbh_eval.Tradeoff.point) -> acc + p.Dbh_eval.Tradeoff.total_cost)
     0 s.Dbh_eval.Tradeoff.points
 
-let run_experiment dataset seed db_size num_queries csv_path domains metrics selector =
+let run_experiment dataset seed db_size num_queries csv_path domains metrics =
   with_domains domains @@ fun pool ->
   let (Bundle { space; db; queries }) = make_bundle dataset ~seed ~db_size ~num_queries in
   let rng = Rng.create (seed + 2) in
   let mset = if metrics then Some (Dbh_obs.Metrics.create ()) else None in
-  Printf.printf "selector=%s\n%!" (Dbh.Selector.tag selector);
-  let config =
-    let base = Dbh_eval.Figure5.default_config in
-    { base with builder = { base.Dbh_eval.Figure5.builder with selector } }
-  in
-  let run () = Dbh_eval.Figure5.run ?pool ~rng ~dataset ~space ~db ~queries ~config () in
+  let run () = Dbh_eval.Figure5.run ?pool ~rng ~dataset ~space ~db ~queries () in
   let result =
     match mset with
     | None -> run ()
@@ -294,7 +289,7 @@ module Breaker = Dbh_robust.Breaker
    breaker should serve phase 1 from the index, trip to the linear-scan
    fallback during phase 2, and recover during phase 3. *)
 let run_stress dataset seed db_size num_queries target nan exn_p negative perturb policy
-    budget domains metrics selector =
+    budget domains metrics =
   with_domains domains @@ fun pool ->
   let mset = if metrics then Some (Dbh_obs.Metrics.create ()) else None in
   let with_mset f = match mset with None -> f () | Some m -> Dbh_obs.Metrics.with_installed m f in
@@ -307,22 +302,16 @@ let run_stress dataset seed db_size num_queries target nan exn_p negative pertur
   Faulty_space.set_config faults fault_config;
   Faulty_space.disable faults;
   let guarded, guard = Guard.wrap ~policy faulty_space in
-  let config =
-    {
-      (builder_config ~pivots:50 ~sample_queries:(min 100 (Array.length db / 2))) with
-      selector;
-    }
-  in
+  let config = builder_config ~pivots:50 ~sample_queries:(min 100 (Array.length db / 2)) in
   let online =
     Dbh.Online.create ?pool ~rng:(Rng.create (seed + 2)) ~space:guarded ~config
       ~target_accuracy:target db
   in
   let breaker = Breaker.create ~guard online in
   let truth = Ground_truth.compute ?pool ~space:base ~db ~queries () in
-  Printf.printf "dataset=%s  db=%d  queries/phase=%d  space=%s  budget=%s  selector=%s\n%!"
-    dataset (Array.length db) (Array.length queries) guarded.Space.name
-    (if budget > 0 then string_of_int budget else "none")
-    (Dbh.Selector.tag selector);
+  Printf.printf "dataset=%s  db=%d  queries/phase=%d  space=%s  budget=%s\n%!" dataset
+    (Array.length db) (Array.length queries) guarded.Space.name
+    (if budget > 0 then string_of_int budget else "none");
   let run_phase label =
     let nns = Array.make (Array.length queries) None in
     let linear = ref 0 and truncated = ref 0 and cost = ref 0 in
@@ -824,10 +813,9 @@ let print_level_stats label index =
   print_histogram (Diagnostics.bucket_histogram index)
 
 let print_family_line family =
-  Printf.printf "family: %d functions, %d pivots, selector %s\n"
+  Printf.printf "family: %d functions, %d pivots\n"
     (Dbh.Hash_family.size family)
     (Dbh.Hash_family.num_pivots family)
-    (Dbh.Hash_family.selector_tag family)
 
 let stats_of_cascade h =
   print_family_line (Dbh.Hierarchical.family h);
@@ -972,28 +960,13 @@ let metrics_arg =
   in
   Arg.(value & flag & info [ "metrics" ] ~doc)
 
-let selector_arg =
-  let doc =
-    "Pivot-pair/threshold selection strategy for the hash family: $(b,uniform) (the \
-     paper's random draws), $(b,median) (uniform pairs, one-sided median thresholds), \
-     $(b,density) (density-sensitive interval scoring) or $(b,nsh) (neighbor-sensitive \
-     pair scoring)."
-  in
-  let selectors =
-    List.filter_map
-      (fun tag -> Option.map (fun s -> (tag, s)) (Dbh.Selector.of_tag tag))
-      Dbh.Selector.known_tags
-  in
-  Arg.(value & opt (enum selectors) Dbh.Selector.default
-       & info [ "selector" ] ~docv:"SELECTOR" ~doc)
-
 let experiment_cmd =
   let doc = "run a full accuracy-vs-cost comparison (paper Figure 5 panel)" in
   Cmd.v
     (Cmd.info "experiment" ~doc)
     Term.(
       const run_experiment $ dataset_arg $ seed_arg $ db_size_arg 2000 $ queries_arg 200
-      $ csv_arg $ domains_arg $ metrics_arg $ selector_arg)
+      $ csv_arg $ domains_arg $ metrics_arg)
 
 let tune_cmd =
   let doc = "print the offline (k,l) parameter landscape" in
@@ -1037,7 +1010,7 @@ let stress_cmd =
     Term.(
       const run_stress $ dataset_arg $ seed_arg $ db_size_arg 1000 $ queries_arg 200
       $ target_arg $ nan_arg $ exn_arg $ negative_arg $ perturb_arg $ policy_arg
-      $ budget_arg $ domains_arg $ metrics_arg $ selector_arg)
+      $ budget_arg $ domains_arg $ metrics_arg)
 
 let query_index_arg =
   let doc = "Index of the (generated) query to trace." in

@@ -92,6 +92,16 @@ let build ?pool ~rng ~family ~db ~pivot_table ~query_indices ?(num_fns = 250) ?(
           (fun qi -> brute_force_nn space db qi)
           query_indices
   in
+  (* A scan whose every distance is +∞ or NaN finds no neighbour (id -1),
+     and the signatures below would read db.(-1). *)
+  Array.iteri
+    (fun i (j, _) ->
+      if j < 0 then
+        invalid_arg
+          (Printf.sprintf
+             "Analysis.build: sample query %d has no finite distance to any other object"
+             query_indices.(i)))
+    nn;
   (* Database sample for the Eq. 12 lookup-cost sum. *)
   let sample_ids = Rng.sample_indices rng (min db_sample n) n in
   let sample_sigs = Dbh_util.Pool.parallel_map_array ?pool sig_of sample_ids in

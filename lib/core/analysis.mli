@@ -44,7 +44,10 @@ val build :
     nothing.  [pool] fans the ground-truth scans, signatures and
     per-query collision rows across domains; the fitted model is
     bit-identical to the sequential build for the same seed.  Raises [Invalid_argument] when [pivot_table]
-    does not have one row per database object. *)
+    does not have one row per database object, or when a sample query
+    has no nearest neighbour (every distance from it to another object
+    is +∞ or NaN, or its [ground_truth] id is negative); the message
+    names the query's database id. *)
 
 val num_queries : t -> int
 val db_size : t -> int

@@ -8,7 +8,6 @@ type config = {
   num_pivots : int;
   threshold_sample : int;
   max_functions : int option;
-  selector : Selector.t;
   num_sample_queries : int;
   num_fns : int;
   db_sample : int;
@@ -24,7 +23,6 @@ let default_config =
     num_pivots = 100;
     threshold_sample = 500;
     max_functions = None;
-    selector = Selector.default;
     num_sample_queries = 200;
     num_fns = 250;
     db_sample = 500;
@@ -45,15 +43,13 @@ type 'a prepared = {
 let prepare ?pool ~rng ~space ?(config = default_config) db =
   Params.check_slack config.slack;
   Log.info (fun m ->
-      m "preparing family over %d objects (space %s, %d pivots, selector %s)"
-        (Array.length db) space.Dbh_space.Space.name config.num_pivots
-        (Selector.tag config.selector));
+      m "preparing family over %d objects (space %s, %d pivots)" (Array.length db)
+        space.Dbh_space.Space.name config.num_pivots);
   (* The table comes first: the family's fit, the model's signatures
      and every index build read their pivot distances from it. *)
   let family, pivot_table =
     Hash_family.make_with_table ?pool ~rng ~space ~num_pivots:config.num_pivots
-      ~threshold_sample:config.threshold_sample ~max_functions:config.max_functions
-      ~selector:config.selector db
+      ~threshold_sample:config.threshold_sample ~max_functions:config.max_functions db
   in
   let n = Array.length db in
   let query_indices = Rng.sample_indices rng (min config.num_sample_queries n) n in

@@ -10,9 +10,6 @@ type config = {
   num_pivots : int;  (** |X_small| (default 100) *)
   threshold_sample : int;  (** sample projected per line (default 500) *)
   max_functions : int option;  (** cap on family size (default: all pairs) *)
-  selector : Selector.t;
-      (** how pivot pairs and thresholds are chosen (default
-          {!Selector.default} — the paper's uniform draws) *)
   num_sample_queries : int;  (** database objects used as sample queries (default 200) *)
   num_fns : int;  (** functions sampled for collision estimates (default 250) *)
   db_sample : int;  (** database sample for lookup-cost estimates (default 500) *)

@@ -20,10 +20,8 @@
     Module map (paper reference in parentheses):
 
     - {!Projection}: pseudo line projections (Eq. 4)
-    - {!Selector}: pluggable pivot-pair/threshold selection strategies
-      (uniform per the paper; density- and neighbor-sensitive variants)
     - {!Hash_family}: the binary hash function family over a pivot set
-      X_small (Eq. 5–7, Sec. V-B), built through a {!Selector}
+      X_small (Eq. 5–7, Sec. V-B)
     - {!Collision}: collision-probability model C, C_k, C_{k,l}
       (Eq. 8–10)
     - {!Analysis}: sample-based accuracy and cost estimation (Eq. 11–14)
@@ -48,7 +46,6 @@
       grows or shrinks *)
 
 module Projection = Projection
-module Selector = Selector
 module Hash_family = Hash_family
 module Collision = Collision
 module Analysis = Analysis

@@ -36,7 +36,6 @@ type 'a t = {
   pairs : int array;
   lines : float array;
   spreads : float array;
-  selector : Selector.t;
 }
 
 let space t = t.space
@@ -56,7 +55,7 @@ let fn t i =
   }
 
 (* Lay construction's records out flat. *)
-let of_fns ~space ~pivots ~selector fns =
+let of_fns ~space ~pivots fns =
   let n = Array.length fns in
   let pairs = Array.make (2 * n) 0 and lines = Array.make (3 * n) 0. in
   Array.iteri
@@ -67,10 +66,7 @@ let of_fns ~space ~pivots ~selector fns =
       lines.((3 * i) + 1) <- f.t1;
       lines.((3 * i) + 2) <- f.t2)
     fns;
-  { space; pivots; pairs; lines; spreads = Array.map (fun f -> f.spread) fns; selector }
-
-let selector t = t.selector
-let selector_tag t = Selector.tag t.selector
+  { space; pivots; pairs; lines; spreads = Array.map (fun f -> f.spread) fns }
 
 (* Threshold interval from (a discretized) V(X1,X2), Eq. 6: an interval
    capturing half the sample mass.  For u in [0, 1/2],
@@ -153,11 +149,11 @@ type distances = {
 
 (* ------------------------------------------------- uniform construction *)
 
-(* The paper's data-oblivious path, kept bit-identical to the
-   pre-selector builds: pairs are either all of C(m,2) or drawn from
-   [rng] by rejection, and thresholds consume [rng] sequentially in pair
-   order for every pool size. *)
-let build_uniform ?pool ~rng ~m ~dist ~max_functions strategy =
+(* The paper's data-oblivious construction (Sec. V-B): pairs are either
+   all of C(m,2) or drawn from [rng] by rejection, and each pair's
+   interval is drawn uniformly from V(X1,X2), consuming [rng]
+   sequentially in pair order for every pool size. *)
+let build_uniform ?pool ~rng ~m ~dist ~max_functions () =
   let pairs =
     match max_functions with
     | None -> all_pairs m
@@ -166,11 +162,7 @@ let build_uniform ?pool ~rng ~m ~dist ~max_functions strategy =
         sample_pairs rng m count
   in
   let finish (i, j) d12 sorted =
-    let t1, t2 =
-      match (strategy : Selector.threshold_strategy) with
-      | Random_interval -> draw_interval rng sorted
-      | Median_split -> (neg_infinity, Stats.quantiles_of_sorted sorted 0.5)
-    in
+    let t1, t2 = draw_interval rng sorted in
     { p1 = i; p2 = j; d12; t1; t2; spread = spread_of sorted }
   in
   (* A chunk's map is the pure, expensive part (pivot-pair distance,
@@ -193,292 +185,6 @@ let build_uniform ?pool ~rng ~m ~dist ~max_functions strategy =
          | Some (pair, d12, sorted) -> finish pair d12 sorted :: out))
     ~init:[]
   |> List.rev |> Array.of_list
-
-(* ------------------------------------------ data-dependent construction *)
-
-(* Candidate interval positions: u = 0 (the one-sided member of V) plus
-   grid-1 interior offsets.  Deterministic — data-dependent selectors
-   consume no randomness beyond the shared pivot/sample draws, so pooled
-   and sequential builds agree trivially. *)
-let grid_offsets grid = Array.init grid (fun g -> 0.5 *. float_of_int g /. float_of_int grid)
-
-(* Average spacing of the sorted sample projections around quantile [u] —
-   the inverse of a local density estimate.  Window of ±max(1, n/50)
-   order statistics smooths duplicate-heavy samples. *)
-let local_gap sorted u =
-  let n = Array.length sorted in
-  let w = max 1 (n / 50) in
-  let pos = int_of_float ((u *. float_of_int (n - 1)) +. 0.5) in
-  let lo = max 0 (pos - w) in
-  let hi = min (n - 1) (pos + w) in
-  if hi <= lo then 0. else (sorted.(hi) -. sorted.(lo)) /. float_of_int (hi - lo)
-
-(* Sparsity of the boundary at threshold [t] placed at quantile [u]:
-   how much wider the local spacing is than the expected bulk spacing
-   (spread covers half the mass, so bulk spacing ~ 2·spread/n). *)
-let boundary_sparsity ~spread ~n sorted u t =
-  if Float.abs t = infinity then infinity
-  else local_gap sorted u *. float_of_int n /. (2. *. spread)
-
-(* Score one candidate interval for the density-sensitive selector: the
-   sparsity of its worst finite boundary (both boundaries must be hard to
-   straddle).  Intervals with no finite boundary accept everything and
-   score lowest. *)
-let density_score ~spread sorted u (t1, t2) =
-  let n = Array.length sorted in
-  let s1 = boundary_sparsity ~spread ~n sorted u t1 in
-  let s2 = boundary_sparsity ~spread ~n sorted (u +. 0.5) t2 in
-  let s = Float.min s1 s2 in
-  if s = infinity then neg_infinity else s
-
-(* Approximate k-nearest-neighbor lists within the construction sample,
-   using the pivot-embedding lower bound
-   max_p |D(p,x_i) − D(p,x_j)| ≤ D(x_i,x_j) over a pivot prefix — free:
-   dist_sp is already paid for. *)
-let neighbor_lists ?pool ~dist_sp ~m ~s k =
-  let np = min m 12 in
-  let k = max 1 (min k (s - 1)) in
-  let knn i =
-    let cand = Array.make (s - 1) (0., 0) in
-    let c = ref 0 in
-    for j = 0 to s - 1 do
-      if j <> i then begin
-        let d = ref 0. in
-        for p = 0 to np - 1 do
-          let diff = Float.abs (dist_sp.(p).(i) -. dist_sp.(p).(j)) in
-          if diff > !d then d := diff
-        done;
-        cand.(!c) <- (!d, j);
-        incr c
-      end
-    done;
-    Array.sort compare cand;
-    Array.init (min k (s - 1)) (fun r -> snd cand.(r))
-  in
-  Dbh_util.Pool.parallel_map_array ?pool knn (Array.init s Fun.id)
-
-(* Score one candidate interval for the neighbor-sensitive selector: the
-   fraction of (point, near-neighbor) sample pairs whose bits disagree —
-   NSH magnifies distinctions among close points so their Hamming ranks
-   track their distance ranks. *)
-let disagreement_score ~nbrs proj (t1, t2) =
-  let s = Array.length proj in
-  let bit x = x >= t1 && x <= t2 in
-  let total = ref 0 and disagree = ref 0 in
-  for i = 0 to s - 1 do
-    let bi = bit proj.(i) in
-    Array.iter
-      (fun j ->
-        incr total;
-        if bit proj.(j) <> bi then incr disagree)
-      nbrs.(i)
-  done;
-  if !total = 0 then 0. else float_of_int !disagree /. float_of_int !total
-
-(* Shared data-dependent skeleton: score every C(m,2) pair purely (fans
-   out across the pool), then select the top-scoring subset sequentially
-   and deterministically — same result at every pool size. *)
-let build_selected ?pool ~m ~dist ~s ~max_functions ~grid ~score_interval () =
-  (match max_functions with
-  | Some count when count < 1 -> invalid_arg "Hash_family.make: max_functions must be positive"
-  | _ -> ());
-  let offsets = grid_offsets grid in
-  let score_pair (i, j) =
-    let d12 = dist.d12 i j in
-    if not (d12 > 0.) then None
-    else begin
-      let proj = project_sample dist.dist_sp i j d12 in
-      let sorted = Array.copy proj in
-      Stats.sort_floats sorted;
-      let spread = spread_of sorted in
-      let best = ref neg_infinity and best_tie = ref neg_infinity in
-      let best_iv = ref (interval_at sorted 0.) in
-      Array.iter
-        (fun u ->
-          let iv = interval_at sorted u in
-          let sc = score_interval ~spread ~proj ~sorted u iv in
-          (* Secondary preference for central (two-sided) intervals keeps
-             ties deterministic and the family diverse. *)
-          let tie = -.Float.abs (u -. 0.25) in
-          if sc > !best || (sc = !best && tie > !best_tie) then begin
-            best := sc;
-            best_tie := tie;
-            best_iv := iv
-          end)
-        offsets;
-      let t1, t2 = !best_iv in
-      (* Bit signature of the winning interval over the shared sample:
-         selection uses it to measure how correlated two candidate
-         functions actually are (identical bit patterns hash points
-         into the same buckets no matter how good each looks alone). *)
-      let words = Array.make ((s + 62) / 63) 0 in
-      Array.iteri
-        (fun k x ->
-          if x >= t1 && x <= t2 then
-            words.(k / 63) <- words.(k / 63) lor (1 lsl (k mod 63)))
-        proj;
-      Some (!best, { p1 = i; p2 = j; d12; t1; t2; spread }, words)
-    end
-  in
-  let pairs = all_pairs m in
-  let scored =
-    Dbh_util.Pool.parallel_map_array ?pool ?cost:(dist.pair_cost pairs) score_pair pairs
-  in
-  let valid = ref [] in
-  Array.iteri (fun idx -> function Some _ -> valid := idx :: !valid | None -> ()) scored;
-  let valid = Array.of_list (List.rev !valid) in
-  let chosen =
-    match max_functions with
-    | Some count when count < Array.length valid ->
-        (* Queries pay one distance computation per distinct pivot their
-           evaluated functions touch, so a family drawn from fewer,
-           better pivots hashes strictly cheaper than a uniform draw
-           over all m.  Rank pivots by the pair scores they support and
-           restrict selection to the smallest strong subset that still
-           offers ~1.2x [count] candidate pairs. *)
-        let m_eff =
-          let rec grow m' =
-            if m' >= m || m' * (m' - 1) / 2 >= 6 * count / 5 then m' else grow (m' + 1)
-          in
-          grow 2
-        in
-        let allowed =
-          if m_eff >= m then Array.make m true
-          else begin
-            (* A pivot is as strong as the best pairs it appears in:
-               sum its top-5 pair scores so one lucky pair does not
-               carry a pivot, then keep the strongest subset (growing
-               it if filtering leaves fewer than [count] pairs). *)
-            let per_pivot = Array.make m [] in
-            Array.iter
-              (fun idx ->
-                let s, f, _ = Option.get scored.(idx) in
-                per_pivot.(f.p1) <- s :: per_pivot.(f.p1);
-                per_pivot.(f.p2) <- s :: per_pivot.(f.p2))
-              valid;
-            let strength =
-              Array.map
-                (fun scores ->
-                  let sorted = List.sort (fun a b -> compare b a) scores in
-                  let rec take n = function
-                    | s :: tl when n > 0 && s > neg_infinity -> s +. take (n - 1) tl
-                    | _ -> 0.
-                  in
-                  take 5 sorted)
-                per_pivot
-            in
-            let order = Array.init m Fun.id in
-            Array.sort
-              (fun a b ->
-                match compare strength.(b) strength.(a) with
-                | 0 -> compare a b
-                | c -> c)
-              order;
-            let allowed = Array.make m false in
-            let available = ref 0 in
-            let next = ref 0 in
-            (* Admit pivots strongest-first until enough pairs survive. *)
-            while !available < count && !next < m do
-              let p = order.(!next) in
-              allowed.(p) <- true;
-              incr next;
-              if !next >= m_eff then begin
-                available := 0;
-                Array.iter
-                  (fun idx ->
-                    let _, f, _ = Option.get scored.(idx) in
-                    if allowed.(f.p1) && allowed.(f.p2) then incr available)
-                  valid
-              end
-            done;
-            allowed
-          end
-        in
-        let valid =
-          Array.of_seq
-            (Seq.filter
-               (fun idx ->
-                 let _, f, _ = Option.get scored.(idx) in
-                 allowed.(f.p1) && allowed.(f.p2))
-               (Array.to_seq valid))
-        in
-        let by_score = Array.copy valid in
-        Array.sort
-          (fun a b ->
-            let sa, _, _ = Option.get scored.(a) and sb, _, _ = Option.get scored.(b) in
-            match compare sb sa with 0 -> compare a b | c -> c)
-          by_score;
-        (* Greedy selection discounted by measured redundancy: pure
-           top-k concentrates on near-copies of the same few intervals
-           — the tables stop being independent, buckets get heavy, and
-           the (k, l) model overestimates accuracy while candidate
-           sets balloon.  Each candidate's effective score is its raw
-           score times (1 - rho), where rho is its strongest bit-level
-           correlation with any function already kept:
-           rho = |s - 2 * hamming(sig_a, sig_b)| / s, i.e. 0 for
-           independent balanced bits and 1 for a duplicate (or exact
-           complement).  Deterministic: ties break toward the higher
-           raw score, then the lower pair index. *)
-        let n = Array.length by_score in
-        let target = min count n in
-        let popcount x =
-          let rec go x acc = if x = 0 then acc else go (x lsr 1) (acc + (x land 1)) in
-          go x 0
-        in
-        let correlation a b =
-          let diff = ref 0 in
-          Array.iteri (fun w wa -> diff := !diff + popcount (wa lxor b.(w))) a;
-          Float.abs (float_of_int (s - (2 * !diff))) /. float_of_int (max 1 s)
-        in
-        let rho = Array.make n 0. in
-        let picked = Array.make n false in
-        let keep = Array.make target (-1) in
-        for slot = 0 to target - 1 do
-          let best_pos = ref (-1) and best_eff = ref neg_infinity in
-          for pos = 0 to n - 1 do
-            if not picked.(pos) then begin
-              let sc, _, _ = Option.get scored.(by_score.(pos)) in
-              (* A fully-correlated candidate is worthless even with a
-                 top raw score (and 0 * infinity would poison the
-                 comparison with a NaN). *)
-              let eff = if rho.(pos) >= 1. then neg_infinity else sc *. (1. -. rho.(pos)) in
-              if eff > !best_eff then begin
-                best_eff := eff;
-                best_pos := pos
-              end
-            end
-          done;
-          (* Every remaining candidate can be at -infinity (all exact
-             duplicates of kept functions): fall back to the best raw
-             score still available so the family reaches [count]. *)
-          if !best_pos < 0 then begin
-            let pos = ref 0 in
-            while picked.(!pos) do incr pos done;
-            best_pos := !pos
-          end;
-          let pos = !best_pos in
-          picked.(pos) <- true;
-          keep.(slot) <- by_score.(pos);
-          let _, _, sig_p = Option.get scored.(by_score.(pos)) in
-          for other = 0 to n - 1 do
-            if not picked.(other) then begin
-              let _, _, sig_o = Option.get scored.(by_score.(other)) in
-              let c = correlation sig_p sig_o in
-              if c > rho.(other) then rho.(other) <- c
-            end
-          done
-        done;
-        (* Emit in pair-enumeration order so function indices stay stable
-           regardless of score ties. *)
-        Array.sort compare keep;
-        keep
-    | _ -> valid
-  in
-  Array.map
-    (fun idx ->
-      let _, fn, _ = Option.get scored.(idx) in
-      fn)
-    chosen
 
 (* ------------------------------------------------------------------ make *)
 
@@ -526,30 +232,15 @@ let draw ~rng ~num_pivots ~threshold_sample data =
   (pivot_ids, Array.map (Array.get data) pivot_ids, subsample_ids rng threshold_sample n)
 
 (* The one threshold fit, whatever the source of [dist]. *)
-let fit ?pool ~rng ~space ~pivots ~dist ~max_functions ~selector () =
-  let m = Array.length pivots and s = Array.length dist.dist_sp.(0) in
-  let fns =
-    match (selector : Selector.t) with
-    | Uniform strategy -> build_uniform ?pool ~rng ~m ~dist ~max_functions strategy
-    | Density { grid } ->
-        build_selected ?pool ~m ~dist ~s ~max_functions ~grid
-          ~score_interval:(fun ~spread ~proj:_ ~sorted u iv -> density_score ~spread sorted u iv)
-          ()
-    | Neighbor { neighbors; grid } ->
-        let nbrs = neighbor_lists ?pool ~dist_sp:dist.dist_sp ~m ~s neighbors in
-        build_selected ?pool ~m ~dist ~s ~max_functions ~grid
-          ~score_interval:(fun ~spread:_ ~proj ~sorted:_ _u iv ->
-            disagreement_score ~nbrs proj iv)
-          ()
-  in
+let fit ?pool ~rng ~space ~pivots ~dist ~max_functions () =
+  let fns = build_uniform ?pool ~rng ~m:(Array.length pivots) ~dist ~max_functions () in
   if Array.length fns = 0 then
     invalid_arg "Hash_family.make: all pivot pairs are at distance 0";
-  of_fns ~space ~pivots ~selector fns
+  of_fns ~space ~pivots fns
 
 (* Standalone: pays the m·s sample rows up front and each pivot pair's
    distance as its line is fit, nothing more. *)
-let make ?pool ~rng ~space ?(num_pivots = 100) ?(threshold_sample = 500) ?max_functions
-    ?(selector = Selector.default) data =
+let make ?pool ~rng ~space ?(num_pivots = 100) ?(threshold_sample = 500) ?max_functions data =
   let caller = "Hash_family.make" in
   let _, pivots, sample_ids = draw ~rng ~num_pivots ~threshold_sample data in
   let rows = distance_rows ?pool ~caller space pivots (Array.map (Array.get data) sample_ids) in
@@ -560,13 +251,12 @@ let make ?pool ~rng ~space ?(num_pivots = 100) ?(threshold_sample = 500) ?max_fu
       pair_cost = pair_cost space pivots;
     }
   in
-  fit ?pool ~rng ~space ~pivots ~dist ~max_functions ~selector ()
+  fit ?pool ~rng ~space ~pivots ~dist ~max_functions ()
 
 (* The same draws and the same fit as [make], over the whole data ×
    pivot table, paid for first: the sample's rows and every pivot pair's
    distance are already in it, so the fit pays nothing more. *)
-let make_with_table ?pool ~rng ~space ~num_pivots ~threshold_sample ~max_functions ~selector
-    data =
+let make_with_table ?pool ~rng ~space ~num_pivots ~threshold_sample ~max_functions data =
   let pivot_ids, pivots, sample_ids = draw ~rng ~num_pivots ~threshold_sample data in
   let table = distance_rows ?pool ~caller:"Hash_family.make" space pivots data in
   let dist =
@@ -576,7 +266,7 @@ let make_with_table ?pool ~rng ~space ~num_pivots ~threshold_sample ~max_functio
       pair_cost = (fun _ -> None);
     }
   in
-  (fit ?pool ~rng ~space ~pivots ~dist ~max_functions ~selector (), table)
+  (fit ?pool ~rng ~space ~pivots ~dist ~max_functions (), table)
 
 (* ----------------------------------------------------------- evaluation *)
 
@@ -764,9 +454,15 @@ module Binio = Dbh_util.Binio
 let format_tag = "DBH-family-v2"
 let format_tag_v1 = "DBH-family-v1"
 
+(* A v2 envelope carries a second tag after [format_tag]: the selector
+   that built the family, from when builds could choose one.  Every
+   selector wrote plain thresholded projections, so [read] accepts each
+   name earlier builds wrote, and [write] writes the paper's. *)
+let legacy_tags = [ "uniform"; "median"; "density"; "nsh" ]
+
 let write ~encode buf t =
   Binio.write_string buf format_tag;
-  Binio.write_string buf (Selector.tag t.selector);
+  Binio.write_string buf "uniform";
   Binio.write_int buf (Array.length t.pivots);
   Array.iter (fun p -> Binio.write_string buf (encode p)) t.pivots;
   Binio.write_int buf (size t);
@@ -781,18 +477,14 @@ let write ~encode buf t =
 
 let read ~decode ~space r =
   let tag = Binio.read_string r in
-  (* v1 envelopes predate selectors: everything written before the
-     Selector redesign was the paper's uniform construction. *)
-  let selector =
-    if tag = format_tag_v1 then Selector.default
-    else if tag = format_tag then begin
-      let sel_tag = Binio.read_string r in
-      match Selector.of_tag sel_tag with
-      | Some s -> s
-      | None -> raise (Binio.Corrupt (Printf.sprintf "unknown selector tag %S" sel_tag))
-    end
-    else raise (Binio.Corrupt (Printf.sprintf "expected %s, found %S" format_tag tag))
-  in
+  (* v1 envelopes predate the selector tag. *)
+  if tag = format_tag then begin
+    let sel_tag = Binio.read_string r in
+    if not (List.mem sel_tag legacy_tags) then
+      raise (Binio.Corrupt (Printf.sprintf "unknown selector tag %S" sel_tag))
+  end
+  else if tag <> format_tag_v1 then
+    raise (Binio.Corrupt (Printf.sprintf "expected %s, found %S" format_tag tag));
   let num_pivots = Binio.read_int r in
   if num_pivots < 0 || num_pivots > Binio.remaining r then
     raise (Binio.Corrupt "implausible pivot count");
@@ -818,4 +510,4 @@ let read ~decode ~space r =
     pairs.(2 * i) <- p1;
     pairs.((2 * i) + 1) <- p2
   done;
-  { space; pivots; pairs; lines; spreads; selector }
+  { space; pivots; pairs; lines; spreads }

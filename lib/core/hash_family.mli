@@ -9,14 +9,9 @@
     database (Sec. V-B bounds the hashing cost by |X_small|), and the
     interval [\[t1,t2\]] is drawn from V(X1,X2) — the set of intervals
     capturing half the data mass (Eq. 6) — using the quantiles of the
-    projections of a data sample.
-
-    {e Which} pairs and intervals make it into the family is decided by a
-    pluggable {!Selector.t}: the default reproduces the paper's uniform
-    draws bit-for-bit, while the data-dependent selectors score candidate
-    functions against the construction sample.  Every selector emits the
-    same [binary_fn]s, so the collision model, optimal-(k,l) machinery,
-    multi-probe margins and persistence are selector-agnostic.
+    projections of a data sample.  The construction is the paper's and
+    looks at the data only through those quantiles: pivot pairs are drawn
+    uniformly from X_small, and each interval uniformly from V(X1,X2).
 
     Query-time evaluations share a {!cache} of distances from the query to
     the pivots, so evaluating any number of binary functions costs at most
@@ -42,7 +37,6 @@ val make :
   ?num_pivots:int ->
   ?threshold_sample:int ->
   ?max_functions:int ->
-  ?selector:Selector.t ->
   'a array ->
   'a t
 (** [make ~rng ~space data] builds the family from a database sample.
@@ -52,27 +46,22 @@ val make :
       reports 100 pivots → C(100,2) = 4950 functions.
     - [threshold_sample] (default 500): how many objects are projected on
       each line to estimate the quantiles defining V(X1,X2).
-    - [max_functions]: build only this many functions.  Under the uniform
-      selector they sit on distinct random pivot pairs; under a
-      data-dependent selector they are the top-scoring pairs of all
-      C(m,2) candidates.
-    - [selector] (default {!Selector.default}): how pairs and intervals
-      are chosen — see {!Selector}.  [Selector.uniform] is bit-identical
-      to the pre-selector builds for the same seed.
+    - [max_functions]: build only this many functions, on distinct
+      pivot pairs drawn uniformly from the C(m,2); all of them by
+      default.
 
     Where the distances come from: [make] computes them.  It pays the
     [num_pivots · threshold_sample] sample-to-pivot distances up front
     (each computed once and shared by every pair), then one pivot–pivot
     distance D(X1, X2) per pair as that pair's line is fit: C(m,2) for
-    the whole family, [max_functions] under a capped uniform draw.
-    Data-dependent selectors pay extra {e arithmetic} (scoring) but no
-    extra distance computations.  {!make_with_table} runs the same fit
-    over distances it reads from the database × pivot table instead.
+    the whole family, [max_functions] under a cap.  {!make_with_table}
+    runs the same fit over distances it reads from the database × pivot
+    table instead.
 
     [pool] parallelizes the sample-to-pivot distances and the per-pair
-    projection/sort/scoring work across domains; anything that consumes
-    [rng] stays sequential in pair order, so for every selector the
-    family is bit-identical to the sequential build for the same seed.
+    projection/sort work across domains; anything that consumes [rng]
+    stays sequential in pair order, so the family is bit-identical to
+    the sequential build for the same seed.
 
     Raises [Invalid_argument] when a distance it computes is NaN or
     negative, or when [data] has fewer than 2 distinct-distance objects
@@ -85,7 +74,6 @@ val make_with_table :
   num_pivots:int ->
   threshold_sample:int ->
   max_functions:int option ->
-  selector:Selector.t ->
   'a array ->
   'a t * float array array
 (** [make_with_table ~rng ~space ... data] builds the family over [data]
@@ -95,8 +83,8 @@ val make_with_table :
     computes the table first (every entry checked, as {!pivot_table}
     does), and reads everything the fit needs from it: the sample's rows
     hold the sample-to-pivot distances, and the pivots' own rows every
-    D(X1, X2).  The family is {!make}'s, bit for bit, under every
-    selector.  This is {!Builder.prepare}'s path. *)
+    D(X1, X2).  The family is {!make}'s, bit for bit.  This is
+    {!Builder.prepare}'s path. *)
 
 val space : 'a t -> 'a Dbh_space.Space.t
 val size : 'a t -> int
@@ -111,13 +99,6 @@ val fn : 'a t -> int -> binary_fn
     functions as flat unboxed arrays (pivot pairs, lines and thresholds,
     spreads), so this builds a fresh record on each call: a view for
     cold paths, not what evaluation reads. *)
-
-val selector : 'a t -> Selector.t
-(** The selector this family was built (or loaded) with.  Families loaded
-    from v1 envelopes report {!Selector.default}. *)
-
-val selector_tag : 'a t -> string
-(** [Selector.tag (selector t)] — the tag recorded in the envelope. *)
 
 (** {1 Evaluation} *)
 
@@ -237,9 +218,7 @@ val signature : 'a t -> fn_indices:int array -> 'a cache -> Dbh_util.Bitvec.t
 
 val balance : 'a t -> int -> 'a array -> float
 (** [balance t i sample] is the fraction of [sample] that function [i]
-    maps to 0 — should be close to 0.5 by construction (Eq. 6), for
-    {e every} selector: data-dependent selectors only choose {e which}
-    half-mass interval of V(X1,X2) to use, never leave V. *)
+    maps to 0 — should be close to 0.5 by construction (Eq. 6). *)
 
 (** {1 Persistence}
 
@@ -249,12 +228,17 @@ val balance : 'a t -> int -> 'a array -> float
     space when reading (using a different distance silently produces a
     different index).
 
-    v2 envelopes record the selector tag; v1 envelopes (written before
-    the Selector redesign) are still readable and report
-    {!Selector.default}. *)
+    A v2 envelope carries a second, legacy tag: the name of the selector
+    that built the family, from when a build could choose among
+    constructions.  {!write} writes ["uniform"]; {!read} accepts the four
+    names builds have written (["uniform"], ["median"], ["density"],
+    ["nsh"]), since every construction wrote plain thresholded
+    projections, and rejects any other.  v1 envelopes, which carry no
+    such tag, are still readable. *)
 
 val write : encode:('a -> string) -> Buffer.t -> 'a t -> unit
 
 val read :
   decode:(string -> 'a) -> space:'a Dbh_space.Space.t -> Dbh_util.Binio.reader -> 'a t
-(** Raises [Dbh_util.Binio.Corrupt] on malformed input. *)
+(** Raises [Dbh_util.Binio.Corrupt] on malformed input, including an
+    unknown legacy tag. *)

@@ -195,15 +195,22 @@ let rec search ?(opts = Dbh.Query_opts.default) t q =
       end
       else begin
         (* Cooldown over: refresh the index (its tables may be polluted
-           by the anomalies that tripped us) and probe it. *)
-        Online.rebuild_now t.online;
-        t.state <- Half_open;
-        record_state ?trace:opts.Dbh.Query_opts.trace t;
-        t.probes_left <- t.config.half_open_probes;
-        let calls, anoms = guard_snapshot t in
-        t.probe_calls0 <- calls;
-        t.probe_anoms0 <- anoms;
-        search ~opts t q
+           by the anomalies that tripped us) and probe it.  A refresh
+           the build rejects publishes nothing, so the old tables are
+           not worth probing: stay Open for another cooldown. *)
+        match Online.rebuild_now t.online with
+        | exception Invalid_argument _ ->
+            t.cooldown_left <- t.config.open_cooldown;
+            record_counter (fun m -> m.Dbh_obs.Metrics.online_rebuild_failures_total);
+            serve_linear ~opts t q
+        | () ->
+            t.state <- Half_open;
+            record_state ?trace:opts.Dbh.Query_opts.trace t;
+            t.probes_left <- t.config.half_open_probes;
+            let calls, anoms = guard_snapshot t in
+            t.probe_calls0 <- calls;
+            t.probe_anoms0 <- anoms;
+            search ~opts t q
       end
   | Half_open ->
       let result = Online.search ~opts t.online q in

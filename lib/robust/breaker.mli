@@ -20,7 +20,13 @@
       alive objects through the (guarded) space — expensive but correct,
       and immune to table pollution.  After [open_cooldown] fallback
       queries the breaker forces a full {!Dbh.Online.rebuild_now} and
-      moves to Half_open.
+      moves to Half_open.  A refresh the build rejects with
+      [Invalid_argument] (say, fewer alive objects than the pipeline
+      builds from) publishes nothing: the breaker stays Open, counts the
+      rejection in [dbh_online_rebuild_failures_total], serves that query
+      by linear scan too, and tries again after another [open_cooldown]
+      fallback queries.  Any other exception from the refresh reaches the
+      caller.
     - {b Half_open}: the next [half_open_probes] queries are served by
       the rebuilt index while being watched; a clean run closes the
       breaker (recovery), further anomalies re-open it.

@@ -189,38 +189,6 @@ let test_family_interval_validity () =
     Alcotest.(check bool) "d12 > 0" true (f.Hash_family.d12 > 0.)
   done
 
-let test_family_median_split_strategy () =
-  (* The ablation knob of DESIGN.md §5: one-sided median thresholds.  The
-     family must stay balanced and usable end-to-end. *)
-  let all = test_db 2 700 in
-  let rng = Rng.create 1003 in
-  let db = Array.sub all 0 400 in
-  let family =
-    Hash_family.make ~rng ~space:l2 ~num_pivots:20 ~threshold_sample:200
-      ~selector:(Dbh.Selector.uniform ~threshold_strategy:Dbh.Selector.Median_split ()) db
-  in
-  (* Every interval is one-sided. *)
-  for i = 0 to Hash_family.size family - 1 do
-    let f = Hash_family.fn family i in
-    Alcotest.(check bool) "lower side open" true (f.Hash_family.t1 = neg_infinity);
-    Alcotest.(check bool) "finite median" true (Float.is_finite f.Hash_family.t2)
-  done;
-  (* Balance holds on held-out data. *)
-  let holdout = Array.sub all 400 300 in
-  let balances =
-    Array.init (Hash_family.size family) (fun i -> Hash_family.balance family i holdout)
-  in
-  check_loose 0.06 "median balance ~ 0.5" 0.5 (Dbh_util.Stats.mean balances);
-  (* And retrieval works through the normal index machinery. *)
-  let index = Index.build ~rng ~family ~db ~k:5 ~l:8 () in
-  let hits = ref 0 in
-  for i = 0 to 30 do
-    match (Index.search index db.(i * 7)).Index.nn with
-    | Some (_, d) when d = 0. -> incr hits
-    | _ -> ()
-  done;
-  Alcotest.(check bool) "self queries resolve" true (!hits >= 28)
-
 let test_family_rejects_tiny () =
   Alcotest.check_raises "one object"
     (Invalid_argument "Hash_family.make: need at least 2 objects")
@@ -499,6 +467,21 @@ let test_analysis_ground_truth_override () =
   in
   check_float "nn distance passed through" 0.25 (Analysis.nn_distance analysis 0);
   check_float "nn distance passed through 2" 0.5 (Analysis.nn_distance analysis 1)
+
+(* A sample query at +∞ from every other object has no nearest
+   neighbour: the build names it before any signature reads db.(-1). *)
+let test_analysis_no_finite_distance () =
+  let db = test_db 35 40 in
+  let rng = Rng.create 36 in
+  let family = Hash_family.make ~rng ~space:l2 ~num_pivots:8 ~threshold_sample:40 db in
+  let db = Array.append db [| [| infinity; 0.; 0.; 0. |] |] in
+  Alcotest.check_raises "the query is named"
+    (Invalid_argument
+       "Analysis.build: sample query 40 has no finite distance to any other object")
+    (fun () ->
+      ignore
+        (Analysis.build ~rng ~family ~db ~pivot_table:(Hash_family.pivot_table family db)
+           ~query_indices:[| 40; 0; 1 |] ~num_fns:50 ~db_sample:40 ()))
 
 (* ----------------------------------------------------------------- Params *)
 
@@ -897,10 +880,6 @@ let test_builder_distance_bill () =
   Space.reset counter;
   ignore (Builder.hierarchical ~rng ~prepared ~db ~target_accuracy:0.9 ~config ());
   Alcotest.(check int) "tables read the pivot table" 0 (Space.count counter);
-  Space.reset counter;
-  let density = { config with selector = Dbh.Selector.density_sensitive () } in
-  ignore (Builder.prepare ~rng:(Rng.create 78) ~space:counted ~config:density db);
-  Alcotest.(check int) "prepare, density selector: n·m + |Q|·(n-1)" bill (Space.count counter);
   (* Standalone, the family pays the sample rows and the pivot pairs
      only, never the database's table. *)
   Space.reset counter;
@@ -910,7 +889,7 @@ let test_builder_distance_bill () =
 
 (* The builder's family fit reads the pivot table, a standalone [make]
    computes its own distances: the two build the same family, byte for
-   byte, under every selector.  The digests pin [make]'s family. *)
+   byte, with and without a cap.  The digests pin [make]'s family. *)
 let test_make_with_table_differential () =
   let db = test_db 80 120 in
   let bytes family =
@@ -925,31 +904,23 @@ let test_make_with_table_differential () =
   in
   let md5 family = Digest.to_hex (Digest.string (bytes family)) in
   List.iter
-    (fun (name, selector, max_functions, make_md5) ->
+    (fun (name, max_functions, make_md5) ->
       let with_table =
         fst
           (Hash_family.make_with_table ~rng:(Rng.create 81) ~space:l2 ~num_pivots:10
-             ~threshold_sample:30 ~max_functions ~selector db)
+             ~threshold_sample:30 ~max_functions db)
       in
       let standalone =
         Hash_family.make ~rng:(Rng.create 81) ~space:l2 ~num_pivots:10 ~threshold_sample:30
-          ?max_functions ~selector db
+          ?max_functions db
       in
       Alcotest.(check string) (name ^ ": make") make_md5 (md5 standalone);
       Alcotest.(check string)
         (name ^ ": make_with_table = make")
         (bytes standalone) (bytes with_table))
     [
-      ("uniform, 20", Dbh.Selector.default, Some 20, "79f4b5e0f6f5a8620057f8cd9617e87e");
-      ( "density, 20", Dbh.Selector.density_sensitive (), Some 20,
-        "1696abd20ee62c1b64fe93243911e5a6" );
-      ( "neighbor, 20", Dbh.Selector.neighbor_sensitive (), Some 20,
-        "0a781afba6a906582c6247525e5555b1" );
-      ("uniform, all", Dbh.Selector.default, None, "3b19c06318a90aa30421621c3f325e68");
-      ( "density, all", Dbh.Selector.density_sensitive (), None,
-        "0aedd0f6514949d353913565e896cb29" );
-      ( "neighbor, all", Dbh.Selector.neighbor_sensitive (), None,
-        "7f6b9e8e781397947803ed31e6fe3642" );
+      ("uniform, 20", Some 20, "79f4b5e0f6f5a8620057f8cd9617e87e");
+      ("uniform, all", None, "3b19c06318a90aa30421621c3f325e68");
     ]
 
 let () =
@@ -973,7 +944,6 @@ let () =
           Alcotest.test_case "realized hash cost" `Quick test_family_hash_cost_realized_via_counter;
           Alcotest.test_case "signature" `Quick test_family_signature;
           Alcotest.test_case "interval validity" `Quick test_family_interval_validity;
-          Alcotest.test_case "median split strategy" `Quick test_family_median_split_strategy;
           Alcotest.test_case "rejects tiny" `Quick test_family_rejects_tiny;
           Alcotest.test_case "rejects degenerate" `Quick test_family_rejects_degenerate;
         ] );
@@ -1004,6 +974,8 @@ let () =
           Alcotest.test_case "credit prices the cascade (Eq. 10)" `Quick test_analysis_credit;
           Alcotest.test_case "order by nn distance" `Quick test_analysis_order;
           Alcotest.test_case "ground truth override" `Quick test_analysis_ground_truth_override;
+          Alcotest.test_case "scan with no finite distance" `Quick
+            test_analysis_no_finite_distance;
         ] );
       ( "params",
         [

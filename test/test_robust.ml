@@ -400,6 +400,61 @@ let test_breaker_fallback_budget_and_exactness () =
   | Some (_, d) -> Alcotest.(check (float 1e-9)) "fallback is exact" best d
   | None -> Alcotest.fail "fallback must answer"
 
+(* Three alive objects are fewer sample queries than the cascade's 5
+   levels, so the pipeline rejects every refresh.  Once the cooldown is
+   spent each refresh attempt must publish nothing: the breaker stays
+   Open, counts the rejection and answers the query exactly, by scan. *)
+let test_breaker_survives_rejected_refresh () =
+  let m = Dbh_obs.Metrics.create () in
+  Dbh_obs.Metrics.with_installed m @@ fun () ->
+  let failures () =
+    Dbh_obs.Registry.counter_value m.Dbh_obs.Metrics.online_rebuild_failures_total
+  in
+  let db = test_db 121 40 in
+  let faulty, faults = Faulty_space.wrap ~rng:(Rng.create 122) l2 in
+  let guarded, guard = Guard.wrap ~policy:Guard.Skip faulty in
+  let config = { small_config with num_pivots = 8; num_sample_queries = 20 } in
+  let online =
+    Online.create ~rng:(Rng.create 123) ~space:guarded ~config ~target_accuracy:0.9 db
+  in
+  for h = 0 to 36 do
+    Online.delete online h
+  done;
+  Alcotest.(check int) "alive" 3 (Online.size online);
+  let cfg =
+    { breaker_config with Breaker.window = 5; open_cooldown = 3; half_open_probes = 2 }
+  in
+  let breaker = Breaker.create ~config:cfg ~guard online in
+  let qrng = Rng.create 124 in
+  let next_query () = Dbh_datasets.Vectors.perturb ~rng:qrng ~sigma:0.1 db.(Rng.int qrng 40) in
+  Faulty_space.set_config faults (Faulty_space.faults ~nan:0.5 ());
+  for _ = 1 to 5 do
+    ignore (Breaker.search breaker (next_query ()))
+  done;
+  Alcotest.(check bool) "tripped" true (Breaker.state breaker = Breaker.Open);
+  Faulty_space.disable faults;
+  let before = failures () in
+  (* The cooldown's 3 queries, then 10 past it: refreshes are attempted
+     at the 1st, 5th and 9th of those 10. *)
+  for i = 1 to 13 do
+    let q = next_query () in
+    let out = Breaker.search breaker q in
+    let ctx = Printf.sprintf "query %d" i in
+    Alcotest.(check bool) (ctx ^ ": served by scan") true (out.Breaker.served_by = `Linear_scan);
+    Alcotest.(check bool) (ctx ^ ": still open") true (Breaker.state breaker = Breaker.Open);
+    let best =
+      List.fold_left
+        (fun acc h ->
+          let d = Minkowski.l2 q (Online.get online h) in
+          match acc with Some (_, bd) when bd <= d -> acc | _ -> Some (h, d))
+        None (Online.alive_handles online)
+    in
+    Alcotest.(check (option (pair int (float 0.)))) (ctx ^ ": exact nearest") best
+      out.Breaker.result.Online.nn
+  done;
+  Alcotest.(check int) "each rejected refresh counted" 3 (failures () - before);
+  Alcotest.(check int) "nothing published" 3 (Online.size online)
+
 let () =
   Alcotest.run "dbh_robust"
     [
@@ -434,5 +489,7 @@ let () =
           Alcotest.test_case "trip and recover under faults" `Quick test_breaker_trip_and_recover;
           Alcotest.test_case "fallback budget + exactness" `Quick
             test_breaker_fallback_budget_and_exactness;
+          Alcotest.test_case "refresh survives a rejected rebuild" `Quick
+            test_breaker_survives_rejected_refresh;
         ] );
     ]

@@ -1,8 +1,8 @@
-(* Tests for the Selector redesign: golden-fixture bit-identity of the
-   default build, the Eq. 6 balance invariant for every selector,
-   pooled-vs-sequential bit-identity per selector, the versioned
-   family-envelope read path (v1 and v2), and the Online rebuild
-   hot swap under concurrent readers.
+(* Tests for the hash family's construction and envelope: golden-fixture
+   bit-identity of the paper's uniform draw, the Eq. 6 balance
+   invariant, pooled-vs-sequential bit-identity, the versioned
+   family-envelope read path (v1, and v2 under each legacy tag), and the
+   Online rebuild hot swap under concurrent readers.
 
    DBH_TEST_DOMAINS picks the pool width (default 2; CI also runs 4). *)
 
@@ -10,7 +10,6 @@ module Rng = Dbh_util.Rng
 module Pool = Dbh_util.Pool
 module Binio = Dbh_util.Binio
 module Minkowski = Dbh_metrics.Minkowski
-module Selector = Dbh.Selector
 module Hash_family = Dbh.Hash_family
 module Builder = Dbh.Builder
 module Online = Dbh.Online
@@ -66,10 +65,12 @@ let check_families_identical label a b =
 
 (* ----------------------------------------------------- golden fixture *)
 
-(* fixtures/family_v1_uniform.bin was written by the pre-Selector code
-   (v1 envelopes, no selector tag) with exactly this recipe.  Today's
-   Selector.uniform builds must reproduce those families bit-for-bit:
-   the redesign may not move a single rng draw on the default path. *)
+(* fixtures/family_v1_uniform.bin holds two v1 envelopes (no selector
+   tag).  The first was built with exactly the recipe below, and today's
+   build must reproduce it bit-for-bit: no change may move a single rng
+   draw of the construction.  The second is a family of one-sided median
+   thresholds, a construction builds no longer offer; it must still
+   load. *)
 let fixture_db () = test_db 42 300
 
 let fixture_path =
@@ -87,57 +88,43 @@ let test_golden_fixture_bit_identity () =
   let r = Binio.reader data in
   let old1 = Hash_family.read ~decode ~space:l2 r in
   let old2 = Hash_family.read ~decode ~space:l2 r in
-  (* v1 envelopes predate selector tags and report the default. *)
-  Alcotest.(check string) "v1 selector tag" "uniform" (Hash_family.selector_tag old1);
-  Alcotest.(check string) "v1 selector tag (median family)" "uniform"
-    (Hash_family.selector_tag old2);
-  let db = fixture_db () in
   let fresh1 =
     Hash_family.make ~rng:(Rng.create 4242) ~space:l2 ~num_pivots:24
-      ~threshold_sample:200 ~max_functions:150 db
-  in
-  let fresh2 =
-    Hash_family.make ~rng:(Rng.create 777) ~space:l2 ~num_pivots:12
-      ~threshold_sample:150
-      ~selector:(Selector.uniform ~threshold_strategy:Selector.Median_split ())
-      db
+      ~threshold_sample:200 ~max_functions:150 (fixture_db ())
   in
   Alcotest.(check int) "fixture family 1 size" 150 (Hash_family.size old1);
   Alcotest.(check int) "fixture family 2 size" 66 (Hash_family.size old2);
   check_families_identical "random-interval family" old1 fresh1;
-  check_families_identical "median-split family" old2 fresh2
+  for i = 0 to Hash_family.size old2 - 1 do
+    let f = Hash_family.fn old2 i in
+    Alcotest.(check bool) (Printf.sprintf "median family fn %d: lower side open" i) true
+      (f.Hash_family.t1 = neg_infinity);
+    Alcotest.(check bool) (Printf.sprintf "median family fn %d: finite median" i) true
+      (Float.is_finite f.Hash_family.t2)
+  done
 
 (* ------------------------------------------------------------- balance *)
 
-let all_selectors =
-  [
-    ("uniform", Selector.uniform ());
-    ("median", Selector.uniform ~threshold_strategy:Selector.Median_split ());
-    ("density", Selector.density_sensitive ());
-    ("nsh", Selector.neighbor_sensitive ());
-  ]
-
 (* Eq. 6: every interval carves out half the projection mass, so each
-   function should map about half of held-out data to 0 — for every
-   selector (data-dependent ones only pick WHICH half-mass interval to
-   use, never leave V).  QCheck varies the build seed. *)
+   function should map about half of held-out data to 0.  QCheck varies
+   the build seed. *)
 let prop_balance =
   let all = test_db 7 900 in
   let db = Array.sub all 0 600 in
   let holdout = Array.sub all 600 300 in
   QCheck.Test.make ~count:8 ~name:"every selector balances (Eq. 6)"
-    QCheck.(pair (oneofl all_selectors) small_nat)
-    (fun ((tag, selector), seed) ->
+    QCheck.small_nat
+    (fun seed ->
       let family =
         Hash_family.make ~rng:(Rng.create (1000 + seed)) ~space:l2 ~num_pivots:16
-          ~threshold_sample:250 ~max_functions:60 ~selector db
+          ~threshold_sample:250 ~max_functions:60 db
       in
       let ok = ref true in
       for i = 0 to Hash_family.size family - 1 do
         let b = Hash_family.balance family i holdout in
         (* generous: the quantiles come from a 250-point sample *)
         if b < 0.25 || b > 0.75 then begin
-          Printf.eprintf "selector %s seed %d fn %d balance %.3f\n" tag seed i b;
+          Printf.eprintf "seed %d fn %d balance %.3f\n" seed i b;
           ok := false
         end
       done;
@@ -147,38 +134,49 @@ let prop_balance =
 
 let test_pooled_bit_identity () =
   let db = test_db 11 500 in
-  List.iter
-    (fun (tag, selector) ->
-      let build pool =
-        Hash_family.make ?pool ~rng:(Rng.create 31) ~space:l2 ~num_pivots:20
-          ~threshold_sample:200 ~max_functions:80 ~selector db
-      in
-      let seq = build None in
-      Alcotest.(check string) (tag ^ ": tag") tag (Hash_family.selector_tag seq);
-      Pool.with_pool ~domains (fun pool ->
-          check_families_identical (tag ^ ": pooled = sequential") seq
-            (build (Some pool))))
-    all_selectors
+  let build pool =
+    Hash_family.make ?pool ~rng:(Rng.create 31) ~space:l2 ~num_pivots:20 ~threshold_sample:200
+      ~max_functions:80 db
+  in
+  let seq = build None in
+  Pool.with_pool ~domains (fun pool ->
+      check_families_identical "pooled = sequential" seq (build (Some pool)))
 
 (* --------------------------------------------------- versioned envelopes *)
 
-let test_v2_roundtrip_preserves_selector () =
-  let db = test_db 13 400 in
-  List.iter
-    (fun (tag, selector) ->
-      let family =
-        Hash_family.make ~rng:(Rng.create 17) ~space:l2 ~num_pivots:14
-          ~threshold_sample:150 ~max_functions:40 ~selector db
-      in
-      let buf = Buffer.create 4096 in
-      Hash_family.write ~encode buf family;
-      let back = Hash_family.read ~decode ~space:l2 (Binio.reader (Buffer.contents buf)) in
-      Alcotest.(check string) (tag ^ ": round-trip tag") tag (Hash_family.selector_tag back);
-      check_families_identical (tag ^ ": round-trip") family back)
-    all_selectors
+let bytes family =
+  let buf = Buffer.create 4096 in
+  Hash_family.write ~encode buf family;
+  Buffer.contents buf
 
-(* The flat function table against an independent recomputation, per
-   selector: on 300 random objects, every bit [eval_fns] writes into a
+(* A v2 envelope is its format tag, the legacy selector tag, then the
+   family.  Each tag an earlier build wrote must load to the very same
+   functions, and a re-saved family is written with the tag "uniform". *)
+let test_v2_roundtrip_legacy_tags () =
+  let db = test_db 13 400 in
+  let family =
+    Hash_family.make ~rng:(Rng.create 17) ~space:l2 ~num_pivots:14 ~threshold_sample:150
+      ~max_functions:40 db
+  in
+  let written = bytes family in
+  let tag_bytes tag =
+    let buf = Buffer.create 16 in
+    Binio.write_string buf tag;
+    Buffer.contents buf
+  in
+  let head = tag_bytes "DBH-family-v2" ^ tag_bytes "uniform" in
+  Alcotest.(check string) "envelope head" head (String.sub written 0 (String.length head));
+  let body = String.sub written (String.length head) (String.length written - String.length head) in
+  List.iter
+    (fun tag ->
+      let retagged = tag_bytes "DBH-family-v2" ^ tag_bytes tag ^ body in
+      let back = Hash_family.read ~decode ~space:l2 (Binio.reader retagged) in
+      check_families_identical (tag ^ ": round-trip") family back;
+      Alcotest.(check string) (tag ^ ": re-saved as uniform") written (bytes back))
+    [ "uniform"; "median"; "density"; "nsh" ]
+
+(* The flat function table against an independent recomputation: on
+   300 random objects, every bit [eval_fns] writes into a
    family row equals the interval test of [fn i]'s view on
    [Projection.project_with] over the object's raw pivot distances, and
    every [margin] equals the same projection's normalized distance to
@@ -188,11 +186,6 @@ let test_v2_roundtrip_preserves_selector () =
 let test_flat_table_matches_reference () =
   let db = test_db 23 400 in
   let objects = test_db 29 300 in
-  let bytes family =
-    let buf = Buffer.create 4096 in
-    Hash_family.write ~encode buf family;
-    Buffer.contents buf
-  in
   let check label family =
     let n = Hash_family.size family in
     let all = Array.init n Fun.id and row = Hash_family.row n in
@@ -221,18 +214,15 @@ let test_flat_table_matches_reference () =
         Hash_family.clear_row row)
       objects
   in
-  List.iter
-    (fun (tag, selector) ->
-      let family =
-        Hash_family.make ~rng:(Rng.create 37) ~space:l2 ~num_pivots:16 ~threshold_sample:150
-          ~max_functions:60 ~selector db
-      in
-      let written = bytes family in
-      let back = Hash_family.read ~decode ~space:l2 (Binio.reader written) in
-      Alcotest.(check string) (tag ^ ": write -> read -> write") written (bytes back);
-      check (tag ^ ": built") family;
-      check (tag ^ ": read back") back)
-    all_selectors
+  let family =
+    Hash_family.make ~rng:(Rng.create 37) ~space:l2 ~num_pivots:16 ~threshold_sample:150
+      ~max_functions:60 db
+  in
+  let written = bytes family in
+  let back = Hash_family.read ~decode ~space:l2 (Binio.reader written) in
+  Alcotest.(check string) "write -> read -> write" written (bytes back);
+  check "built" family;
+  check "read back" back
 
 let test_corrupt_selector_tag_rejected () =
   let db = test_db 13 200 in
@@ -290,27 +280,6 @@ let test_rebuild_hot_swap_chaos () =
   Alcotest.(check int) "no torn reads" 0 (Atomic.get failures);
   Alcotest.(check int) "rebuilds counted" 3 (Online.rebuilds t)
 
-(* ------------------------------------------------- data-dependent shape *)
-
-let test_data_dependent_selection_differs () =
-  (* Sanity: density/nsh actually change which pairs are kept relative
-     to uniform under the same seed — the scoring is not a no-op. *)
-  let db = test_db 43 500 in
-  let build selector =
-    Hash_family.make ~rng:(Rng.create 47) ~space:l2 ~num_pivots:18 ~threshold_sample:200
-      ~max_functions:50 ~selector db
-  in
-  let pairs fam =
-    List.init (Hash_family.size fam) (fun i ->
-        let f = Hash_family.fn fam i in
-        (f.Hash_family.p1, f.Hash_family.p2))
-  in
-  let uni = pairs (build (Selector.uniform ())) in
-  let den = pairs (build (Selector.density_sensitive ())) in
-  let nsh = pairs (build (Selector.neighbor_sensitive ())) in
-  Alcotest.(check bool) "density selection differs from uniform" true (uni <> den);
-  Alcotest.(check bool) "nsh selection differs from uniform" true (uni <> nsh)
-
 let () =
   Alcotest.run "dbh_selector"
     [
@@ -321,8 +290,8 @@ let () =
         [ Alcotest.test_case "pooled = sequential per selector" `Slow test_pooled_bit_identity ] );
       ( "persistence",
         [
-          Alcotest.test_case "v2 round-trip keeps selector" `Quick
-            test_v2_roundtrip_preserves_selector;
+          Alcotest.test_case "v2 round-trip, legacy tags load" `Quick
+            test_v2_roundtrip_legacy_tags;
           Alcotest.test_case "corrupt selector tag rejected" `Quick
             test_corrupt_selector_tag_rejected;
           Alcotest.test_case "flat table = reference recomputation" `Quick
@@ -332,10 +301,5 @@ let () =
         [
           Alcotest.test_case "hot swap under concurrent readers" `Slow
             test_rebuild_hot_swap_chaos;
-        ] );
-      ( "selection",
-        [
-          Alcotest.test_case "data-dependent selection differs" `Quick
-            test_data_dependent_selection_differs;
         ] );
     ]
