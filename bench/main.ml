@@ -1205,7 +1205,11 @@ let serve_section () =
      never share a runtime (GC, master lock, scheduler) with the server
      under measurement.  Fork BEFORE any domain is spawned; stages are
      shipped over pipes as marshalled configs, reports come back the
-     same way. *)
+     same way, each with the CPU seconds the child spent on it. *)
+  let cpu_seconds () =
+    let t = Unix.times () in
+    t.Unix.tms_utime +. t.Unix.tms_stime
+  in
   let p2c_r, p2c_w = Unix.pipe ~cloexec:false () in
   let c2p_r, c2p_w = Unix.pipe ~cloexec:false () in
   let child =
@@ -1220,8 +1224,9 @@ let serve_section () =
           match (Marshal.from_channel inc : Loadgen.config option) with
           | None -> exit 0
           | Some config ->
+              let cpu0 = cpu_seconds () in
               let report = Loadgen.run config in
-              Marshal.to_channel outc report [];
+              Marshal.to_channel outc (report, cpu_seconds () -. cpu0) [];
               flush outc;
               serve_stages ()
         in
@@ -1233,10 +1238,14 @@ let serve_section () =
   in
   let to_child = Unix.out_channel_of_descr p2c_w in
   let from_child = Unix.in_channel_of_descr c2p_r in
+  (* A stage's report, with the CPU seconds this process (the server)
+     and the child (the load generator) spent on it. *)
   let run_stage config =
+    let cpu0 = cpu_seconds () in
     Marshal.to_channel to_child (Some config) [];
     flush to_child;
-    (Marshal.from_channel from_child : Loadgen.report)
+    let report, loadgen_cpu = (Marshal.from_channel from_child : Loadgen.report * float) in
+    (report, cpu_seconds () -. cpu0, loadgen_cpu)
   in
   Fun.protect
     ~finally:(fun () ->
@@ -1290,27 +1299,29 @@ let serve_section () =
                 seed = 123;
               }
           in
-          let print_stage label (r : Loadgen.report) =
+          let print_stage label ((r : Loadgen.report), server_cpu, loadgen_cpu) =
             Printf.printf
               "  %-22s %8.0f qps offered, %8.0f qps goodput, %6d shed, %4d timed \
-               out  (p50 %.1f ms, p99 %.1f ms, p99.9 %.1f ms)\n"
+               out  (p50 %.1f ms, p99 %.1f ms, p99.9 %.1f ms; cpu server %.2f s, \
+               loadgen %.2f s)\n"
               label r.Loadgen.qps r.Loadgen.goodput_qps r.Loadgen.shed
               r.Loadgen.timed_out r.Loadgen.p50_ms r.Loadgen.p99_ms r.Loadgen.p999_ms
+              server_cpu loadgen_cpu
           in
           Printf.printf "  db %d over 2 shards, %d query payloads (L2, dim 16)\n"
             (Array.length db) (Array.length queries);
           (* The latest peak goodput sets the overload stage's rate;
              transport errors are summed over every stage. *)
           let peak = ref 0. and errors = ref 0 in
-          let run label r =
-            print_stage label r;
+          let run label ((r, server_cpu, loadgen_cpu) as measured) =
+            print_stage label measured;
             errors := !errors + r.Loadgen.errors;
-            (r, [| r.Loadgen.goodput_qps |])
+            (r, [| r.Loadgen.goodput_qps; server_cpu; loadgen_cpu |])
           in
           let peak_stage () =
-            let r = stage ~connections:16 None in
+            let ((r, _, _) as measured) = stage ~connections:16 None in
             peak := r.Loadgen.goodput_qps;
-            run "closed-loop peak" r
+            run "closed-loop peak" measured
           in
           (* Past saturation the workers must not be latency-bound, or
              the open loop can never actually offer 3x peak: give the
@@ -1324,10 +1335,14 @@ let serve_section () =
           let ratio = overload_qps.median /. peak_qps.median in
           Printf.printf "  medians of %d interleaved pairs after a discarded warm-up pair:\n"
             rounds;
-          Printf.printf "  %-22s %8.0f qps goodput (cv %.1f%%)\n" "closed-loop peak"
-            peak_qps.median (100. *. peak_qps.cv);
-          Printf.printf "  %-22s %8.0f qps goodput (cv %.1f%%)\n" "overload (3x peak)"
-            overload_qps.median (100. *. overload_qps.cv);
+          let print_median label i =
+            let r = snd measured.(i) in
+            Printf.printf
+              "  %-22s %8.0f qps goodput (cv %.1f%%), cpu server %.2f s, loadgen %.2f s\n"
+              label r.(0).median (100. *. r.(0).cv) r.(1).median r.(2).median
+          in
+          print_median "closed-loop peak" 0;
+          print_median "overload (3x peak)" 1;
           Printf.printf "  %-22s %8.2f   (gate: >= 0.80)\n" "goodput ratio" ratio;
           if overload.Loadgen.shed = 0 then
             Printf.printf
@@ -1362,6 +1377,13 @@ let serve_section () =
           Printf.fprintf oc "  \"overload_goodput_qps\": %.1f,\n" overload_qps.median;
           Printf.fprintf oc "  \"overload_goodput_cv\": %.4f,\n" overload_qps.cv;
           Printf.fprintf oc "  \"overload_goodput_ratio\": %.3f,\n" ratio;
+          List.iter
+            (fun (key, i) ->
+              let r = snd measured.(i) in
+              Printf.fprintf oc
+                "  \"%s_cpu_s\": { \"server\": %.3f, \"loadgen\": %.3f },\n" key
+                r.(1).median r.(2).median)
+            [ ("peak", 0); ("overload", 1) ];
           Printf.fprintf oc "  \"transport_errors\": %d,\n" !errors;
           Printf.fprintf oc "  \"goodput_gate_ok\": %b\n" (ratio >= 0.8);
           Printf.fprintf oc "}\n";

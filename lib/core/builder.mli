@@ -62,8 +62,8 @@ val prepare :
     the family's fit and the model's signatures from it
     ({!Hash_family.make_with_table}, {!Analysis.build}); only the sample
     queries' nearest-neighbour scans pay more.  The family is the one
-    {!Hash_family.make} builds with the same draws.  A NaN or negative
-    distance anywhere in the table raises [Invalid_argument].
+    {!Hash_family.make} builds with the same draws.  A NaN, negative or
+    +∞ distance anywhere in the table raises [Invalid_argument].
 
     A bad [config.slack] raises [Invalid_argument] before any work. *)
 

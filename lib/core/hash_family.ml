@@ -193,11 +193,15 @@ let build_uniform ?pool ~rng ~m ~dist ~max_functions () =
 let subsample_ids rng m n = if m >= n then Array.init n Fun.id else Rng.sample_indices rng m n
 
 (* Fail fast on broken distance functions: quantiles, projections and
-   keys silently corrupt on NaN or negative values.  Every distance a
-   build computes passes here once, as it is computed. *)
+   keys silently corrupt on NaN or negative values, and on +∞ (a
+   projection through it is ∞ − ∞ = NaN).  Every distance a build
+   computes passes here once, as it is computed. *)
+let fault_of d =
+  if d = Float.infinity then "returned infinity" else "returned NaN or a negative value"
+
 let checked ~caller d =
-  if Float.is_nan d || d < 0. then
-    invalid_arg (caller ^ ": distance function returned NaN or a negative value");
+  if not (d >= 0. && d < Float.infinity) then
+    invalid_arg (caller ^ ": distance function " ^ fault_of d);
   d
 
 (* One row per object: its checked distances to every pivot, in pivot
@@ -275,7 +279,7 @@ type 'a cache = {
   dists : float array;  (* nan = not yet computed *)
   mutable misses : int;
   mutable hits : int;
-  mutable faulty : bool;  (* a distance paid so far was NaN or negative *)
+  mutable fault : string option;  (* why a distance paid so far fails [checked] *)
   budget : Budget.t option;  (* charged before each uncached distance *)
   trace : Dbh_obs.Trace.t option;
 }
@@ -286,7 +290,7 @@ let cache ?budget ?trace t obj =
     dists = Array.make (num_pivots t) nan;
     misses = 0;
     hits = 0;
-    faulty = false;
+    fault = None;
     budget;
     trace;
   }
@@ -299,7 +303,7 @@ let cache_in ?budget ?trace t ~dists obj =
   if Array.length dists < num_pivots t then
     invalid_arg "Hash_family.cache_in: workspace shorter than pivot count";
   Array.fill dists 0 (Array.length dists) nan;
-  { obj; dists; misses = 0; hits = 0; faulty = false; budget; trace }
+  { obj; dists; misses = 0; hits = 0; fault = None; budget; trace }
 
 let cache_with_distances t obj dists =
   if Array.length dists <> num_pivots t then
@@ -307,7 +311,7 @@ let cache_with_distances t obj dists =
   (* A pivot-table row holds no NaN: every entry was checked when it was
      computed ([distance_rows]).  So [touch] never takes it for a miss,
      nothing writes to the row, and caches on any domain may share it. *)
-  { obj; dists; misses = 0; hits = 0; faulty = false; budget = None; trace = None }
+  { obj; dists; misses = 0; hits = 0; fault = None; budget = None; trace = None }
 
 let pivot_table ?pool t objs =
   distance_rows ?pool ~caller:"Hash_family.pivot_table" t.space t.pivots objs
@@ -316,7 +320,9 @@ let cache_cost c = c.misses
 let cache_hits c = c.hits
 
 let check_cache ~caller c =
-  if c.faulty then invalid_arg (caller ^ ": distance function returned NaN or a negative value")
+  match c.fault with
+  | Some why -> invalid_arg (caller ^ ": distance function " ^ why)
+  | None -> ()
 
 (* Pay for pivot [i]'s distance (budget charge first), count the miss
    and trace it.  Out of line: misses are the rare case once a query's
@@ -324,7 +330,7 @@ let check_cache ~caller c =
 let miss t c i =
   (match c.budget with Some b -> Budget.charge b | None -> ());
   let d = t.space.Space.distance c.obj t.pivots.(i) in
-  if not (d >= 0.) then c.faulty <- true;
+  if not (d >= 0. && d < Float.infinity) then c.fault <- Some (fault_of d);
   c.dists.(i) <- d;
   c.misses <- c.misses + 1;
   match c.trace with

@@ -63,9 +63,9 @@ val make :
     stays sequential in pair order, so the family is bit-identical to
     the sequential build for the same seed.
 
-    Raises [Invalid_argument] when a distance it computes is NaN or
-    negative, or when [data] has fewer than 2 distinct-distance objects
-    (no usable projection line exists). *)
+    Raises [Invalid_argument] when a distance it computes is NaN,
+    negative or +∞, or when [data] has fewer than 2 distinct-distance
+    objects (no usable projection line exists). *)
 
 val make_with_table :
   ?pool:Dbh_util.Pool.t ->
@@ -132,9 +132,10 @@ val cache_hits : 'a cache -> int
 
 val check_cache : caller:string -> 'a cache -> unit
 (** Raise [Invalid_argument] (its message starts with [caller]) when a
-    distance the cache has paid for was NaN or negative.  Queries go on
-    with such a distance (NaN projects to a 0 bit); an insert checks
-    here before it stores anything. *)
+    distance the cache has paid for was NaN, negative or +∞, naming
+    which: "returned infinity" or "returned NaN or a negative value".
+    Queries go on with such a distance (NaN projects to a 0 bit); an
+    insert checks here before it stores anything. *)
 
 val eval : 'a t -> 'a cache -> int -> bool
 (** [eval family cache i] applies binary function [i]; costs at most two
@@ -143,19 +144,19 @@ val eval : 'a t -> 'a cache -> int -> bool
 val cache_with_distances : 'a t -> 'a -> float array -> 'a cache
 (** A cache whose pivot distances are already known (one float per pivot,
     in pivot order): a row of {!pivot_table} or {!make_with_table}, which
-    hold no NaN, so evaluations through it cost no distance computations,
-    {!cache_cost} stays 0 and the row is only read, never written.  Used
-    to share the database × pivot table across the model's signatures
-    and many index constructions. *)
+    hold only finite distances, so evaluations through it cost no
+    distance computations, {!cache_cost} stays 0 and the row is only
+    read, never written.  Used to share the database × pivot table
+    across the model's signatures and many index constructions. *)
 
 val pivot_table : ?pool:Dbh_util.Pool.t -> 'a t -> 'a array -> float array array
 (** [pivot_table t objs] computes the distances from every object to every
     pivot — [|objs|·|pivots|] distance computations, done once and reused
     via {!cache_with_distances} by every subsequent index build over the
-    same database.  Each entry is checked as it is computed: a NaN or
-    negative distance raises [Invalid_argument].  [pool] spreads the rows
-    (one per object) across domains; the table is identical either
-    way. *)
+    same database.  Each entry is checked as it is computed: a NaN,
+    negative or +∞ distance raises [Invalid_argument].  [pool] spreads
+    the rows (one per object) across domains; the table is identical
+    either way. *)
 
 val eval_direct : 'a t -> 'a -> int -> bool
 (** Uncached evaluation (exactly two distance computations); for tests. *)

@@ -106,7 +106,7 @@ val insert : 'a t -> 'a -> int
     returns its id.  The levels share one pivot cache, so an insert costs
     at most one distance computation per pivot, whatever the level
     count.  [insert t x] is [insert_keyed t (key t x)]: when one of
-    those distances is NaN or negative it raises [Invalid_argument]
+    those distances is NaN, negative or +∞ it raises [Invalid_argument]
     before anything is stored. *)
 
 type 'a keyed

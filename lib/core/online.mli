@@ -74,10 +74,10 @@ val insert : 'a t -> 'a -> int
     (cost O(offline pipeline)); otherwise costs one incremental index
     insertion ({!Hierarchical.insert}).
 
-    Every pivot distance that insertion pays is checked first: a NaN or
-    negative one raises [Invalid_argument] before anything is stored,
-    and the index is unchanged (the rebuild's pivot table would reject
-    the object too).
+    Every pivot distance that insertion pays is checked first: a NaN,
+    negative or +∞ one raises [Invalid_argument] before anything is
+    stored, and the index is unchanged (the rebuild's pivot table would
+    reject the object too).
 
     A rebuild the insert triggers can still be rejected: the space may
     return such a distance between two stored objects, or the alive set
@@ -228,7 +228,7 @@ module Durable : sig
   val insert : ?trace:Dbh_obs.Trace.t -> 'a t -> 'a -> int
   (** Journal the insert to the WAL (durably, when [fsync]) and then
       apply it.  Same contract as {!val:insert} otherwise: an object
-      with a NaN or negative pivot distance raises [Invalid_argument]
+      with a NaN, negative or +∞ pivot distance raises [Invalid_argument]
       before it is journaled.  [trace] records a [Wal_append] event with
       the journaled record size. *)
 

@@ -2,8 +2,8 @@
 
    One mutex guards the buckets and the queue together: an admission
    decision (refill bucket, take token, check capacity, enqueue) is
-   atomic, so the queue bound is exact even with hundreds of connection
-   threads admitting concurrently.  Unknown tenants share a single
+   atomic, so the queue bound is exact while the admission thread
+   offers work, the batcher pops it and a drain takes what is left.  Unknown tenants share a single
    default bucket — per-tenant state is bounded by the configuration,
    not by whatever names clients invent. *)
 
@@ -28,8 +28,8 @@ let default_config =
     classes = [];
   }
 
-type item = {
-  request : Protocol.request;
+type 'w item = {
+  request : 'w;
   id : int64;
   tenant : string;
   deadline : float;
@@ -40,11 +40,11 @@ type item = {
 
 type verdict = Admitted | Shed_rate of float | Shed_queue | Shed_draining
 
-type t = {
+type 'w t = {
   config : config;
   mutex : Mutex.t;
   not_empty : Condition.t;
-  queue : item Queue.t;
+  queue : 'w item Queue.t;
   buckets : (string * tenant_class * Bucket.t) list;  (* configured tenants *)
   default_bucket : Bucket.t;
   mutable draining : bool;

@@ -34,10 +34,12 @@ type config = {
 val default_class : tenant_class
 val default_config : config
 
-(** One admitted unit of work.  [reply] must be called exactly once —
-    with the result, or with the shed/timeout response. *)
-type item = {
-  request : Protocol.request;
+(** One admitted unit of work.  [request] is whatever the caller queues:
+    the server queues a request with its payload already decoded, so
+    the batcher never decodes it again.  [reply] must be called exactly
+    once — with the result, or with the shed/timeout response. *)
+type 'w item = {
+  request : 'w;
   id : int64;
   tenant : string;
   deadline : float;  (** absolute, same clock as [now] arguments *)
@@ -52,53 +54,53 @@ type verdict =
   | Shed_queue  (** queue at capacity *)
   | Shed_draining
 
-type t
+type 'w t
 
-val create : ?now:float -> config -> t
+val create : ?now:float -> config -> 'w t
 (** Raises [Invalid_argument] on a non-positive capacity, deadline or
     tenant-class field. *)
 
-val resolve_deadline : t -> now:float -> deadline_ms:int -> float
+val resolve_deadline : 'w t -> now:float -> deadline_ms:int -> float
 (** Absolute deadline for a request: [now] + the client's deadline
     clamped to [max_deadline], or [default_deadline] when the client
     sent none (0). *)
 
-val budget_for : t -> tenant:string -> remaining:float -> requested:int -> int
+val budget_for : 'w t -> tenant:string -> remaining:float -> requested:int -> int
 (** Distance budget for a query with [remaining] seconds to live:
     [requested] when positive, else [remaining × distances_per_second] —
     both clamped to the tenant class's [max_budget], and at least 1. *)
 
-val set_distances_per_second : t -> float -> unit
+val set_distances_per_second : 'w t -> float -> unit
 (** Update the deadline→budget conversion rate (ignored unless positive
     and finite).  Called by the server from measured batch throughput. *)
 
-val distances_per_second : t -> float
+val distances_per_second : 'w t -> float
 
-val admit : t -> now:float -> item -> verdict
+val admit : 'w t -> now:float -> 'w item -> verdict
 (** Queue capacity, then token bucket, under one lock — a [Shed_queue]
     consumes no token, so queue-full overload cannot also drain the
     tenant's rate allowance.  On [Admitted] the item is queued and a
     waiting worker is woken; on any shed verdict the item is {e not}
     queued and the caller owns the reply. *)
 
-val start_draining : t -> unit
+val start_draining : 'w t -> unit
 (** All further {!admit} calls return [Shed_draining]; queued items
     remain and workers keep draining them. *)
 
-val pop_batch : t -> max:int -> item list
+val pop_batch : 'w t -> max:int -> 'w item list
 (** Block until at least one item is available (or the queue is closed),
     then return up to [max] items in arrival order.  Returns [] only
     after {!close} with an empty queue — the worker's signal to exit. *)
 
-val close : t -> unit
+val close : 'w t -> unit
 (** Wake all waiting workers; {!pop_batch} drains what remains, then
     returns []. *)
 
-val drain_remaining : t -> item list
+val drain_remaining : 'w t -> 'w item list
 (** Take everything still queued (for shedding at shutdown). *)
 
-val depth : t -> int
+val depth : 'w t -> int
 
-val tenant_tokens : t -> now:float -> (string * float) list
+val tenant_tokens : 'w t -> now:float -> (string * float) list
 (** Current token reserve per configured class, plus ["default"] — for
     the per-tenant gauges. *)

@@ -1,9 +1,10 @@
 (** Blocking client for the [dbh-serve] wire protocol — used by the CLI,
     the load generator and the test suites.
 
-    One connection, synchronous by default ({!request} = send + wait for
-    the matching correlation id), with the pipelined primitives
-    ({!send}/{!recv}) exposed for tests that interleave. *)
+    One connection, synchronous by default (each call sends its request
+    and waits for the reply with the matching correlation id), with the
+    pipelined primitives ({!send}/{!recv}) exposed for tests that
+    interleave. *)
 
 type t
 
@@ -23,13 +24,15 @@ val connect :
     server's bind never waits past its deadline.  Raises the last
     [Unix.Unix_error] when the budget runs out. *)
 
-val request : t -> Protocol.request -> Protocol.response
-(** Send and wait for the reply with the matching id (out-of-order
-    replies for other ids are parked, not lost).  Raises [End_of_file]
-    when the server closes mid-reply and [Failure] on framing errors. *)
+(** {1 Requests}
+
+    Each sends one request and waits for the reply with its id (replies
+    for other ids are parked, not lost).  All but {!ping} raise
+    [End_of_file] when the server closes mid-reply and [Failure] on
+    framing errors. *)
 
 val ping : t -> bool
-(** [request Ping] returned [Pong]; false on connection failure. *)
+(** The server answered [Ping] with [Pong]; false on connection failure. *)
 
 val search :
   ?tenant:string ->

@@ -52,7 +52,3 @@ val run : config -> report
 
 val report_json : report -> string
 (** One JSON object, keys as in {!report}. *)
-
-val percentile : float array -> float -> float
-(** [percentile samples p] with [p] in [0,1]; sorts a copy; [nan] on an
-    empty array.  Exposed for the bench's aggregation. *)

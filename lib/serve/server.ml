@@ -28,26 +28,34 @@ let default_config =
     so_sndbuf = None;
   }
 
-(* Replies leave through the connection's outbox.  The batcher writes
-   a reply itself only when the socket has room and nothing is queued
-   ahead of it; otherwise it appends to the outbox, which the
-   connection's writer thread writes out.  So a client that stops
-   reading can never stall the serving plane.  The connection thread
-   writes its own replies (sheds, pongs, stats) once no other write is
-   in flight, so while a peer leaves its replies unread its requests
-   stay unread too: the outbox holds only replies to work already
-   admitted, until the send timeout sheds the connection. *)
+(* What the batcher runs for one admitted request.  The payload was
+   decoded when the request was admitted, so it is never decoded twice. *)
+type 'a work =
+  | Search of { query : 'a; budget : int; probes : int; radius : int }
+  | Insert of 'a
+  | Delete of int
+
+(* One connection.  Its socket is non-blocking.  The admission thread
+   owns the read side (the frame buffer and the receive clocks) and is
+   the only thread that closes the socket.  Replies go through [send],
+   from the admission thread or the batcher: written at once when
+   nothing is queued ahead of them, and what the socket does not take
+   waits in the outbox until the admission thread writes it out.  A
+   write never waits on the peer, so holding [wmutex] across one is
+   cheap, and since every write checks [writable] under it and the
+   socket is closed under it, no write reaches a closed descriptor. *)
 type conn = {
-  cid : int;
   fd : Unix.file_descr;
   wmutex : Mutex.t;
-  send_timeout : float;  (* bound on one flush of the outbox *)
-  pending : Condition.t;  (* the outbox has bytes, or the socket died *)
-  idle : Condition.t;  (* a write ended, or the socket died *)
-  outbox : Buffer.t;  (* encoded replies not yet written; guarded by wmutex *)
-  mutable writing : bool;  (* a thread is writing the socket; guarded by wmutex *)
-  mutable writable : bool;  (* guarded by wmutex *)
-  mutable writer : Thread.t option;
+  (* Guarded by wmutex: *)
+  outbox : Buffer.t;  (* encoded replies not yet written *)
+  mutable queued_at : float;  (* when the outbox last became non-empty *)
+  mutable writable : bool;  (* false once the peer cannot be answered *)
+  (* Owned by the admission thread: *)
+  mutable buf : Bytes.t;  (* bytes received and not yet deframed *)
+  mutable len : int;
+  mutable heard_at : float;  (* last bytes received, or the outbox last emptied *)
+  mutable partial_since : float;  (* a frame incomplete since; infinity when none *)
 }
 
 type 'a t = {
@@ -55,20 +63,18 @@ type 'a t = {
   shards : 'a Shards.t;
   pool : Pool.t option;
   decode : string -> 'a;
-  admission : Admission.t;
+  admission : 'a work Admission.t;
   sm : Serve_metrics.t;
   reg : Registry.t;
   listen_fd : Unix.file_descr;
   bound_port : int;
   metrics_fd : Unix.file_descr option;
   metrics_bound : int option;
+  wake_r : Unix.file_descr;  (* a byte here wakes the admission thread's select *)
+  wake_w : Unix.file_descr;
   stop_flag : bool Atomic.t;
-  conns : (int, conn) Hashtbl.t;
-  conns_mutex : Mutex.t;
-  mutable conn_seq : int;
-  mutable live_conn_threads : int;  (* guarded by conns_mutex *)
-  conn_threads_done : Condition.t;  (* signalled when live_conn_threads drops *)
-  mutable accept_thread : Thread.t option;
+  close_by : float Atomic.t;  (* infinity until {!stop} takes the connections down *)
+  mutable admission_thread : Thread.t option;
   mutable batcher_domain : unit Domain.t option;
   mutable metrics_thread : Thread.t option;
   stop_mutex : Mutex.t;
@@ -84,114 +90,54 @@ let write_all fd s =
     off := !off + Unix.write_substring fd s !off (len - !off)
   done
 
-(* Once a reply cannot be delivered the stream is useless (the peer
-   would see a gap), so the socket is shut down too: that unblocks the
-   connection thread's read so the connection gets reaped instead of
-   lingering.  Called under wmutex. *)
-let kill_writes c =
+let wake srv =
+  (* A full pipe already holds a wake-up. *)
+  try ignore (Unix.single_write_substring srv.wake_w "!" 0 1)
+  with Unix.Unix_error _ -> ()
+
+(* The peer can no longer be answered (the stream would show a gap):
+   drop what is queued; the admission thread closes the socket.  Under
+   wmutex. *)
+let condemn c =
   c.writable <- false;
-  Buffer.reset c.outbox;
-  (try Unix.shutdown c.fd SHUTDOWN_ALL with Unix.Unix_error _ -> ());
-  Condition.broadcast c.pending;
-  Condition.broadcast c.idle
+  Buffer.reset c.outbox
 
-(* Called under wmutex by whoever held the write. *)
-let write_done c ~ok =
-  c.writing <- false;
-  if not ok then kill_writes c
-  else begin
-    if Buffer.length c.outbox > 0 then Condition.signal c.pending;
-    Condition.broadcast c.idle
-  end
+(* Write [s] as far as the socket takes it now; queue the rest.  Under
+   wmutex. *)
+let write_out c s =
+  let len = String.length s in
+  match Unix.single_write_substring c.fd s 0 len with
+  | n -> if n < len then Buffer.add_substring c.outbox s n (len - n)
+  | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EINTR), _, _) ->
+      Buffer.add_string c.outbox s
+  | exception (Unix.Unix_error _ | Sys_error _) -> condemn c
 
-(* Write the whole outbox outside the lock, so appending never waits on
-   the socket.  [SO_SNDTIMEO] bounds each write call; the deadline
-   bounds the flush, since a peer that takes a few bytes now and then
-   would keep every call just inside it.  Called under wmutex, with no
-   write in flight. *)
-let flush c =
-  let s = Buffer.contents c.outbox in
-  Buffer.clear c.outbox;
-  c.writing <- true;
-  Mutex.unlock c.wmutex;
-  let ok =
-    try
-      let deadline = Unix.gettimeofday () +. c.send_timeout in
-      let off = ref 0 in
-      while !off < String.length s do
-        if Unix.gettimeofday () > deadline then raise Exit;
-        off := !off + Unix.single_write_substring c.fd s !off (String.length s - !off)
-      done;
-      true
-    with Exit | Unix.Unix_error _ | Sys_error _ -> false
-  in
+(* Send one encoded reply behind whatever is queued.  True when the
+   admission thread has news to act on: an outbox to write out, or a
+   connection to reap. *)
+let send c s =
   Mutex.lock c.wmutex;
-  write_done c ~ok
-
-(* A descriptor past select's limit raises, and its replies take the
-   outbox. *)
-let has_room fd =
-  match Unix.select [] [ fd ] [] 0. with
-  | _, [], _ -> false
-  | _ -> true
-  | exception Unix.Unix_error _ -> false
-
-(* Best-effort reply from the batcher (or the drain), which must never
-   wait on a peer: written at once when the socket has room and nothing
-   is queued ahead of it, otherwise left to the writer thread.  A failed
-   write must never take a server thread down. *)
-let post_response c ~id resp =
-  let s = Protocol.encode_response ~id resp in
-  Mutex.lock c.wmutex;
-  if c.writable then
-    if (not c.writing) && Buffer.length c.outbox = 0 && has_room c.fd then begin
-      c.writing <- true;
-      Mutex.unlock c.wmutex;
-      let n =
-        try Unix.single_write_substring c.fd s 0 (String.length s)
-        with Unix.Unix_error _ | Sys_error _ -> -1
-      in
-      Mutex.lock c.wmutex;
-      if n > 0 && c.writable then
-        Buffer.add_substring c.outbox s n (String.length s - n);
-      write_done c ~ok:(n > 0)
+  let news =
+    if not c.writable then false
+    else if Buffer.length c.outbox > 0 then begin
+      Buffer.add_string c.outbox s;
+      false
     end
     else begin
-      Buffer.add_string c.outbox s;
-      Condition.signal c.pending
-    end;
-  Mutex.unlock c.wmutex
-
-(* A reply from the connection's own thread: wait for any write in
-   flight, then write it with whatever the batcher left meanwhile.  A
-   peer that does not read blocks only its own connection thread, for at
-   most the send timeout. *)
-let send_response c ~id resp =
-  let s = Protocol.encode_response ~id resp in
-  Mutex.lock c.wmutex;
-  while c.writable && c.writing do
-    Condition.wait c.idle c.wmutex
-  done;
-  if c.writable then begin
-    Buffer.add_string c.outbox s;
-    flush c
-  end;
-  Mutex.unlock c.wmutex
-
-let writer_loop c () =
-  Mutex.lock c.wmutex;
-  while c.writable do
-    if c.writing || Buffer.length c.outbox = 0 then Condition.wait c.pending c.wmutex
-    else flush c
-  done;
-  Mutex.unlock c.wmutex
-
-(* Replies still waiting in an outbox, for the drain. *)
-let unsent c =
-  Mutex.lock c.wmutex;
-  let n = c.writable && (c.writing || Buffer.length c.outbox > 0) in
+      write_out c s;
+      if Buffer.length c.outbox > 0 then c.queued_at <- Unix.gettimeofday ();
+      Buffer.length c.outbox > 0 || not c.writable
+    end
+  in
   Mutex.unlock c.wmutex;
-  n
+  news
+
+let alive c = Mutex.protect c.wmutex (fun () -> c.writable)
+let drop c = Mutex.protect c.wmutex (fun () -> condemn c)
+
+let kill srv c =
+  Registry.inc srv.sm.connections_killed_total;
+  drop c
 
 let listen_on ~host ~port =
   let addr = Unix.ADDR_INET (Unix.inet_addr_of_string host, port) in
@@ -210,254 +156,264 @@ let listen_on ~host ~port =
   in
   (fd, bound)
 
-let register_conn srv fd =
-  Mutex.lock srv.conns_mutex;
-  let c =
-    srv.conn_seq <- srv.conn_seq + 1;
+(* Offer one decoded request to the queue, or shed it with an explicit
+   reason.  The batcher's reply wakes the admission thread only when
+   that thread has something to do. *)
+let offer srv c ~id ~tenant ~deadline_ms ~requested work =
+  let reply resp = ignore (send c (Protocol.encode_response ~id resp)) in
+  let now = Unix.gettimeofday () in
+  let deadline = Admission.resolve_deadline srv.admission ~now ~deadline_ms in
+  let budget =
+    Admission.budget_for srv.admission ~tenant ~remaining:(deadline -. now) ~requested
+  in
+  let item =
     {
-      cid = srv.conn_seq;
-      fd;
-      wmutex = Mutex.create ();
-      send_timeout = srv.config.idle_timeout;
-      pending = Condition.create ();
-      idle = Condition.create ();
-      outbox = Buffer.create 256;
-      writing = false;
-      writable = true;
-      writer = None;
+      Admission.request = work;
+      id;
+      tenant;
+      deadline;
+      budget;
+      enqueued_at = now;
+      reply = (fun resp -> if send c (Protocol.encode_response ~id resp) then wake srv);
     }
   in
-  c.writer <- Some (Thread.create (writer_loop c) ());
-  Hashtbl.replace srv.conns c.cid c;
-  let open_now = Hashtbl.length srv.conns in
-  Mutex.unlock srv.conns_mutex;
-  Registry.set srv.sm.connections_open open_now;
-  c
+  match Admission.admit srv.admission ~now item with
+  | Admission.Admitted ->
+      Registry.inc srv.sm.accepted_total;
+      Registry.set srv.sm.queue_depth (Admission.depth srv.admission)
+  | Admission.Shed_rate wait ->
+      Registry.inc srv.sm.shed_rate_total;
+      reply
+        (Protocol.Overloaded
+           { retry_after_ms = max 1 (int_of_float (ceil (wait *. 1000.))) })
+  | Admission.Shed_queue ->
+      Registry.inc srv.sm.shed_queue_total;
+      reply (Protocol.Overloaded { retry_after_ms = 50 })
+  | Admission.Shed_draining ->
+      Registry.inc srv.sm.shed_drain_total;
+      reply (Protocol.Overloaded { retry_after_ms = 1000 })
 
-let forget_conn srv c =
-  Mutex.lock srv.conns_mutex;
-  Hashtbl.remove srv.conns c.cid;
-  let open_now = Hashtbl.length srv.conns in
-  Mutex.unlock srv.conns_mutex;
-  Registry.set srv.sm.connections_open open_now;
-  (* No write runs under wmutex.  Once writable is false no new write
-     can start; the shutdown fails the one in flight (EPIPE) at once,
-     and waiting for it to end keeps the close below from racing it:
-     a write after the close could reach whatever socket reuses the
-     descriptor. *)
-  Mutex.lock c.wmutex;
-  kill_writes c;
-  while c.writing do
-    Condition.wait c.idle c.wmutex
-  done;
-  Mutex.unlock c.wmutex;
-  Option.iter Thread.join c.writer;
-  try Unix.close c.fd with Unix.Unix_error _ -> ()
-
-let conn_count srv =
-  Mutex.lock srv.conns_mutex;
-  let n = Hashtbl.length srv.conns in
-  Mutex.unlock srv.conns_mutex;
-  n
-
-(* Admission-side handling of one decoded frame, on the connection
-   thread.  Cheap requests are answered inline; work is offered to the
-   queue and shed with an explicit reason when it cannot be taken. *)
+(* One decoded frame: cheap requests are answered inline, work is
+   validated, decoded once and offered to the queue. *)
 let handle_frame srv c (frame : Protocol.frame) =
   Registry.inc srv.sm.requests_total;
-  let reply resp = send_response c ~id:frame.id resp in
-  let post resp = post_response c ~id:frame.id resp in
+  let reply resp = ignore (send c (Protocol.encode_response ~id:frame.id resp)) in
   let bad msg =
     Registry.inc srv.sm.bad_requests_total;
     reply (Protocol.Bad_request msg)
   in
+  let decoded payload k =
+    match srv.decode payload with
+    | obj -> k obj
+    | exception _ -> bad "payload does not decode"
+  in
+  let offer = offer srv c ~id:frame.id in
   match Protocol.request_of_frame frame with
   | Error msg -> bad msg
   | Ok Protocol.Ping -> reply Protocol.Pong
   | Ok Protocol.Stats -> reply (Protocol.Stats_reply (Shards.stats_json srv.shards))
-  | Ok req -> (
-      let tenant, deadline_ms, requested =
-        match req with
-        | Protocol.Search s -> (s.tenant, s.deadline_ms, s.budget)
-        | Protocol.Insert i -> (i.tenant, i.deadline_ms, 0)
-        | Protocol.Delete d -> (d.tenant, d.deadline_ms, 0)
-        | Protocol.Ping | Protocol.Stats -> assert false
-      in
-      let decodes payload =
-        match srv.decode payload with _ -> true | exception _ -> false
-      in
-      let invalid =
-        match req with
-        | Protocol.Search s ->
-            if s.radius > Dbh.Key.max_radius then
-              Some
-                (Printf.sprintf "radius %d exceeds max %d" s.radius
-                   Dbh.Key.max_radius)
-            else if not (decodes s.payload) then Some "payload does not decode"
-            else None
-        | Protocol.Insert i ->
-            if not (decodes i.payload) then Some "payload does not decode"
-            else None
-        | _ -> None
-      in
-      match invalid with
-      | Some msg -> bad msg
-      | None -> (
-          let now = Unix.gettimeofday () in
-          let deadline = Admission.resolve_deadline srv.admission ~now ~deadline_ms in
-          let budget =
-            Admission.budget_for srv.admission ~tenant ~remaining:(deadline -. now)
-              ~requested
-          in
-          let item =
-            {
-              Admission.request = req;
-              id = frame.id;
-              tenant;
-              deadline;
-              budget;
-              enqueued_at = now;
-              reply = post;
-            }
-          in
-          match Admission.admit srv.admission ~now item with
-          | Admission.Admitted ->
-              Registry.inc srv.sm.accepted_total;
-              Registry.set srv.sm.queue_depth (Admission.depth srv.admission)
-          | Admission.Shed_rate wait ->
-              Registry.inc srv.sm.shed_rate_total;
-              reply
-                (Protocol.Overloaded
-                   { retry_after_ms = max 1 (int_of_float (ceil (wait *. 1000.))) })
-          | Admission.Shed_queue ->
-              Registry.inc srv.sm.shed_queue_total;
-              reply (Protocol.Overloaded { retry_after_ms = 50 })
-          | Admission.Shed_draining ->
-              Registry.inc srv.sm.shed_drain_total;
-              reply (Protocol.Overloaded { retry_after_ms = 1000 })))
+  | Ok (Protocol.Search s) ->
+      if s.radius > Dbh.Key.max_radius then
+        bad (Printf.sprintf "radius %d exceeds max %d" s.radius Dbh.Key.max_radius)
+      else
+        decoded s.payload (fun query ->
+            offer ~tenant:s.tenant ~deadline_ms:s.deadline_ms ~requested:s.budget
+              (Search { query; budget = s.budget; probes = s.probes; radius = s.radius }))
+  | Ok (Protocol.Insert i) ->
+      decoded i.payload (fun obj ->
+          offer ~tenant:i.tenant ~deadline_ms:i.deadline_ms ~requested:0 (Insert obj))
+  | Ok (Protocol.Delete d) ->
+      offer ~tenant:d.tenant ~deadline_ms:d.deadline_ms ~requested:0 (Delete d.handle)
 
-(* One thread per connection: read, deframe, dispatch.  The receive
-   timeout (SO_RCVTIMEO) plus the partial-frame deadline kill idlers and
-   slow-loris writers; corrupt framing kills the stream. *)
-let conn_loop srv c () =
+(* Read what the peer sent and handle every complete frame in it.
+   Corrupt framing kills the stream; a frame still incomplete starts
+   (or keeps) the partial-frame clock. *)
+let read_conn srv c ~now =
   let cap = Protocol.header_bytes + srv.config.max_payload + 64 in
-  let buf = ref (Bytes.create 16384) in
-  let len = ref 0 in
-  let partial_since = ref None in
-  let alive = ref true in
-  let kill () =
-    Registry.inc srv.sm.connections_killed_total;
-    alive := false
-  in
-  (while !alive do
-     if !len = Bytes.length !buf then
-       if Bytes.length !buf >= cap then kill ()
-       else begin
-         let nbuf = Bytes.create (min cap (2 * Bytes.length !buf)) in
-         Bytes.blit !buf 0 nbuf 0 !len;
-         buf := nbuf
-       end;
-     if !alive then begin
-       match Unix.read c.fd !buf !len (Bytes.length !buf - !len) with
-       | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK | ETIMEDOUT), _, _) ->
-           kill ()
-       | exception Unix.Unix_error _ -> alive := false
-       | exception Sys_error _ -> alive := false
-       | 0 -> alive := false
-       | n ->
-           len := !len + n;
-           let off = ref 0 in
-           let continue = ref true in
-           while !continue do
-             match
-               Protocol.decode_frame ~max_payload:srv.config.max_payload !buf
-                 ~off:!off ~len:(!len - !off)
-             with
-             | `Frame (frame, consumed) ->
-                 off := !off + consumed;
-                 (* Work for a peer that can no longer be answered
-                    would only take queue slots from the others. *)
-                 if c.writable then handle_frame srv c frame
-                 else begin
-                   alive := false;
-                   continue := false
-                 end
-             | `Need_more -> continue := false
-             | `Corrupt msg ->
-                 Registry.inc srv.sm.bad_frames_total;
-                 send_response c ~id:0L (Protocol.Bad_request msg);
-                 kill ();
-                 continue := false
-           done;
-           if !off > 0 then begin
-             Bytes.blit !buf !off !buf 0 (!len - !off);
-             len := !len - !off
-           end;
-           if !len = 0 then partial_since := None
-           else if !off > 0 then partial_since := Some (Unix.gettimeofday ())
-           else begin
-             match !partial_since with
-             | None -> partial_since := Some (Unix.gettimeofday ())
-             | Some t0 ->
-                 if Unix.gettimeofday () -. t0 > srv.config.idle_timeout then
-                   kill ()
-           end
-     end
-   done;
-   forget_conn srv c)
+  if c.len = Bytes.length c.buf then
+    if c.len >= cap then kill srv c
+    else begin
+      let nbuf = Bytes.create (min cap (2 * c.len)) in
+      Bytes.blit c.buf 0 nbuf 0 c.len;
+      c.buf <- nbuf
+    end;
+  if c.len < Bytes.length c.buf then
+    match Unix.read c.fd c.buf c.len (Bytes.length c.buf - c.len) with
+    | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EINTR), _, _) -> ()
+    | exception (Unix.Unix_error _ | Sys_error _) -> drop c
+    | 0 -> drop c
+    | n ->
+        c.len <- c.len + n;
+        c.heard_at <- now;
+        let off = ref 0 in
+        let continue = ref true in
+        while !continue do
+          match
+            Protocol.decode_frame ~max_payload:srv.config.max_payload c.buf ~off:!off
+              ~len:(c.len - !off)
+          with
+          | `Frame (frame, consumed) ->
+              off := !off + consumed;
+              (* Work for a peer that can no longer be answered would
+                 only take queue slots from the others. *)
+              if alive c then handle_frame srv c frame else continue := false
+          | `Need_more -> continue := false
+          | `Corrupt msg ->
+              Registry.inc srv.sm.bad_frames_total;
+              ignore (send c (Protocol.encode_response ~id:0L (Protocol.Bad_request msg)));
+              kill srv c;
+              continue := false
+        done;
+        if !off > 0 then begin
+          Bytes.blit c.buf !off c.buf 0 (c.len - !off);
+          c.len <- c.len - !off
+        end;
+        if c.len = 0 then c.partial_since <- infinity
+        else if !off > 0 || c.partial_since = infinity then c.partial_since <- now
 
-let accept_loop srv () =
-  while not (Atomic.get srv.stop_flag) do
-    match Unix.select [ srv.listen_fd ] [] [] 0.2 with
-    | exception Unix.Unix_error (EINTR, _, _) -> ()
-    | [], _, _ -> ()
-    | _ -> (
-        match Unix.accept srv.listen_fd with
-        | exception Unix.Unix_error _ -> ()
-        | fd, _ ->
-            Registry.inc srv.sm.connections_total;
-            if
-              Atomic.get srv.stop_flag
-              || conn_count srv >= srv.config.max_connections
-            then begin
-              Registry.inc srv.sm.connections_killed_total;
-              try Unix.close fd with Unix.Unix_error _ -> ()
-            end
-            else begin
-              (try Unix.setsockopt fd TCP_NODELAY true
-               with Unix.Unix_error _ -> ());
-              Unix.setsockopt_float fd SO_RCVTIMEO srv.config.idle_timeout;
-              (* The send timeout bounds every reply write: a client
-                 that pipelines requests but never reads fills the
-                 kernel send buffer, and without this its writer and
-                 connection threads would block on it forever. *)
-              Unix.setsockopt_float fd SO_SNDTIMEO srv.config.idle_timeout;
-              (match srv.config.so_sndbuf with
-              | Some b -> (
-                  try Unix.setsockopt_int fd SO_SNDBUF b
-                  with Unix.Unix_error _ -> ())
-              | None -> ());
-              let c = register_conn srv fd in
-              Mutex.lock srv.conns_mutex;
-              srv.live_conn_threads <- srv.live_conn_threads + 1;
-              Mutex.unlock srv.conns_mutex;
-              (* Threads are counted, not retained: OCaml systhreads
-                 need no join to be reclaimed, and keeping a Thread.t
-                 per connection for the server's lifetime leaks memory
-                 proportional to total connections ever accepted. *)
-              ignore
-                (Thread.create
-                   (fun () ->
-                     Fun.protect (conn_loop srv c)
-                       ~finally:(fun () ->
-                         Mutex.lock srv.conns_mutex;
-                         srv.live_conn_threads <- srv.live_conn_threads - 1;
-                         Condition.broadcast srv.conn_threads_done;
-                         Mutex.unlock srv.conns_mutex))
-                   ())
-            end)
-  done;
-  try Unix.close srv.listen_fd with Unix.Unix_error _ -> ()
+(* Write out a queued outbox as far as the socket takes it.  Once it is
+   empty the connection is read again, and its receive clock restarts. *)
+let flush_conn c ~now =
+  Mutex.lock c.wmutex;
+  if c.writable && Buffer.length c.outbox > 0 then begin
+    let s = Buffer.contents c.outbox in
+    Buffer.clear c.outbox;
+    write_out c s;
+    if Buffer.length c.outbox = 0 then c.heard_at <- now
+  end;
+  Mutex.unlock c.wmutex
+
+(* select takes only descriptors below FD_SETSIZE. *)
+let selectable fd =
+  match Unix.select [ fd ] [] [] 0. with
+  | _ -> true
+  | exception Unix.Unix_error _ -> false
+
+let accept_all srv conns ~now =
+  let rec go () =
+    match Unix.accept srv.listen_fd with
+    | exception Unix.Unix_error _ -> ()
+    | fd, _ ->
+        Registry.inc srv.sm.connections_total;
+        if
+          Atomic.get srv.stop_flag
+          || Hashtbl.length conns >= srv.config.max_connections
+          || not (selectable fd)
+        then begin
+          Registry.inc srv.sm.connections_killed_total;
+          try Unix.close fd with Unix.Unix_error _ -> ()
+        end
+        else begin
+          Unix.set_nonblock fd;
+          (try Unix.setsockopt fd TCP_NODELAY true with Unix.Unix_error _ -> ());
+          (match srv.config.so_sndbuf with
+          | Some b -> (
+              try Unix.setsockopt_int fd SO_SNDBUF b with Unix.Unix_error _ -> ())
+          | None -> ());
+          Hashtbl.replace conns fd
+            {
+              fd;
+              wmutex = Mutex.create ();
+              outbox = Buffer.create 256;
+              queued_at = now;
+              writable = true;
+              buf = Bytes.create 16384;
+              len = 0;
+              heard_at = now;
+              partial_since = infinity;
+            }
+        end;
+        go ()
+  in
+  go ()
+
+let drain_wake srv =
+  let b = Bytes.create 64 in
+  try
+    while Unix.read srv.wake_r b 0 64 > 0 do
+      ()
+    done
+  with Unix.Unix_error _ -> ()
+
+(* The admission plane: one thread, one select over the listen socket,
+   the wake pipe and every connection.  A connection with queued
+   replies is watched for room to write them and not read, so a peer
+   that leaves its replies unread gets no more requests in; the rest are
+   watched for bytes.  Each connection carries the clocks that kill it:
+   no bytes, or a frame left incomplete, for [idle_timeout], or an
+   outbox not emptied within [idle_timeout] of filling.  Once {!stop}
+   sets [close_by], the loop ends when every outbox is delivered or the
+   deadline passes, and closes every connection. *)
+let admission_loop srv () =
+  let conns : (Unix.file_descr, conn) Hashtbl.t = Hashtbl.create 64 in
+  let timeout = srv.config.idle_timeout in
+  let listening = ref true in
+  let close c =
+    Mutex.protect c.wmutex (fun () ->
+        condemn c;
+        try Unix.close c.fd with Unix.Unix_error _ -> ())
+  in
+  let rec loop () =
+    let now = Unix.gettimeofday () in
+    if !listening && Atomic.get srv.stop_flag then begin
+      listening := false;
+      try Unix.close srv.listen_fd with Unix.Unix_error _ -> ()
+    end;
+    let close_by = Atomic.get srv.close_by in
+    let reads = ref [] and writes = ref [] and wake_at = ref close_by in
+    Hashtbl.filter_map_inplace
+      (fun fd c ->
+        Mutex.lock c.wmutex;
+        let writable = c.writable and queued = Buffer.length c.outbox > 0 in
+        let due =
+          if queued then c.queued_at +. timeout
+          else Float.min c.heard_at c.partial_since +. timeout
+        in
+        Mutex.unlock c.wmutex;
+        if writable && now > due then kill srv c;
+        if writable && now <= due then begin
+          if queued then writes := fd :: !writes else reads := fd :: !reads;
+          wake_at := Float.min !wake_at due;
+          Some c
+        end
+        else begin
+          close c;
+          None
+        end)
+      conns;
+    Registry.set srv.sm.connections_open (Hashtbl.length conns);
+    if close_by < infinity && (!writes = [] || now >= close_by) then begin
+      Hashtbl.iter (fun _ c -> close c) conns;
+      Hashtbl.reset conns;
+      Registry.set srv.sm.connections_open 0
+    end
+    else begin
+      let watched =
+        (srv.wake_r :: (if !listening then [ srv.listen_fd ] else [])) @ !reads
+      in
+      let wait = if !wake_at = infinity then -1. else Float.max 0. (!wake_at -. now) in
+      (match Unix.select watched !writes [] wait with
+      | exception Unix.Unix_error (EINTR, _, _) -> ()
+      | readable, writable, _ ->
+          let now = Unix.gettimeofday () in
+          let each f fds =
+            List.iter
+              (fun fd ->
+                match Hashtbl.find_opt conns fd with
+                | None -> ()
+                | Some c -> (
+                    (* One connection's fault must not take the plane down. *)
+                    try f c ~now with _ -> drop c))
+              fds
+          in
+          each flush_conn writable;
+          each (read_conn srv) readable;
+          if List.mem srv.wake_r readable then drain_wake srv;
+          if !listening && List.mem srv.listen_fd readable then accept_all srv conns ~now);
+      loop ()
+    end
+  in
+  loop ()
 
 let refresh_tenant_gauges srv ~now =
   let tokens = Admission.tenant_tokens srv.admission ~now in
@@ -491,18 +447,18 @@ let run_batch srv items =
   let searches, writes =
     List.partition
       (fun it ->
-        match it.Admission.request with Protocol.Search _ -> true | _ -> false)
+        match it.Admission.request with Search _ -> true | _ -> false)
       live
   in
   List.iter
     (fun it ->
       match it.Admission.request with
-      | Protocol.Insert { payload; _ } -> (
-          match Shards.insert srv.shards (srv.decode payload) with
+      | Insert obj -> (
+          match Shards.insert srv.shards obj with
           | handle -> finish srv it (Protocol.Inserted { handle })
           | exception e ->
               finish srv it (Protocol.Server_error (Printexc.to_string e)))
-      | Protocol.Delete { handle; _ } -> (
+      | Delete handle -> (
           match Shards.delete srv.shards handle with
           | () -> finish srv it Protocol.Deleted
           | exception Invalid_argument msg ->
@@ -510,7 +466,7 @@ let run_batch srv items =
               finish srv it (Protocol.Bad_request msg)
           | exception e ->
               finish srv it (Protocol.Server_error (Printexc.to_string e)))
-      | _ -> assert false)
+      | Search _ -> assert false)
     writes;
   match searches with
   | [] -> ()
@@ -520,16 +476,15 @@ let run_batch srv items =
         Array.map
           (fun it ->
             match it.Admission.request with
-            | Protocol.Search s ->
+            | Search s ->
                 let remaining = it.Admission.deadline -. now in
                 let budget =
                   min it.Admission.budget
                     (Admission.budget_for srv.admission ~tenant:it.Admission.tenant
                        ~remaining ~requested:s.budget)
                 in
-                ( srv.decode s.payload,
-                  { Shards.budget; probes = s.probes; radius = s.radius } )
-            | _ -> assert false)
+                (s.query, { Shards.budget; probes = s.probes; radius = s.radius })
+            | Insert _ | Delete _ -> assert false)
           items_arr
       in
       let t0 = Unix.gettimeofday () in
@@ -566,14 +521,14 @@ let run_batch srv items =
         answers
 
 (* The batcher runs on its own domain, not a systhread: every systhread
-   of a domain shares that domain's runtime lock, so a batcher thread on
-   the accept domain would compete for CPU with the connection threads —
-   under a shed storm the serving path would starve and goodput would
-   collapse even though the work queue is full.  On a separate domain
-   the admission plane (reads, deframing, sheds) and the serving plane
+   of a domain shares that domain's runtime lock, so a batcher thread
+   beside the admission thread would compete with it for CPU — under a
+   shed storm the serving path would starve and goodput would collapse
+   even though the work queue is full.  On a separate domain the
+   admission plane (reads, deframing, sheds) and the serving plane
    (search, replies) degrade independently; everything they share —
-   admission queue, registry, per-connection write mutexes, the domain
-   pool — is mutex- or atomic-protected. *)
+   admission queue, registry, per-connection write mutexes, the wake
+   pipe, the domain pool — is mutex- or atomic-protected. *)
 let batch_loop srv () =
   let rec loop () =
     match Admission.pop_batch srv.admission ~max:srv.config.batch_max with
@@ -674,6 +629,10 @@ let start ?pool ?registry ~decode config shards =
         in
         (Some fd, Some bound)
   in
+  Unix.set_nonblock listen_fd;
+  let wake_r, wake_w = Unix.pipe ~cloexec:true () in
+  Unix.set_nonblock wake_r;
+  Unix.set_nonblock wake_w;
   let srv =
     {
       config;
@@ -687,13 +646,11 @@ let start ?pool ?registry ~decode config shards =
       bound_port;
       metrics_fd;
       metrics_bound;
+      wake_r;
+      wake_w;
       stop_flag = Atomic.make false;
-      conns = Hashtbl.create 64;
-      conns_mutex = Mutex.create ();
-      conn_seq = 0;
-      live_conn_threads = 0;
-      conn_threads_done = Condition.create ();
-      accept_thread = None;
+      close_by = Atomic.make infinity;
+      admission_thread = None;
       batcher_domain = None;
       metrics_thread = None;
       stop_mutex = Mutex.create ();
@@ -702,7 +659,7 @@ let start ?pool ?registry ~decode config shards =
       stop_done = false;
     }
   in
-  srv.accept_thread <- Some (Thread.create (accept_loop srv) ());
+  srv.admission_thread <- Some (Thread.create (admission_loop srv) ());
   srv.batcher_domain <- Some (Domain.spawn (batch_loop srv));
   (match metrics_fd with
   | Some fd -> srv.metrics_thread <- Some (Thread.create (metrics_loop srv fd) ())
@@ -711,7 +668,6 @@ let start ?pool ?registry ~decode config shards =
 
 let port srv = srv.bound_port
 let metrics_port srv = srv.metrics_bound
-let registry srv = srv.reg
 let metrics srv = srv.sm
 let draining srv = Atomic.get srv.stop_flag
 
@@ -734,6 +690,7 @@ and stop ?kill srv =
     Mutex.unlock srv.stop_mutex;
     (* 1. Stop accepting; shed everything newly offered. *)
     Atomic.set srv.stop_flag true;
+    wake srv;
     Registry.set srv.sm.draining 1;
     Admission.start_draining srv.admission;
     (* 2. Let the batcher finish what was admitted, within the window. *)
@@ -749,30 +706,17 @@ and stop ?kill srv =
       (Admission.drain_remaining srv.admission);
     Admission.close srv.admission;
     (match srv.batcher_domain with Some d -> Domain.join d | None -> ());
-    (* 3. Take the connections down: no more admissions are possible, so
-       shutting the sockets only interrupts reads.  Join the accept
-       thread first so no new connection thread can appear after the
-       snapshot below, and give the outboxes what is left of the window
-       to deliver the batcher's last replies. *)
-    (match srv.accept_thread with Some th -> Thread.join th | None -> ());
-    Mutex.lock srv.conns_mutex;
-    let open_conns = Hashtbl.fold (fun _ c acc -> c :: acc) srv.conns [] in
-    Mutex.unlock srv.conns_mutex;
-    while List.exists unsent open_conns && Unix.gettimeofday () < give_up do
-      Unix.sleepf 0.005
-    done;
+    (* 3. Take the connections down: no more admissions are possible.
+       The admission thread gives the outboxes what is left of the
+       window to deliver the batcher's last replies, then closes every
+       connection and ends.  Nothing writes to the wake pipe after. *)
+    Atomic.set srv.close_by give_up;
+    wake srv;
+    Option.iter Thread.join srv.admission_thread;
+    Option.iter Thread.join srv.metrics_thread;
     List.iter
-      (fun c ->
-        Mutex.lock c.wmutex;
-        kill_writes c;
-        Mutex.unlock c.wmutex)
-      open_conns;
-    Mutex.lock srv.conns_mutex;
-    while srv.live_conn_threads > 0 do
-      Condition.wait srv.conn_threads_done srv.conns_mutex
-    done;
-    Mutex.unlock srv.conns_mutex;
-    (match srv.metrics_thread with Some th -> Thread.join th | None -> ());
+      (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ())
+      [ srv.wake_r; srv.wake_w ];
     (* 4. Make the on-disk state cheap to reopen, then close it. *)
     Fun.protect
       ~finally:(fun () ->

@@ -1,18 +1,24 @@
 (** The TCP tier: framed requests over {!Shards}, behind {!Admission}.
 
-    One accept thread hands each connection to its own (OS) thread; the
-    connection thread decodes frames under strict limits (payload cap,
-    receive timeout, partial-frame deadline against slow loris) and
-    either answers trivial requests inline (ping, stats) or offers the
-    work to the admission queue.  A single batcher thread pops
-    micro-batches, drops entries whose deadline already passed, executes
-    searches through {!Shards.search_many} (fanning shards over the
-    domain pool) and hands each reply to its connection: written at once
-    when the socket has room and nothing is queued ahead of it, else
-    left in the connection's outbox for its writer thread, so a client
-    that stops reading never stalls the batcher.  The measured distance
+    One admission thread serves every connection from a single [select]
+    loop over the listen socket, a wake pipe and the connections'
+    non-blocking sockets: it accepts, reads and deframes under strict limits
+    (payload cap, idle and partial-frame deadlines against slow loris),
+    answers trivial requests inline (ping, stats, sheds), and decodes a
+    search's or insert's payload once before offering it to the
+    admission queue.  A batcher domain pops micro-batches, drops entries
+    whose deadline already passed, executes searches through
+    {!Shards.search_many} (fanning shards over the domain pool) and
+    hands each reply to its connection: written at once when nothing is
+    queued ahead of it, and whatever the socket does not take waits in
+    the connection's outbox, which the admission thread writes out when
+    the socket has room.  No write waits on a peer, so a client that
+    stops reading never stalls the batcher, and while a connection has
+    replies queued its requests stay unread.  The measured distance
     throughput of each batch feeds the admission queue's deadline→budget
-    conversion.
+    conversion.  Threads do not grow with connections: the admission
+    thread, the batcher domain, and a metrics thread when
+    [metrics_port] is set.
 
     Corrupt streams close the connection; well-framed garbage gets a
     [Bad_request] and the connection lives on; overload gets an explicit
@@ -27,16 +33,18 @@ type config = {
   admission : Admission.config;
   max_payload : int;  (** frame payload cap; larger frames kill the connection *)
   idle_timeout : float;
-      (** receive window, seconds: no bytes, or a frame still incomplete,
-          for this long kills the connection *)
+      (** seconds: no bytes received, a frame left incomplete, or queued
+          replies not all written within this long of queueing kills
+          the connection *)
   max_connections : int;  (** accepted sockets beyond this are closed at once *)
   batch_max : int;  (** micro-batch size cap *)
   drain_timeout : float;  (** seconds {!stop} waits before shedding the queue *)
   so_sndbuf : int option;
       (** per-connection kernel send buffer ([SO_SNDBUF]), bytes.  [None]
           keeps the kernel default.  A small value bounds the kernel
-          memory a slow-reading client can pin and makes the send
-          timeout trip sooner when a client stops draining replies. *)
+          memory a slow-reading client can pin and makes its replies
+          queue in the outbox, and so start [idle_timeout]'s clock,
+          sooner when it stops draining them. *)
 }
 
 val default_config : config
@@ -53,23 +61,22 @@ val start :
   config ->
   'a Shards.t ->
   'a t
-(** Bind, start the accept / batcher / metrics threads, return
-    immediately.  [decode] turns request payloads into query objects
-    (failures become [Bad_request]).  [registry] receives the
+(** Bind, start the admission thread, the batcher domain and (with
+    [metrics_port]) the metrics thread, return immediately.  [decode]
+    turns request payloads into query objects, once per search or
+    insert, before admission (failures become [Bad_request]).  [registry] receives the
     [dbh_serve_*] metric set (default: a fresh registry); the metrics
     listener exposes whatever else is registered on it too.  The server
     owns [pool] while running: nothing else may submit to it until
     {!stop} returns.  It fans batches over [pool] only when
     [Pool.size pool + 1 <= Domain.recommended_domain_count ()]: with
     fewer cores the pool's domains would only time-slice with the
-    batcher and the connection threads.  Raises [Unix.Unix_error] when
+    batcher and the admission thread.  Raises [Unix.Unix_error] when
     the bind fails. *)
 
 val port : 'a t -> int  (** the bound port (useful with [port = 0]) *)
 
 val metrics_port : 'a t -> int option
-
-val registry : 'a t -> Dbh_obs.Registry.t
 
 val metrics : 'a t -> Serve_metrics.t
 

@@ -79,7 +79,6 @@ let open_or_create ?fsync ?breaker_config ?build ?rebuild_factor ~seed ~shards
   in
   (t, Array.map Option.get recoveries)
 
-let count t = t.n
 let size t = Array.fold_left (fun acc s -> acc + Durable.size s.durable) 0 t.shards
 
 let ensure_open t = if t.closed then invalid_arg "Shards: closed"
@@ -155,11 +154,6 @@ let delete t handle =
   if handle < 0 then invalid_arg "Shards.delete: negative handle";
   let s = t.shards.(shard_of t handle) in
   locked s (fun () -> Durable.delete s.durable (local_of t handle))
-
-let get t handle =
-  ensure_open t;
-  if handle < 0 then invalid_arg "Shards.get: negative handle";
-  Durable.get t.shards.(shard_of t handle).durable (local_of t handle)
 
 let checkpoint ?kill t =
   ensure_open t;

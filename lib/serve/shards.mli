@@ -55,7 +55,6 @@ val open_or_create :
     [Invalid_argument] when [shards < 1], or when creating fresh shards
     with fewer data points than shards. *)
 
-val count : 'a t -> int
 val size : 'a t -> int  (** alive objects, all shards *)
 
 val search_many : ?pool:Dbh_util.Pool.t -> 'a t -> ('a * query) array -> answer array
@@ -71,16 +70,12 @@ val delete : 'a t -> int -> unit
 (** Journaled delete by global handle (idempotent).  Raises
     [Invalid_argument] on a handle from a different shard count. *)
 
-val get : 'a t -> int -> 'a
-
 val checkpoint : ?kill:Dbh.Online.Durable.kill_point -> 'a t -> unit
 (** Checkpoint every shard (compact + snapshot + fresh WAL).  [kill]
     injects a crash inside the {e first} shard's checkpoint, for
     recovery tests. *)
 
 val close : 'a t -> unit  (** close every shard's WAL; idempotent *)
-
-val wal_ops : 'a t -> int  (** replay debt summed over shards *)
 
 val stats_json : 'a t -> string
 (** Per-shard JSON: size, generation, WAL debt, rebuilds, breaker

@@ -469,18 +469,21 @@ let test_analysis_ground_truth_override () =
   check_float "nn distance passed through 2" 0.5 (Analysis.nn_distance analysis 1)
 
 (* A sample query at +∞ from every other object has no nearest
-   neighbour: the build names it before any signature reads db.(-1). *)
+   neighbour: the build names it before any signature reads db.(-1).
+   The pivot table refuses +∞, so its row 40 is a finite stand-in's;
+   the scan pays the object's own distances. *)
 let test_analysis_no_finite_distance () =
   let db = test_db 35 40 in
   let rng = Rng.create 36 in
   let family = Hash_family.make ~rng ~space:l2 ~num_pivots:8 ~threshold_sample:40 db in
+  let pivot_table = Hash_family.pivot_table family (Array.append db [| db.(0) |]) in
   let db = Array.append db [| [| infinity; 0.; 0.; 0. |] |] in
   Alcotest.check_raises "the query is named"
     (Invalid_argument
        "Analysis.build: sample query 40 has no finite distance to any other object")
     (fun () ->
       ignore
-        (Analysis.build ~rng ~family ~db ~pivot_table:(Hash_family.pivot_table family db)
+        (Analysis.build ~rng ~family ~db ~pivot_table
            ~query_indices:[| 40; 0; 1 |] ~num_fns:50 ~db_sample:40 ()))
 
 (* ----------------------------------------------------------------- Params *)
@@ -856,6 +859,42 @@ let test_builder_rejects_nan_from_any_object () =
       | _ -> Alcotest.failf "a NaN from object %d built silently" i)
     db
 
+(* A Euclidean space whose distance between [a] and [b], in either
+   order, is +∞. *)
+let inf_between a b =
+  Space.make ~name:"l2-inf-one-pair" (fun x y ->
+      if (x == a && y == b) || (x == b && y == a) then infinity
+      else l2.Space.distance x y)
+
+let test_builder_rejects_infinity () =
+  (* A projection through a +∞ pivot distance is ∞ − ∞ = NaN, so one
+     infinite distance between an object and a pivot fails the build,
+     with a message of its own.  The same seed draws the same pivots
+     whatever the distances, so the pair is known in advance. *)
+  let db = test_db 77 30 in
+  let config =
+    {
+      Builder.default_config with
+      num_pivots = 6;
+      threshold_sample = 12;
+      num_sample_queries = 5;
+      num_fns = 20;
+      db_sample = 10;
+    }
+  in
+  let prepare space = Builder.prepare ~rng:(Rng.create 78) ~space ~config db in
+  let pivots = Hash_family.pivots (prepare l2).Builder.family in
+  let other =
+    match List.find_opt (fun x -> not (Array.memq x pivots)) (Array.to_list db) with
+    | Some x -> x
+    | None -> Alcotest.fail "every object is a pivot"
+  in
+  match prepare (inf_between other pivots.(0)) with
+  | exception Invalid_argument msg ->
+      Alcotest.(check string) "named as infinity"
+        "Hash_family.make: distance function returned infinity" msg
+  | _ -> Alcotest.fail "an infinite pivot distance built silently"
+
 let test_builder_distance_bill () =
   (* A build pays for its pivot distances once, in the pivot table:
      the family's fit, the model's signatures and the tables read it,
@@ -1012,6 +1051,8 @@ let () =
           Alcotest.test_case "prepared reuse" `Quick test_builder_prepared_reuse;
           Alcotest.test_case "NaN from any object raises" `Quick
             test_builder_rejects_nan_from_any_object;
+          Alcotest.test_case "infinity from one pair raises" `Quick
+            test_builder_rejects_infinity;
           Alcotest.test_case "distance bill" `Quick test_builder_distance_bill;
           Alcotest.test_case "make_with_table = make" `Quick test_make_with_table_differential;
         ] );

@@ -104,6 +104,22 @@ let test_online_rejects_nan_insert () =
   Alcotest.(check bool) "rebuilt" true (Online.rebuilds t >= 1);
   Alcotest.(check int) "size" 161 (Online.size t)
 
+let test_online_rejects_infinite_insert () =
+  (* An object at +∞ from a pivot would project to ∞ − ∞ = NaN, and the
+     next rebuild's pivot table would reject it: the insert raises
+     before it stores anything. *)
+  let db = test_db 15 100 in
+  let t =
+    Online.create ~rng:(Rng.create 16) ~space:l2 ~config:small_config ~rebuild_factor:1.5
+      ~target_accuracy:0.9 db
+  in
+  Alcotest.check_raises "infinite coordinate"
+    (Invalid_argument "Hierarchical.insert: distance function returned infinity")
+    (fun () -> ignore (Online.insert t [| 0.; infinity; 0.; 0. |]));
+  Alcotest.(check int) "size unchanged" 100 (Online.size t);
+  Alcotest.(check int) "no table entry" 0 (Online.delta_size t);
+  Alcotest.(check int) "no handle taken" 100 (Online.insert t [| 0.; 0.5; 0.; 0. |])
+
 let test_online_mass_delete_triggers_rebuild () =
   let db = test_db 8 200 in
   let rng = Rng.create 9 in
@@ -332,6 +348,8 @@ let () =
             test_online_rebuild_preserves_handles;
           Alcotest.test_case "NaN insert rejected before commit" `Quick
             test_online_rejects_nan_insert;
+          Alcotest.test_case "infinite insert rejected before commit" `Quick
+            test_online_rejects_infinite_insert;
           Alcotest.test_case "mass delete rebuilds" `Quick test_online_mass_delete_triggers_rebuild;
           Alcotest.test_case "shrink to empty and regrow" `Quick
             test_online_shrink_to_empty_and_regrow;

@@ -501,7 +501,7 @@ type harness = {
 
 let with_server ?(shards = 2) ?(space = l2) ?admission ?(batch_max = 32)
     ?(idle_timeout = 10.) ?(metrics_port = None) ?(so_sndbuf = None)
-    ?(data = seed_data) f =
+    ?(data = seed_data) ?(payload_decode = decode) f =
   with_dir @@ fun dir ->
   let sh, _ =
     Shards.open_or_create ~fsync:false ~build:small_config ~seed:42 ~shards
@@ -519,7 +519,7 @@ let with_server ?(shards = 2) ?(space = l2) ?admission ?(batch_max = 32)
     }
   in
   let run pool =
-    let server = Server.start ?pool ~decode config sh in
+    let server = Server.start ?pool ~decode:payload_decode config sh in
     Fun.protect
       ~finally:(fun () -> Server.stop server)
       (fun () -> f { server; shards = sh; dir })
@@ -759,6 +759,66 @@ let test_bad_payload_gets_bad_request () =
       Alcotest.(check bool) "connection survives" true (Client.ping c);
       Client.close c)
 
+(* A search or insert decodes its payload once: the admission thread
+   validates it by decoding it, and the batcher runs the decoded
+   object. *)
+let test_each_payload_decoded_once () =
+  let decodes = Atomic.make 0 in
+  let counting s =
+    Atomic.incr decodes;
+    decode s
+  in
+  with_server ~payload_decode:counting (fun h ->
+      let c = connect h in
+      let searches = 12 and inserts = 5 in
+      for i = 0 to searches - 1 do
+        match
+          Client.search ~deadline_ms:30_000 ~budget:1_000 c ~payload:(encode queries.(i))
+        with
+        | Protocol.Result _ -> ()
+        | other -> Alcotest.failf "expected Result, got %a" Protocol.pp_response other
+      done;
+      for i = 0 to inserts - 1 do
+        let v = Array.init 4 (fun j -> 500. +. float_of_int ((4 * i) + j)) in
+        match Client.insert c ~payload:(encode v) with
+        | Protocol.Inserted _ -> ()
+        | other -> Alcotest.failf "expected Inserted, got %a" Protocol.pp_response other
+      done;
+      Alcotest.(check int) "one decode per search or insert" (searches + inserts)
+        (Atomic.get decodes);
+      Client.close c)
+
+(* The process's thread count, where /proc tells it. *)
+let threads_now () =
+  match In_channel.with_open_text "/proc/self/status" In_channel.input_all with
+  | exception Sys_error _ -> None
+  | status ->
+      List.find_map
+        (fun line ->
+          match String.split_on_char ':' line with
+          | [ "Threads"; n ] -> int_of_string_opt (String.trim n)
+          | _ -> None)
+        (String.split_on_char '\n' status)
+
+(* One admission thread serves every connection: opening 32 starts no
+   thread. *)
+let test_connections_cost_no_threads () =
+  with_server (fun h ->
+      match threads_now () with
+      | None -> ()
+      | Some before ->
+          let clients = List.init 32 (fun _ -> connect h) in
+          List.iteri
+            (fun i c ->
+              Alcotest.(check bool) (Printf.sprintf "connection %d pongs" i) true
+                (Client.ping c))
+            clients;
+          let after = Option.value (threads_now ()) ~default:before in
+          List.iter Client.close clients;
+          if after - before > 2 then
+            Alcotest.failf "32 connections took %d threads (%d before, %d after)"
+              (after - before) before after)
+
 (* ------------------------------------------------------------- chaos *)
 
 let raw_connect port =
@@ -894,19 +954,15 @@ let test_oversize_declaration_kills_connection () =
 
 (* A slow *reader*: pipelines a torrent of admitted work but never
    drains a single reply, so its socket buffers fill and every reply
-   write to it jams.  SO_SNDTIMEO must convert the jam into a shed (mark
-   unwritable, shut the socket down) instead of wedging whichever thread
-   holds the write mutex — the batcher, i.e. the entire serving plane —
-   and [Server.stop] in the harness finally must complete rather than
-   deadlock behind the stuck write (the historical failure mode:
-   forget_conn locked wmutex before closing the fd).
+   to it queues in its connection's outbox.  The outbox deadline must
+   convert the jam into a shed (the connection is killed once its
+   outbox has stayed non-empty for the idle timeout) instead of letting
+   the replies pile up for good, no write may wedge the batcher, i.e.
+   the entire serving plane, and [Server.stop] in the harness finally
+   must complete rather than wait on the jammed peer.
 
-   The test drives the real jam (batcher blocked in a reply write until
-   the send timeout sheds the connection) and asserts full recovery.
-   Caveat: some sandboxed network stacks apply SO_RCVTIMEO to blocked
-   writes as well, so on those a server *without* the SO_SNDTIMEO fix
-   self-heals too and this test cannot catch its removal; on a stock
-   kernel a blocked write without the fix never returns. *)
+   The test drives the real jam (replies queued until the outbox
+   deadline sheds the connection) and asserts full recovery. *)
 let test_slow_reader_never_stalls_serving () =
   let admission =
     {
@@ -916,8 +972,8 @@ let test_slow_reader_never_stalls_serving () =
         { Admission.rate = 1_000_000.; burst = 100_000.; max_budget = 500 };
     }
   in
-  (* idle_timeout doubles as SO_SNDTIMEO, so the slow reader's jammed
-     writes shed it after at most 2 s, inside the good client's
+  (* idle_timeout is also the outbox deadline, so the slow reader's
+     jammed replies shed it after at most 2 s, inside the good client's
      pipelined send phase, which lasts until the slow reader is gone. *)
   (* A small server-side send buffer plus the tiny client receive window
      below make the jam deterministic: a few hundred replies fill both,
@@ -1036,9 +1092,9 @@ let test_slow_reader_never_stalls_serving () =
       Thread.join writer;
       (try Unix.close fd with Unix.Unix_error _ -> ());
       Alcotest.(check bool) "good client served" true (!served > 0);
-      (* The batcher never writes to a jammed socket, so it answers the
+      (* No write waits on the jammed socket, so the batcher answers the
          good client while the slow reader is still connected, not after
-         the send timeout has shed it.  Searches sent just before the
+         the outbox deadline has shed it.  Searches sent just before the
          shed, or shed while the flood held the queue, may come later. *)
       if !served_jammed = 0 || 2 * !served_jammed < !sent_jammed then
         Alcotest.failf
@@ -1446,6 +1502,10 @@ let () =
             test_expired_deadline_times_out;
           Alcotest.test_case "not draining while serving" `Quick
             test_draining_server_sheds_with_drain_verdict;
+          Alcotest.test_case "each payload decoded once" `Quick
+            test_each_payload_decoded_once;
+          Alcotest.test_case "connections cost no threads" `Quick
+            test_connections_cost_no_threads;
         ] );
       ( "chaos",
         [
